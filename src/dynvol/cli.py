@@ -63,31 +63,67 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
+# config keys with a plain conversion; config file names on the left
+_SIMPLE_KEYS = {"series_len": int, "in_sample_len": int, "n_reps": int,
+                "refit_every": int, "hist_window": int, "alpha": float,
+                "seed": int, "trim_upper": float, "max_lag": int,
+                "er_window": int, "delta": float}
+_RENAME = {"refit_every": "state_refit_every"}
+_KEYS = frozenset(_SIMPLE_KEYS) | {"model", "lambda", "window", "estimators",
+                                   "semi_grid"}
+
+
+def _convert(key: str, conv, text: str):
+    try:
+        return conv(text)
+    except ValueError:
+        raise DynvolError(f"bad value for config key {key}: {text!r}") from None
+
+
 def _apply_overrides(cfg: StudyConfig, opts: dict) -> StudyConfig:
+    """Apply key=value settings; an unknown key is an error, never ignored.
+
+    `model` must name the preset in use. `param_<name>` keys set the
+    model's parameters (the fields that `config --dump` lists).
+    """
+    unknown = sorted(k for k in opts
+                     if k not in _KEYS and not k.startswith("param_"))
+    if unknown:
+        raise DynvolError(f"unknown config key: {', '.join(unknown)}")
+    if "model" in opts and opts["model"].upper() != cfg.model:
+        raise DynvolError(f"config key model = {opts['model']} does not match "
+                          f"the {cfg.model} preset in use")
     es = cfg.es
     if "lambda" in opts:
-        es = EsConfig(float(opts["lambda"]), es.n)
+        es = EsConfig(_convert("lambda", float, opts["lambda"]), es.n)
     if "window" in opts:
-        es = EsConfig(es.lam, int(opts["window"]))
+        es = EsConfig(es.lam, _convert("window", int, opts["window"]))
     fields = {}
     if es is not cfg.es:
         fields["es"] = es
         if "window" in opts:
-            fields["hist_window"] = int(opts["window"])
-    simple = {"series_len": int, "in_sample_len": int, "n_reps": int,
-              "refit_every": int, "alpha": float, "seed": int,
-              "trim_upper": float, "max_lag": int, "er_window": int,
-              "delta": float}
-    rename = {"refit_every": "state_refit_every"}
-    for key, conv in simple.items():
+            fields["hist_window"] = es.n
+    for key, conv in _SIMPLE_KEYS.items():
         if key in opts:
-            fields[rename.get(key, key)] = conv(opts[key])
+            fields[_RENAME.get(key, key)] = _convert(key, conv, opts[key])
     if "estimators" in opts:
         fields["estimators"] = tuple(s.strip()
                                      for s in opts["estimators"].split(","))
     if "semi_grid" in opts:
-        fields["semi_grid"] = tuple(float(s)
+        fields["semi_grid"] = tuple(_convert("semi_grid", float, s)
                                     for s in opts["semi_grid"].split(","))
+    params = cfg.params()
+    changed = {}
+    for key in sorted(k for k in opts if k.startswith("param_")):
+        name = key[len("param_"):]
+        if name not in vars(params):
+            raise DynvolError(f"unknown config key {key} for model {cfg.model}")
+        current = getattr(params, name)
+        value = _convert(key, type(current), opts[key])
+        if value != current:
+            changed[name] = value
+    if changed:
+        fields["model_params"] = replace(params, **changed)
     return replace(cfg, **fields) if fields else cfg
 
 
@@ -186,6 +222,9 @@ def main(argv: list[str] | None = None) -> int:
             if args.config:
                 cfg = _apply_overrides(cfg, _read_config_file(args.config))
             cfg = _apply_overrides(cfg, _collect_cli_opts(args))
+            if cfg.model_params is not None:
+                raise DynvolError("param_* keys set simulation model "
+                                  "parameters, which a backtest does not use")
             result = run_backtest(data, cfg)
             write_backtest_outputs(result, args.out)
             print(f"backtest of {data.name}: outputs in {args.out}")

@@ -36,11 +36,10 @@ from .integration import combine_estimates, nonbayes_static
 from .sde import (CirParams, GbmParams, ReturnSeries, RngStream, SamplePath,
                   SvParams, levels_from_returns, simulate_cir, simulate_gbm,
                   simulate_sv, to_returns)
-from .state_domain import (KernelSpec, StatePairs, _intercepts_at_data,
-                           local_linear_fit, locally_constant_fit,
-                           locally_constant_weights, residual_squares,
-                           select_bandwidth, state_variance, xi_weights,
-                           CV_GRID)
+from .state_domain import (CV_GRID, KernelSpec, StatePairs,
+                           _intercepts_at_data, locally_constant_weights,
+                           residual_squares, select_bandwidth, state_variance,
+                           xi_weights)
 from .time_domain import (EsConfig, autocorr_sq, es_variance, exp_smooth,
                           moving_average)
 
@@ -301,7 +300,6 @@ def _fit_state(levels, y, origin, cfg: StudyConfig, kernel: KernelSpec,
 def _eval_state(fit: _StateFit, x0: float, kernel: KernelSpec, counters):
     """State estimate at the query level, or None when there is no coverage."""
     try:
-        raw = local_linear_fit(fit.pairs, x0, fit.h, kernel)[0]
         xi = xi_weights(fit.pairs, x0, fit.h, kernel)
     except NoCoverageError:
         counters["state_nocov"] += 1
@@ -309,12 +307,12 @@ def _eval_state(fit: _StateFit, x0: float, kernel: KernelSpec, counters):
     except SingularDesignError:
         counters["state_singular"] += 1
         try:
-            raw = locally_constant_fit(fit.pairs, x0, fit.h, kernel)
             xi = locally_constant_weights(fit.pairs, x0, fit.h, kernel)
         except NoCoverageError:
             counters["state_nocov"] += 1
             return None
-    sig2 = raw
+    # the fitted intercept is the xi-weighted sum of the responses
+    sig2 = float(xi @ fit.pairs.resp)
     if sig2 < fit.eps_var:
         counters["state_floor"] += 1
         sig2 = fit.eps_var
@@ -558,8 +556,9 @@ def ingest_csv(path, name: str | None = None, frequency: str = "weekly",
 
     Empty or unparsable values are rejected with their row numbers unless
     forward_fill is set, in which case they take the previous value and the
-    rows are recorded on the dataset. in_sample_end may be a row count or an
-    ISO date (split after that date).
+    rows are recorded on the dataset. Infinite values are always rejected
+    with their row numbers. in_sample_end may be a row count or an ISO date
+    (split after that date).
     """
     with open(path, "r", newline="") as fh:
         rowiter = list(csv.reader(fh))
@@ -570,6 +569,7 @@ def ingest_csv(path, name: str | None = None, frequency: str = "weekly",
     bad_rows: list[int] = []
     filled: list[int] = []
     order_bad: list[int] = []
+    infinite: list[int] = []
     for num, row in enumerate(rowiter[1:], start=2):
         if len(row) < 2:
             bad_rows.append(num)
@@ -587,7 +587,9 @@ def ingest_csv(path, name: str | None = None, frequency: str = "weekly",
                 v = float(raw)
             except ValueError:
                 v = math.nan
-        if math.isnan(v):
+        if math.isinf(v):
+            infinite.append(num)
+        elif math.isnan(v):
             if forward_fill and values:
                 v = values[-1]
                 filled.append(num)
@@ -600,6 +602,8 @@ def ingest_csv(path, name: str | None = None, frequency: str = "weekly",
         values.append(v)
     if bad_rows:
         raise IngestionError(f"invalid rows: {bad_rows}")
+    if infinite:
+        raise IngestionError(f"non-finite values at rows: {infinite}")
     if order_bad:
         raise IngestionError(f"dates not strictly increasing at rows: {order_bad}")
     if len(values) < 3:

@@ -9,6 +9,18 @@ point is the variance estimate. The equivalent-weight representation
 
 reproduces the intercept as sum_i xi_i * response_i and satisfies
 sum xi_i = 1 and sum xi_i (x_i - x0) = 0 exactly.
+
+The fit at every design point at once (the drift refit and leave-one-out
+bandwidth cross-validation) runs in O(N log N) on sorted prefix sums, after
+Fan & Marron (1994) and Seifert, Brockmann, Engel & Gasser (1994): the
+Epanechnikov weight is quadratic on its support, so each moment sum over a
+window is a difference of prefix sums of powers of the centred level. The
+window is the exact positive support of the kernel; weights in a thin band
+at its edge and on the point's own level are taken directly; empty,
+own-level-only and single-level windows are told apart by exact counts. Its
+tests check it against the direct O(N^2) evaluation: the NaN pattern is
+identical, and values agree within 1e-11 * max|resp| * h^2 V0^2 / det, the
+design's condition (the worst case seen is 2.4e-13 of that bound).
 """
 
 from __future__ import annotations
@@ -26,6 +38,13 @@ DET_RTOL = 1e-12
 
 # multiplicative grid of bandwidth candidates around the rule of thumb
 CV_GRID = (0.5, 1.0 / math.sqrt(2.0), 1.0, math.sqrt(2.0), 2.0)
+
+# blocks of the sorted design that share one centre in _prefix_moments:
+# at most this many points, spanning at most this many bandwidths
+BLOCK_POINTS = 256
+BLOCK_SPAN = 4.0
+# points with |u| >= 1 - EDGE_BAND take their kernel weight directly
+EDGE_BAND = 1e-4
 
 
 def _epanechnikov(u: np.ndarray) -> np.ndarray:
@@ -227,38 +246,176 @@ def rule_of_thumb_bandwidth(x: np.ndarray) -> float:
     return 1.06 * s * x.size ** (-0.2)
 
 
+def _support(xs: np.ndarray, h: float, kernel: KernelSpec):
+    """Index range [lo, hi) of the sorted design xs with positive kernel
+    weight at each xs[i], decided by the floating-point weight the kernel
+    itself gives each point, so a point on the edge of the support is in or
+    out exactly as in a direct evaluation.
+
+    searchsorted on xs -/+ h can be wrong only for points within a few ulps
+    of the edge; those are settled by bisection on the weight, which is
+    monotone in the sorted index on either side of the query.
+    """
+    own_lo = np.searchsorted(xs, xs, "left")
+    own_hi = np.searchsorted(xs, xs, "right")
+    pad = 8.0 * np.finfo(float).eps * (np.abs(xs) + h)
+
+    def positive(j):
+        return kernel.weights((xs[j] - xs) / h) > 0.0
+
+    # first index with positive weight; it lies in [a, b]
+    a = np.searchsorted(xs, xs - h - pad, "left")
+    b = np.minimum(np.searchsorted(xs, xs - h + pad, "left"), own_lo)
+    while np.any(act := a < b):
+        mid = (a + b) // 2
+        pos = positive(mid)
+        b = np.where(act & pos, mid, b)
+        a = np.where(act & ~pos, mid + 1, a)
+    lo = a
+    # first index past the query with zero weight; it lies in [a, b]
+    a = np.maximum(np.searchsorted(xs, xs + h - pad, "right"), own_hi)
+    b = np.searchsorted(xs, xs + h + pad, "right")
+    while np.any(act := a < b):
+        mid = (a + b) // 2
+        zero = ~positive(np.minimum(mid, xs.size - 1))
+        b = np.where(act & zero, mid, b)
+        a = np.where(act & ~zero, mid + 1, a)
+    return lo, a, own_lo, own_hi
+
+
+def _prefix_moments(xs: np.ndarray, rs: np.ndarray, h: float,
+                    bands) -> np.ndarray:
+    """Moments (v0, v1, v2, b0, b1) in units of 0.75 h^k over index bands
+    of the sorted design, from prefix sums; bands is a list of index
+    ranges (a, b), one array each, whose union per query lies between the
+    first band's a and the last band's b.
+
+    With t = (x - c)/h and s the query's t, the weight 1 - (t - s)^2 makes
+    each moment a binomial combination of band sums of t^k (k <= 4) and
+    resp*t^k (k <= 3). c is the midpoint of a block of at most BLOCK_POINTS
+    queries spanning at most BLOCK_SPAN bandwidths, and the prefix sums run
+    only over that block's bands, so |t| stays small. An empty band sums to
+    exactly zero.
+    """
+    n = xs.size
+    sums = np.zeros((n, 9))
+    s = np.empty(n)
+    start = 0
+    while start < n:
+        stop = min(start + BLOCK_POINTS,
+                   int(np.searchsorted(xs, xs[start] + BLOCK_SPAN * h, "right")))
+        c = 0.5 * (xs[start] + xs[stop - 1])
+        left, right = bands[0][0][start], bands[-1][1][stop - 1]
+        t = (xs[left:right] - c) / h
+        # row k + 1 holds the sums over rows 0..k of the span
+        pw = np.empty((right - left + 1, 9))
+        pw[0] = 0.0
+        pw[1:, 0] = 1.0
+        pw[1:, 1] = t
+        pw[1:, 2] = t * t
+        pw[1:, 3] = pw[1:, 2] * t
+        pw[1:, 4] = pw[1:, 2] * pw[1:, 2]
+        pw[1:, 5:] = pw[1:, :4] * rs[left:right, None]
+        np.cumsum(pw, axis=0, out=pw)
+        for a, b in bands:
+            sums[start:stop] += (pw[b[start:stop] - left]
+                                 - pw[a[start:stop] - left])
+        s[start:stop] = (xs[start:stop] - c) / h
+        start = stop
+
+    t0, t1, t2, t3, t4, r0, r1, r2, r3 = sums.T
+    # sums of e^k and resp*e^k with e = t - s = (x_j - x_i)/h
+    s2 = s * s
+    e1 = t1 - s * t0
+    e2 = t2 - 2.0 * s * t1 + s2 * t0
+    e3 = t3 - 3.0 * s * t2 + 3.0 * s2 * t1 - s2 * s * t0
+    e4 = (t4 - 4.0 * s * t3 + 6.0 * s2 * t2 - 4.0 * s2 * s * t1
+          + s2 * s2 * t0)
+    f1 = r1 - s * r0
+    f2 = r2 - 2.0 * s * r1 + s2 * r0
+    f3 = r3 - 3.0 * s * r2 + 3.0 * s2 * r1 - s2 * s * r0
+    return np.stack((t0 - e2, e1 - e3, e2 - e4, r0 - f2, f1 - f3))
+
+
+def _edge_moments(xs: np.ndarray, h: float, level: np.ndarray,
+                  ux: np.ndarray, count: np.ndarray, rsum: np.ndarray,
+                  bands) -> np.ndarray:
+    """Moments (v0, v1, v2, b0, b1) in units of 0.75 h^k over index bands
+    of the sorted design that hold whole levels; each level's weight
+    1 - u^2 comes from u = (x_j - x_i)/h computed as the kernel computes
+    it, and its count and response sum stand for its tied points."""
+    n = xs.size
+    lev = np.append(level, level[-1] + 1)
+    a = np.concatenate([lev[p] for p, _ in bands])
+    k = np.concatenate([lev[q] for _, q in bands]) - a
+    query = np.repeat(np.tile(np.arange(n), len(bands)), k)
+    ids = np.repeat(a - np.cumsum(k) + k, k) + np.arange(int(k.sum()))
+    u = (ux[ids] - xs[query]) / h
+    w = 1.0 - u * u
+    wc = w * count[ids]
+    wr = w * rsum[ids]
+    return np.stack([np.bincount(query, m, n)
+                     for m in (wc, wc * u, wc * u * u, wr, wr * u)])
+
+
 def _intercepts_at_data(x: np.ndarray, resp: np.ndarray, h: float,
-                        kernel: KernelSpec, loo: bool,
-                        chunk: int = 1024) -> np.ndarray:
-    """Local-linear intercept at every design point, vectorized in chunks.
+                        kernel: KernelSpec, loo: bool) -> np.ndarray:
+    """Local-linear intercept at every design point in O(N log N).
 
     With loo=True the point's own observation is excluded (used by
-    cross-validation). Points whose design is empty or singular get NaN.
+    cross-validation). Points whose design is empty or singular get NaN; a
+    window whose only level is the point's own degrades to the locally
+    constant fit.
+
+    The design is sorted once. Each window [lo, hi) is the exact positive
+    support of the kernel at the point (_support). Its moments come from
+    prefix sums (_prefix_moments) over the points with |u| < 1 - EDGE_BAND,
+    and from the kernel weights themselves (_edge_moments) over the thin
+    band next to the edge of the support, where a weight of a few ulps would
+    otherwise be lost in the rounding of the prefix sums. The point's own
+    level adds exactly its count to v0 and its response sum to b0 (weight 1,
+    no spread); leave-one-out takes the point itself out of both. Which case
+    a window falls in (empty, own level only, one other level, two or more
+    levels) is decided from exact counts of points and levels, never from
+    rounded sums. The moment algebra is that of the Epanechnikov kernel, the
+    one kernel KernelSpec offers.
     """
     n = x.size
     out = np.full(n, np.nan)
-    tol_scale = DET_RTOL * h * h
-    for start in range(0, n, chunk):
-        xe = x[start:start + chunk]
-        d = x[:, None] - xe[None, :]
-        w = kernel.weights(d / h)
-        if loo:
-            idx = np.arange(start, min(start + chunk, n))
-            w[idx, np.arange(idx.size)] = 0.0
-        v0 = w.sum(axis=0)
-        wd = w * d
-        v1 = wd.sum(axis=0)
-        v2 = (wd * d).sum(axis=0)
-        b0 = resp @ w
-        b1 = resp @ wd
-        det = v0 * v2 - v1 * v1
-        ok = (v0 > 0) & (det >= tol_scale * v0 * v0) & (v2 > 0)
-        col = np.full(xe.size, np.nan)
-        col[ok] = (v2[ok] * b0[ok] - v1[ok] * b1[ok]) / det[ok]
-        # zero-spread columns degrade to the locally constant fit
-        flat = (v0 > 0) & (v2 == 0.0)
-        col[flat] = b0[flat] / v0[flat]
-        out[start:start + chunk] = col
+    if n == 0:
+        return out
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    rs = resp[order]
+    if not (np.isfinite(xs[0]) and np.isfinite(xs[-1])):
+        raise ValueError("state levels must be finite")
+    lo, hi, own_lo, own_hi = _support(xs, h, kernel)
+    inner = (1.0 - EDGE_BAND) * h
+    lo_in = np.maximum(np.searchsorted(xs, xs - inner, "left"), lo)
+    hi_in = np.minimum(np.searchsorted(xs, xs + inner, "right"), hi)
+
+    new_level = np.append(True, xs[1:] != xs[:-1])
+    level = np.cumsum(new_level) - 1
+    first = np.flatnonzero(new_level)
+    count = np.diff(np.append(first, n))
+    rsum = np.add.reduceat(rs, first)
+    # the own level has e = 0 and weight 1 per point: its share is exact
+    own = own_hi - own_lo - loo
+    v0, v1, v2, b0, b1 = (
+        _prefix_moments(xs, rs, h, [(lo_in, own_lo), (own_hi, hi_in)])
+        + _edge_moments(xs, h, level, xs[first], count, rsum,
+                        [(lo, lo_in), (hi_in, hi)]))
+    v0 = v0 + own
+    b0 = b0 + (rsum[level] - loo * rs)
+
+    distinct = level[hi - 1] - level[lo] + 1 - (own == 0)
+    flat = (distinct == 1) & (own > 0)
+    det = v0 * v2 - v1 * v1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fit = np.where((distinct >= 2) & (v2 > 0.0)
+                       & (det >= DET_RTOL * v0 * v0),
+                       (v2 * b0 - v1 * b1) / det, np.nan)
+        out[order] = np.where(flat, b0 / v0, fit)
     return out
 
 

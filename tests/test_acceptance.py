@@ -13,9 +13,11 @@ import pytest
 from scipy import stats
 
 from dynvol.errors import NoCoverageError, SingularDesignError
-from dynvol.harness import (DEFAULT_CIR, cir_study, gbm_study,
-                            run_simulation_study, simulate_series, sv_study,
-                            write_study_outputs, _rolling)
+from dynvol import harness
+from dynvol.harness import (DEFAULT_CIR, BacktestDataset, cir_study,
+                            gbm_study, run_backtest, run_simulation_study,
+                            simulate_series, sv_study, write_study_outputs,
+                            _fit_state, _rolling)
 from dynvol.integration import bayes_es, bayes_ma
 from dynvol.sde import RngStream, simulate_cir, to_returns
 from dynvol.state_domain import (KernelSpec, StatePairs, kernel_density,
@@ -289,6 +291,78 @@ def test_criterion_09_no_lookahead_bytes():
     _verdict(9, ok, "prior forecasts byte-identical under three future "
                     "single-point perturbations, all five estimators")
     assert ok
+
+
+def _prior_forecasts_unmoved(levels, delta, cfg, first, run):
+    """Perturb single future levels; forecasts at origins before the touched
+    level must keep their bytes, and later ones must move."""
+    y = np.diff(levels) / math.sqrt(delta)
+    base = run(levels, y)
+    bump = 0.5 * float(np.std(y)) * math.sqrt(delta)
+    ok = True
+    for k in (first + 1, first + 14, first + 33):
+        pert_levels = levels.copy()
+        pert_levels[k] += bump
+        pert = run(pert_levels, np.diff(pert_levels) / math.sqrt(delta))
+        cut = k - first
+        for e in cfg.estimators:
+            ok = ok and base[e][:cut].tobytes() == pert[e][:cut].tobytes()
+            ok = ok and not np.array_equal(base[e][cut:], pert[e][cut:])
+    return ok
+
+
+@pytest.mark.parametrize("study", [sv_study, gbm_study])
+def test_no_lookahead_bytes_other_models(study):
+    cfg = study(series_len=300, in_sample_len=260, n_reps=1, seed=77)
+    sim = simulate_series(cfg, 0)
+    first = cfg.in_sample_len - 1
+    m = cfg.series_len - cfg.in_sample_len
+
+    def run(levels, y):
+        return _rolling(levels, y, cfg, first, m)[0]
+
+    assert _prior_forecasts_unmoved(sim.levels, cfg.delta, cfg, first, run)
+
+
+def test_no_lookahead_bytes_backtest(monkeypatch):
+    cfg = cir_study(er_window=60)
+    path = simulate_cir(DEFAULT_CIR, 1.0 / 52.0, 400, RngStream(78, 0))
+    split = 300
+    first = split - 1 - cfg.er_window
+    captured = []
+
+    def capture(*args):
+        tracks, counters = _rolling(*args)
+        captured.append(tracks)
+        return tracks, counters
+
+    monkeypatch.setattr(harness, "_rolling", capture)
+
+    def run(levels, y):
+        data = BacktestDataset("bt", levels, None, 1.0 / 52.0, split,
+                               return_mode="diff")
+        run_backtest(data, cfg)
+        return captured.pop()
+
+    assert _prior_forecasts_unmoved(path.values, 1.0 / 52.0, cfg, first, run)
+
+
+def test_state_fit_reads_only_the_pairs_history():
+    cfg = cir_study(series_len=300, in_sample_len=260, n_reps=1, seed=77)
+    sim = simulate_series(cfg, 0)
+    origin = 270
+    keep = origin - cfg.es.n
+    counters = {"drift_fallback": 0}
+    fit = _fit_state(sim.levels, sim.returns.y, origin, cfg, KERN, None,
+                     counters)
+    levels, y = sim.levels.copy(), sim.returns.y.copy()
+    levels[keep:] = np.nan
+    y[keep:] = np.nan
+    again = _fit_state(levels, y, origin, cfg, KERN, None, counters)
+    for a, b in ((fit.pairs.x, again.pairs.x), (fit.pairs.resp, again.pairs.resp),
+                 (np.array([fit.h1, fit.h, fit.eps_var]),
+                  np.array([again.h1, again.h, again.eps_var]))):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_criterion_10_byte_determinism(tmp_path):

@@ -1,12 +1,14 @@
 """Command-line entry points, config files, output files."""
 
 import datetime as dt
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dynvol.cli import (_apply_overrides, _dump_config, _read_config_file,
                         main)
+from dynvol.errors import DynvolError
 from dynvol.harness import study_preset
 from dynvol.sde import RngStream, simulate_gbm
 
@@ -136,3 +138,73 @@ def test_backtest_date_split(tmp_path, levels_csv):
     rc = main(["backtest", "--data", str(levels_csv), "--in-sample-end",
                split_date, "--config", str(f), "--out", str(out)])
     assert rc == 0
+
+
+def test_backtest_cli_names_infinite_row(tmp_path, capsys):
+    d0 = dt.date(2010, 1, 4)
+    rng = np.random.default_rng(3)
+    rows = [f"{(d0 + dt.timedelta(days=i)).isoformat()},"
+            f"{5.0 + 0.01 * float(v)!r}"
+            for i, v in enumerate(rng.standard_normal(400).cumsum())]
+    rows[250] = rows[250].split(",")[0] + ",inf"
+    p = tmp_path / "levels.csv"
+    p.write_text("date,value\n" + "\n".join(rows) + "\n")
+    rc = main(["backtest", "--data", str(p), "--frequency", "daily",
+               "--return-mode", "diff", "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert "non-finite values at rows: [252]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_file_rejects_unknown_keys_by_name(tmp_path, capsys):
+    f = tmp_path / "typo.cfg"
+    f.write_text("lamda = 0.5\nparam_kappa = 99\n")
+    rc = main(SIM_ARGS + ["--config", str(f), "--out", str(tmp_path / "r")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lamda" in err
+    assert not (tmp_path / "r").exists()
+    with pytest.raises(DynvolError, match="param_kapa"):
+        _apply_overrides(study_preset("cir"), {"param_kapa": "0.3"})
+    with pytest.raises(DynvolError, match="window"):
+        _apply_overrides(study_preset("cir"), {"window": "ten"})
+
+
+def test_config_model_key_must_match_the_preset(tmp_path, capsys):
+    assert main(["config", "--dump", "--model", "sv"]) == 0
+    f = tmp_path / "sv.cfg"
+    f.write_text(capsys.readouterr().out)
+    rc = main(SIM_ARGS + ["--config", str(f), "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert "model = SV" in capsys.readouterr().err
+
+
+def test_config_param_keys_take_effect(tmp_path):
+    base = study_preset("cir")
+    cfg = _apply_overrides(base, {"param_kappa": "0.5", "param_sigma":
+                                  repr(base.params().sigma)})
+    assert cfg.params() == replace(base.params(), kappa=0.5)
+    sv = _apply_overrides(study_preset("sv"), {"param_substeps": "10"})
+    assert sv.params().substeps == 10
+    f = tmp_path / "k.cfg"
+    f.write_text("param_kappa = 0.5\n")
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(SIM_ARGS + ["--out", str(a)]) == 0
+    assert main(SIM_ARGS + ["--config", str(f), "--out", str(b)]) == 0
+    assert (a / "per_rep.csv").read_bytes() != (b / "per_rep.csv").read_bytes()
+
+
+def test_backtest_rejects_changed_model_params(tmp_path, levels_csv, capsys):
+    assert main(["config", "--dump", "--model", "cir"]) == 0
+    dump = capsys.readouterr().out + "er_window = 60\n"
+    args = ["backtest", "--data", str(levels_csv), "--in-sample-end", "220",
+            "--config"]
+    same = tmp_path / "same.cfg"
+    same.write_text(dump)
+    assert main(args + [str(same), "--out", str(tmp_path / "a")]) == 0
+    changed = tmp_path / "changed.cfg"
+    changed.write_text(dump.replace("param_kappa = ", "param_kappa = 1"))
+    capsys.readouterr()
+    assert main(args + [str(changed), "--out", str(tmp_path / "b")]) == 1
+    assert "backtest does not use" in capsys.readouterr().err
+

@@ -317,6 +317,15 @@ def test_ingest_rejects_unordered_dates(tmp_path):
         ingest_csv(p)
 
 
+@pytest.mark.parametrize("forward_fill", [False, True])
+def test_ingest_rejects_infinite_values_with_rows(tmp_path, forward_fill):
+    p = _write_csv(tmp_path, ["2020-01-03,1.0", "2020-01-10,inf",
+                              "2020-01-17,1.2", "2020-01-24,-Infinity",
+                              "2020-01-31,1.3"])
+    with pytest.raises(IngestionError, match=r"non-finite.*\[3, 5\]"):
+        ingest_csv(p, forward_fill=forward_fill)
+
+
 def test_ingest_forward_fill(tmp_path):
     p = _write_csv(tmp_path, ["2020-01-03,1.0", "2020-01-10,", "2020-01-17,1.2",
                               "2020-01-24,1.25"])
