@@ -5,30 +5,14 @@ estimated sampling variances."""
 from .errors import (DegenerateCaseWarning, DegenerateSeriesError, DynvolError,
                      IngestionError, InsufficientHistoryError, NoCoverageError,
                      SingularDesignError, TooFewPointsError)
-from .evaluation import (ForecastTrack, MeasureReport, QuantileSource,
-                         build_report, empirical_quantile, exceedance_ratio,
-                         imade, made, pe, rade, relative_loss, report_to_csv,
-                         report_to_text, resolve_quantile, score, trimmed_mean)
-from .harness import (ESTIMATORS, BacktestDataset, BacktestResult, StudyConfig,
-                      StudyResult, cir_study, gbm_study, ingest_csv,
+from .harness import (StudyConfig, cir_study, gbm_study, ingest_csv,
                       rolling_forecast, run_backtest, run_simulation_study,
-                      semi_proxy, simulate_series, study_preset, sv_study,
-                      write_backtest_outputs, write_study_outputs)
-from .integration import (IgPrior, IntegratedEstimate, bayes_es, bayes_ma,
-                          combine_estimates, dynamic_weight, effective_n,
-                          efficiency_ratios, ig_posterior, integrate,
-                          match_hyperparams, nonbayes_static)
-from .sde import (CirParams, GbmParams, ReturnSeries, RngStream, SamplePath,
-                  SvParams, levels_from_returns, path_from_csv, path_to_csv,
-                  returns_from_csv, returns_to_csv, simulate_cir, simulate_gbm,
-                  simulate_sv, sv_inner_path, to_returns)
-from .state_domain import (KernelSpec, StatePairs, StateVarianceEstimate,
-                           estimate_drift, kernel_density, local_linear_fit,
-                           locally_constant_fit, residual_squares, s2_squared,
-                           select_bandwidth, rule_of_thumb_bandwidth,
-                           state_variance, xi_weights)
-from .time_domain import (EsConfig, TimeVarianceEstimate, autocorr_sq,
-                          es_variance, es_weights, exp_smooth, moving_average,
-                          s1_squared)
+                      study_preset, sv_study, write_backtest_outputs,
+                      write_study_outputs)
+from .integration import combine_estimates
+from .sde import GbmParams, RngStream, simulate_gbm
+from .state_domain import (StatePairs, select_bandwidth, state_variance,
+                           xi_weights)
+from .time_domain import EsConfig, autocorr_sq, es_variance, exp_smooth
 
 __version__ = "0.1.0"

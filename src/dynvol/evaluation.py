@@ -11,9 +11,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 QUANTILE_KINDS = ("standard_normal", "true_error", "empirical_residual")
 
@@ -72,7 +72,7 @@ def empirical_quantile(residuals: np.ndarray, alpha: float, window: int) -> floa
 
 def resolve_quantile(q: QuantileSource, residuals: np.ndarray | None = None) -> float:
     if q.kind in ("standard_normal", "true_error"):
-        return float(norm.ppf(q.alpha))
+        return NormalDist().inv_cdf(q.alpha)
     if residuals is None:
         raise ValueError("empirical_residual quantile needs residuals")
     return empirical_quantile(residuals, q.alpha, q.window)

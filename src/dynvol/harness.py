@@ -6,8 +6,8 @@ Five estimators are tracked side by side:
   RiskM      exponential smoothing with the standard decay
   SemiProxy  exponential smoothing with the decay re-selected from a small
              grid by trailing one-step prediction error
-  NonBay     static-weight blend of the smoother with the state-domain
-             (level-conditional) estimate
+  NonBay     moment-matched Bayes shrinkage of the smoother toward the
+             state-domain (level-conditional) estimate
   Integ      variance-weighted blend, weights recomputed every step
 
 Forecasts at origin i use returns y[0:i] and levels r[0:i+1] only; the
@@ -22,6 +22,7 @@ import datetime as _dt
 import math
 import os
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,20 +31,40 @@ from .errors import (DegenerateSeriesError, DynvolError, IngestionError,
                      SingularDesignError)
 from .evaluation import (ForecastTrack, MeasureReport, QuantileSource,
                          build_report, empirical_quantile, exceedance_ratio,
-                         imade, made, pe, rade, report_to_csv, report_to_text,
-                         resolve_quantile)
-from .integration import combine_estimates, nonbayes_static
-from .sde import (CirParams, GbmParams, ReturnSeries, RngStream, SamplePath,
-                  SvParams, levels_from_returns, simulate_cir, simulate_gbm,
-                  simulate_sv, to_returns)
+                         imade, made, pe, rade, report_to_csv, report_to_text)
+from .integration import MATCHED_SHAPE, bayes_es, combine_estimates
+from .sde import (CirParams, GbmParams, ReturnSeries, RngStream, SvParams,
+                  levels_from_returns, simulate_cir, simulate_gbm, simulate_sv,
+                  to_returns)
 from .state_domain import (CV_GRID, KernelSpec, StatePairs,
                            _intercepts_at_data, locally_constant_weights,
                            residual_squares, select_bandwidth, state_variance,
                            xi_weights)
-from .time_domain import (EsConfig, autocorr_sq, es_variance, exp_smooth,
-                          moving_average)
+from .time_domain import (EsConfig, autocorr_sq, es_variance, es_weights,
+                          exp_smooth, moving_average)
 
-ESTIMATORS = ("Hist", "RiskM", "SemiProxy", "NonBay", "Integ")
+# fewest pairs the state-domain fit is made from
+MIN_STATE_PAIRS = 20
+
+
+class _Role(NamedTuple):
+    """What an estimator needs: the returns before its first origin, and
+    whether it reads the smoothed estimate and the state-domain fit."""
+
+    history: Callable[[StudyConfig], int]
+    smoother: bool
+    state: bool
+
+
+_ROSTER = {
+    "Hist": _Role(lambda c: c.hist_window, False, False),
+    "RiskM": _Role(lambda c: c.es.n, True, False),
+    "SemiProxy": _Role(lambda c: 2 * c.es.n, False, False),
+    "NonBay": _Role(lambda c: c.es.n + MIN_STATE_PAIRS, True, True),
+    "Integ": _Role(lambda c: max(c.es.n + MIN_STATE_PAIRS, c.max_lag + 2),
+                   True, True),
+}
+ESTIMATORS = tuple(_ROSTER)
 
 DEFAULT_CIR = CirParams(kappa=0.21459, theta=0.08571, sigma=0.07830)
 DEFAULT_SV = SvParams(kappa=3.0, theta=0.009, alpha2=4.0, substeps=30)
@@ -173,48 +194,15 @@ def simulate_series(cfg: StudyConfig, rep: int) -> SimulatedSeries:
 # ---------------------------------------------------------------------------
 # estimator plumbing
 
-def semi_proxy(y, t: int, n: int,
-               lambda_grid: tuple[float, ...] = DEFAULT_SEMI_GRID,
-               window: int | None = None) -> float:
+class _SemiSelector:
     """Smoothed estimate with the decay picked by trailing prediction error.
 
     For each candidate decay, one-step forecasts of the squared return are
-    scored over the last `window` (default n) origins; the candidate with
-    the smallest total squared error wins. Needs 2n of history when
-    window = n. A degenerate search (no finite losses, or all candidates
-    tied) falls back to 0.94.
+    scored over the last `window` origins; the candidate with the smallest
+    total squared error wins. Needs window + n of history. A degenerate
+    search (no finite losses, or all of several candidates tied) falls back
+    to SEMI_FALLBACK_LAM and counts it in counters["semi_fallback"].
     """
-    est, _, _ = _semi_proxy_detail(y, t, n, lambda_grid, window)
-    return est
-
-
-def _semi_proxy_detail(y, t, n, lambda_grid, window=None):
-    arr = y.y if hasattr(y, "y") else np.asarray(y, dtype=float)
-    w = n if window is None else window
-    if w < 1 or t - w - n < 0:
-        raise InsufficientHistoryError(
-            f"need {w + n} observations before origin {t}")
-    losses = []
-    for lam in lambda_grid:
-        cfg = EsConfig(lam, n)
-        loss = 0.0
-        for s in range(t - w, t):
-            err = arr[s] ** 2 - exp_smooth(arr, s, cfg)
-            loss += err * err
-        losses.append(loss)
-    losses = np.asarray(losses)
-    finite = np.isfinite(losses)
-    degenerate = (not finite.any()) or (losses[finite].max() == losses[finite].min()
-                                        and len(lambda_grid) > 1)
-    if degenerate:
-        lam = SEMI_FALLBACK_LAM
-    else:
-        lam = lambda_grid[int(np.argmin(np.where(finite, losses, np.inf)))]
-    return exp_smooth(arr, t, EsConfig(lam, n)), lam, degenerate
-
-
-class _SemiSelector:
-    """Vectorized trailing-window decay selection over a fixed return array."""
 
     def __init__(self, y: np.ndarray, n: int, grid: tuple[float, ...],
                  window: int):
@@ -224,8 +212,8 @@ class _SemiSelector:
         self.y2 = y * y
         # rows[j] = y2[j:j+n]; origin t reads row t-n
         self.rows = np.lib.stride_tricks.sliding_window_view(self.y2, n)
-        from .time_domain import es_weights
         self.wrev = [es_weights(lam, n)[::-1] for lam in grid]
+        self.fallback = es_weights(SEMI_FALLBACK_LAM, n)[::-1]
 
     def value(self, t: int, counters: dict) -> float:
         w, n = self.window, self.n
@@ -242,14 +230,7 @@ class _SemiSelector:
         if (not finite.any()) or (losses[finite].max() == losses[finite].min()
                                   and len(self.grid) > 1):
             counters["semi_fallback"] += 1
-            lam = SEMI_FALLBACK_LAM
-            wr = None
-            for g, cand in enumerate(self.grid):
-                if cand == lam:
-                    wr = self.wrev[g]
-            if wr is None:
-                from .time_domain import es_weights
-                wr = es_weights(lam, n)[::-1]
+            wr = self.fallback
         else:
             wr = self.wrev[int(np.argmin(np.where(finite, losses, np.inf)))]
         return float(self.rows[t - n] @ wr)
@@ -278,7 +259,7 @@ def build_state_pairs(levels: np.ndarray, y: np.ndarray, origin: int,
 def _fit_state(levels, y, origin, cfg: StudyConfig, kernel: KernelSpec,
                bandwidths, counters) -> _StateFit | None:
     x, yy = build_state_pairs(levels, y, origin, cfg.es.n)
-    if x.size < 20:
+    if x.size < MIN_STATE_PAIRS:
         return None
     if bandwidths is None:
         h1, h = select_bandwidth(x, yy, kernel, cfg.cv_grid)
@@ -305,12 +286,9 @@ def _eval_state(fit: _StateFit, x0: float, kernel: KernelSpec, counters):
         counters["state_nocov"] += 1
         return None
     except SingularDesignError:
+        # raised only after the coverage checks passed
         counters["state_singular"] += 1
-        try:
-            xi = locally_constant_weights(fit.pairs, x0, fit.h, kernel)
-        except NoCoverageError:
-            counters["state_nocov"] += 1
-            return None
+        xi = locally_constant_weights(fit.pairs, x0, fit.h, kernel)
     # the fitted intercept is the xi-weighted sum of the responses
     sig2 = float(xi @ fit.pairs.resp)
     if sig2 < fit.eps_var:
@@ -326,20 +304,10 @@ def _new_counters() -> dict:
 
 
 def _check_history(cfg: StudyConfig, first: int) -> None:
-    need = []
-    if "Hist" in cfg.estimators:
-        need.append(cfg.hist_window)
-    if {"RiskM", "NonBay", "Integ"} & set(cfg.estimators):
-        need.append(cfg.es.n)
-    if "SemiProxy" in cfg.estimators:
-        need.append(2 * cfg.es.n)
-    if "Integ" in cfg.estimators:
-        need.append(cfg.max_lag + 2)
-    if {"NonBay", "Integ"} & set(cfg.estimators):
-        need.append(cfg.es.n + 20)
-    if need and first < max(need):
+    need = max((_ROSTER[e].history(cfg) for e in cfg.estimators), default=0)
+    if first < need:
         raise InsufficientHistoryError(
-            f"first origin {first} < required history {max(need)}")
+            f"first origin {first} < required history {need}")
 
 
 def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
@@ -354,8 +322,8 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
 
     ests = cfg.estimators
     kernel = KernelSpec()
-    need_state = bool({"NonBay", "Integ"} & set(ests))
-    need_es = bool({"RiskM", "NonBay", "Integ"} & set(ests))
+    need_state = any(_ROSTER[e].state for e in ests)
+    need_es = any(_ROSTER[e].smoother for e in ests)
     counters = _new_counters()
     tracks = {e: np.full(n_steps, np.nan) for e in ests}
     semi = (_SemiSelector(y, cfg.es.n, cfg.semi_grid, cfg.es.n)
@@ -396,8 +364,8 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
                 counters["nonbay_es_only"] += 1
                 tracks["NonBay"][step] = es_val
             else:
-                tracks["NonBay"][step] = nonbayes_static(
-                    es_val, sve.sigma2_hat, lam, n)
+                tracks["NonBay"][step] = bayes_es(
+                    es_val, sve.sigma2_hat, lam, n, MATCHED_SHAPE)
         if "Integ" in ests and es_val is not None:
             try:
                 rho = autocorr_sq(y, i, cfg.max_lag)
@@ -601,11 +569,12 @@ def ingest_csv(path, name: str | None = None, frequency: str = "weekly",
         dates.append(d)
         values.append(v)
     if bad_rows:
-        raise IngestionError(f"invalid rows: {bad_rows}")
+        raise IngestionError(f"invalid rows: {_row_list(bad_rows)}")
     if infinite:
-        raise IngestionError(f"non-finite values at rows: {infinite}")
+        raise IngestionError(f"non-finite values at rows: {_row_list(infinite)}")
     if order_bad:
-        raise IngestionError(f"dates not strictly increasing at rows: {order_bad}")
+        raise IngestionError("dates not strictly increasing at rows: "
+                             f"{_row_list(order_bad)}")
     if len(values) < 3:
         raise IngestionError("need at least 3 observations")
     if in_sample_end is None:
@@ -627,6 +596,15 @@ def ingest_csv(path, name: str | None = None, frequency: str = "weekly",
         values=np.asarray(values), dates=tuple(d.isoformat() for d in dates),
         delta=delta, in_sample_end=split, frequency=frequency,
         return_mode=return_mode, filled_rows=tuple(filled))
+
+
+def _row_list(rows: list[int]) -> str:
+    """Row numbers for an error message; past ten, the first ten and the
+    total count."""
+    if len(rows) <= 10:
+        return str(rows)
+    head = ", ".join(str(r) for r in rows[:10])
+    return f"[{head}, ...] ({len(rows)} rows)"
 
 
 @dataclass
@@ -706,10 +684,8 @@ def run_backtest(data: BacktestDataset, cfg: StudyConfig) -> BacktestResult:
 # file outputs
 
 def _write_per_rep(per_rep: dict[str, np.ndarray], estimators, excluded_per_rep,
-                   file) -> None:
-    own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
-    fh = open(file, "w", newline="") if own else file
-    try:
+                   path) -> None:
+    with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["rep", "estimator", "imade", "made", "pe", "rade", "er",
                     "excluded_steps"])
@@ -722,9 +698,6 @@ def _write_per_rep(per_rep: dict[str, np.ndarray], estimators, excluded_per_rep,
                                if k in per_rep else "")
                 row.append(excluded_per_rep[rep] if excluded_per_rep else 0)
                 w.writerow(row)
-    finally:
-        if own:
-            fh.close()
 
 
 def write_study_outputs(result: StudyResult, outdir) -> None:

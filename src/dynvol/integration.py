@@ -17,7 +17,9 @@ import numpy as np
 
 from .errors import DegenerateCaseWarning
 
-MODES = ("Dynamic", "Bayesian", "TimeOnly", "StateOnly")
+# shape of the moment-matched inverse-gamma prior (match_hyperparams);
+# the NonBay estimator is bayes_es at this shape
+MATCHED_SHAPE = 2.5
 
 
 @dataclass(frozen=True)
@@ -52,15 +54,12 @@ class IntegratedEstimate:
     w_time: float
     var_time: float = float("nan")
     var_state: float = float("nan")
-    mode: str = "Dynamic"
 
     def __post_init__(self):
         if not (0.0 <= self.w_time <= 1.0):
             raise ValueError("w_time must lie in [0, 1]")
         if self.sigma2_hat < 0:
             raise ValueError("sigma2_hat must be nonnegative")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 def dynamic_weight(var_time: float, var_state: float) -> float:
@@ -79,15 +78,15 @@ def dynamic_weight(var_time: float, var_state: float) -> float:
 
 
 def integrate(time_est: float, state_est: float, w: float,
-              var_time: float = float("nan"), var_state: float = float("nan"),
-              mode: str = "Dynamic") -> IntegratedEstimate:
+              var_time: float = float("nan"),
+              var_state: float = float("nan")) -> IntegratedEstimate:
     """Combine two variance estimates with weight w on the time-domain one."""
     if not (0.0 <= w <= 1.0):
         raise ValueError("w must lie in [0, 1]")
     if time_est < 0 or state_est < 0:
         raise ValueError("estimates must be nonnegative")
     sigma2 = w * time_est + (1.0 - w) * state_est
-    return IntegratedEstimate(sigma2, w, var_time, var_state, mode)
+    return IntegratedEstimate(sigma2, w, var_time, var_state)
 
 
 def combine_estimates(tve, sve) -> IntegratedEstimate:
@@ -105,44 +104,53 @@ def ig_posterior(prior: IgPrior, window: np.ndarray) -> IgPrior:
     return IgPrior(prior.a + 0.5 * y.size, prior.b + 0.5 * float(np.dot(y, y)))
 
 
-def _blend(est: float, prior_mean: float, m: float, a: float) -> float:
-    k = 2.0 * (a - 1.0)
-    return (m / (m + k)) * est + (k / (m + k)) * prior_mean
-
-
 def bayes_ma(ma_est: float, prior_mean: float, n: int, a: float) -> float:
     """Posterior-mean shrinkage of the moving average toward the prior mean;
-    weights n/(n + 2(a-1)) and 2(a-1)/(n + 2(a-1))."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if a <= 1.0:
-        raise ValueError("a must exceed 1")
-    if ma_est < 0 or prior_mean < 0:
-        raise ValueError("estimates must be nonnegative")
-    return _blend(ma_est, prior_mean, float(n), a)
+    weights n/(n + 2(a-1)) and 2(a-1)/(n + 2(a-1)). This is bayes_es at
+    lam = 1."""
+    return bayes_es(ma_est, prior_mean, 1.0, n, a)
 
 
-def effective_n(lam: float, n: int) -> float:
-    """Equivalent window size of the smoother: (1 - lam^n)/(1 - lam); lam = 1
-    gives exactly n."""
+def _window_mass(lam: float, n: int) -> tuple[float, float]:
+    """(u, v) with effective_n = u/v: (1 - lam^n, 1 - lam), or (n, 1) at
+    lam = 1."""
     if not (0.0 < lam <= 1.0):
         raise ValueError("lam must lie in (0, 1]")
     if n < 1:
         raise ValueError("n must be >= 1")
     if lam == 1.0:
-        return float(n)
-    return (1.0 - lam**n) / (1.0 - lam)
+        return float(n), 1.0
+    return 1.0 - lam**n, 1.0 - lam
+
+
+def effective_n(lam: float, n: int) -> float:
+    """Equivalent window size of the smoother: (1 - lam^n)/(1 - lam); lam = 1
+    gives exactly n."""
+    u, v = _window_mass(lam, n)
+    return u / v
 
 
 def bayes_es(es_est: float, prior_mean: float, lam: float, n: int,
              a: float) -> float:
-    """Shrinkage of the smoothed estimator using the equivalent window size
-    in place of n; identical to bayes_ma when lam = 1."""
+    """Posterior-mean shrinkage of the smoothed estimator toward the prior
+    mean, with the equivalent window size m = effective_n(lam, n) in place
+    of n: (m ES + k S)/(m + k), k = 2(a-1). Multiplied through by 1 - lam,
+
+        (1-lam^n) ES + k (1-lam) S
+        --------------------------
+          (1-lam^n) + k (1-lam)
+
+    and lam = 1 takes m = n, which is bayes_ma; the value is continuous in
+    lam up to 1. With the moment-matched prior (a = MATCHED_SHAPE, k = 3)
+    this is the NonBay estimator.
+    """
+    u, v = _window_mass(lam, n)
     if a <= 1.0:
         raise ValueError("a must exceed 1")
     if es_est < 0 or prior_mean < 0:
         raise ValueError("estimates must be nonnegative")
-    return _blend(es_est, prior_mean, effective_n(lam, n), a)
+    kv = 2.0 * (a - 1.0) * v
+    return (u * es_est + kv * prior_mean) / (u + kv)
 
 
 def match_hyperparams(state_est: float) -> IgPrior:
@@ -154,32 +162,7 @@ def match_hyperparams(state_est: float) -> IgPrior:
     if state_est == 0.0:
         warnings.warn("state estimate is zero; prior is degenerate",
                       DegenerateCaseWarning, stacklevel=2)
-    return IgPrior(2.5, 1.5 * state_est)
-
-
-def nonbayes_static(es_est: float, state_est: float, lam: float, n: int) -> float:
-    """Static-weight combination implied by the moment-matched prior:
-
-        (1-lam^n) ES + 3 (1-lam) S
-        --------------------------
-          (1-lam^n) + 3 (1-lam)
-
-    lam = 1 makes the state weight vanish; the smoothed estimate is returned
-    with a warning.
-    """
-    if es_est < 0 or state_est < 0:
-        raise ValueError("estimates must be nonnegative")
-    if not (0.0 < lam <= 1.0):
-        raise ValueError("lam must lie in (0, 1]")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if lam == 1.0:
-        warnings.warn("lam = 1 degenerates to the pure smoothed estimator",
-                      DegenerateCaseWarning, stacklevel=2)
-        return es_est
-    num = 1.0 - lam**n
-    denom = num + 3.0 * (1.0 - lam)
-    return (num * es_est + 3.0 * (1.0 - lam) * state_est) / denom
+    return IgPrior(MATCHED_SHAPE, (MATCHED_SHAPE - 1.0) * state_est)
 
 
 def efficiency_ratios(d: float, s1_sq: float, s2_sq: float) -> tuple[float, float]:

@@ -8,13 +8,10 @@ geometric Brownian motion sampled from its exact log-normal transition law.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import IngestionError
 
 MODEL_TAGS = ("CIR", "SV", "GBM", "External")
 
@@ -279,57 +276,3 @@ def levels_from_returns(rs: ReturnSeries, r0: float = 0.0) -> np.ndarray:
     """Inverse of to_returns: rebuild the level path from scaled differences."""
     steps = rs.y * math.sqrt(rs.delta)
     return r0 + np.concatenate(([0.0], np.cumsum(steps)))
-
-
-def path_to_csv(path: SamplePath, file) -> None:
-    """Write a path as CSV rows `t,value` with t the step index."""
-    _write_indexed(file, "value", path.values)
-
-
-def returns_to_csv(rs: ReturnSeries, file) -> None:
-    """Write a return series as CSV rows `t,y`."""
-    _write_indexed(file, "y", rs.y)
-
-
-def path_from_csv(file, delta: float, model_tag: str = "External") -> SamplePath:
-    return SamplePath(_read_indexed(file, "value"), delta, model_tag)
-
-
-def returns_from_csv(file, delta: float) -> ReturnSeries:
-    y = _read_indexed(file, "y")
-    return ReturnSeries(y, delta, y.size + 1)
-
-
-def _write_indexed(file, colname: str, values: np.ndarray) -> None:
-    own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
-    fh = open(file, "w", newline="") if own else file
-    try:
-        w = csv.writer(fh)
-        w.writerow(["t", colname])
-        for t, v in enumerate(values):
-            w.writerow([t, repr(float(v))])
-    finally:
-        if own:
-            fh.close()
-
-
-def _read_indexed(file, colname: str) -> np.ndarray:
-    own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
-    fh = open(file, "r", newline="") if own else file
-    try:
-        rows = list(csv.reader(fh))
-    finally:
-        if own:
-            fh.close()
-    if not rows or rows[0][:2] != ["t", colname]:
-        raise IngestionError(f"expected header 't,{colname}'")
-    bad = []
-    vals = []
-    for num, row in enumerate(rows[1:], start=2):
-        try:
-            vals.append(float(row[1]))
-        except (IndexError, ValueError):
-            bad.append(num)
-    if bad:
-        raise IngestionError(f"unparsable rows: {bad}")
-    return np.asarray(vals)

@@ -112,21 +112,41 @@ class StateVarianceEstimate:
         return 1.0 / self.xi_sq_sum
 
 
-def _moments(x: np.ndarray, x0: float, h: float, kernel: KernelSpec):
+def _design(pairs: StatePairs, x0: float, h: float, kernel: KernelSpec):
+    """Offsets d = x - x0, kernel weights w and moments V0, V1, V2 at x0.
+
+    Raises ValueError for a non-positive bandwidth and NoCoverageError when
+    x0 lies outside the data or gets no kernel mass.
+    """
+    if not h > 0:
+        raise ValueError("bandwidth must be positive")
+    x = pairs.x
+    if x.size == 0 or x0 < x.min() or x0 > x.max():
+        raise NoCoverageError(f"query {x0} outside historical range")
     d = x - x0
     w = kernel.weights(d / h)
     v0 = float(w.sum())
-    wd = w * d
-    v1 = float(wd.sum())
-    v2 = float((wd * d).sum())
-    return d, w, v0, v1, v2
-
-
-def _check_coverage(x: np.ndarray, x0: float, v0: float) -> None:
-    if x.size == 0 or x0 < x.min() or x0 > x.max():
-        raise NoCoverageError(f"query {x0} outside historical range")
     if v0 <= 0.0:
         raise NoCoverageError(f"no kernel mass at {x0}")
+    wd = w * d
+    return d, w, v0, float(wd.sum()), float((wd * d).sum())
+
+
+def _linear_design(pairs: StatePairs, x0: float, h: float,
+                   kernel: KernelSpec):
+    """_design plus det = V0 V2 - V1^2 of the local-linear fit.
+
+    det is None for a zero-spread neighborhood (V2 = 0, all weighted points
+    at x0), where the fit is the locally constant one; a det below
+    DET_RTOL h^2 V0^2 raises SingularDesignError.
+    """
+    d, w, v0, v1, v2 = _design(pairs, x0, h, kernel)
+    if v2 == 0.0:
+        return d, w, v0, v1, v2, None
+    det = v0 * v2 - v1 * v1
+    if det < DET_RTOL * h * h * v0 * v0:
+        raise SingularDesignError(f"local design singular at {x0}")
+    return d, w, v0, v1, v2, det
 
 
 def local_linear_fit(pairs: StatePairs, x0: float, h: float,
@@ -137,34 +157,18 @@ def local_linear_fit(pairs: StatePairs, x0: float, h: float,
     points at x0) degrades to the locally constant fit with slope 0; an
     ill-conditioned design raises SingularDesignError.
     """
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
-    d, w, v0, v1, v2 = _moments(pairs.x, x0, h, kernel)
-    _check_coverage(pairs.x, x0, v0)
-    if v2 == 0.0:
-        return float(np.dot(w, pairs.resp) / v0), 0.0
-    det = v0 * v2 - v1 * v1
-    if det < DET_RTOL * h * h * v0 * v0:
-        raise SingularDesignError(f"local design singular at {x0}")
+    d, w, v0, v1, v2, det = _linear_design(pairs, x0, h, kernel)
     b0 = float(np.dot(w, pairs.resp))
+    if det is None:
+        return b0 / v0, 0.0
     b1 = float(np.dot(w * d, pairs.resp))
     return (v2 * b0 - v1 * b1) / det, (v0 * b1 - v1 * b0) / det
 
 
-def locally_constant_fit(pairs: StatePairs, x0: float, h: float,
-                         kernel: KernelSpec = KernelSpec()) -> float:
-    """Kernel-weighted mean of the response at x0 (fallback for singular fits)."""
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
-    _, w, v0, _, _ = _moments(pairs.x, x0, h, kernel)
-    _check_coverage(pairs.x, x0, v0)
-    return float(np.dot(w, pairs.resp) / v0)
-
-
 def locally_constant_weights(pairs: StatePairs, x0: float, h: float,
                              kernel: KernelSpec = KernelSpec()) -> np.ndarray:
-    _, w, v0, _, _ = _moments(pairs.x, x0, h, kernel)
-    _check_coverage(pairs.x, x0, v0)
+    """Normalized kernel weights at x0 (the fallback for singular fits)."""
+    _, w, v0, _, _ = _design(pairs, x0, h, kernel)
     return w / v0
 
 
@@ -176,22 +180,10 @@ def xi_weights(pairs: StatePairs, x0: float, h: float,
     sum(xi * (x - x0)) == 0. A zero-spread neighborhood returns the
     normalized kernel weights (both identities still hold).
     """
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
-    d, w, v0, v1, v2 = _moments(pairs.x, x0, h, kernel)
-    _check_coverage(pairs.x, x0, v0)
-    if v2 == 0.0:
+    d, w, v0, v1, v2, det = _linear_design(pairs, x0, h, kernel)
+    if det is None:
         return w / v0
-    det = v0 * v2 - v1 * v1
-    if det < DET_RTOL * h * h * v0 * v0:
-        raise SingularDesignError(f"local design singular at {x0}")
     return w * (v2 - d * v1) / det
-
-
-def estimate_drift(pairs_raw: StatePairs, x0: float, h1: float,
-                   kernel: KernelSpec = KernelSpec()) -> float:
-    """Local-linear conditional-mean estimate (responses are raw returns)."""
-    return local_linear_fit(pairs_raw, x0, h1, kernel)[0]
 
 
 def residual_squares(y: np.ndarray, drift_at_x: np.ndarray) -> np.ndarray:

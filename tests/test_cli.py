@@ -1,6 +1,9 @@
 """Command-line entry points, config files, output files."""
 
 import datetime as dt
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -208,3 +211,15 @@ def test_backtest_rejects_changed_model_params(tmp_path, levels_csv, capsys):
     assert main(args + [str(changed), "--out", str(tmp_path / "b")]) == 1
     assert "backtest does not use" in capsys.readouterr().err
 
+
+def test_package_import_loads_no_scipy():
+    # scipy is a test dependency only; the package must not pull it in
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["dynvol"].__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, dynvol, dynvol.cli, dynvol.harness; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

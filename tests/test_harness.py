@@ -8,17 +8,44 @@ import pytest
 
 from dynvol.errors import (DynvolError, IngestionError,
                            InsufficientHistoryError)
-from dynvol.harness import (DEFAULT_SEMI_GRID, ESTIMATORS, BacktestDataset,
-                            StudyConfig, _new_counters, _rolling,
-                            _SemiSelector, cir_study, gbm_study, ingest_csv,
-                            rolling_forecast, run_backtest,
-                            run_simulation_study, semi_proxy, simulate_series,
+from dynvol.harness import (DEFAULT_SEMI_GRID, ESTIMATORS, SEMI_FALLBACK_LAM,
+                            BacktestDataset, StudyConfig, _new_counters,
+                            _rolling, _SemiSelector, cir_study, gbm_study,
+                            ingest_csv, rolling_forecast, run_backtest,
+                            run_simulation_study, simulate_series,
                             study_preset, sv_study, write_backtest_outputs,
                             write_study_outputs)
 from dynvol.sde import RngStream, simulate_gbm
 from dynvol.time_domain import EsConfig, exp_smooth, moving_average
 
 SMALL = cir_study(series_len=300, in_sample_len=260, n_reps=3, seed=777)
+
+
+def semi_proxy(y, t: int, n: int,
+               lambda_grid: tuple[float, ...] = DEFAULT_SEMI_GRID) -> float:
+    """Reference loop for _SemiSelector with window n: score each candidate
+    decay by the squared error of its one-step forecasts of y[s]^2 over the
+    last n origins, and smooth with the best one; with no finite loss, or
+    all of several candidates tied, smooth with SEMI_FALLBACK_LAM."""
+    if t - 2 * n < 0:
+        raise InsufficientHistoryError(
+            f"need {2 * n} observations before origin {t}")
+    losses = []
+    for lam in lambda_grid:
+        cfg = EsConfig(lam, n)
+        loss = 0.0
+        for s in range(t - n, t):
+            err = y[s] ** 2 - exp_smooth(y, s, cfg)
+            loss += err * err
+        losses.append(loss)
+    losses = np.asarray(losses)
+    finite = np.isfinite(losses)
+    if (not finite.any()) or (losses[finite].max() == losses[finite].min()
+                              and len(lambda_grid) > 1):
+        lam = SEMI_FALLBACK_LAM
+    else:
+        lam = lambda_grid[int(np.argmin(np.where(finite, losses, np.inf)))]
+    return exp_smooth(y, t, EsConfig(lam, n))
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +123,31 @@ def test_semi_selector_matches_reference_loop():
 
 
 def test_semi_proxy_needs_two_windows():
+    sel = _SemiSelector(np.ones(200), 52, DEFAULT_SEMI_GRID, 52)
     with pytest.raises(InsufficientHistoryError):
-        semi_proxy(np.ones(200), 103, 52)
+        sel.value(103, _new_counters())
+    assert sel.value(104, _new_counters()) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("grid", [DEFAULT_SEMI_GRID, (0.90, 0.96)],
+                         ids=["fallback-in-grid", "fallback-off-grid"])
+def test_semi_selector_falls_back_on_tied_losses(grid):
+    # squared returns vanish over every scored forecast window and all but
+    # the last target, so each candidate decay has the same loss exactly
+    n, t = 12, 40
+    y = np.random.default_rng(8).standard_normal(60)
+    y[t - 2 * n:t - 1] = 0.0
+    sel = _SemiSelector(y, n, grid, n)
+    counters = _new_counters()
+    got = sel.value(t, counters)
+    assert counters["semi_fallback"] == 1
+    assert got > 0.0
+    assert got == pytest.approx(
+        exp_smooth(y, t, EsConfig(SEMI_FALLBACK_LAM, n)), rel=1e-15)
+    assert got == pytest.approx(semi_proxy(y, t, n, grid), rel=1e-15)
+    # an untied window leaves the counter alone
+    sel.value(t + 1, counters)
+    assert counters["semi_fallback"] == 1
 
 
 def test_tracks_do_not_depend_on_roster():
@@ -308,6 +358,33 @@ def test_ingest_rejects_bad_rows_with_numbers(tmp_path):
                               "2020-01-17,1.2", "2020-01-24,1.3"])
     with pytest.raises(IngestionError, match=r"\[3\]"):
         ingest_csv(p)
+
+
+@pytest.mark.parametrize("value, prefix", [
+    ("oops", "invalid rows"),
+    ("inf", "non-finite values at rows"),
+])
+def test_ingest_cuts_long_row_lists(tmp_path, value, prefix):
+    import datetime as dt
+    d0 = dt.date(2000, 1, 3)
+    rows = [f"{(d0 + dt.timedelta(days=i)).isoformat()},{value}"
+            for i in range(1600)]
+    with pytest.raises(IngestionError) as info:
+        ingest_csv(_write_csv(tmp_path, rows))
+    assert str(info.value) == (f"{prefix}: [2, 3, 4, 5, 6, 7, 8, 9, 10, 11, "
+                               "...] (1600 rows)")
+
+
+def test_ingest_cuts_long_unordered_row_list(tmp_path):
+    import datetime as dt
+    d0 = dt.date(2000, 1, 3)
+    rows = [f"{(d0 - dt.timedelta(days=i)).isoformat()},1.0"
+            for i in range(1200)]
+    with pytest.raises(IngestionError) as info:
+        ingest_csv(_write_csv(tmp_path, rows))
+    assert str(info.value) == ("dates not strictly increasing at rows: "
+                               "[3, 4, 5, 6, 7, 8, 9, 10, 11, 12, ...] "
+                               "(1199 rows)")
 
 
 def test_ingest_rejects_unordered_dates(tmp_path):

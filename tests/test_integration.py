@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from dynvol.errors import DegenerateCaseWarning
-from dynvol.integration import (IgPrior, bayes_es, bayes_ma, combine_estimates,
-                                dynamic_weight, effective_n,
+from dynvol.integration import (MATCHED_SHAPE, IgPrior, bayes_es, bayes_ma,
+                                combine_estimates, dynamic_weight, effective_n,
                                 efficiency_ratios, ig_posterior, integrate,
-                                match_hyperparams, nonbayes_static)
+                                match_hyperparams)
 from dynvol.state_domain import state_variance
 from dynvol.time_domain import EsConfig, es_variance
 
@@ -32,7 +32,6 @@ def test_integrate_convex_combination():
     est = integrate(2.0, 4.0, 0.25)
     assert est.sigma2_hat == pytest.approx(0.25 * 2.0 + 0.75 * 4.0, abs=1e-15)
     assert est.w_time == 0.25
-    assert est.mode == "Dynamic"
     with pytest.raises(ValueError):
         integrate(1.0, 1.0, 1.5)
 
@@ -104,32 +103,44 @@ def test_match_hyperparams():
     assert z.b == 0.0
 
 
+# The NonBay estimator is bayes_es at the moment-matched shape a = 2.5.
+
 def test_nonbayes_static_hand_value():
     # lam=0.5, n=1: weight (1-lam^n)=0.5 on smoothed, 3(1-lam)=1.5 on state
-    got = nonbayes_static(4.0, 0.0, 0.5, 1)
+    got = bayes_es(4.0, 0.0, 0.5, 1, MATCHED_SHAPE)
     assert got == pytest.approx(0.5 * 4.0 / 2.0, abs=1e-14)
     assert got == pytest.approx(1.0, abs=1e-14)
 
 
-def test_nonbayes_static_lam_one_degenerates():
-    with pytest.warns(DegenerateCaseWarning):
-        got = nonbayes_static(4.0, 9.0, 1.0, 10)
-    assert got == 4.0
+def test_nonbay_lam_one_is_the_bayes_ma_limit():
+    # (n ES + 3 S)/(n + 3), reached continuously and without a warning
+    limit = (10 * 4.0 + 3.0 * 9.0) / 13.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        at_one = bayes_es(4.0, 9.0, 1.0, 10, MATCHED_SHAPE)
+        near_one = bayes_es(4.0, 9.0, 1.0 - 1e-12, 10, MATCHED_SHAPE)
+    assert at_one == bayes_ma(4.0, 9.0, 10, MATCHED_SHAPE)
+    assert at_one == pytest.approx(limit, rel=1e-15)
+    # 1 - lam^n loses about four digits to cancellation at lam = 1 - 1e-12
+    assert near_one == pytest.approx(limit, rel=1e-4)
 
 
 def test_nonbayes_static_weights_at_defaults():
     a = 1.0 - 0.94**52
     b = 3.0 * 0.06
-    got = nonbayes_static(1.0, 2.0, 0.94, 52)
+    got = bayes_es(1.0, 2.0, 0.94, 52, MATCHED_SHAPE)
     assert got == pytest.approx((a + 2.0 * b) / (a + b), rel=1e-13)
 
 
 def test_nonbayes_static_agrees_with_shrinkage_route():
-    # the static combination is bayes_es with the moment-matched prior
+    # the static combination is the posterior mean under the moment-matched
+    # prior, with the effective window size in place of n
     es_est, state_est = 0.012, 0.02
     prior = match_hyperparams(state_est)
-    via_prior = bayes_es(es_est, prior.mean, 0.94, 52, prior.a)
-    direct = nonbayes_static(es_est, state_est, 0.94, 52)
+    m = effective_n(0.94, 52)
+    k = 2.0 * (prior.a - 1.0)
+    via_prior = (m * es_est + k * prior.mean) / (m + k)
+    direct = bayes_es(es_est, state_est, 0.94, 52, MATCHED_SHAPE)
     assert direct == pytest.approx(via_prior, rel=1e-13)
 
 
@@ -146,4 +157,4 @@ def test_no_unexpected_warnings_on_clean_paths():
         warnings.simplefilter("error")
         dynamic_weight(1.0, 2.0)
         bayes_es(0.01, 0.02, 0.94, 52, 2.5)
-        nonbayes_static(1.0, 1.0, 0.94, 52)
+        bayes_es(1.0, 1.0, 1.0, 52, MATCHED_SHAPE)

@@ -1,6 +1,5 @@
-"""Path generators: laws, determinism, scheme consistency, serialization."""
+"""Path generators: laws, determinism, scheme consistency."""
 
-import io
 import math
 
 import numpy as np
@@ -9,9 +8,8 @@ from scipy import stats
 
 from dynvol.sde import (CirParams, GbmParams, ReturnSeries, RngStream,
                         SamplePath, SvParams, levels_from_returns,
-                        path_from_csv, path_to_csv, returns_from_csv,
-                        returns_to_csv, simulate_cir, simulate_gbm,
-                        simulate_sv, sv_inner_path, to_returns)
+                        simulate_cir, simulate_gbm, simulate_sv,
+                        sv_inner_path, to_returns)
 
 WEEKLY = 1.0 / 52.0
 MONTHLY = 1.0 / 12.0
@@ -140,23 +138,6 @@ def test_sv_scheme_strong_convergence():
     ys = np.log([errs[m] / reps for m in levels])
     slope = np.polyfit(xs, ys, 1)[0]
     assert slope >= 0.8
-
-
-def test_csv_round_trip_exact():
-    path = simulate_gbm(GBM, WEEKLY, 40, RngStream(2, 0))
-    buf = io.StringIO()
-    path_to_csv(path, buf)
-    buf.seek(0)
-    again = path_from_csv(buf, WEEKLY, "GBM")
-    assert np.array_equal(path.values, again.values)
-
-    rs = to_returns(path)
-    buf = io.StringIO()
-    returns_to_csv(rs, buf)
-    buf.seek(0)
-    rs2 = returns_from_csv(buf, WEEKLY)
-    assert np.array_equal(rs.y, rs2.y)
-    assert rs2.source_len == rs.source_len
 
 
 def test_return_series_length_contract():

@@ -12,9 +12,8 @@ from dynvol.errors import (NoCoverageError, SingularDesignError,
                            TooFewPointsError)
 from dynvol.harness import build_state_pairs, cir_study, simulate_series
 from dynvol.state_domain import (CV_GRID, DET_RTOL, KernelSpec, StatePairs,
-                                 _intercepts_at_data, estimate_drift,
-                                 kernel_density,
-                                 local_linear_fit, locally_constant_fit,
+                                 _intercepts_at_data, kernel_density,
+                                 local_linear_fit, locally_constant_weights,
                                  residual_squares, rule_of_thumb_bandwidth,
                                  s2_squared, select_bandwidth, state_variance,
                                  xi_weights)
@@ -116,7 +115,7 @@ def test_singular_design_raises():
 def test_locally_constant_fallback_value():
     x = np.array([0.4, 0.5, 0.6])
     resp = np.array([2.0, 4.0, 6.0])
-    got = locally_constant_fit(StatePairs(x, resp), 0.5, 0.15, EPA)
+    got = locally_constant_weights(StatePairs(x, resp), 0.5, 0.15, EPA) @ resp
     w = EPA.weights((x - 0.5) / 0.15)
     assert got == pytest.approx(float(w @ resp / w.sum()), rel=1e-13)
 
@@ -125,7 +124,7 @@ def test_drift_then_residual_pipeline():
     rng = np.random.default_rng(30)
     x = rng.uniform(0.0, 1.0, 200)
     y = 1.0 + 2.0 * x + rng.standard_normal(200) * 0.01
-    drift = estimate_drift(StatePairs(x, y), 0.5, 0.25, EPA)
+    drift = local_linear_fit(StatePairs(x, y), 0.5, 0.25, EPA)[0]
     assert drift == pytest.approx(2.0, abs=0.02)
     r2 = residual_squares(np.array([2.5, 1.5]), np.array([2.0, 2.0]))
     assert np.allclose(r2, [0.25, 0.25], atol=1e-15)
