@@ -2,8 +2,10 @@
 
 All measures are computed over an out-of-sample stretch of one-step-ahead
 variance forecasts. Exceedance compares raw returns against a scaled lower
-quantile; the absolute/squared deviation measures compare squared returns
-(or the true variance, when known) against the forecasts.
+quantile, which the caller supplies as a number: studies pass the normal
+quantile, backtests each estimator's empirical residual quantile
+(`empirical_quantile`). The absolute/squared deviation measures compare
+squared returns (or the true variance, when known) against the forecasts.
 """
 
 from __future__ import annotations
@@ -11,11 +13,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from statistics import NormalDist
 
 import numpy as np
-
-QUANTILE_KINDS = ("standard_normal", "true_error", "empirical_residual")
 
 ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -37,29 +36,6 @@ class ForecastTrack:
         return self.sigma2.size
 
 
-@dataclass(frozen=True)
-class QuantileSource:
-    """How the lower alpha-quantile for exceedance checks is obtained.
-
-    standard_normal and true_error both evaluate the exact conditional-law
-    quantile, which is standard normal for conditionally Gaussian returns;
-    empirical_residual uses an order statistic of recent standardized
-    residuals and needs a window of at least 50.
-    """
-
-    kind: str = "standard_normal"
-    alpha: float = 0.05
-    window: int = 250
-
-    def __post_init__(self):
-        if self.kind not in QUANTILE_KINDS:
-            raise ValueError(f"unknown quantile kind {self.kind!r}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
-        if self.kind == "empirical_residual" and self.window < 50:
-            raise ValueError("empirical residual window must be >= 50")
-
-
 def empirical_quantile(residuals: np.ndarray, alpha: float, window: int) -> float:
     """Order statistic x_(ceil(alpha*window)) of the last `window` residuals."""
     r = np.asarray(residuals, dtype=float)
@@ -68,14 +44,6 @@ def empirical_quantile(residuals: np.ndarray, alpha: float, window: int) -> floa
     tail = np.sort(r[-window:])
     idx = max(int(math.ceil(alpha * window)) - 1, 0)
     return float(tail[idx])
-
-
-def resolve_quantile(q: QuantileSource, residuals: np.ndarray | None = None) -> float:
-    if q.kind in ("standard_normal", "true_error"):
-        return NormalDist().inv_cdf(q.alpha)
-    if residuals is None:
-        raise ValueError("empirical_residual quantile needs residuals")
-    return empirical_quantile(residuals, q.alpha, q.window)
 
 
 def _check_lengths(returns_out: np.ndarray, track: ForecastTrack) -> np.ndarray:
@@ -88,12 +56,10 @@ def _check_lengths(returns_out: np.ndarray, track: ForecastTrack) -> np.ndarray:
 
 
 def exceedance_ratio(returns_out: np.ndarray, track: ForecastTrack,
-                     q: QuantileSource,
-                     residuals: np.ndarray | None = None) -> float:
-    """Fraction of steps where the raw return fell below q_alpha * sigma_hat."""
+                     quantile: float) -> float:
+    """Fraction of steps where the raw return fell below quantile * sigma_hat."""
     r = _check_lengths(returns_out, track)
-    qa = resolve_quantile(q, residuals)
-    return float(np.mean(r < qa * np.sqrt(track.sigma2)))
+    return float(np.mean(r < quantile * np.sqrt(track.sigma2)))
 
 
 def made(returns_out: np.ndarray, track: ForecastTrack) -> float:
@@ -239,11 +205,9 @@ _STAT_ORDER = ("score", "mean", "std", "rel_loss", "trimmed_mean",
                "trimmed_rel_loss")
 
 
-def report_to_csv(report: MeasureReport, file) -> None:
-    """Serialize as rows `estimator,measure,statistic,value` (full precision)."""
-    own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
-    fh = open(file, "w", newline="") if own else file
-    try:
+def report_to_csv(report: MeasureReport, path) -> None:
+    """Write rows `estimator,measure,statistic,value` (full precision)."""
+    with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["estimator", "measure", "statistic", "value"])
         w.writerow(["ALL", "meta", "n_reps", report.n_reps])
@@ -258,9 +222,6 @@ def report_to_csv(report: MeasureReport, file) -> None:
                 for stat in _STAT_ORDER:
                     if stat in d:
                         w.writerow([est, meas, stat, repr(d[stat])])
-    finally:
-        if own:
-            fh.close()
 
 
 _ROW_LABELS = {"score": "Score (%)", "mean": "Ave", "std": "Std",

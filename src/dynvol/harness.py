@@ -13,6 +13,13 @@ Five estimators are tracked side by side:
 Forecasts at origin i use returns y[0:i] and levels r[0:i+1] only; the
 state-domain fit additionally excludes the n most recent returns and is
 refreshed on a fixed schedule while the query point moves every step.
+
+Studies and backtests score through one path: steps where any estimator's
+forecast is not finite are dropped for every estimator, and the exceedance
+ratio uses the normal alpha-quantile in studies and, in backtests, the
+empirical alpha-quantile of each estimator's own standardized in-sample
+residuals over the last er_window (>= 50) steps before the split. The first
+estimator is the reference for relative losses unless Integ is present.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import datetime as _dt
 import math
 import os
 from dataclasses import dataclass, field, replace
+from statistics import NormalDist
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,14 +37,14 @@ import numpy as np
 from .errors import (DegenerateSeriesError, DynvolError, IngestionError,
                      InsufficientHistoryError, NoCoverageError,
                      SingularDesignError)
-from .evaluation import (ForecastTrack, MeasureReport, QuantileSource,
-                         build_report, empirical_quantile, exceedance_ratio,
-                         imade, made, pe, rade, report_to_csv, report_to_text)
+from .evaluation import (ForecastTrack, MeasureReport, build_report,
+                         empirical_quantile, exceedance_ratio, imade, made, pe,
+                         rade, report_to_csv, report_to_text)
 from .integration import MATCHED_SHAPE, bayes_es, combine_estimates
 from .sde import (CirParams, GbmParams, ReturnSeries, RngStream, SvParams,
                   levels_from_returns, simulate_cir, simulate_gbm, simulate_sv,
                   to_returns)
-from .state_domain import (CV_GRID, KernelSpec, StatePairs,
+from .state_domain import (KernelSpec, StatePairs,
                            _intercepts_at_data, locally_constant_weights,
                            residual_squares, select_bandwidth, state_variance,
                            xi_weights)
@@ -93,8 +101,6 @@ class StudyConfig:
     trim_upper: float = 0.0
     semi_grid: tuple[float, ...] = DEFAULT_SEMI_GRID
     max_lag: int = 30
-    cv_grid: tuple[float, ...] = CV_GRID
-    use_squared_returns: bool = False
     er_window: int = 250
 
     def __post_init__(self):
@@ -112,9 +118,27 @@ class StudyConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if not (0.0 <= self.trim_upper < 1.0):
             raise ValueError("trim_upper must lie in [0, 1)")
+        if not self.delta > 0:
+            raise ValueError("delta must be positive")
+        if not self.estimators:
+            raise ValueError("estimators must name at least one estimator")
         bad = [e for e in self.estimators if e not in ESTIMATORS]
         if bad:
             raise ValueError(f"unknown estimators {bad}")
+        dup = sorted({e for e in self.estimators
+                      if self.estimators.count(e) > 1})
+        if dup:
+            raise ValueError(f"estimators lists {dup} more than once")
+        if not self.semi_grid:
+            raise ValueError("semi_grid must hold at least one decay")
+        if not all(0.0 < lam <= 1.0 for lam in self.semi_grid):
+            raise ValueError("semi_grid decays must lie in (0, 1]")
+        if self.hist_window < 1:
+            raise ValueError("hist_window must be >= 1")
+        if self.max_lag < 1:
+            raise ValueError("max_lag must be >= 1")
+        if self.er_window < 50:
+            raise ValueError("er_window must be >= 50")
 
     def params(self) -> CirParams | SvParams | GbmParams:
         if self.model_params is not None:
@@ -198,17 +222,15 @@ class _SemiSelector:
     """Smoothed estimate with the decay picked by trailing prediction error.
 
     For each candidate decay, one-step forecasts of the squared return are
-    scored over the last `window` origins; the candidate with the smallest
-    total squared error wins. Needs window + n of history. A degenerate
-    search (no finite losses, or all of several candidates tied) falls back
-    to SEMI_FALLBACK_LAM and counts it in counters["semi_fallback"].
+    scored over the last n origins; the candidate with the smallest total
+    squared error wins. Needs 2n of history. A degenerate search (no finite
+    losses, or all of several candidates tied) falls back to
+    SEMI_FALLBACK_LAM and counts it in counters["semi_fallback"].
     """
 
-    def __init__(self, y: np.ndarray, n: int, grid: tuple[float, ...],
-                 window: int):
+    def __init__(self, y: np.ndarray, n: int, grid: tuple[float, ...]):
         self.n = n
         self.grid = grid
-        self.window = window
         self.y2 = y * y
         # rows[j] = y2[j:j+n]; origin t reads row t-n
         self.rows = np.lib.stride_tricks.sliding_window_view(self.y2, n)
@@ -216,14 +238,14 @@ class _SemiSelector:
         self.fallback = es_weights(SEMI_FALLBACK_LAM, n)[::-1]
 
     def value(self, t: int, counters: dict) -> float:
-        w, n = self.window, self.n
-        if t - w - n < 0:
+        n = self.n
+        if t - 2 * n < 0:
             raise InsufficientHistoryError(
-                f"need {w + n} observations before origin {t}")
-        target = self.y2[t - w:t]
+                f"need {2 * n} observations before origin {t}")
+        target = self.y2[t - n:t]
         losses = np.empty(len(self.grid))
         for g, wr in enumerate(self.wrev):
-            preds = self.rows[t - w - n:t - n] @ wr
+            preds = self.rows[t - 2 * n:t - n] @ wr
             diff = target - preds
             losses[g] = float(np.dot(diff, diff))
         finite = np.isfinite(losses)
@@ -262,18 +284,15 @@ def _fit_state(levels, y, origin, cfg: StudyConfig, kernel: KernelSpec,
     if x.size < MIN_STATE_PAIRS:
         return None
     if bandwidths is None:
-        h1, h = select_bandwidth(x, yy, kernel, cfg.cv_grid)
+        h1, h = select_bandwidth(x, yy, kernel)
     else:
         h1, h = bandwidths
-    if cfg.use_squared_returns:
-        resp = yy * yy
-    else:
-        drift = _intercepts_at_data(x, yy, h1, kernel, loo=False)
-        nbad = int(np.count_nonzero(~np.isfinite(drift)))
-        if nbad:
-            counters["drift_fallback"] += nbad
-            drift = np.where(np.isfinite(drift), drift, 0.0)
-        resp = residual_squares(yy, drift)
+    drift = _intercepts_at_data(x, yy, h1, kernel, loo=False)
+    nbad = int(np.count_nonzero(~np.isfinite(drift)))
+    if nbad:
+        counters["drift_fallback"] += nbad
+        drift = np.where(np.isfinite(drift), drift, 0.0)
+    resp = residual_squares(yy, drift)
     eps_var = 1e-12 * float(np.var(resp))
     return _StateFit(StatePairs(x, resp), h1, h, eps_var)
 
@@ -304,7 +323,7 @@ def _new_counters() -> dict:
 
 
 def _check_history(cfg: StudyConfig, first: int) -> None:
-    need = max((_ROSTER[e].history(cfg) for e in cfg.estimators), default=0)
+    need = max(_ROSTER[e].history(cfg) for e in cfg.estimators)
     if first < need:
         raise InsufficientHistoryError(
             f"first origin {first} < required history {need}")
@@ -326,7 +345,7 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
     need_es = any(_ROSTER[e].smoother for e in ests)
     counters = _new_counters()
     tracks = {e: np.full(n_steps, np.nan) for e in ests}
-    semi = (_SemiSelector(y, cfg.es.n, cfg.semi_grid, cfg.es.n)
+    semi = (_SemiSelector(y, cfg.es.n, cfg.semi_grid)
             if "SemiProxy" in ests else None)
     fit = None
     bandwidths = None
@@ -338,35 +357,26 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
             fit = _fit_state(levels, y, i, cfg, kernel, bandwidths, counters)
             if fit is not None:
                 bandwidths = (fit.h1, fit.h)
+        # _check_history and the stretch check above keep every window
+        # below in range, so only the Integ step can raise
         if "Hist" in ests:
-            try:
-                tracks["Hist"][step] = moving_average(y, i, cfg.hist_window)
-            except DynvolError:
-                counters["nan_steps"] += 1
-        es_val = None
-        if need_es:
-            try:
-                es_val = exp_smooth(y, i, cfg.es)
-            except DynvolError:
-                counters["nan_steps"] += 1
-        if "RiskM" in ests and es_val is not None:
+            tracks["Hist"][step] = moving_average(y, i, cfg.hist_window)
+        es_val = exp_smooth(y, i, cfg.es) if need_es else None
+        if "RiskM" in ests:
             tracks["RiskM"][step] = es_val
         if semi is not None:
-            try:
-                tracks["SemiProxy"][step] = semi.value(i, counters)
-            except DynvolError:
-                counters["nan_steps"] += 1
+            tracks["SemiProxy"][step] = semi.value(i, counters)
         sve = None
         if need_state and fit is not None:
             sve = _eval_state(fit, levels[i], kernel, counters)
-        if "NonBay" in ests and es_val is not None:
+        if "NonBay" in ests:
             if sve is None:
                 counters["nonbay_es_only"] += 1
                 tracks["NonBay"][step] = es_val
             else:
                 tracks["NonBay"][step] = bayes_es(
                     es_val, sve.sigma2_hat, lam, n, MATCHED_SHAPE)
-        if "Integ" in ests and es_val is not None:
+        if "Integ" in ests:
             try:
                 rho = autocorr_sq(y, i, cfg.max_lag)
                 tve = es_variance(es_val, cfg.es, rho)
@@ -407,6 +417,10 @@ def _unpack_series(sim) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # simulation study
 
+# per-replication measures, in per_rep.csv column order
+_MEASURES = ("imade", "made", "pe", "rade", "er")
+
+
 @dataclass
 class StudyResult:
     cfg: StudyConfig
@@ -417,72 +431,85 @@ class StudyResult:
     failed_reps: tuple[int, ...] = ()
 
 
+def _score(tracks: dict[str, np.ndarray], y_out: np.ndarray,
+           quantiles: dict[str, float], truth: np.ndarray | None = None
+           ) -> tuple[np.ndarray, dict[str, dict[str, float]]]:
+    """Measures of every estimator over the steps where all forecasts are
+    finite: the step mask and estimator -> measure -> value. imade is
+    computed only when the true variance is given."""
+    mask = np.ones(y_out.size, dtype=bool)
+    for track in tracks.values():
+        mask &= np.isfinite(track)
+    if not mask.any():
+        raise DynvolError("no usable out-of-sample steps")
+    y_m = y_out[mask]
+    vals = {}
+    for e, track in tracks.items():
+        tr = ForecastTrack(e, track[mask])
+        v = {} if truth is None else {"imade": imade(truth[mask], tr)}
+        v.update(made=made(y_m, tr), pe=pe(y_m, tr), rade=rade(y_m, tr),
+                 er=exceedance_ratio(y_m, tr, quantiles[e]))
+        vals[e] = v
+    return mask, vals
+
+
 def run_simulation_study(cfg: StudyConfig, progress: bool = False) -> StudyResult:
     """Monte Carlo study: per-replication measures, scores, and the per-step
     mean absolute error curve.
 
     Steps where any estimator's forecast is not finite are excluded from
     every estimator's measures, keeping the comparison fair; the count is
-    reported. A replication that fails outright is recorded and skipped.
+    reported. The exceedance ratio uses the normal alpha-quantile. A
+    replication that fails outright, or has no usable step, is skipped;
+    diagnostics["failed_reasons"] maps it to "<ExceptionClass>: <message>".
     """
     ests = cfg.estimators
     first = cfg.in_sample_len - 1
     m = cfg.series_len - cfg.in_sample_len
-    q = QuantileSource("true_error", cfg.alpha)
-    rows: dict[str, list] = {k: [] for k in ("imade", "made", "pe", "rade", "er")}
+    quantiles = dict.fromkeys(ests, NormalDist().inv_cdf(cfg.alpha))
+    rows: dict[str, list] = {k: [] for k in _MEASURES}
     curve_sum = np.zeros((m, len(ests)))
-    curve_cnt = np.zeros((m, len(ests)))
+    curve_cnt = np.zeros(m)
     totals = _new_counters()
     excluded = 0
-    failed: list[int] = []
+    failed: dict[int, str] = {}
     excluded_per_rep: list[int] = []
 
     for rep in range(cfg.n_reps):
         try:
             sim = simulate_series(cfg, rep)
             tracks, counters = _rolling(sim.levels, sim.returns.y, cfg, first, m)
-        except DynvolError:
-            failed.append(rep)
+            truth = sim.true_var[first:first + m]
+            mask, vals = _score(tracks, sim.returns.y[first:first + m],
+                                quantiles, truth)
+        except DynvolError as exc:
+            failed[rep] = f"{type(exc).__name__}: {exc}"
             continue
         for k, v in counters.items():
             totals[k] += v
-        mask = np.ones(m, dtype=bool)
-        for e in ests:
-            mask &= np.isfinite(tracks[e])
         n_bad = int(m - mask.sum())
         excluded += n_bad
         excluded_per_rep.append(n_bad)
-        if mask.sum() == 0:
-            failed.append(rep)
-            continue
-        y_out = sim.returns.y[first:first + m][mask]
-        t_out = sim.true_var[first:first + m][mask]
-        meas = {k: [] for k in rows}
-        for j, e in enumerate(ests):
-            tr = ForecastTrack(e, tracks[e][mask])
-            meas["imade"].append(imade(t_out, tr))
-            meas["made"].append(made(y_out, tr))
-            meas["pe"].append(pe(y_out, tr))
-            meas["rade"].append(rade(y_out, tr))
-            meas["er"].append(exceedance_ratio(y_out, tr, q))
-            err = np.abs(tracks[e] - sim.true_var[first:first + m])
-            curve_sum[mask, j] += err[mask]
-            curve_cnt[mask, j] += 1.0
         for k in rows:
-            rows[k].append(meas[k])
+            rows[k].append([vals[e][k] for e in ests])
+        err = np.abs(np.column_stack([tracks[e] for e in ests]) - truth[:, None])
+        curve_sum[mask] += err[mask]
+        curve_cnt[mask] += 1.0
         if progress:
             print(f"rep {rep + 1}/{cfg.n_reps} done")
 
     if not rows["made"]:
-        raise DynvolError("every replication failed")
+        rep, reason = next(iter(failed.items()))
+        raise DynvolError(f"every replication failed (rep {rep}: {reason})")
     per_rep = {k: np.asarray(v) for k, v in rows.items()}
     ref = "Integ" if "Integ" in ests else ests[0]
     report = build_report({k: per_rep[k] for k in ("imade", "made", "rade", "er")},
                           ests, ref, cfg.trim_upper, excluded, len(failed))
     with np.errstate(invalid="ignore"):
-        curve = np.where(curve_cnt > 0, curve_sum / np.maximum(curve_cnt, 1.0),
-                         np.nan)
+        curve = np.where(curve_cnt[:, None] > 0,
+                         curve_sum / np.maximum(curve_cnt, 1.0)[:, None], np.nan)
     totals["excluded_per_rep"] = tuple(excluded_per_rep)
+    totals["failed_reasons"] = failed
     return StudyResult(cfg, report, per_rep, curve, totals, tuple(failed))
 
 
@@ -647,70 +674,50 @@ def run_backtest(data: BacktestDataset, cfg: StudyConfig) -> BacktestResult:
     ests = bcfg.estimators
 
     quantiles = {}
-    residuals = {}
     for e in ests:
         warm = tracks[e][:qwin]
         if not np.all(np.isfinite(warm)):
             raise DynvolError(f"non-finite warmup forecasts for {e}")
         res = y[first_warm:first_warm + qwin] / np.sqrt(warm)
-        residuals[e] = res
         quantiles[e] = empirical_quantile(res, bcfg.alpha, qwin)
 
-    mask = np.ones(m, dtype=bool)
-    for e in ests:
-        mask &= np.isfinite(tracks[e][qwin:])
-    if mask.sum() == 0:
-        raise DynvolError("no usable out-of-sample steps")
-    excluded = int(m - mask.sum())
-    y_out = y[in_len - 1:][mask]
-    per_est: dict[str, dict[str, float]] = {}
-    mats = {k: [] for k in ("made", "rade", "er")}
-    q = QuantileSource("empirical_residual", bcfg.alpha, qwin)
-    for e in ests:
-        tr = ForecastTrack(e, tracks[e][qwin:][mask])
-        vals = {"made": made(y_out, tr), "pe": pe(y_out, tr),
-                "rade": rade(y_out, tr),
-                "er": exceedance_ratio(y_out, tr, q, residuals[e])}
-        per_est[e] = vals
-        for k in mats:
-            mats[k].append(vals[k])
+    mask, per_est = _score({e: tracks[e][qwin:] for e in ests},
+                           y[in_len - 1:], quantiles)
     ref = "Integ" if "Integ" in ests else ests[0]
-    report = build_report({k: np.asarray(v)[None, :] for k, v in mats.items()},
-                          ests, ref, 0.0, excluded, 0)
+    report = build_report({k: np.asarray([[per_est[e][k] for e in ests]])
+                           for k in ("made", "rade", "er")},
+                          ests, ref, 0.0, int(m - mask.sum()), 0)
     return BacktestResult(bcfg, data, report, per_est, quantiles, counters)
 
 
 # ---------------------------------------------------------------------------
 # file outputs
 
-def _write_per_rep(per_rep: dict[str, np.ndarray], estimators, excluded_per_rep,
-                   path) -> None:
-    with open(path, "w", newline="") as fh:
+def _write_reports(outdir, report: MeasureReport,
+                   per_rep: dict[str, np.ndarray], excluded_per_rep) -> None:
+    """Write report.csv, report.txt and per_rep.csv; per_rep.csv has one row
+    per replication and estimator, blank where a measure is absent."""
+    os.makedirs(outdir, exist_ok=True)
+    join = os.path.join
+    report_to_csv(report, join(outdir, "report.csv"))
+    with open(join(outdir, "report.txt"), "w") as fh:
+        fh.write(report_to_text(report))
+    with open(join(outdir, "per_rep.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["rep", "estimator", "imade", "made", "pe", "rade", "er",
-                    "excluded_steps"])
-        n_reps = next(iter(per_rep.values())).shape[0]
-        for rep in range(n_reps):
-            for j, e in enumerate(estimators):
-                row = [rep, e]
-                for k in ("imade", "made", "pe", "rade", "er"):
-                    row.append(repr(float(per_rep[k][rep, j]))
-                               if k in per_rep else "")
-                row.append(excluded_per_rep[rep] if excluded_per_rep else 0)
-                w.writerow(row)
+        w.writerow(["rep", "estimator", *_MEASURES, "excluded_steps"])
+        for rep, n_bad in enumerate(excluded_per_rep):
+            for j, e in enumerate(report.estimators):
+                w.writerow([rep, e]
+                           + [repr(float(per_rep[k][rep, j]))
+                              if k in per_rep else "" for k in _MEASURES]
+                           + [n_bad])
 
 
 def write_study_outputs(result: StudyResult, outdir) -> None:
     """Write report.csv, report.txt, per_rep.csv, fig2_curve.csv."""
-    os.makedirs(outdir, exist_ok=True)
-    join = os.path.join
-    report_to_csv(result.report, join(outdir, "report.csv"))
-    with open(join(outdir, "report.txt"), "w") as fh:
-        fh.write(report_to_text(result.report))
-    _write_per_rep(result.per_rep, result.cfg.estimators,
-                   result.diagnostics.get("excluded_per_rep"),
-                   join(outdir, "per_rep.csv"))
-    with open(join(outdir, "fig2_curve.csv"), "w", newline="") as fh:
+    _write_reports(outdir, result.report, result.per_rep,
+                   result.diagnostics["excluded_per_rep"])
+    with open(os.path.join(outdir, "fig2_curve.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["step"] + list(result.cfg.estimators))
         for s in range(result.curve.shape[0]):
@@ -719,13 +726,8 @@ def write_study_outputs(result: StudyResult, outdir) -> None:
 
 def write_backtest_outputs(result: BacktestResult, outdir) -> None:
     """Write report.csv, report.txt, per_rep.csv (single replication)."""
-    os.makedirs(outdir, exist_ok=True)
-    join = os.path.join
-    report_to_csv(result.report, join(outdir, "report.csv"))
-    with open(join(outdir, "report.txt"), "w") as fh:
-        fh.write(report_to_text(result.report))
     ests = result.cfg.estimators
     per_rep = {k: np.asarray([[result.per_est[e][k] for e in ests]])
                for k in ("made", "pe", "rade", "er")}
-    _write_per_rep(per_rep, ests, [result.report.excluded_steps],
-                   join(outdir, "per_rep.csv"))
+    _write_reports(outdir, result.report, per_rep,
+                   [result.report.excluded_steps])

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MODEL_TAGS = ("CIR", "SV", "GBM", "External")
-
 # post-step floor keeping square-root diffusions strictly positive
 POSITIVITY_FLOOR = 1e-12
 
@@ -42,7 +40,6 @@ class SamplePath:
 
     values: np.ndarray
     delta: float
-    model_tag: str = "External"
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -50,8 +47,6 @@ class SamplePath:
             raise ValueError("path needs at least one observation")
         if not self.delta > 0:
             raise ValueError("delta must be positive")
-        if self.model_tag not in MODEL_TAGS:
-            raise ValueError(f"unknown model tag {self.model_tag!r}")
 
     def __len__(self) -> int:
         return self.values.size
@@ -182,7 +177,7 @@ def simulate_cir(params: CirParams, delta: float, n_obs: int, rng: RngStream,
              + quarter * (e * e - 1.0))
         r = max(r, POSITIVITY_FLOOR)
         out[i + 1] = r
-    return SamplePath(out, delta, "CIR")
+    return SamplePath(out, delta)
 
 
 def sv_inner_path(params: SvParams, v0: float, eps: np.ndarray,
@@ -260,7 +255,7 @@ def simulate_gbm(params: GbmParams, delta: float, n_obs: int, rng: RngStream,
     vol = params.sigma * math.sqrt(delta)
     log_incr = drift + vol * z
     log_path = np.concatenate(([0.0], np.cumsum(log_incr)))
-    return SamplePath(r0 * np.exp(log_path), delta, "GBM")
+    return SamplePath(r0 * np.exp(log_path), delta)
 
 
 def to_returns(path: SamplePath) -> ReturnSeries:

@@ -143,6 +143,21 @@ def test_backtest_date_split(tmp_path, levels_csv):
     assert rc == 0
 
 
+def test_backtest_rejects_short_er_window_before_running(tmp_path, levels_csv,
+                                                        capsys, monkeypatch):
+    import dynvol.cli as cli
+    monkeypatch.setattr(cli, "run_backtest",
+                        lambda *a: pytest.fail("backtest ran"))
+    f = tmp_path / "bt.cfg"
+    f.write_text("er_window = 10\n")
+    rc = main(["backtest", "--data", str(levels_csv), "--in-sample-end", "220",
+               "--config", str(f), "--out", str(tmp_path / "res")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "er_window" in err
+    assert not (tmp_path / "res").exists()
+
+
 def test_backtest_cli_names_infinite_row(tmp_path, capsys):
     d0 = dt.date(2010, 1, 4)
     rng = np.random.default_rng(3)

@@ -1,33 +1,29 @@
-"""Forecast quality measures, quantile sources, report assembly."""
-
-import io
-import math
+"""Forecast quality measures, empirical quantiles, report assembly."""
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from dynvol.evaluation import (ForecastTrack, QuantileSource, build_report,
-                               empirical_quantile, exceedance_ratio, imade,
-                               made, pe, rade, relative_loss, report_to_csv,
-                               report_to_text, resolve_quantile, score,
-                               trimmed_mean)
+from dynvol.evaluation import (ForecastTrack, build_report, empirical_quantile,
+                               exceedance_ratio, imade, made, pe, rade,
+                               relative_loss, report_to_csv, report_to_text,
+                               score, trimmed_mean)
 
-Q_NORMAL = QuantileSource("standard_normal", alpha=0.05)
+Z_05 = float(norm.ppf(0.05))
 
 
 def test_exceedance_ratio_hand_value():
     y = np.array([-1.0, 1.0])
     # sigma 0 makes the threshold 0: only the negative return is below it
     track = ForecastTrack("x", np.zeros(2))
-    assert exceedance_ratio(y, track, Q_NORMAL) == pytest.approx(0.5, abs=1e-15)
+    assert exceedance_ratio(y, track, Z_05) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_exceedance_ratio_counts_lower_tail():
     rng = np.random.default_rng(6)
     y = rng.standard_normal(200_000)
     track = ForecastTrack("x", np.ones_like(y))
-    er = exceedance_ratio(y, track, Q_NORMAL)
+    er = exceedance_ratio(y, track, Z_05)
     assert er == pytest.approx(0.05, abs=0.005)
 
 
@@ -87,22 +83,6 @@ def test_empirical_quantile_order_statistic():
         empirical_quantile(resid[:100], 0.05, 250)
 
 
-def test_resolve_quantile_kinds():
-    z = norm.ppf(0.05)
-    assert resolve_quantile(Q_NORMAL) == pytest.approx(z, rel=1e-13)
-    qt = QuantileSource("true_error", alpha=0.05)
-    assert resolve_quantile(qt) == pytest.approx(z, rel=1e-13)
-    qe = QuantileSource("empirical_residual", alpha=0.05, window=250)
-    resid = np.arange(-125.0, 125.0)
-    assert resolve_quantile(qe, resid) == empirical_quantile(resid, 0.05, 250)
-    with pytest.raises(ValueError):
-        resolve_quantile(qe, None)
-    with pytest.raises(ValueError):
-        QuantileSource("empirical_residual", alpha=0.05, window=10)
-    with pytest.raises(ValueError):
-        QuantileSource("bogus")
-
-
 def test_forecast_track_horizon():
     t = ForecastTrack("Integ", np.array([0.1, 0.2, float("nan")]))
     assert t.horizon == 3
@@ -144,11 +124,10 @@ def test_build_report_with_trimming():
         48.0 / 30.0 - 1.0, rel=1e-13)
 
 
-def test_report_csv_layout_and_values():
+def test_report_csv_layout_and_values(tmp_path):
     rep = _tiny_report()
-    buf = io.StringIO()
-    report_to_csv(rep, buf)
-    lines = buf.getvalue().strip().splitlines()
+    report_to_csv(rep, tmp_path / "report.csv")
+    lines = (tmp_path / "report.csv").read_text().strip().splitlines()
     assert lines[0] == "estimator,measure,statistic,value"
     rows = {tuple(l.split(",")[:3]): l.split(",")[3] for l in lines[1:]}
     assert float(rows[("Hist", "imade", "mean")]) == 3.0

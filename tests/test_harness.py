@@ -2,11 +2,12 @@
 
 import math
 import os
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from dynvol.errors import (DynvolError, IngestionError,
+from dynvol.errors import (DegenerateSeriesError, DynvolError, IngestionError,
                            InsufficientHistoryError)
 from dynvol.harness import (DEFAULT_SEMI_GRID, ESTIMATORS, SEMI_FALLBACK_LAM,
                             BacktestDataset, StudyConfig, _new_counters,
@@ -76,6 +77,23 @@ def test_config_validation():
         cir_study(trim_upper=1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("estimators", ()),
+    ("estimators", ("RiskM", "RiskM")),
+    ("semi_grid", ()),
+    ("semi_grid", (1.5,)),
+    ("max_lag", 0),
+    ("hist_window", 0),
+    ("delta", 0.0),
+    ("delta", -1.0 / 52.0),
+    ("er_window", 49),
+])
+def test_config_rejects_values_that_would_fail_late(field, value):
+    # a run would fail inside its first replication, ignore the setting, or
+    # write every report row twice; the config names the field up front
+    with pytest.raises(ValueError, match=field):
+        cir_study(**{field: value})
+
 def test_simulate_series_truth_definitions():
     cfg = cir_study(series_len=200, in_sample_len=150)
     sim = simulate_series(cfg, 0)
@@ -113,7 +131,7 @@ def test_semi_selector_matches_reference_loop():
     rng = np.random.default_rng(55)
     y = rng.standard_normal(400) * 0.02
     n = 52
-    sel = _SemiSelector(y, n, DEFAULT_SEMI_GRID, n)
+    sel = _SemiSelector(y, n, DEFAULT_SEMI_GRID)
     counters = _new_counters()
     for t in range(2 * n, 2 * n + 60):
         # vectorized and looped routes differ only by summation order
@@ -123,7 +141,7 @@ def test_semi_selector_matches_reference_loop():
 
 
 def test_semi_proxy_needs_two_windows():
-    sel = _SemiSelector(np.ones(200), 52, DEFAULT_SEMI_GRID, 52)
+    sel = _SemiSelector(np.ones(200), 52, DEFAULT_SEMI_GRID)
     with pytest.raises(InsufficientHistoryError):
         sel.value(103, _new_counters())
     assert sel.value(104, _new_counters()) == pytest.approx(1.0, rel=1e-14)
@@ -137,7 +155,7 @@ def test_semi_selector_falls_back_on_tied_losses(grid):
     n, t = 12, 40
     y = np.random.default_rng(8).standard_normal(60)
     y[t - 2 * n:t - 1] = 0.0
-    sel = _SemiSelector(y, n, grid, n)
+    sel = _SemiSelector(y, n, grid)
     counters = _new_counters()
     got = sel.value(t, counters)
     assert counters["semi_fallback"] == 1
@@ -266,6 +284,54 @@ def test_study_measures_recompute_from_tracks(small_result):
              for r in range(3)]
     assert np.allclose(small_result.curve[:, j],
                        np.mean(other, axis=0), rtol=1e-13)
+
+
+def test_study_er_uses_the_normal_quantile(small_result):
+    # per-rep er is the share of out-of-sample returns below
+    # z_alpha * sigma_hat, with z_alpha the standard normal quantile
+    z = NormalDist().inv_cdf(SMALL.alpha)
+    first = SMALL.in_sample_len - 1
+    for rep in range(SMALL.n_reps):
+        sim = simulate_series(SMALL, rep)
+        y_out = sim.returns.y[first:]
+        for j, e in enumerate(SMALL.estimators):
+            track = rolling_forecast(sim, SMALL, e)
+            assert small_result.per_rep["er"][rep, j] == float(
+                np.mean(y_out < z * np.sqrt(track.sigma2)))
+
+
+def test_failed_replications_keep_their_reason(monkeypatch):
+    # rep 1 raises while simulating; rep 2 leaves no finite step
+    import dynvol.harness as hz
+    cfg = cir_study(series_len=300, in_sample_len=260, n_reps=4, seed=777,
+                    estimators=("Hist", "RiskM"))
+    real_sim, real_rolling = hz.simulate_series, hz._rolling
+    current = []
+
+    def sim(cfg, rep):
+        current.append(rep)
+        if rep == 1:
+            raise DegenerateSeriesError("boom")
+        return real_sim(cfg, rep)
+
+    def rolling(*args):
+        tracks, counters = real_rolling(*args)
+        if current[-1] == 2:
+            tracks["Hist"][:] = np.nan
+        return tracks, counters
+
+    monkeypatch.setattr(hz, "simulate_series", sim)
+    monkeypatch.setattr(hz, "_rolling", rolling)
+    res = run_simulation_study(cfg)
+    assert res.failed_reps == (1, 2)
+    assert res.diagnostics["failed_reasons"] == {
+        1: "DegenerateSeriesError: boom",
+        2: "DynvolError: no usable out-of-sample steps"}
+    assert res.report.failed_reps == 2
+    assert res.per_rep["made"].shape == (2, 2)
+    # a failed rep adds no excluded steps, so rows stay aligned
+    assert res.diagnostics["excluded_per_rep"] == (0, 0)
+    assert res.report.excluded_steps == 0
 
 
 def test_study_is_deterministic(small_result):
@@ -480,6 +546,34 @@ def test_backtest_smoke(gbm_csv):
     # no randomness anywhere: a second run is identical
     res2 = run_backtest(data, cfg)
     assert res2.per_est == res.per_est
+
+
+def test_backtest_er_uses_empirical_residual_quantiles(gbm_csv, monkeypatch):
+    # each estimator's quantile is the ceil(alpha * er_window)-th smallest of
+    # its standardized in-sample residuals, and er is the share of
+    # out-of-sample returns below quantile * sigma_hat
+    import dynvol.harness as hz
+    seen = []
+    real = hz._rolling
+
+    def rolling(*args):
+        out = real(*args)
+        seen.append(out[0])
+        return out
+
+    monkeypatch.setattr(hz, "_rolling", rolling)
+    data = ingest_csv(gbm_csv, frequency="weekly", in_sample_end=220)
+    cfg = gbm_study(er_window=60)
+    res = run_backtest(data, cfg)
+    (tracks,) = seen
+    y = np.diff(np.log(data.values)) / math.sqrt(data.delta)
+    split, qwin = data.in_sample_end - 1, cfg.er_window
+    k = math.ceil(cfg.alpha * qwin) - 1
+    for e in ESTIMATORS:
+        resid = y[split - qwin:split] / np.sqrt(tracks[e][:qwin])
+        assert res.quantiles[e] == np.sort(resid)[k]
+        assert res.per_est[e]["er"] == float(np.mean(
+            y[split:] < res.quantiles[e] * np.sqrt(tracks[e][qwin:])))
 
 
 def test_backtest_outputs_and_lengths(tmp_path, gbm_csv):
