@@ -226,16 +226,19 @@ class _SemiSelector:
     squared error wins. Needs 2n of history. A degenerate search (no finite
     losses, or all of several candidates tied) falls back to
     SEMI_FALLBACK_LAM and counts it in counters["semi_fallback"].
+
+    Every candidate's forecasts (and the fallback's) are computed once per
+    series, one matrix-vector product over all windows, so a step only
+    slices them and scores the slices.
     """
 
     def __init__(self, y: np.ndarray, n: int, grid: tuple[float, ...]):
         self.n = n
-        self.grid = grid
         self.y2 = y * y
-        # rows[j] = y2[j:j+n]; origin t reads row t-n
-        self.rows = np.lib.stride_tricks.sliding_window_view(self.y2, n)
-        self.wrev = [es_weights(lam, n)[::-1] for lam in grid]
-        self.fallback = es_weights(SEMI_FALLBACK_LAM, n)[::-1]
+        # rows[j] = y2[j:j+n]; preds[j] is the forecast at origin j + n
+        rows = np.lib.stride_tricks.sliding_window_view(self.y2, n)
+        self.preds = [rows @ es_weights(lam, n)[::-1] for lam in grid]
+        self.fallback = rows @ es_weights(SEMI_FALLBACK_LAM, n)[::-1]
 
     def value(self, t: int, counters: dict) -> float:
         n = self.n
@@ -243,19 +246,16 @@ class _SemiSelector:
             raise InsufficientHistoryError(
                 f"need {2 * n} observations before origin {t}")
         target = self.y2[t - n:t]
-        losses = np.empty(len(self.grid))
-        for g, wr in enumerate(self.wrev):
-            preds = self.rows[t - 2 * n:t - n] @ wr
-            diff = target - preds
-            losses[g] = float(np.dot(diff, diff))
-        finite = np.isfinite(losses)
-        if (not finite.any()) or (losses[finite].max() == losses[finite].min()
-                                  and len(self.grid) > 1):
+        losses = []
+        for preds in self.preds:
+            diff = target - preds[t - 2 * n:t - n]
+            losses.append(float(np.dot(diff, diff)))
+        finite = [loss for loss in losses if math.isfinite(loss)]
+        if not finite or (len(losses) > 1 and max(finite) == min(finite)):
             counters["semi_fallback"] += 1
-            wr = self.fallback
-        else:
-            wr = self.wrev[int(np.argmin(np.where(finite, losses, np.inf)))]
-        return float(self.rows[t - n] @ wr)
+            return float(self.fallback[t - n])
+        # the first candidate with the smallest finite loss
+        return float(self.preds[losses.index(min(finite))][t - n])
 
 
 class _StateFit:
@@ -694,9 +694,12 @@ def run_backtest(data: BacktestDataset, cfg: StudyConfig) -> BacktestResult:
 # file outputs
 
 def _write_reports(outdir, report: MeasureReport,
-                   per_rep: dict[str, np.ndarray], excluded_per_rep) -> None:
+                   per_rep: dict[str, np.ndarray], reps) -> None:
     """Write report.csv, report.txt and per_rep.csv; per_rep.csv has one row
-    per replication and estimator, blank where a measure is absent."""
+    per replication and estimator, blank where a measure is absent.
+
+    reps holds (replication id, excluded steps) for each row of per_rep.
+    """
     os.makedirs(outdir, exist_ok=True)
     join = os.path.join
     report_to_csv(report, join(outdir, "report.csv"))
@@ -705,18 +708,20 @@ def _write_reports(outdir, report: MeasureReport,
     with open(join(outdir, "per_rep.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["rep", "estimator", *_MEASURES, "excluded_steps"])
-        for rep, n_bad in enumerate(excluded_per_rep):
+        for i, (rep, n_bad) in enumerate(reps):
             for j, e in enumerate(report.estimators):
                 w.writerow([rep, e]
-                           + [repr(float(per_rep[k][rep, j]))
+                           + [repr(float(per_rep[k][i, j]))
                               if k in per_rep else "" for k in _MEASURES]
                            + [n_bad])
 
 
 def write_study_outputs(result: StudyResult, outdir) -> None:
     """Write report.csv, report.txt, per_rep.csv, fig2_curve.csv."""
+    # per_rep rows are the replications that did not fail, in order
+    ok = [r for r in range(result.cfg.n_reps) if r not in result.failed_reps]
     _write_reports(outdir, result.report, result.per_rep,
-                   result.diagnostics["excluded_per_rep"])
+                   zip(ok, result.diagnostics["excluded_per_rep"]))
     with open(os.path.join(outdir, "fig2_curve.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["step"] + list(result.cfg.estimators))
@@ -730,4 +735,4 @@ def write_backtest_outputs(result: BacktestResult, outdir) -> None:
     per_rep = {k: np.asarray([[result.per_est[e][k] for e in ests]])
                for k in ("made", "pe", "rade", "er")}
     _write_reports(outdir, result.report, per_rep,
-                   [result.report.excluded_steps])
+                   [(0, result.report.excluded_steps)])

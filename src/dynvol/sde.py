@@ -4,11 +4,18 @@ Three generators are provided: a square-root mean-reverting rate model
 (Milstein scheme with reflection at zero), a stochastic-variance model whose
 returns are conditionally Gaussian given the substep-averaged variance, and
 geometric Brownian motion sampled from its exact log-normal transition law.
+
+The two scalar recursions (`simulate_cir` and `sv_inner_path`) run on Python
+floats: they iterate a memoryview of the contiguous draws and append to an
+`array.array`, which is several times faster than indexing numpy scalars.
+Their output bits are pinned by SHA-256 digests in `tests/test_sde.py`, so a
+rewrite of either kernel has to reproduce them exactly.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,16 +175,18 @@ def simulate_cir(params: CirParams, delta: float, n_obs: int, rng: RngStream,
     eps = gen.standard_normal(n_obs - 1)
     sqdt = math.sqrt(delta)
     quarter = 0.25 * sg**2 * delta
-    out = np.empty(n_obs)
-    out[0] = max(r, POSITIVITY_FLOOR)
-    for i in range(n_obs - 1):
-        e = eps[i]
+    floor = POSITIVITY_FLOOR
+    # the first step starts from r itself, even below the floor
+    out = array("d", [max(r, floor)])
+    append = out.append
+    for e in memoryview(eps):
         r = (r + k * (th - r) * delta
              + sg * math.sqrt(max(r, 0.0)) * sqdt * e
              + quarter * (e * e - 1.0))
-        r = max(r, POSITIVITY_FLOOR)
-        out[i + 1] = r
-    return SamplePath(out, delta)
+        if r < floor:
+            r = floor
+        append(r)
+    return SamplePath(np.frombuffer(out), delta)
 
 
 def sv_inner_path(params: SvParams, v0: float, eps: np.ndarray,
@@ -190,17 +199,18 @@ def sv_inner_path(params: SvParams, v0: float, eps: np.ndarray,
     alpha = math.sqrt(params.alpha2)
     sqdstar = math.sqrt(dstar)
     half_a2 = 0.5 * params.alpha2 * dstar
-    out = np.empty(eps.size + 1)
+    floor = POSITIVITY_FLOOR
     v = float(v0)
-    out[0] = v
-    for j in range(eps.size):
-        e = eps[j]
+    out = array("d", [v])
+    append = out.append
+    for e in memoryview(np.ascontiguousarray(eps, dtype=float).ravel()):
         v = (v + k * (th - v) * dstar
              + alpha * v * sqdstar * e
              + half_a2 * v * (e * e - 1.0))
-        v = max(v, POSITIVITY_FLOOR)
-        out[j + 1] = v
-    return out
+        if v < floor:
+            v = floor
+        append(v)
+    return np.frombuffer(out)
 
 
 def simulate_sv(params: SvParams, delta: float, n_obs: int,
@@ -228,11 +238,9 @@ def simulate_sv(params: SvParams, delta: float, n_obs: int,
     v = 1.0 / float(gen.gamma(params.shape_a, 1.0 / params.rate_b))
     eps = gen.standard_normal((n_obs, m))
     zeta = gen.standard_normal(n_obs)
-    vbar = np.empty(n_obs)
-    for i in range(n_obs):
-        inner = sv_inner_path(params, v, eps[i], dstar)
-        vbar[i] = float(np.mean(inner[:-1]))
-        v = float(inner[-1])
+    path = sv_inner_path(params, v, eps.ravel(), dstar)
+    # interval i spans substep starts i*m .. i*m + m - 1
+    vbar = path[:-1].reshape(n_obs, m).mean(axis=1)
     y = np.sqrt(vbar) * zeta
     return ReturnSeries(y, delta, n_obs + 1), vbar
 

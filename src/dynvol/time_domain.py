@@ -9,6 +9,7 @@ identical summation so the reduction is exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,7 +65,8 @@ def moving_average(y, t: int, n: int) -> float:
     if t - n < 0 or t > arr.size:
         raise InsufficientHistoryError(f"window [{t - n}, {t}) out of range")
     w = arr[t - n:t]
-    return float(np.mean(w * w))
+    # the sum and division np.mean performs, without its wrapper
+    return float(np.add.reduce(w * w) / n)
 
 
 def es_weights(lam: float, n: int) -> np.ndarray:
@@ -75,6 +77,20 @@ def es_weights(lam: float, n: int) -> np.ndarray:
         return np.full(n, 1.0 / n)
     w = (1.0 - lam) * lam ** np.arange(n)
     return w / w.sum()
+
+
+@functools.lru_cache(maxsize=64)
+def _es_weights_rev(lam: float, n: int) -> np.ndarray:
+    """Read-only es_weights(lam, n) in window order: entry k weights y[t-n+k].
+
+    A negative-stride view, not a contiguous copy: np.dot may route the two
+    layouts to different summation loops (numpy's own or BLAS), and the view
+    is the layout the smoothed values were defined with. Cached per (lam, n)
+    and read-only, so no caller can change another's weights.
+    """
+    w = es_weights(lam, n)
+    w.flags.writeable = False
+    return w[::-1]
 
 
 def exp_smooth(y, t: int, cfg: EsConfig) -> float:
@@ -90,9 +106,7 @@ def exp_smooth(y, t: int, cfg: EsConfig) -> float:
     if t - n < 0 or t > arr.size:
         raise InsufficientHistoryError(f"window [{t - n}, {t}) out of range")
     window = arr[t - n:t]
-    # window[k] = y[t-n+k] carries weight index i = n-k
-    w = es_weights(cfg.lam, n)[::-1]
-    return float(np.dot(w, window * window))
+    return float(np.dot(_es_weights_rev(cfg.lam, n), window * window))
 
 
 def autocorr_sq(y, upto_t: int, max_lag: int = 30) -> np.ndarray:

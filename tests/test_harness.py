@@ -1,5 +1,6 @@
 """Rolling forecaster, simulation studies, ingestion, backtests."""
 
+import csv
 import math
 import os
 from statistics import NormalDist
@@ -332,6 +333,30 @@ def test_failed_replications_keep_their_reason(monkeypatch):
     # a failed rep adds no excluded steps, so rows stay aligned
     assert res.diagnostics["excluded_per_rep"] == (0, 0)
     assert res.report.excluded_steps == 0
+
+
+def test_per_rep_rows_carry_the_replication_id(monkeypatch, tmp_path):
+    # with rep 1 of 3 failing, the rows of reps 0 and 2 keep their ids
+    import dynvol.harness as hz
+    cfg = cir_study(series_len=300, in_sample_len=260, n_reps=3, seed=777,
+                    estimators=("Hist", "RiskM"))
+    real_sim = hz.simulate_series
+
+    def sim(cfg, rep):
+        if rep == 1:
+            raise DegenerateSeriesError("boom")
+        return real_sim(cfg, rep)
+
+    monkeypatch.setattr(hz, "simulate_series", sim)
+    res = run_simulation_study(cfg)
+    assert res.failed_reps == (1,)
+    write_study_outputs(res, tmp_path)
+    with open(tmp_path / "per_rep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["rep"], r["estimator"]) for r in rows] == [
+        ("0", "Hist"), ("0", "RiskM"), ("2", "Hist"), ("2", "RiskM")]
+    # each row carries the measures of its own replication
+    assert float(rows[2]["made"]) == res.per_rep["made"][1, 0]
 
 
 def test_study_is_deterministic(small_result):

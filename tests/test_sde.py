@@ -1,13 +1,14 @@
-"""Path generators: laws, determinism, scheme consistency."""
+"""Path generators: laws, determinism, scheme consistency, pinned bits."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from dynvol.sde import (CirParams, GbmParams, ReturnSeries, RngStream,
-                        SamplePath, SvParams, levels_from_returns,
+from dynvol.sde import (POSITIVITY_FLOOR, CirParams, GbmParams, ReturnSeries,
+                        RngStream, SamplePath, SvParams, levels_from_returns,
                         simulate_cir, simulate_gbm, simulate_sv,
                         sv_inner_path, to_returns)
 
@@ -143,3 +144,66 @@ def test_sv_scheme_strong_convergence():
 def test_return_series_length_contract():
     with pytest.raises(ValueError):
         ReturnSeries(np.array([1.0, 2.0]), WEEKLY, 2)
+
+
+# SHA-256 of the little-endian float64 bytes of each output, recorded from
+# the numpy-scalar loops these kernels replaced. A rewrite of a simulator
+# has to reproduce them bit for bit.
+FLOOR_SV = SvParams(kappa=50.0, theta=0.009, alpha2=40.0, substeps=7)
+GOLDEN = {
+    "sv_default": "659687d338f58d2d58fe809bfa3095eb136d8fa375380207ef85dc052e9c5f4f",
+    "sv_floor": "4c31aa8f63543b2b4ea988ad12c23925b01d18c32ad614f197d430c30c072b52",
+    "sv_one_substep": "39fa3f20252ae890d7e18d3d51bfdc25f406562360bfb0c880b5ff1389862f08",
+    "sv_inner_floor": "048eb928b06421854d584e36fa914ba5e3c5ef974470e7e565b145da5a356511",
+    "cir": "64f6859d972b048e347180608ba1938fb89f0eead679c2723339ba13920582e3",
+    "cir_r0": "1bb44e17a6c578c486179e7343d0471e42c0b91b45f9ac78588c36b9dba660cd",
+    "cir_floor": "c661e1b895fc6978579fb5b28c95fee94bef821c0ab31fbaaed9bb8d27af1e06",
+    "gbm": "64c2a9895d773a14dfe8463cc2e9eed599daa84e4be3b62b03daabf4f2155fee",
+}
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def _sv(params, n_obs, rng):
+    rs, vbar = simulate_sv(params, MONTHLY, n_obs, rng)
+    return _digest(rs.y, vbar)
+
+
+def test_simulators_reproduce_their_golden_bits():
+    floor_eps = np.random.default_rng(11).standard_normal(2000)
+    inner = sv_inner_path(FLOOR_SV, 0.009, floor_eps, MONTHLY / 7)
+    # the floor case must actually clamp, or it pins nothing
+    assert np.count_nonzero(inner == POSITIVITY_FLOOR) > 0
+    # r0 below the floor: the first step starts from the unclamped level
+    tiny = simulate_cir(CirParams(0.5, 0.01, 0.09), WEEKLY, 800,
+                        RngStream(3, 3), r0=1e-13).values
+    assert tiny[0] == POSITIVITY_FLOOR
+    got = {
+        "sv_default": _sv(SV, 999, RngStream(2007, 0)),
+        "sv_floor": _sv(FLOOR_SV, 400, RngStream(5, 1)),
+        "sv_one_substep": _sv(SvParams(3.0, 0.009, 4.0, substeps=1), 500,
+                              RngStream(5, 2)),
+        "sv_inner_floor": _digest(inner),
+        "cir": _digest(simulate_cir(CIR, WEEKLY, 1200, RngStream(3, 0)).values),
+        "cir_r0": _digest(simulate_cir(CIR, WEEKLY, 1200, RngStream(3, 1),
+                                       r0=0.05).values),
+        "cir_floor": _digest(tiny),
+        "gbm": _digest(simulate_gbm(GBM, WEEKLY, 1000, RngStream(3, 2)).values),
+    }
+    assert got == GOLDEN
+
+
+def test_sv_path_is_one_inner_path_over_all_substeps():
+    # vbar_i averages the variance at the m substep starts of interval i
+    gen = RngStream(5, 1).generator()
+    v0 = 1.0 / float(gen.gamma(FLOOR_SV.shape_a, 1.0 / FLOOR_SV.rate_b))
+    eps = gen.standard_normal((400, 7))
+    path = sv_inner_path(FLOOR_SV, v0, eps.ravel(), MONTHLY / 7)
+    assert np.count_nonzero(path == POSITIVITY_FLOOR) > 0
+    _, vbar = simulate_sv(FLOOR_SV, MONTHLY, 400, RngStream(5, 1))
+    assert np.array_equal(vbar, path[:-1].reshape(400, 7).mean(axis=1))

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from dynvol.errors import DegenerateSeriesError, InsufficientHistoryError
-from dynvol.time_domain import (EsConfig, autocorr_sq, es_variance, es_weights,
-                                exp_smooth, moving_average, s1_squared)
+from dynvol.time_domain import (EsConfig, _es_weights_rev, autocorr_sq,
+                                es_variance, es_weights, exp_smooth,
+                                moving_average, s1_squared)
 
 
 def test_moving_average_hand_value():
@@ -46,6 +47,25 @@ def test_exp_smooth_lam_one_is_moving_average_bitwise():
     a = exp_smooth(y, 80, EsConfig(lam=1.0, n=52))
     b = moving_average(y, 80, 52)
     assert a == b  # exact dispatch, no float drift
+
+
+def test_cached_smoothing_weights_cannot_leak():
+    y = np.random.default_rng(4).standard_normal(120)
+    cfg = EsConfig(0.94, 52)
+    before = exp_smooth(y, 100, cfg)
+    # es_weights hands out a fresh array; writing into it changes nothing
+    w = es_weights(0.94, 52)
+    w[:] = 0.0
+    assert exp_smooth(y, 100, cfg) == before
+    assert es_weights(0.94, 52)[0] > 0.0
+    # the cached window-order vector that exp_smooth reads is read-only
+    cached = _es_weights_rev(0.94, 52)
+    with pytest.raises(ValueError):
+        cached[0] = 1.0
+    with pytest.raises(ValueError):
+        cached.base[0] = 1.0
+    assert np.array_equal(cached, es_weights(0.94, 52)[::-1])
+    assert exp_smooth(y, 100, cfg) == before
 
 
 def test_autocorr_hand_value():
