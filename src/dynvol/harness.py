@@ -35,8 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import (DegenerateSeriesError, DynvolError, IngestionError,
-                     InsufficientHistoryError, NoCoverageError,
-                     SingularDesignError)
+                     InsufficientHistoryError, NoCoverageError)
 from .evaluation import (ForecastTrack, MeasureReport, build_report,
                          empirical_quantile, exceedance_ratio, imade, made, pe,
                          rade, report_to_csv, report_to_text)
@@ -44,10 +43,8 @@ from .integration import MATCHED_SHAPE, bayes_es, combine_estimates
 from .sde import (CirParams, GbmParams, ReturnSeries, RngStream, SvParams,
                   levels_from_returns, simulate_cir, simulate_gbm, simulate_sv,
                   to_returns)
-from .state_domain import (KernelSpec, StatePairs,
-                           _intercepts_at_data, locally_constant_weights,
-                           residual_squares, select_bandwidth, state_variance,
-                           xi_weights)
+from .state_domain import (StatePairs, _intercepts_at_data, _window_xi,
+                           residual_squares, select_bandwidth, state_variance)
 from .time_domain import (EsConfig, autocorr_sq, es_variance, es_weights,
                           exp_smooth, moving_average)
 
@@ -258,14 +255,14 @@ class _SemiSelector:
         return float(self.preds[losses.index(min(finite))][t - n])
 
 
-class _StateFit:
-    """Frozen state-domain dataset and bandwidths between refits."""
+class _StateFit(NamedTuple):
+    """Frozen state-domain dataset, sorted by level, and bandwidths between
+    refits."""
 
-    def __init__(self, pairs: StatePairs, h1: float, h: float, eps_var: float):
-        self.pairs = pairs
-        self.h1 = h1
-        self.h = h
-        self.eps_var = eps_var
+    pairs: StatePairs
+    h1: float
+    h: float
+    eps_var: float
 
 
 def build_state_pairs(levels: np.ndarray, y: np.ndarray, origin: int,
@@ -278,16 +275,19 @@ def build_state_pairs(levels: np.ndarray, y: np.ndarray, origin: int,
     return levels[:keep], y[:keep]
 
 
-def _fit_state(levels, y, origin, cfg: StudyConfig, kernel: KernelSpec,
-               bandwidths, counters) -> _StateFit | None:
+def _fit_state(levels, y, origin, cfg: StudyConfig, bandwidths,
+               counters) -> _StateFit | None:
     x, yy = build_state_pairs(levels, y, origin, cfg.es.n)
     if x.size < MIN_STATE_PAIRS:
         return None
     if bandwidths is None:
-        h1, h = select_bandwidth(x, yy, kernel)
+        h1, h = select_bandwidth(x, yy)
     else:
         h1, h = bandwidths
-    drift = _intercepts_at_data(x, yy, h1, kernel, loo=False)
+    # sorted by level once per refit for the per-step windowed query
+    order = np.argsort(x, kind="stable")
+    x, yy = x[order], yy[order]
+    drift = _intercepts_at_data(x, yy, h1, loo=False)
     nbad = int(np.count_nonzero(~np.isfinite(drift)))
     if nbad:
         counters["drift_fallback"] += nbad
@@ -297,19 +297,18 @@ def _fit_state(levels, y, origin, cfg: StudyConfig, kernel: KernelSpec,
     return _StateFit(StatePairs(x, resp), h1, h, eps_var)
 
 
-def _eval_state(fit: _StateFit, x0: float, kernel: KernelSpec, counters):
-    """State estimate at the query level, or None when there is no coverage."""
+def _eval_state(fit: _StateFit, x0: float, counters):
+    """State estimate at the query level, or None when there is no coverage.
+    A singular design falls back to the locally constant fit."""
     try:
-        xi = xi_weights(fit.pairs, x0, fit.h, kernel)
+        lo, xi, singular = _window_xi(fit.pairs.x, x0, fit.h)
     except NoCoverageError:
         counters["state_nocov"] += 1
         return None
-    except SingularDesignError:
-        # raised only after the coverage checks passed
+    if singular:
         counters["state_singular"] += 1
-        xi = locally_constant_weights(fit.pairs, x0, fit.h, kernel)
-    # the fitted intercept is the xi-weighted sum of the responses
-    sig2 = float(xi @ fit.pairs.resp)
+    # the fitted intercept is the xi-weighted sum of the window's responses
+    sig2 = float(xi @ fit.pairs.resp[lo:lo + xi.size])
     if sig2 < fit.eps_var:
         counters["state_floor"] += 1
         sig2 = fit.eps_var
@@ -340,7 +339,6 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
         raise DegenerateSeriesError("constant in-sample squared returns")
 
     ests = cfg.estimators
-    kernel = KernelSpec()
     need_state = any(_ROSTER[e].state for e in ests)
     need_es = any(_ROSTER[e].smoother for e in ests)
     counters = _new_counters()
@@ -353,8 +351,10 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
 
     for step in range(n_steps):
         i = first + step
+        # counters goes by keyword to _fit_state and _eval_state: the count
+        # hooks of perfbench/tracer.py look it up by name
         if need_state and step % cfg.state_refit_every == 0:
-            fit = _fit_state(levels, y, i, cfg, kernel, bandwidths, counters)
+            fit = _fit_state(levels, y, i, cfg, bandwidths, counters=counters)
             if fit is not None:
                 bandwidths = (fit.h1, fit.h)
         # _check_history and the stretch check above keep every window
@@ -368,7 +368,7 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
             tracks["SemiProxy"][step] = semi.value(i, counters)
         sve = None
         if need_state and fit is not None:
-            sve = _eval_state(fit, levels[i], kernel, counters)
+            sve = _eval_state(fit, levels[i], counters=counters)
         if "NonBay" in ests:
             if sve is None:
                 counters["nonbay_es_only"] += 1

@@ -1,8 +1,9 @@
 """State-domain variance estimation by local-linear kernel regression.
 
 Responses (squared residuals or squared returns) are regressed on the state
-level with a compactly supported kernel; the fitted intercept at the query
-point is the variance estimate. The equivalent-weight representation
+level with the Epanechnikov kernel W(u) = 0.75 (1 - u^2) on |u| <= 1; the
+fitted intercept at the query point is the variance estimate. The
+equivalent-weight representation
 
     xi_i(x0) = W_i * (V2 - (x_i - x0) V1) / (V0 V2 - V1^2),
     V_j = sum_i (x_i - x0)^j W_i,
@@ -10,8 +11,11 @@ point is the variance estimate. The equivalent-weight representation
 reproduces the intercept as sum_i xi_i * response_i and satisfies
 sum xi_i = 1 and sum xi_i (x_i - x0) = 0 exactly.
 
-The fit at every design point at once (the drift refit and leave-one-out
-bandwidth cross-validation) runs in O(N log N) on sorted prefix sums, after
+Two routes compute it, both on the design sorted by level. A query at one
+point (the per-step state estimate, and xi_weights) evaluates the kernel
+only on the window that searchsorted finds, in O(log N + window). The fit
+at every design point at once (the drift refit and leave-one-out bandwidth
+cross-validation) runs in O(N log N) on sorted prefix sums, after
 Fan & Marron (1994) and Seifert, Brockmann, Engel & Gasser (1994): the
 Epanechnikov weight is quadratic on its support, so each moment sum over a
 window is a difference of prefix sums of powers of the centred level. The
@@ -45,32 +49,18 @@ BLOCK_POINTS = 256
 BLOCK_SPAN = 4.0
 # points with |u| >= 1 - EDGE_BAND take their kernel weight directly
 EDGE_BAND = 1e-4
+# searchsorted on x -/+ h pads h by this times |x| + h, a few ulps, so that
+# rounding in x -/+ h never drops a point the kernel weighs
+PAD = 8.0 * np.finfo(float).eps
 
 
 def _epanechnikov(u: np.ndarray) -> np.ndarray:
-    out = 0.75 * (1.0 - u * u)
-    return np.where(np.abs(u) <= 1.0, out, 0.0)
+    # 1 - u^2 rounds negative exactly where |u| > 1; fmax also maps NaN to 0
+    return np.fmax(0.75 * (1.0 - u * u), 0.0)
 
 
-_KERNELS = {"epanechnikov": (_epanechnikov, 0.6)}
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Compactly supported symmetric kernel; nu0 is int W(u)^2 du."""
-
-    kind: str = "epanechnikov"
-
-    def __post_init__(self):
-        if self.kind not in _KERNELS:
-            raise ValueError(f"unknown kernel {self.kind!r}")
-
-    @property
-    def nu0(self) -> float:
-        return _KERNELS[self.kind][1]
-
-    def weights(self, u) -> np.ndarray:
-        return _KERNELS[self.kind][0](np.asarray(u, dtype=float))
+# int W(u)^2 du of the Epanechnikov kernel
+NU0 = 0.6
 
 
 @dataclass(frozen=True)
@@ -112,78 +102,58 @@ class StateVarianceEstimate:
         return 1.0 / self.xi_sq_sum
 
 
-def _design(pairs: StatePairs, x0: float, h: float, kernel: KernelSpec):
-    """Offsets d = x - x0, kernel weights w and moments V0, V1, V2 at x0.
+def _window_xi(xs: np.ndarray, x0: float, h: float):
+    """Equivalent local-linear weights at x0 on the sorted design xs.
+
+    Returns (lo, xi, singular): xi holds the weights of xs[lo:lo + xi.size].
+    That window is found by searchsorted on x0 -/+ h padded by a few ulps,
+    so it holds every point the kernel gives positive weight; the kernel
+    itself zeroes the points the padding lets in. A zero-spread window
+    (V2 = 0, all weighted points at x0) gives the normalized kernel weights,
+    and so does a design with det = V0 V2 - V1^2 below DET_RTOL h^2 V0^2,
+    which is flagged singular.
 
     Raises ValueError for a non-positive bandwidth and NoCoverageError when
     x0 lies outside the data or gets no kernel mass.
     """
     if not h > 0:
         raise ValueError("bandwidth must be positive")
-    x = pairs.x
-    if x.size == 0 or x0 < x.min() or x0 > x.max():
+    if xs.size == 0 or x0 < xs[0] or x0 > xs[-1]:
         raise NoCoverageError(f"query {x0} outside historical range")
-    d = x - x0
-    w = kernel.weights(d / h)
+    pad = PAD * (abs(x0) + h)
+    lo = int(np.searchsorted(xs, x0 - h - pad, "left"))
+    hi = int(np.searchsorted(xs, x0 + h + pad, "right"))
+    d = xs[lo:hi] - x0
+    w = _epanechnikov(d / h)
     v0 = float(w.sum())
     if v0 <= 0.0:
         raise NoCoverageError(f"no kernel mass at {x0}")
     wd = w * d
-    return d, w, v0, float(wd.sum()), float((wd * d).sum())
-
-
-def _linear_design(pairs: StatePairs, x0: float, h: float,
-                   kernel: KernelSpec):
-    """_design plus det = V0 V2 - V1^2 of the local-linear fit.
-
-    det is None for a zero-spread neighborhood (V2 = 0, all weighted points
-    at x0), where the fit is the locally constant one; a det below
-    DET_RTOL h^2 V0^2 raises SingularDesignError.
-    """
-    d, w, v0, v1, v2 = _design(pairs, x0, h, kernel)
+    v1 = float(wd.sum())
+    v2 = float((wd * d).sum())
     if v2 == 0.0:
-        return d, w, v0, v1, v2, None
+        return lo, w / v0, False
     det = v0 * v2 - v1 * v1
     if det < DET_RTOL * h * h * v0 * v0:
-        raise SingularDesignError(f"local design singular at {x0}")
-    return d, w, v0, v1, v2, det
+        return lo, w / v0, True
+    return lo, w * (v2 - d * v1) / det, False
 
 
-def local_linear_fit(pairs: StatePairs, x0: float, h: float,
-                     kernel: KernelSpec = KernelSpec()) -> tuple[float, float]:
-    """Weighted local-linear fit of the response at x0.
-
-    Returns (intercept, slope). A zero-spread neighborhood (all weighted
-    points at x0) degrades to the locally constant fit with slope 0; an
-    ill-conditioned design raises SingularDesignError.
-    """
-    d, w, v0, v1, v2, det = _linear_design(pairs, x0, h, kernel)
-    b0 = float(np.dot(w, pairs.resp))
-    if det is None:
-        return b0 / v0, 0.0
-    b1 = float(np.dot(w * d, pairs.resp))
-    return (v2 * b0 - v1 * b1) / det, (v0 * b1 - v1 * b0) / det
-
-
-def locally_constant_weights(pairs: StatePairs, x0: float, h: float,
-                             kernel: KernelSpec = KernelSpec()) -> np.ndarray:
-    """Normalized kernel weights at x0 (the fallback for singular fits)."""
-    _, w, v0, _, _ = _design(pairs, x0, h, kernel)
-    return w / v0
-
-
-def xi_weights(pairs: StatePairs, x0: float, h: float,
-               kernel: KernelSpec = KernelSpec()) -> np.ndarray:
-    """Equivalent local-linear weights at x0.
+def xi_weights(pairs: StatePairs, x0: float, h: float) -> np.ndarray:
+    """Equivalent local-linear weights at x0, one per pair.
 
     dot(xi, resp) equals the local-linear intercept; sum(xi) == 1 and
     sum(xi * (x - x0)) == 0. A zero-spread neighborhood returns the
-    normalized kernel weights (both identities still hold).
+    normalized kernel weights (both identities still hold); an
+    ill-conditioned design raises SingularDesignError.
     """
-    d, w, v0, v1, v2, det = _linear_design(pairs, x0, h, kernel)
-    if det is None:
-        return w / v0
-    return w * (v2 - d * v1) / det
+    order = np.argsort(pairs.x, kind="stable")
+    lo, xi, singular = _window_xi(pairs.x[order], x0, h)
+    if singular:
+        raise SingularDesignError(f"local design singular at {x0}")
+    out = np.zeros(pairs.count)
+    out[order[lo:lo + xi.size]] = xi
+    return out
 
 
 def residual_squares(y: np.ndarray, drift_at_x: np.ndarray) -> np.ndarray:
@@ -208,23 +178,21 @@ def state_variance(sigma2_hat: float, xi: np.ndarray,
     return StateVarianceEstimate(sigma2_hat, s, 2.0 * sigma2_hat**2 * s, bandwidth)
 
 
-def s2_squared(sigma2: float, density_at_x: float,
-               kernel: KernelSpec = KernelSpec()) -> float:
+def s2_squared(sigma2: float, density_at_x: float) -> float:
     """Asymptotic variance factor 2 nu0 sigma^4 / p(x) for the kernel fit."""
     if sigma2 < 0:
         raise ValueError("sigma2 must be nonnegative")
     if not density_at_x > 0:
         raise ValueError("density_at_x must be positive")
-    return 2.0 * kernel.nu0 * sigma2 * sigma2 / density_at_x
+    return 2.0 * NU0 * sigma2 * sigma2 / density_at_x
 
 
-def kernel_density(x: np.ndarray, x0: float, kernel: KernelSpec = KernelSpec(),
-                   h: float | None = None) -> float:
+def kernel_density(x: np.ndarray, x0: float, h: float | None = None) -> float:
     """Kernel density estimate at x0; bandwidth defaults to the rule of thumb."""
     x = np.asarray(x, dtype=float)
     if h is None:
         h = rule_of_thumb_bandwidth(x)
-    return float(kernel.weights((x - x0) / h).sum() / (x.size * h))
+    return float(_epanechnikov((x - x0) / h).sum() / (x.size * h))
 
 
 def rule_of_thumb_bandwidth(x: np.ndarray) -> float:
@@ -238,7 +206,7 @@ def rule_of_thumb_bandwidth(x: np.ndarray) -> float:
     return 1.06 * s * x.size ** (-0.2)
 
 
-def _support(xs: np.ndarray, h: float, kernel: KernelSpec):
+def _support(xs: np.ndarray, h: float):
     """Index range [lo, hi) of the sorted design xs with positive kernel
     weight at each xs[i], decided by the floating-point weight the kernel
     itself gives each point, so a point on the edge of the support is in or
@@ -250,10 +218,10 @@ def _support(xs: np.ndarray, h: float, kernel: KernelSpec):
     """
     own_lo = np.searchsorted(xs, xs, "left")
     own_hi = np.searchsorted(xs, xs, "right")
-    pad = 8.0 * np.finfo(float).eps * (np.abs(xs) + h)
+    pad = PAD * (np.abs(xs) + h)
 
     def positive(j):
-        return kernel.weights((xs[j] - xs) / h) > 0.0
+        return _epanechnikov((xs[j] - xs) / h) > 0.0
 
     # first index with positive weight; it lies in [a, b]
     a = np.searchsorted(xs, xs - h - pad, "left")
@@ -351,7 +319,7 @@ def _edge_moments(xs: np.ndarray, h: float, level: np.ndarray,
 
 
 def _intercepts_at_data(x: np.ndarray, resp: np.ndarray, h: float,
-                        kernel: KernelSpec, loo: bool) -> np.ndarray:
+                        loo: bool) -> np.ndarray:
     """Local-linear intercept at every design point in O(N log N).
 
     With loo=True the point's own observation is excluded (used by
@@ -370,7 +338,7 @@ def _intercepts_at_data(x: np.ndarray, resp: np.ndarray, h: float,
     a window falls in (empty, own level only, one other level, two or more
     levels) is decided from exact counts of points and levels, never from
     rounded sums. The moment algebra is that of the Epanechnikov kernel, the
-    one kernel KernelSpec offers.
+    package's one kernel.
     """
     n = x.size
     out = np.full(n, np.nan)
@@ -381,7 +349,7 @@ def _intercepts_at_data(x: np.ndarray, resp: np.ndarray, h: float,
     rs = resp[order]
     if not (np.isfinite(xs[0]) and np.isfinite(xs[-1])):
         raise ValueError("state levels must be finite")
-    lo, hi, own_lo, own_hi = _support(xs, h, kernel)
+    lo, hi, own_lo, own_hi = _support(xs, h)
     inner = (1.0 - EDGE_BAND) * h
     lo_in = np.maximum(np.searchsorted(xs, xs - inner, "left"), lo)
     hi_in = np.minimum(np.searchsorted(xs, xs + inner, "right"), hi)
@@ -411,8 +379,7 @@ def _intercepts_at_data(x: np.ndarray, resp: np.ndarray, h: float,
     return out
 
 
-def _cv_bandwidth(x: np.ndarray, resp: np.ndarray, kernel: KernelSpec,
-                  grid: tuple[float, ...]) -> float:
+def _cv_bandwidth(x: np.ndarray, resp: np.ndarray) -> float:
     """Leave-one-out CV over a multiplicative grid around the rule of thumb.
 
     Candidates where more than 20% of points have no valid fit are skipped;
@@ -420,9 +387,9 @@ def _cv_bandwidth(x: np.ndarray, resp: np.ndarray, kernel: KernelSpec,
     """
     rot = rule_of_thumb_bandwidth(x)
     best_h, best_loss = rot, math.inf
-    for f in grid:
+    for f in CV_GRID:
         h = rot * f
-        pred = _intercepts_at_data(x, resp, h, kernel, loo=True)
+        pred = _intercepts_at_data(x, resp, h, loo=True)
         ok = np.isfinite(pred)
         if ok.sum() < 0.8 * x.size:
             continue
@@ -432,9 +399,7 @@ def _cv_bandwidth(x: np.ndarray, resp: np.ndarray, kernel: KernelSpec,
     return best_h
 
 
-def select_bandwidth(x: np.ndarray, y: np.ndarray,
-                     kernel: KernelSpec = KernelSpec(),
-                     grid: tuple[float, ...] = CV_GRID) -> tuple[float, float]:
+def select_bandwidth(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Bandwidths (h1 for the mean fit, h for the variance fit).
 
     Both are picked independently by the same rule: leave-one-out CV on a
@@ -449,9 +414,9 @@ def select_bandwidth(x: np.ndarray, y: np.ndarray,
         raise TooFewPointsError("need at least 20 pairs")
     if x.shape != y.shape:
         raise ValueError("x and y must have equal shapes")
-    h1 = _cv_bandwidth(x, y, kernel, grid)
-    drift = _intercepts_at_data(x, y, h1, kernel, loo=False)
+    h1 = _cv_bandwidth(x, y)
+    drift = _intercepts_at_data(x, y, h1, loo=False)
     drift = np.where(np.isfinite(drift), drift, 0.0)
     resid2 = residual_squares(y, drift)
-    h = _cv_bandwidth(x, resid2, kernel, grid)
+    h = _cv_bandwidth(x, resid2)
     return h1, h

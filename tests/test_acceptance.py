@@ -20,13 +20,15 @@ from dynvol.harness import (DEFAULT_CIR, BacktestDataset, cir_study,
                             _fit_state, _rolling)
 from dynvol.integration import bayes_es, bayes_ma
 from dynvol.sde import RngStream, simulate_cir, to_returns
-from dynvol.state_domain import (KernelSpec, StatePairs, kernel_density,
-                                 local_linear_fit, rule_of_thumb_bandwidth,
-                                 s2_squared, xi_weights)
+from dynvol.state_domain import (StatePairs, _epanechnikov, kernel_density,
+                                 rule_of_thumb_bandwidth, s2_squared,
+                                 xi_weights)
 from dynvol.time_domain import (EsConfig, es_variance, es_weights, exp_smooth,
                                 moving_average, s1_squared)
 
-KERN = KernelSpec()
+
+def _intercept(x, resp, x0, h):
+    return float(xi_weights(StatePairs(x, resp), x0, h) @ resp)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -74,7 +76,7 @@ def route_error_reps():
         if h is None:
             h = rule_of_thumb_bandwidth(x)
         try:
-            s = local_linear_fit(StatePairs(x, y[:m] ** 2), x0, h, KERN)[0]
+            s = _intercept(x, y[:m] ** 2, x0, h)
         except (NoCoverageError, SingularDesignError):
             skipped += 1
             continue
@@ -121,18 +123,16 @@ def test_criterion_02_local_linear_oracle():
         x0 = float(rng.uniform(x.min(), x.max()))
         h = float(rng.uniform(0.15, 0.8))
         try:
-            xi = xi_weights(StatePairs(x, resp), x0, h, KERN)
-            a = local_linear_fit(StatePairs(x, resp), x0, h, KERN)[0]
+            xi = xi_weights(StatePairs(x, resp), x0, h)
         except (NoCoverageError, SingularDesignError):
             continue
         # independent route: solve the weighted normal equations directly
-        w = KERN.weights((x - x0) / h)
+        w = _epanechnikov((x - x0) / h)
         X = np.column_stack([np.ones(m), x - x0])
         beta = np.linalg.solve(X.T @ (w[:, None] * X), X.T @ (w * resp))
         pred = float(xi @ resp)
         scale = max(abs(beta[0]), 1e-3)
         worst = max(worst, abs(pred - beta[0]) / scale,
-                    abs(a - beta[0]) / scale,
                     abs(float(xi.sum()) - 1.0),
                     abs(float(xi @ (x - x0))))
         checked += 1
@@ -194,9 +194,9 @@ def test_criterion_04_state_variance_law():
         if h is None:
             h = rule_of_thumb_bandwidth(x)
         pooled.append(x)
-        ests[r] = local_linear_fit(StatePairs(x, y * y), x0, h, KERN)[0]
-    dens = kernel_density(np.concatenate(pooled), x0, KERN)
-    s2 = s2_squared(sigma2_x0, dens, KERN)
+        ests[r] = _intercept(x, y * y, x0, h)
+    dens = kernel_density(np.concatenate(pooled), x0)
+    s2 = s2_squared(sigma2_x0, dens)
     ratio = m * h * ests.var(ddof=1) / s2
     elapsed = time.perf_counter() - t0
     ok = abs(ratio - 1.0) <= 0.25 and elapsed < 120.0
@@ -353,12 +353,11 @@ def test_state_fit_reads_only_the_pairs_history():
     origin = 270
     keep = origin - cfg.es.n
     counters = {"drift_fallback": 0}
-    fit = _fit_state(sim.levels, sim.returns.y, origin, cfg, KERN, None,
-                     counters)
+    fit = _fit_state(sim.levels, sim.returns.y, origin, cfg, None, counters)
     levels, y = sim.levels.copy(), sim.returns.y.copy()
     levels[keep:] = np.nan
     y[keep:] = np.nan
-    again = _fit_state(levels, y, origin, cfg, KERN, None, counters)
+    again = _fit_state(levels, y, origin, cfg, None, counters)
     for a, b in ((fit.pairs.x, again.pairs.x), (fit.pairs.resp, again.pairs.resp),
                  (np.array([fit.h1, fit.h, fit.eps_var]),
                   np.array([again.h1, again.h, again.eps_var]))):

@@ -11,13 +11,15 @@ import pytest
 from dynvol.errors import (DegenerateSeriesError, DynvolError, IngestionError,
                            InsufficientHistoryError)
 from dynvol.harness import (DEFAULT_SEMI_GRID, ESTIMATORS, SEMI_FALLBACK_LAM,
-                            BacktestDataset, StudyConfig, _new_counters,
-                            _rolling, _SemiSelector, cir_study, gbm_study,
+                            BacktestDataset, StudyConfig, _eval_state,
+                            _new_counters, _rolling, _SemiSelector, _StateFit,
+                            cir_study, gbm_study,
                             ingest_csv, rolling_forecast, run_backtest,
                             run_simulation_study, simulate_series,
                             study_preset, sv_study, write_backtest_outputs,
                             write_study_outputs)
 from dynvol.sde import RngStream, simulate_gbm
+from dynvol.state_domain import StatePairs, _epanechnikov
 from dynvol.time_domain import EsConfig, exp_smooth, moving_average
 
 SMALL = cir_study(series_len=300, in_sample_len=260, n_reps=3, seed=777)
@@ -237,6 +239,24 @@ def test_out_of_range_state_falls_back_to_smoother():
     assert counters["integ_time_only"] == n_steps
     assert np.array_equal(tracks["NonBay"], tracks["RiskM"])
     assert np.array_equal(tracks["Integ"], tracks["RiskM"])
+
+
+def test_singular_state_design_falls_back_to_kernel_weighted_mean():
+    # the design of test_singular_design_raises: the window at 0.6 holds
+    # the tied pair at 0.5 and, at weight zero, the point at 1.5
+    x = np.array([0.5, 0.5, 1.5])
+    resp = np.array([1.0, 2.0, 9.0])
+    h = 0.5001
+    fit = _StateFit(StatePairs(x, resp), h, h, 0.0)
+    counters = _new_counters()
+    sve = _eval_state(fit, 0.6, counters=counters)
+    assert counters["state_singular"] == 1
+    assert sum(counters.values()) == 1
+    w = _epanechnikov((x - 0.6) / h)
+    assert w[2] == 0.0
+    assert sve.sigma2_hat == pytest.approx(float(w @ resp / w.sum()),
+                                           rel=1e-15)
+    assert sve.sigma2_hat == pytest.approx(1.5, rel=1e-15)
 
 
 def test_insufficient_history_is_rejected_up_front():

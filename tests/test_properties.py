@@ -11,13 +11,12 @@ from hypothesis import strategies as st
 from dynvol.errors import NoCoverageError, SingularDesignError
 from dynvol.integration import (MATCHED_SHAPE, bayes_es, bayes_ma,
                                 combine_estimates, dynamic_weight)
-from dynvol.state_domain import (KernelSpec, StatePairs,
-                                 StateVarianceEstimate, xi_weights)
+from dynvol.state_domain import (StatePairs, StateVarianceEstimate,
+                                 _epanechnikov, xi_weights)
 from dynvol.time_domain import (EsConfig, TimeVarianceEstimate, exp_smooth,
                                 moving_average)
 
 EPS = np.finfo(float).eps
-EPA = KernelSpec()
 
 _nonneg = st.floats(0.0, 1e6, allow_subnormal=False)
 _decay = st.floats(1e-3, 1.0, exclude_min=False)
@@ -55,11 +54,11 @@ def test_xi_weight_identities_hold(xs, where, h):
     x = np.asarray(xs)
     x0 = float(x.min() + where * (x.max() - x.min()))
     try:
-        xi = xi_weights(StatePairs(x, np.zeros(x.size)), x0, h, EPA)
+        xi = xi_weights(StatePairs(x, np.zeros(x.size)), x0, h)
     except (NoCoverageError, SingularDesignError):
         assume(False)
     d = x - x0
-    w = EPA.weights(d / h)
+    w = _epanechnikov(d / h)
     v0, v1, v2 = w.sum(), (w * d).sum(), (w * d * d).sum()
     # rounding is amplified by the design's condition, as in any WLS solve
     cond = 1.0 if v2 == 0.0 else (v0 * v2 + v1 * v1) / (v0 * v2 - v1 * v1)

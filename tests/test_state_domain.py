@@ -11,25 +11,25 @@ from scipy import integrate as spi
 from dynvol.errors import (NoCoverageError, SingularDesignError,
                            TooFewPointsError)
 from dynvol.harness import build_state_pairs, cir_study, simulate_series
-from dynvol.state_domain import (CV_GRID, DET_RTOL, KernelSpec, StatePairs,
-                                 _intercepts_at_data, kernel_density,
-                                 local_linear_fit, locally_constant_weights,
-                                 residual_squares, rule_of_thumb_bandwidth,
-                                 s2_squared, select_bandwidth, state_variance,
-                                 xi_weights)
+from dynvol.state_domain import (CV_GRID, DET_RTOL, NU0, StatePairs,
+                                 _epanechnikov, _intercepts_at_data,
+                                 _window_xi, kernel_density, residual_squares,
+                                 rule_of_thumb_bandwidth, s2_squared,
+                                 select_bandwidth, state_variance, xi_weights)
 
-EPA = KernelSpec("epanechnikov")
+
+def _intercept(x, resp, x0, h):
+    return float(xi_weights(StatePairs(x, resp), x0, h) @ resp)
 
 
 def test_kernel_shape_and_nu0():
-    w = EPA.weights(np.array([0.0, 0.5, 1.0, 1.5, -2.0]))
+    w = _epanechnikov(np.array([0.0, 0.5, 1.0, 1.5, -2.0]))
     assert w[0] == pytest.approx(0.75, abs=1e-15)
     assert w[1] == pytest.approx(0.75 * 0.75, abs=1e-15)
     assert w[2] == 0.0 and w[3] == 0.0 and w[4] == 0.0
     # integral of W^2 over [-1, 1]
     num, _ = spi.quad(lambda u: (0.75 * (1.0 - u * u)) ** 2, -1.0, 1.0)
-    assert EPA.nu0 == pytest.approx(num, rel=1e-12)
-    assert EPA.nu0 == pytest.approx(0.6, abs=1e-15)
+    assert NU0 == pytest.approx(num, rel=1e-12)
     # unit mass
     mass, _ = spi.quad(lambda u: 0.75 * (1.0 - u * u), -1.0, 1.0)
     assert mass == pytest.approx(1.0, rel=1e-12)
@@ -38,7 +38,7 @@ def test_kernel_shape_and_nu0():
 def _xi_brute(x, x0, h):
     # solve the weighted least squares normal equations directly and read
     # off the linear functional that yields the fitted intercept
-    w = EPA.weights((x - x0) / h)
+    w = _epanechnikov((x - x0) / h)
     d = x - x0
     X = np.column_stack([np.ones_like(d), d])
     A = X.T @ (w[:, None] * X)
@@ -56,7 +56,7 @@ def test_xi_weights_match_brute_force_wls():
         x0 = float(rng.uniform(x.min(), x.max()))
         h = float(rng.uniform(0.08, 0.5))
         try:
-            xi = xi_weights(StatePairs(x, np.zeros(m)), x0, h, EPA)
+            xi = xi_weights(StatePairs(x, np.zeros(m)), x0, h)
         except (NoCoverageError, SingularDesignError):
             continue
         brute = _xi_brute(x, x0, h)
@@ -68,7 +68,7 @@ def test_xi_weights_match_brute_force_wls():
 def test_xi_weight_identities():
     rng = np.random.default_rng(4)
     x = rng.uniform(0.0, 2.0, size=80)
-    xi = xi_weights(StatePairs(x, np.zeros(80)), 1.0, 0.4, EPA)
+    xi = xi_weights(StatePairs(x, np.zeros(80)), 1.0, 0.4)
     assert xi.sum() == pytest.approx(1.0, abs=1e-10)
     assert float(xi @ (x - 1.0)) == pytest.approx(0.0, abs=1e-10)
 
@@ -76,9 +76,7 @@ def test_xi_weight_identities():
 def test_local_linear_recovers_linear_function_exactly():
     x = np.linspace(0.0, 1.0, 41)
     resp = 2.0 + 3.0 * x
-    a, b = local_linear_fit(StatePairs(x, resp), 0.5, 0.3, EPA)
-    assert a == pytest.approx(3.5, abs=1e-10)
-    assert b == pytest.approx(3.0, abs=1e-10)
+    assert _intercept(x, resp, 0.5, 0.3) == pytest.approx(3.5, abs=1e-10)
 
 
 def test_zero_spread_cluster_falls_back_to_plain_average():
@@ -86,17 +84,15 @@ def test_zero_spread_cluster_falls_back_to_plain_average():
     # becomes the kernel-weighted (here plain) mean
     x = np.full(5, 0.7)
     resp = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    a, b = local_linear_fit(StatePairs(x, resp), 0.7, 0.1, EPA)
-    assert a == pytest.approx(3.0, abs=1e-12)
-    assert b == 0.0
-    xi = xi_weights(StatePairs(x, resp), 0.7, 0.1, EPA)
+    xi = xi_weights(StatePairs(x, resp), 0.7, 0.1)
     assert np.allclose(xi, 0.2, atol=1e-12)
+    assert float(xi @ resp) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_no_coverage_raises():
     x = np.linspace(0.0, 1.0, 30)
     with pytest.raises(NoCoverageError):
-        local_linear_fit(StatePairs(x, x), 5.0, 0.2, EPA)
+        xi_weights(StatePairs(x, x), 5.0, 0.2)
 
 
 def test_singular_design_raises():
@@ -109,22 +105,14 @@ def test_singular_design_raises():
     # h=1.0 puts x=1.5 exactly at |u|=1 -> weight 0; covered set is a cluster
     # at 0.5 but x0=0.6 != 0.5 so the design matrix is rank one and det ~ 0
     with pytest.raises(SingularDesignError):
-        local_linear_fit(StatePairs(x, resp), 0.6, 0.5001, EPA)
-
-
-def test_locally_constant_fallback_value():
-    x = np.array([0.4, 0.5, 0.6])
-    resp = np.array([2.0, 4.0, 6.0])
-    got = locally_constant_weights(StatePairs(x, resp), 0.5, 0.15, EPA) @ resp
-    w = EPA.weights((x - 0.5) / 0.15)
-    assert got == pytest.approx(float(w @ resp / w.sum()), rel=1e-13)
+        xi_weights(StatePairs(x, resp), 0.6, 0.5001)
 
 
 def test_drift_then_residual_pipeline():
     rng = np.random.default_rng(30)
     x = rng.uniform(0.0, 1.0, 200)
     y = 1.0 + 2.0 * x + rng.standard_normal(200) * 0.01
-    drift = local_linear_fit(StatePairs(x, y), 0.5, 0.25, EPA)[0]
+    drift = _intercept(x, y, 0.5, 0.25)
     assert drift == pytest.approx(2.0, abs=0.02)
     r2 = residual_squares(np.array([2.5, 1.5]), np.array([2.0, 2.0]))
     assert np.allclose(r2, [0.25, 0.25], atol=1e-15)
@@ -140,9 +128,9 @@ def test_state_variance_hand_value():
 
 def test_s2_squared_hand_value():
     # 2 * nu0 * sigma^4 / p = 2 * 0.6 * 4 / 0.5
-    assert s2_squared(2.0, 0.5, EPA) == pytest.approx(9.6, rel=1e-13)
+    assert s2_squared(2.0, 0.5) == pytest.approx(9.6, rel=1e-13)
     with pytest.raises(ValueError):
-        s2_squared(1.0, 0.0, EPA)
+        s2_squared(1.0, 0.0)
 
 
 def test_kernel_density_integrates_to_one_and_tracks_height():
@@ -150,10 +138,10 @@ def test_kernel_density_integrates_to_one_and_tracks_height():
     x = rng.standard_normal(4000)
     h = rule_of_thumb_bandwidth(x)
     grid = np.linspace(-4.0, 4.0, 801)
-    dens = np.array([kernel_density(x, g, EPA, h=h) for g in grid])
+    dens = np.array([kernel_density(x, g, h=h) for g in grid])
     total = np.trapezoid(dens, grid)
     assert total == pytest.approx(1.0, abs=0.01)
-    assert kernel_density(x, 0.0, EPA, h=h) == pytest.approx(
+    assert kernel_density(x, 0.0, h=h) == pytest.approx(
         1.0 / math.sqrt(2.0 * math.pi), rel=0.1)
 
 
@@ -170,7 +158,7 @@ def test_select_bandwidth_prefers_smooth_scale():
     rng = np.random.default_rng(44)
     x = rng.uniform(0.0, 1.0, 400)
     y = 0.5 + (x - 0.5) ** 2 + rng.standard_normal(400) * 0.05
-    h1, h = select_bandwidth(x, y, EPA, CV_GRID)
+    h1, h = select_bandwidth(x, y)
     rot = rule_of_thumb_bandwidth(x)
     ratios = [h1 / rot, h / rot]
     for r in ratios:
@@ -180,7 +168,7 @@ def test_select_bandwidth_prefers_smooth_scale():
 
 def test_select_bandwidth_needs_points():
     with pytest.raises(TooFewPointsError):
-        select_bandwidth(np.arange(10.0), np.arange(10.0), EPA, CV_GRID)
+        select_bandwidth(np.arange(10.0), np.arange(10.0))
 
 
 def test_cv_improves_over_worst_candidate_on_rough_signal():
@@ -196,13 +184,13 @@ def test_cv_improves_over_worst_candidate_on_rough_signal():
             xs = np.delete(x, i)
             ys = np.delete(y, i)
             try:
-                a, _ = local_linear_fit(StatePairs(xs, ys), float(x[i]), h, EPA)
+                a = _intercept(xs, ys, float(x[i]), h)
             except (NoCoverageError, SingularDesignError):
                 continue
             sse += (y[i] - a) ** 2
         return sse
 
-    h1, _ = select_bandwidth(x, y, EPA, CV_GRID)
+    h1, _ = select_bandwidth(x, y)
     rot = rule_of_thumb_bandwidth(x)
     assert loo_sse(h1) <= loo_sse(rot * 2.0) + 1e-9
 
@@ -210,7 +198,7 @@ def test_cv_improves_over_worst_candidate_on_rough_signal():
 # ---------------------------------------------------------------------------
 # prefix-sum engine against the dense oracle
 
-def _dense_intercepts(x, resp, h, kernel, loo, chunk=1024):
+def _dense_intercepts(x, resp, h, loo, chunk=1024):
     """Direct O(N^2) local-linear intercepts at the design points: the full
     kernel matrix, one chunk of query columns at a time. Also returns each
     valid design's condition h^2 V0^2 / det (at most 1 / DET_RTOL)."""
@@ -221,7 +209,7 @@ def _dense_intercepts(x, resp, h, kernel, loo, chunk=1024):
     for start in range(0, n, chunk):
         xe = x[start:start + chunk]
         d = x[:, None] - xe[None, :]
-        w = kernel.weights(d / h)
+        w = _epanechnikov(d / h)
         if loo:
             idx = np.arange(start, min(start + chunk, n))
             w[idx, np.arange(idx.size)] = 0.0
@@ -244,6 +232,28 @@ def _dense_intercepts(x, resp, h, kernel, loo, chunk=1024):
     return out, cond
 
 
+def _dense_xi(x, x0, h):
+    """Direct equivalent weights at x0 with the kernel evaluated on every
+    pair, and the design's condition h^2 V0^2 / det (1 when V2 = 0)."""
+    if not h > 0:
+        raise ValueError("bandwidth must be positive")
+    if x.size == 0 or x0 < x.min() or x0 > x.max():
+        raise NoCoverageError(f"query {x0} outside historical range")
+    d = x - x0
+    w = _epanechnikov(d / h)
+    v0 = float(w.sum())
+    if v0 <= 0.0:
+        raise NoCoverageError(f"no kernel mass at {x0}")
+    wd = w * d
+    v1, v2 = float(wd.sum()), float((wd * d).sum())
+    if v2 == 0.0:
+        return w / v0, 1.0
+    det = v0 * v2 - v1 * v1
+    if det < DET_RTOL * h * h * v0 * v0:
+        raise SingularDesignError(f"local design singular at {x0}")
+    return w * (v2 - d * v1) / det, h * h * v0 * v0 / det
+
+
 # The prefix-sum engine gives the oracle's NaN pattern exactly, and its
 # values within ORACLE_TOL * max|resp| * max(1, cond), cond being the
 # design's condition h^2 V0^2 / det. The deviation is rounding amplified by
@@ -254,8 +264,8 @@ ORACLE_TOL = 1e-11
 
 
 def _assert_matches_oracle(x, resp, h, loo):
-    got = _intercepts_at_data(x, resp, h, EPA, loo)
-    want, cond = _dense_intercepts(x, resp, h, EPA, loo)
+    got = _intercepts_at_data(x, resp, h, loo)
+    want, cond = _dense_intercepts(x, resp, h, loo)
     assert np.array_equal(np.isnan(got), np.isnan(want))
     ok = ~np.isnan(want)
     scale = max(float(np.abs(resp).max(initial=0.0)), np.finfo(float).tiny)
@@ -359,4 +369,41 @@ def test_prefix_engine_rejects_non_finite_levels():
     for bad in (np.nan, np.inf, -np.inf):
         x = np.array([0.1, bad, 0.3, 0.2])
         with pytest.raises(ValueError, match="finite"):
-            _intercepts_at_data(x, np.ones(4), 0.2, EPA, True)
+            _intercepts_at_data(x, np.ones(4), 0.2, True)
+
+
+# windowed point query against the dense oracle
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(levels=_levels,
+       spacing=st.sampled_from([1e-3, 0.05, 0.3, 1.0, 40.0]),
+       offset=st.sampled_from([0.0, -7.5, 2.0, 1e4]),
+       hmul=st.sampled_from([0.4, 0.5, 0.75, 1.0, 1.3, 2.5, 6.0, 30.0]),
+       where=st.sampled_from(["first", "last", "below", "above", "between"]),
+       pick=st.integers(0, 59),
+       frac=st.floats(0.0, 1.0))
+def test_point_query_matches_dense_oracle(levels, spacing, offset, hmul,
+                                          where, pick, frac):
+    # lattice levels with ties; queries at the ends of the design, exactly
+    # one bandwidth from a design point, and in between
+    x = offset + spacing * np.asarray(levels, dtype=float)
+    h = hmul * spacing
+    xs = np.sort(x)
+    xj = x[pick % x.size]
+    x0 = float({"first": xs[0], "last": xs[-1], "below": xj - h,
+                "above": xj + h,
+                "between": xs[0] + frac * (xs[-1] - xs[0])}[where])
+    pairs = StatePairs(x, np.zeros(x.size))
+    try:
+        want, cond = _dense_xi(x, x0, h)
+    except (NoCoverageError, SingularDesignError) as exc:
+        with pytest.raises(type(exc)):
+            xi_weights(pairs, x0, h)
+        return
+    got = xi_weights(pairs, x0, h)
+    assert np.all(np.abs(got - want) <= ORACLE_TOL * max(1.0, cond))
+    lo, xi, singular = _window_xi(xs, x0, h)
+    assert not singular
+    pos = np.flatnonzero(_epanechnikov((xs - x0) / h) > 0.0)
+    assert lo <= pos[0] and pos[-1] < lo + xi.size
