@@ -345,6 +345,9 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
     tracks = {e: np.full(n_steps, np.nan) for e in ests}
     semi = (_SemiSelector(y, cfg.es.n, cfg.semi_grid)
             if "SemiProxy" in ests else None)
+    # Integ's autocorrelations at every origin, one table per series
+    acf = (autocorr_sq(y, np.arange(first, first + n_steps), cfg.max_lag)
+           if "Integ" in ests else None)
     fit = None
     bandwidths = None
     lam, n = cfg.es.lam, cfg.es.n
@@ -358,7 +361,7 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
             if fit is not None:
                 bandwidths = (fit.h1, fit.h)
         # _check_history and the stretch check above keep every window
-        # below in range, so only the Integ step can raise
+        # below in range
         if "Hist" in ests:
             tracks["Hist"][step] = moving_average(y, i, cfg.hist_window)
         es_val = exp_smooth(y, i, cfg.es) if need_es else None
@@ -376,19 +379,18 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
             else:
                 tracks["NonBay"][step] = bayes_es(
                     es_val, sve.sigma2_hat, lam, n, MATCHED_SHAPE)
-        if "Integ" in ests:
-            try:
-                rho = autocorr_sq(y, i, cfg.max_lag)
-                tve = es_variance(es_val, cfg.es, rho)
-                if tve.clamped:
-                    counters["c_clamped"] += 1
-                if sve is None:
-                    counters["integ_time_only"] += 1
-                    tracks["Integ"][step] = es_val
-                else:
-                    tracks["Integ"][step] = combine_estimates(tve, sve).sigma2_hat
-            except DynvolError:
-                counters["nan_steps"] += 1
+        if acf is not None and math.isnan(acf[step, 0]):
+            # autocorr_sq's degenerate row: no time-domain variance
+            counters["nan_steps"] += 1
+        elif acf is not None:
+            tve = es_variance(es_val, cfg.es, acf[step])
+            if tve.clamped:
+                counters["c_clamped"] += 1
+            if sve is None:
+                counters["integ_time_only"] += 1
+                tracks["Integ"][step] = es_val
+            else:
+                tracks["Integ"][step] = combine_estimates(tve, sve).sigma2_hat
     return tracks, counters
 
 

@@ -43,9 +43,8 @@ DET_RTOL = 1e-12
 # multiplicative grid of bandwidth candidates around the rule of thumb
 CV_GRID = (0.5, 1.0 / math.sqrt(2.0), 1.0, math.sqrt(2.0), 2.0)
 
-# blocks of the sorted design that share one centre in _prefix_moments:
-# at most this many points, spanning at most this many bandwidths
-BLOCK_POINTS = 256
+# blocks of the sorted design that share one centre in _prefix_moments
+# span at most this many bandwidths
 BLOCK_SPAN = 4.0
 # points with |u| >= 1 - EDGE_BAND take their kernel weight directly
 EDGE_BAND = 1e-4
@@ -178,23 +177,6 @@ def state_variance(sigma2_hat: float, xi: np.ndarray,
     return StateVarianceEstimate(sigma2_hat, s, 2.0 * sigma2_hat**2 * s, bandwidth)
 
 
-def s2_squared(sigma2: float, density_at_x: float) -> float:
-    """Asymptotic variance factor 2 nu0 sigma^4 / p(x) for the kernel fit."""
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be nonnegative")
-    if not density_at_x > 0:
-        raise ValueError("density_at_x must be positive")
-    return 2.0 * NU0 * sigma2 * sigma2 / density_at_x
-
-
-def kernel_density(x: np.ndarray, x0: float, h: float | None = None) -> float:
-    """Kernel density estimate at x0; bandwidth defaults to the rule of thumb."""
-    x = np.asarray(x, dtype=float)
-    if h is None:
-        h = rule_of_thumb_bandwidth(x)
-    return float(_epanechnikov((x - x0) / h).sum() / (x.size * h))
-
-
 def rule_of_thumb_bandwidth(x: np.ndarray) -> float:
     """h = 1.06 * std(x) * N^(-1/5); requires at least 2 distinct values."""
     x = np.asarray(x, dtype=float)
@@ -252,18 +234,16 @@ def _prefix_moments(xs: np.ndarray, rs: np.ndarray, h: float,
 
     With t = (x - c)/h and s the query's t, the weight 1 - (t - s)^2 makes
     each moment a binomial combination of band sums of t^k (k <= 4) and
-    resp*t^k (k <= 3). c is the midpoint of a block of at most BLOCK_POINTS
-    queries spanning at most BLOCK_SPAN bandwidths, and the prefix sums run
-    only over that block's bands, so |t| stays small. An empty band sums to
-    exactly zero.
+    resp*t^k (k <= 3). c is the midpoint of a block of queries spanning at
+    most BLOCK_SPAN bandwidths, and the prefix sums run only over that
+    block's bands, so |t| stays small. An empty band sums to exactly zero.
     """
     n = xs.size
     sums = np.zeros((n, 9))
     s = np.empty(n)
     start = 0
     while start < n:
-        stop = min(start + BLOCK_POINTS,
-                   int(np.searchsorted(xs, xs[start] + BLOCK_SPAN * h, "right")))
+        stop = int(np.searchsorted(xs, xs[start] + BLOCK_SPAN * h, "right"))
         c = 0.5 * (xs[start] + xs[stop - 1])
         left, right = bands[0][0][start], bands[-1][1][stop - 1]
         t = (xs[left:right] - c) / h

@@ -10,7 +10,6 @@ identical summation so the reduction is exact.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,53 +108,79 @@ def exp_smooth(y, t: int, cfg: EsConfig) -> float:
     return float(np.dot(_es_weights_rev(cfg.lam, n), window * window))
 
 
-def autocorr_sq(y, upto_t: int, max_lag: int = 30) -> np.ndarray:
-    """Sample autocorrelation of squared returns y[0:upto_t]**2, lags 1..max_lag.
+def autocorr_sq(y, upto_t, max_lag: int = 30) -> np.ndarray:
+    """Sample autocorrelation of squared returns y[0:t]**2, lags 1..max_lag,
+    at the origin t = upto_t; for a 1-d int array of origins, one row per
+    origin, NaN where the squares before it are constant.
 
-    Autocovariances use the biased (full-sample) denominator so every value
-    lies in [-1, 1].
+    The biased (full-sample) denominator keeps values in [-1, 1]. All rows
+    come from sequential prefix sums of z = y**2 - c, c the mean square
+    before the earliest origin: with S(t) = sum_{j<t} z_j, m = S(t)/t and
+    P_k(t) = sum_{j<t-k} z_j z_{j+k}, the centred autocovariance at lag k
+    is P_k(t) - m (S(t-k) + S(t) - S(k)) + (t - k) m^2 (Chan, Golub &
+    LeVeque 1983). That is O(T max_lag) for the latest origin T, and row t
+    reads y[:t] only. Values agree with the direct mean-centred sums within
+    16 t u kappa_t, the recursive-summation bound, where u = 2**-53 and
+    kappa_t = sum z_j^2 / sum (z_j - m)^2 over j < t is at most 1 + t/t0
+    for the earliest origin t0. A centred sum of squares that rounds to
+    zero counts as constant squares.
 
     Raises
     ------
     InsufficientHistoryError
-        If fewer than max_lag + 2 observations are available.
+        If an origin has fewer than max_lag + 2 observations before it or
+        lies beyond the data.
     DegenerateSeriesError
-        If the squared series is constant.
+        For an int origin, if the squared series is constant.
     """
     arr = _values(y)
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
-    if upto_t > arr.size or upto_t < max_lag + 2:
+    t = np.atleast_1d(upto_t)
+    if t.ndim != 1 or t.size == 0 or t.dtype.kind not in "iu":
+        raise ValueError("upto_t must be an int or a non-empty 1-d int array")
+    short = t[(t < max_lag + 2) | (t > arr.size)]
+    if short.size:
         raise InsufficientHistoryError(
-            f"need at least {max_lag + 2} observations, have {min(upto_t, arr.size)}")
-    z = arr[:upto_t] ** 2
-    zc = z - z.mean()
-    denom = float(np.dot(zc, zc))
-    if denom <= 0.0:
-        raise DegenerateSeriesError("squared returns are constant")
-    rho = np.empty(max_lag)
-    for k in range(1, max_lag + 1):
-        rho[k - 1] = float(np.dot(zc[:-k], zc[k:])) / denom
+            f"need at least {max_lag + 2} observations, "
+            f"have {min(int(short[0]), arr.size)}")
+    z2 = arr[:t.max()] ** 2
+    z = z2 - z2[:t.min()].mean()
+    s = np.concatenate(([0.0], np.cumsum(z)))
+    st = s[t]
+    m = st / t
+    # column k: P_k(t) from the prefix sums of the lag-k products
+    cov = np.empty((t.size, max_lag + 1))
+    for k in range(max_lag + 1):
+        p = np.cumsum(z[:z.size - k] * z[k:])[t - k - 1]
+        cov[:, k] = p - m * (s[t - k] + st - s[k]) + (t - k) * m * m
+    degenerate = ((np.maximum.accumulate(z2)[t - 1]
+                   == np.minimum.accumulate(z2)[t - 1]) | (cov[:, 0] <= 0.0))
+    cov[degenerate] = np.nan
+    cov[:, 1:] /= cov[:, :1]
+    rho = cov[:, 1:]
+    if np.ndim(upto_t) == 0:
+        if degenerate[0]:
+            raise DegenerateSeriesError("squared returns are constant")
+        return rho[0]
     return rho
 
 
-def _c_factor(lam: float, n: int, rho: np.ndarray | None) -> float:
-    """Weighted autocovariance sum c_t entering var_hat = 2 sigma^4 c_t.
-
-    Equals sum_{i,j} w_i w_j rho(|i-j|) for the normalized smoothing weights,
-    with rho truncated to the supplied lags (zero beyond). The lam = 1 case
-    is the algebraic limit with equal weights 1/n.
-    """
-    kmax = 0 if rho is None else min(n - 1, len(rho))
+@functools.lru_cache(maxsize=64)
+def _c_coef(lam: float, n: int, kmax: int) -> tuple[float, np.ndarray]:
+    """(c_iid, coef): c_t = sum_{i,j} w_i w_j rho(|i-j|) = c_iid + coef @ rho
+    for the normalized smoothing weights and rho at lags 1..kmax (zero
+    beyond). lam = 1 is the algebraic limit with equal weights 1/n. Cached
+    per (lam, n, kmax) and read-only, like _es_weights_rev."""
+    k = np.arange(1, kmax + 1)
     if lam == 1.0:
-        s = sum((n - k) * float(rho[k - 1]) for k in range(1, kmax + 1))
-        return (n + 2.0 * s) / (n * n)
-    one_m_l2 = 1.0 - lam * lam
-    diag = (1.0 - lam ** (2 * n)) / one_m_l2
-    s = 0.0
-    for k in range(1, kmax + 1):
-        s += float(rho[k - 1]) * lam**k * (1.0 - lam ** (2 * (n - k))) / one_m_l2
-    return ((1.0 - lam) ** 2 / (1.0 - lam**n) ** 2) * (diag + 2.0 * s)
+        c_iid, coef = 1.0 / n, 2.0 * (n - k) / (n * n)
+    else:
+        scale = (1.0 - lam) ** 2 / ((1.0 - lam**n) ** 2 * (1.0 - lam * lam))
+        c_iid = scale * (1.0 - lam ** (2 * n))
+        coef = 2.0 * scale * lam**k * (1.0 - lam ** (2 * (n - k)))
+    coef.flags.writeable = False
+    return c_iid, coef
 
 
 def es_variance(sigma2_hat: float, cfg: EsConfig,
@@ -179,8 +204,9 @@ def es_variance(sigma2_hat: float, cfg: EsConfig,
     """
     if sigma2_hat < 0:
         raise ValueError("sigma2_hat must be nonnegative")
-    c = _c_factor(cfg.lam, cfg.n, rho)
-    c_iid = _c_factor(cfg.lam, cfg.n, None)
+    kmax = 0 if rho is None else min(cfg.n - 1, len(rho))
+    c_iid, coef = _c_coef(cfg.lam, cfg.n, kmax)
+    c = c_iid if rho is None else c_iid + float(coef @ rho[:kmax])
     clamped = False
     if c < 1e-2 * c_iid:
         c = c_iid
@@ -188,16 +214,3 @@ def es_variance(sigma2_hat: float, cfg: EsConfig,
     var_hat = 2.0 * sigma2_hat**2 * c
     return TimeVarianceEstimate(sigma2_hat, var_hat, c, clamped)
 
-
-def s1_squared(sigma2: float, c: float) -> float:
-    """Asymptotic variance factor c*sigma^4*(e^c + 1)/(e^c - 1) for the
-    smoother with n(1 - lam) -> c; the c -> 0 limit is 2*sigma^4."""
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be nonnegative")
-    if c < 0:
-        raise ValueError("c must be nonnegative")
-    s4 = sigma2 * sigma2
-    if c < 1e-10:
-        return 2.0 * s4
-    # (e^c+1)/(e^c-1) written via exp(-c) to stay finite for large c
-    return c * s4 * (1.0 + math.exp(-c)) / (-math.expm1(-c))

@@ -20,11 +20,11 @@ from dynvol.harness import (DEFAULT_CIR, BacktestDataset, cir_study,
                             _fit_state, _rolling)
 from dynvol.integration import bayes_es, bayes_ma
 from dynvol.sde import RngStream, simulate_cir, to_returns
-from dynvol.state_domain import (StatePairs, _epanechnikov, kernel_density,
-                                 rule_of_thumb_bandwidth, s2_squared,
-                                 xi_weights)
+from dynvol.state_domain import (StatePairs, _epanechnikov,
+                                 rule_of_thumb_bandwidth, xi_weights)
 from dynvol.time_domain import (EsConfig, es_variance, es_weights, exp_smooth,
-                                moving_average, s1_squared)
+                                moving_average)
+from oracles import kernel_density, s1_squared, s2_squared
 
 
 def _intercept(x, resp, x0, h):

@@ -12,25 +12,31 @@ from dynvol.errors import (DegenerateSeriesError, DynvolError, IngestionError,
                            InsufficientHistoryError)
 from dynvol.harness import (DEFAULT_SEMI_GRID, ESTIMATORS, SEMI_FALLBACK_LAM,
                             BacktestDataset, StudyConfig, _eval_state,
-                            _new_counters, _rolling, _SemiSelector, _StateFit,
+                            _fit_state, _new_counters, _rolling,
+                            _SemiSelector, _StateFit,
                             cir_study, gbm_study,
                             ingest_csv, rolling_forecast, run_backtest,
                             run_simulation_study, simulate_series,
                             study_preset, sv_study, write_backtest_outputs,
                             write_study_outputs)
+from dynvol.integration import MATCHED_SHAPE, bayes_es, combine_estimates
 from dynvol.sde import RngStream, simulate_gbm
 from dynvol.state_domain import StatePairs, _epanechnikov
-from dynvol.time_domain import EsConfig, exp_smooth, moving_average
+from dynvol.time_domain import (EsConfig, es_variance, exp_smooth,
+                                moving_average)
+from oracles import acf_direct
 
 SMALL = cir_study(series_len=300, in_sample_len=260, n_reps=3, seed=777)
 
 
 def semi_proxy(y, t: int, n: int,
-               lambda_grid: tuple[float, ...] = DEFAULT_SEMI_GRID) -> float:
+               lambda_grid: tuple[float, ...] = DEFAULT_SEMI_GRID,
+               counters: dict | None = None) -> float:
     """Reference loop for _SemiSelector with window n: score each candidate
     decay by the squared error of its one-step forecasts of y[s]^2 over the
     last n origins, and smooth with the best one; with no finite loss, or
-    all of several candidates tied, smooth with SEMI_FALLBACK_LAM."""
+    all of several candidates tied, smooth with SEMI_FALLBACK_LAM and count
+    it in counters["semi_fallback"] when counters is given."""
     if t - 2 * n < 0:
         raise InsufficientHistoryError(
             f"need {2 * n} observations before origin {t}")
@@ -47,6 +53,8 @@ def semi_proxy(y, t: int, n: int,
     if (not finite.any()) or (losses[finite].max() == losses[finite].min()
                               and len(lambda_grid) > 1):
         lam = SEMI_FALLBACK_LAM
+        if counters is not None:
+            counters["semi_fallback"] += 1
     else:
         lam = lambda_grid[int(np.argmin(np.where(finite, losses, np.inf)))]
     return exp_smooth(y, t, EsConfig(lam, n))
@@ -184,22 +192,60 @@ def test_tracks_do_not_depend_on_roster():
 
 
 def test_rolling_matches_direct_estimator_calls():
+    # every estimator and counter of the loop, step by step, against direct
+    # calls: Integ from the autocorrelation by its definition (acf_direct)
     sim = simulate_series(SMALL, 1)
-    y = sim.returns.y
+    levels, y = sim.levels, sim.returns.y
     first = SMALL.in_sample_len - 1
     m = SMALL.series_len - SMALL.in_sample_len
-    tracks, counters = _rolling(sim.levels, y, SMALL, first, m)
+    tracks, counters = _rolling(levels, y, SMALL, first, m)
+    direct = _new_counters()
+    # the shift of the loop's autocorrelation table
+    shift = float((y[:first] ** 2).mean())
+    eps = np.finfo(float).eps
+    fit, bandwidths = None, None
     for step in range(m):
         i = first + step
         assert tracks["Hist"][step] == moving_average(y, i, SMALL.hist_window)
-        assert tracks["RiskM"][step] == exp_smooth(y, i, SMALL.es)
+        es_val = exp_smooth(y, i, SMALL.es)
+        assert tracks["RiskM"][step] == es_val
         assert tracks["SemiProxy"][step] == pytest.approx(
-            semi_proxy(y, i, SMALL.es.n, SMALL.semi_grid), rel=1e-11)
-    assert counters["nan_steps"] == 0
-    # blends stay inside the convex hull of their ingredients is not
-    # guaranteed stepwise for Integ (weights vary), but values are finite
-    assert np.all(np.isfinite(tracks["NonBay"]))
-    assert np.all(np.isfinite(tracks["Integ"]))
+            semi_proxy(y, i, SMALL.es.n, SMALL.semi_grid, direct), rel=1e-11)
+        if step % SMALL.state_refit_every == 0:
+            fit = _fit_state(levels, y, i, SMALL, bandwidths, direct)
+            if fit is not None:
+                bandwidths = (fit.h1, fit.h)
+        sve = None if fit is None else _eval_state(fit, levels[i], direct)
+        if sve is None:
+            direct["nonbay_es_only"] += 1
+            assert tracks["NonBay"][step] == es_val
+        else:
+            assert tracks["NonBay"][step] == bayes_es(
+                es_val, sve.sigma2_hat, SMALL.es.lam, SMALL.es.n,
+                MATCHED_SHAPE)
+        try:
+            rho, tol = acf_direct(y, i, SMALL.max_lag, shift)
+        except DegenerateSeriesError:
+            direct["nan_steps"] += 1
+            assert np.isnan(tracks["Integ"][step])
+            continue
+        tve = es_variance(es_val, SMALL.es, rho)
+        direct["c_clamped"] += tve.clamped
+        if sve is None:
+            direct["integ_time_only"] += 1
+            assert tracks["Integ"][step] == es_val
+            continue
+        blend = combine_estimates(tve, sve)
+        # the coefficients of rho in c_t are nonnegative and sum to at most
+        # 1, so rho within tol moves c_t by at most tol, and the weight by at
+        # most w (1 - w) times c_t's relative move
+        w = blend.w_time
+        move = 2.0 * tol / tve.c_t + 8.0 * eps
+        bound = (abs(es_val - sve.sigma2_hat) * w * (1.0 - w) * move
+                 + 4.0 * eps * blend.sigma2_hat)
+        assert abs(tracks["Integ"][step] - blend.sigma2_hat) <= bound
+    assert counters == direct
+    assert counters["nonbay_es_only"] < m
 
 
 def test_no_lookahead_in_forecasts():

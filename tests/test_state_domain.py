@@ -13,9 +13,10 @@ from dynvol.errors import (NoCoverageError, SingularDesignError,
 from dynvol.harness import build_state_pairs, cir_study, simulate_series
 from dynvol.state_domain import (CV_GRID, DET_RTOL, NU0, StatePairs,
                                  _epanechnikov, _intercepts_at_data,
-                                 _window_xi, kernel_density, residual_squares,
-                                 rule_of_thumb_bandwidth, s2_squared,
-                                 select_bandwidth, state_variance, xi_weights)
+                                 _window_xi, residual_squares,
+                                 rule_of_thumb_bandwidth, select_bandwidth,
+                                 state_variance, xi_weights)
+from oracles import kernel_density, s2_squared
 
 
 def _intercept(x, resp, x0, h):
@@ -198,7 +199,7 @@ def test_cv_improves_over_worst_candidate_on_rough_signal():
 # ---------------------------------------------------------------------------
 # prefix-sum engine against the dense oracle
 
-def _dense_intercepts(x, resp, h, loo, chunk=1024):
+def _dense_intercepts(x, resp, h, loo, chunk=256):
     """Direct O(N^2) local-linear intercepts at the design points: the full
     kernel matrix, one chunk of query columns at a time. Also returns each
     valid design's condition h^2 V0^2 / det (at most 1 / DET_RTOL)."""
@@ -330,6 +331,21 @@ def test_prefix_engine_single_other_level_is_singular():
     assert np.isnan(got[0])
     full = _assert_matches_oracle(x, resp, 1.0, False)
     assert np.isfinite(full[0])
+
+
+def test_prefix_engine_matches_oracle_on_a_long_design_with_wide_windows():
+    # blocks are bounded by width only, so one window covers many blocks:
+    # 5,000 random-walk levels with ties, windows of 20-60% of the design
+    rng = np.random.default_rng(11)
+    x = np.round(np.cumsum(rng.standard_normal(5000)) * 0.01, 3)
+    y = rng.standard_normal(x.size) * (0.5 + np.abs(x))
+    xs = np.sort(x)
+    for frac, loo in ((0.08, True), (0.25, False)):
+        h = frac * (xs[-1] - xs[0])
+        held = np.searchsorted(xs, xs + h) - np.searchsorted(xs, xs - h)
+        assert np.median(held) >= 0.2 * x.size
+        _assert_matches_oracle(x, y, h, loo)
+        _assert_matches_oracle(x, y * y, h, loo)
 
 
 def test_prefix_engine_keeps_weights_of_a_few_ulps_at_the_edge():

@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from dynvol.errors import DegenerateSeriesError, InsufficientHistoryError
 from dynvol.time_domain import (EsConfig, _es_weights_rev, autocorr_sq,
                                 es_variance, es_weights, exp_smooth,
-                                moving_average, s1_squared)
+                                moving_average)
+from oracles import acf_direct, s1_squared
 
 
 def test_moving_average_hand_value():
@@ -84,6 +87,87 @@ def test_autocorr_rejects_constant_squares():
 def test_autocorr_needs_enough_points():
     with pytest.raises(InsufficientHistoryError):
         autocorr_sq(np.arange(10.0), 10, max_lag=30)
+
+
+def test_autocorr_table_rejects_short_origins_and_bad_arguments():
+    y = np.random.default_rng(1).standard_normal(50)
+    with pytest.raises(InsufficientHistoryError, match="have 6"):
+        autocorr_sq(y, np.array([20, 6, 40]), max_lag=5)
+    with pytest.raises(InsufficientHistoryError, match="have 50"):
+        autocorr_sq(y, np.array([20, 51]), max_lag=5)
+    for bad in (np.array([], dtype=int), np.array([20.0]), np.ones((2, 2), int)):
+        with pytest.raises(ValueError):
+            autocorr_sq(y, bad, max_lag=5)
+
+
+# a series is a run of segments: noise at a scale, zero returns, returns of
+# one magnitude (constant squares), or noise with one spike
+_segment = st.tuples(st.sampled_from(["noise", "zero", "const", "spike"]),
+                     st.integers(1, 40), st.integers(-3, 3))
+
+
+def _series(segments, seed):
+    rng = np.random.default_rng(seed)
+    parts = []
+    for kind, n, e in segments:
+        if kind == "zero":
+            parts.append(np.zeros(n))
+        elif kind == "const":
+            parts.append(rng.choice([-1.0, 1.0], n) * 10.0**e)
+        else:
+            part = rng.standard_normal(n) * 10.0**e
+            if kind == "spike":
+                part[rng.integers(n)] = 10.0 ** (e + 4)
+            parts.append(part)
+    return np.concatenate(parts)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(segments=st.lists(_segment, min_size=1, max_size=8),
+       max_lag=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_autocorr_table_matches_direct_definition(segments, max_lag, seed,
+                                                  data):
+    y = _series(segments, seed)
+    assume(y.size >= max_lag + 2)
+    origins = np.array(data.draw(st.lists(
+        st.integers(max_lag + 2, y.size), min_size=1, max_size=12)))
+    table = autocorr_sq(y, origins, max_lag)
+    assert table.shape == (origins.size, max_lag)
+    shift = float((y[:origins.min()] ** 2).mean())
+    for t, row in zip(origins.tolist(), table):
+        try:
+            want, tol = acf_direct(y, t, max_lag, shift)
+        except DegenerateSeriesError:
+            assert np.all(np.isnan(row))
+            with pytest.raises(DegenerateSeriesError):
+                autocorr_sq(y, t, max_lag)
+            continue
+        assert np.all(np.abs(row - want) <= tol)
+        # the int form is the one-row table, shifted by its own mean
+        _, own_tol = acf_direct(y, t, max_lag, float((y[:t] ** 2).mean()))
+        assert np.all(np.abs(autocorr_sq(y, t, max_lag) - want) <= own_tol)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(segments=st.lists(_segment, min_size=1, max_size=8),
+       max_lag=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_autocorr_table_row_reads_no_later_returns(segments, max_lag, seed,
+                                                   data):
+    y = _series(segments, seed)
+    assume(y.size >= max_lag + 3)
+    origins = np.array(data.draw(st.lists(
+        st.integers(max_lag + 2, y.size), min_size=1, max_size=12)))
+    cut = data.draw(st.sampled_from(origins.tolist()))
+    altered = y.copy()
+    altered[cut:] = 7.0 * altered[cut:] + 3.0
+    before = origins <= cut
+    assert np.array_equal(autocorr_sq(y, origins, max_lag)[before],
+                          autocorr_sq(altered, origins, max_lag)[before],
+                          equal_nan=True)
 
 
 def _c_brute(lam, n, rho):
