@@ -5,12 +5,15 @@
     dynvol config --dump [--model sv]
 
 Config files are flat key=value lines (as printed by `config --dump`);
-command-line flags override file values.
+command-line flags override file values. Progress and summaries go to
+standard output through the "dynvol" logger, at INFO level unless --quiet;
+an error is one `error:` line on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 import time
 from dataclasses import replace
@@ -22,6 +25,8 @@ from .harness import (FREQUENCY_DELTA, StudyConfig, ingest_csv, run_backtest,
 from .time_domain import EsConfig
 
 FULL_SCALE_REPS = 600
+
+log = logging.getLogger("dynvol")
 
 
 def _dump_config(cfg: StudyConfig) -> str:
@@ -183,6 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bt.add_argument("--estimators", default=None)
     bt.add_argument("--config", default=None)
     bt.add_argument("--out", required=True)
+    bt.add_argument("--quiet", action="store_true")
 
     cf = sub.add_parser("config", help="print resolved defaults")
     cf.add_argument("--dump", action="store_true", required=True)
@@ -192,6 +198,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    # progress and summaries are INFO records of the "dynvol" logger
+    handler = logging.StreamHandler(sys.stdout)
+    level = log.level
+    log.addHandler(handler)
+    log.setLevel(logging.WARNING if getattr(args, "quiet", False)
+                 else logging.INFO)
     try:
         if args.command == "config":
             sys.stdout.write(_dump_config(study_preset(args.model)))
@@ -204,11 +216,10 @@ def main(argv: list[str] | None = None) -> int:
                 cfg = replace(cfg, n_reps=FULL_SCALE_REPS)
             cfg = _apply_overrides(cfg, _collect_cli_opts(args))
             t0 = time.time()
-            result = run_simulation_study(cfg, progress=not args.quiet)
+            result = run_simulation_study(cfg)
             write_study_outputs(result, args.out)
-            if not args.quiet:
-                print(f"{cfg.n_reps} replications in {time.time() - t0:.1f}s; "
-                      f"outputs in {args.out}")
+            log.info("%d replications in %.1fs; outputs in %s", cfg.n_reps,
+                     time.time() - t0, args.out)
             return 0
         if args.command == "backtest":
             split = args.in_sample_end
@@ -227,11 +238,14 @@ def main(argv: list[str] | None = None) -> int:
                                   "parameters, which a backtest does not use")
             result = run_backtest(data, cfg)
             write_backtest_outputs(result, args.out)
-            print(f"backtest of {data.name}: outputs in {args.out}")
+            log.info("backtest of %s: outputs in %s", data.name, args.out)
             return 0
     except (DynvolError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
     return 2
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import logging
 import math
 import os
 from dataclasses import dataclass, field, replace
@@ -43,10 +44,12 @@ from .integration import MATCHED_SHAPE, bayes_es, combine_estimates
 from .sde import (CirParams, GbmParams, ReturnSeries, RngStream, SvParams,
                   levels_from_returns, simulate_cir, simulate_gbm, simulate_sv,
                   to_returns)
-from .state_domain import (StatePairs, _intercepts_at_data, _window_xi,
-                           residual_squares, select_bandwidth, state_variance)
+from .state_domain import (DriftFit, StatePairs, _window_xi, select_bandwidth,
+                           state_variance)
 from .time_domain import (EsConfig, autocorr_sq, es_variance, es_weights,
                           exp_smooth, moving_average)
+
+log = logging.getLogger("dynvol")
 
 # fewest pairs the state-domain fit is made from
 MIN_STATE_PAIRS = 20
@@ -257,12 +260,14 @@ class _SemiSelector:
 
 class _StateFit(NamedTuple):
     """Frozen state-domain dataset, sorted by level, and bandwidths between
-    refits."""
+    refits; drift is the h1 drift fit the next refit extends (None for a
+    dataset made by hand)."""
 
     pairs: StatePairs
     h1: float
     h: float
     eps_var: float
+    drift: DriftFit | None = None
 
 
 def build_state_pairs(levels: np.ndarray, y: np.ndarray, origin: int,
@@ -275,26 +280,26 @@ def build_state_pairs(levels: np.ndarray, y: np.ndarray, origin: int,
     return levels[:keep], y[:keep]
 
 
-def _fit_state(levels, y, origin, cfg: StudyConfig, bandwidths,
+def _fit_state(levels, y, origin, cfg: StudyConfig, prev: _StateFit | None,
                counters) -> _StateFit | None:
+    """State-domain fit at `origin`. With prev None the bandwidths are
+    selected and the drift fitted from scratch; otherwise prev is the fit at
+    an earlier origin of the same series, whose bandwidths stay and whose
+    drift fit takes in the pairs added since."""
     x, yy = build_state_pairs(levels, y, origin, cfg.es.n)
     if x.size < MIN_STATE_PAIRS:
         return None
-    if bandwidths is None:
+    if prev is None:
         h1, h = select_bandwidth(x, yy)
+        drift = DriftFit.from_scratch(x, yy, h1)
     else:
-        h1, h = bandwidths
-    # sorted by level once per refit for the per-step windowed query
-    order = np.argsort(x, kind="stable")
-    x, yy = x[order], yy[order]
-    drift = _intercepts_at_data(x, yy, h1, loo=False)
-    nbad = int(np.count_nonzero(~np.isfinite(drift)))
-    if nbad:
-        counters["drift_fallback"] += nbad
-        drift = np.where(np.isfinite(drift), drift, 0.0)
-    resp = residual_squares(yy, drift)
-    eps_var = 1e-12 * float(np.var(resp))
-    return _StateFit(StatePairs(x, resp), h1, h, eps_var)
+        h1, h = prev.h1, prev.h
+        done = prev.pairs.count
+        drift = prev.drift.extend(x[done:], yy[done:])
+    counters["drift_fallback"] += int(
+        np.count_nonzero(~np.isfinite(drift.drift)))
+    eps_var = 1e-12 * float(np.var(drift.resid2))
+    return _StateFit(StatePairs(drift.x, drift.resid2), h1, h, eps_var, drift)
 
 
 def _eval_state(fit: _StateFit, x0: float, counters):
@@ -349,7 +354,6 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
     acf = (autocorr_sq(y, np.arange(first, first + n_steps), cfg.max_lag)
            if "Integ" in ests else None)
     fit = None
-    bandwidths = None
     lam, n = cfg.es.lam, cfg.es.n
 
     for step in range(n_steps):
@@ -357,9 +361,7 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
         # counters goes by keyword to _fit_state and _eval_state: the count
         # hooks of perfbench/tracer.py look it up by name
         if need_state and step % cfg.state_refit_every == 0:
-            fit = _fit_state(levels, y, i, cfg, bandwidths, counters=counters)
-            if fit is not None:
-                bandwidths = (fit.h1, fit.h)
+            fit = _fit_state(levels, y, i, cfg, fit, counters=counters)
         # _check_history and the stretch check above keep every window
         # below in range
         if "Hist" in ests:
@@ -455,9 +457,10 @@ def _score(tracks: dict[str, np.ndarray], y_out: np.ndarray,
     return mask, vals
 
 
-def run_simulation_study(cfg: StudyConfig, progress: bool = False) -> StudyResult:
+def run_simulation_study(cfg: StudyConfig) -> StudyResult:
     """Monte Carlo study: per-replication measures, scores, and the per-step
-    mean absolute error curve.
+    mean absolute error curve. Each finished replication is logged at INFO
+    level on the "dynvol" logger.
 
     Steps where any estimator's forecast is not finite are excluded from
     every estimator's measures, keeping the comparison fair; the count is
@@ -497,8 +500,7 @@ def run_simulation_study(cfg: StudyConfig, progress: bool = False) -> StudyResul
         err = np.abs(np.column_stack([tracks[e] for e in ests]) - truth[:, None])
         curve_sum[mask] += err[mask]
         curve_cnt[mask] += 1.0
-        if progress:
-            print(f"rep {rep + 1}/{cfg.n_reps} done")
+        log.info("rep %d/%d done", rep + 1, cfg.n_reps)
 
     if not rows["made"]:
         rep, reason = next(iter(failed.items()))

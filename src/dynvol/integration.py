@@ -13,36 +13,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DegenerateCaseWarning
 
-# shape of the moment-matched inverse-gamma prior (match_hyperparams);
-# the NonBay estimator is bayes_es at this shape
+# shape of the moment-matched inverse-gamma prior: matching its mean and
+# variance to s and 2 s^2 gives a = 2.5; the NonBay estimator is bayes_es
+# at this shape
 MATCHED_SHAPE = 2.5
-
-
-@dataclass(frozen=True)
-class IgPrior:
-    """Inverse-gamma prior on the variance; mean b/(a-1), needs a > 2 for a
-    finite prior variance. b = 0 is a degenerate (point-at-zero-mean) prior."""
-
-    a: float
-    b: float
-
-    def __post_init__(self):
-        if not self.a > 2.0:
-            raise ValueError("shape a must exceed 2")
-        if self.b < 0.0:
-            raise ValueError("rate b must be nonnegative")
-
-    @property
-    def mean(self) -> float:
-        return self.b / (self.a - 1.0)
-
-    @property
-    def variance(self) -> float:
-        return self.b**2 / ((self.a - 1.0) ** 2 * (self.a - 2.0))
 
 
 @dataclass(frozen=True)
@@ -97,23 +73,9 @@ def combine_estimates(tve, sve) -> IntegratedEstimate:
                      var_time=tve.var_hat, var_state=sve.var_hat)
 
 
-def ig_posterior(prior: IgPrior, window: np.ndarray) -> IgPrior:
-    """Posterior after observing zero-mean normal data with unknown variance:
-    a' = a + n/2, b' = b + sum(y^2)/2."""
-    y = np.asarray(window, dtype=float)
-    return IgPrior(prior.a + 0.5 * y.size, prior.b + 0.5 * float(np.dot(y, y)))
-
-
-def bayes_ma(ma_est: float, prior_mean: float, n: int, a: float) -> float:
-    """Posterior-mean shrinkage of the moving average toward the prior mean;
-    weights n/(n + 2(a-1)) and 2(a-1)/(n + 2(a-1)). This is bayes_es at
-    lam = 1."""
-    return bayes_es(ma_est, prior_mean, 1.0, n, a)
-
-
 def _window_mass(lam: float, n: int) -> tuple[float, float]:
-    """(u, v) with effective_n = u/v: (1 - lam^n, 1 - lam), or (n, 1) at
-    lam = 1."""
+    """(u, v) with the smoother's equivalent window size u/v: (1 - lam^n,
+    1 - lam), or (n, 1) at lam = 1."""
     if not (0.0 < lam <= 1.0):
         raise ValueError("lam must lie in (0, 1]")
     if n < 1:
@@ -123,25 +85,18 @@ def _window_mass(lam: float, n: int) -> tuple[float, float]:
     return 1.0 - lam**n, 1.0 - lam
 
 
-def effective_n(lam: float, n: int) -> float:
-    """Equivalent window size of the smoother: (1 - lam^n)/(1 - lam); lam = 1
-    gives exactly n."""
-    u, v = _window_mass(lam, n)
-    return u / v
-
-
 def bayes_es(es_est: float, prior_mean: float, lam: float, n: int,
              a: float) -> float:
     """Posterior-mean shrinkage of the smoothed estimator toward the prior
-    mean, with the equivalent window size m = effective_n(lam, n) in place
-    of n: (m ES + k S)/(m + k), k = 2(a-1). Multiplied through by 1 - lam,
+    mean, with the smoother's equivalent window size m = (1 - lam^n) /
+    (1 - lam) in place of n: (m ES + k S)/(m + k), k = 2(a-1). Multiplied through by 1 - lam,
 
         (1-lam^n) ES + k (1-lam) S
         --------------------------
           (1-lam^n) + k (1-lam)
 
-    and lam = 1 takes m = n, which is bayes_ma; the value is continuous in
-    lam up to 1. With the moment-matched prior (a = MATCHED_SHAPE, k = 3)
+    and lam = 1 takes m = n, the moving-average case; the value is
+    continuous in lam up to 1. With the moment-matched prior (a = MATCHED_SHAPE, k = 3)
     this is the NonBay estimator.
     """
     u, v = _window_mass(lam, n)
@@ -151,24 +106,3 @@ def bayes_es(es_est: float, prior_mean: float, lam: float, n: int,
         raise ValueError("estimates must be nonnegative")
     kv = 2.0 * (a - 1.0) * v
     return (u * es_est + kv * prior_mean) / (u + kv)
-
-
-def match_hyperparams(state_est: float) -> IgPrior:
-    """Moment-matched prior centered at the state-domain estimate: matching
-    mean b/(a-1) = s and variance b^2/((a-1)^2 (a-2)) = 2 s^2 gives a = 2.5,
-    b = 1.5 s."""
-    if state_est < 0:
-        raise ValueError("state_est must be nonnegative")
-    if state_est == 0.0:
-        warnings.warn("state estimate is zero; prior is degenerate",
-                      DegenerateCaseWarning, stacklevel=2)
-    return IgPrior(MATCHED_SHAPE, (MATCHED_SHAPE - 1.0) * state_est)
-
-
-def efficiency_ratios(d: float, s1_sq: float, s2_sq: float) -> tuple[float, float]:
-    """Asymptotic efficiency of the integrated estimator over each component:
-    (1 + d s2^2/s1^2, 1 + s1^2/(d s2^2)). The two excesses multiply to 1."""
-    if not (d > 0 and s1_sq > 0 and s2_sq > 0):
-        raise ValueError("d, s1_sq, s2_sq must all be positive")
-    r = d * s2_sq / s1_sq
-    return 1.0 + r, 1.0 + 1.0 / r

@@ -18,13 +18,13 @@ from dynvol.harness import (DEFAULT_CIR, BacktestDataset, cir_study,
                             gbm_study, run_backtest, run_simulation_study,
                             simulate_series, sv_study, write_study_outputs,
                             _fit_state, _rolling)
-from dynvol.integration import bayes_es, bayes_ma
+from dynvol.integration import bayes_es
 from dynvol.sde import RngStream, simulate_cir, to_returns
 from dynvol.state_domain import (StatePairs, _epanechnikov,
                                  rule_of_thumb_bandwidth, xi_weights)
 from dynvol.time_domain import (EsConfig, es_variance, es_weights, exp_smooth,
                                 moving_average)
-from oracles import kernel_density, s1_squared, s2_squared
+from oracles import bayes_ma, kernel_density, s1_squared, s2_squared
 
 
 def _intercept(x, resp, x0, h):

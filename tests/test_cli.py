@@ -1,6 +1,7 @@
 """Command-line entry points, config files, output files."""
 
 import datetime as dt
+import logging
 import os
 import subprocess
 import sys
@@ -124,6 +125,24 @@ def test_backtest_end_to_end(tmp_path, levels_csv, capsys):
     for name in ("report.csv", "report.txt", "per_rep.csv"):
         assert (out / name).is_file()
     assert "outputs in" in capsys.readouterr().out
+
+
+def test_progress_and_summaries_are_logged_unless_quiet(tmp_path, levels_csv,
+                                                        capsys):
+    loud = [a for a in SIM_ARGS if a != "--quiet"]
+    assert main(loud + ["--out", str(tmp_path / "s")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["rep 1/2 done", "rep 2/2 done"]
+    assert "outputs in" in lines[2]
+    f = tmp_path / "bt.cfg"
+    f.write_text("er_window = 60\n")
+    assert main(["backtest", "--data", str(levels_csv), "--in-sample-end",
+                 "220", "--config", str(f), "--out", str(tmp_path / "b"),
+                 "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "b" / "report.csv").is_file()
+    # main leaves the library's logger as it found it
+    assert not logging.getLogger("dynvol").handlers
 
 
 def test_backtest_missing_file_is_clean_error(tmp_path, capsys):

@@ -3,15 +3,21 @@
 import csv
 import math
 import os
+from contextlib import nullcontext
 from statistics import NormalDist
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from dynvol.errors import (DegenerateSeriesError, DynvolError, IngestionError,
                            InsufficientHistoryError)
-from dynvol.harness import (DEFAULT_SEMI_GRID, ESTIMATORS, SEMI_FALLBACK_LAM,
-                            BacktestDataset, StudyConfig, _eval_state,
+from dynvol import harness
+from dynvol.harness import (DEFAULT_SEMI_GRID, ESTIMATORS, MIN_STATE_PAIRS,
+                            SEMI_FALLBACK_LAM, BacktestDataset, StudyConfig,
+                            _eval_state, build_state_pairs,
                             _fit_state, _new_counters, _rolling,
                             _SemiSelector, _StateFit,
                             cir_study, gbm_study,
@@ -21,10 +27,10 @@ from dynvol.harness import (DEFAULT_SEMI_GRID, ESTIMATORS, SEMI_FALLBACK_LAM,
                             write_study_outputs)
 from dynvol.integration import MATCHED_SHAPE, bayes_es, combine_estimates
 from dynvol.sde import RngStream, simulate_gbm
-from dynvol.state_domain import StatePairs, _epanechnikov
+from dynvol.state_domain import StatePairs, _epanechnikov, _intercepts_at_data
 from dynvol.time_domain import (EsConfig, es_variance, exp_smooth,
                                 moving_average)
-from oracles import acf_direct
+from oracles import ORACLE_TOL, acf_direct
 
 SMALL = cir_study(series_len=300, in_sample_len=260, n_reps=3, seed=777)
 
@@ -203,7 +209,7 @@ def test_rolling_matches_direct_estimator_calls():
     # the shift of the loop's autocorrelation table
     shift = float((y[:first] ** 2).mean())
     eps = np.finfo(float).eps
-    fit, bandwidths = None, None
+    fit = None
     for step in range(m):
         i = first + step
         assert tracks["Hist"][step] == moving_average(y, i, SMALL.hist_window)
@@ -212,9 +218,7 @@ def test_rolling_matches_direct_estimator_calls():
         assert tracks["SemiProxy"][step] == pytest.approx(
             semi_proxy(y, i, SMALL.es.n, SMALL.semi_grid, direct), rel=1e-11)
         if step % SMALL.state_refit_every == 0:
-            fit = _fit_state(levels, y, i, SMALL, bandwidths, direct)
-            if fit is not None:
-                bandwidths = (fit.h1, fit.h)
+            fit = _fit_state(levels, y, i, SMALL, fit, direct)
         sve = None if fit is None else _eval_state(fit, levels[i], direct)
         if sve is None:
             direct["nonbay_es_only"] += 1
@@ -246,6 +250,68 @@ def test_rolling_matches_direct_estimator_calls():
         assert abs(tracks["Integ"][step] - blend.sigma2_hat) <= bound
     assert counters == direct
     assert counters["nonbay_es_only"] < m
+
+
+# A grown drift fit and a fit from scratch on the same pairs are each
+# within the engine's bound of the exact fit, so within twice it of each
+# other.
+GROWN_TOL = 2.0 * ORACLE_TOL
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(steps=st.lists(st.integers(-2, 2), min_size=30, max_size=140),
+       spacing=st.sampled_from([1e-3, 0.05, 0.3, 1.0]),
+       offset=st.sampled_from([0.0, -7.5, 1e4]),
+       jump=st.sampled_from([0, -40, 40]),
+       jump_at=st.floats(0.0, 1.0),
+       hmul=st.sampled_from([None, 0.5, 1.0, 1.5, 3.0, 7.3]),
+       every=st.integers(1, 8))
+def test_drift_refit_walk_forward_matches_a_fit_from_scratch(
+        steps, spacing, offset, jump, jump_at, hmul, every):
+    # lattice levels: ties, constant stretches with zero returns, and a jump
+    # that takes later levels below or above every level before it; the
+    # bandwidth is the loop's own choice or a multiple of the lattice
+    # spacing, which puts neighbours on the edge of the kernel's support
+    k = np.cumsum(steps)
+    k[int(jump_at * k.size):] += jump
+    levels = offset + spacing * k.astype(float)
+    y = np.diff(levels)
+    cfg = StudyConfig(model="External", series_len=levels.size,
+                      in_sample_len=levels.size - 1, es=EsConfig(0.94, 4),
+                      state_refit_every=every)
+    first = cfg.es.n + MIN_STATE_PAIRS
+    if hmul is None:
+        assume(np.ptp(levels[:MIN_STATE_PAIRS]) > 0.0)
+        frozen = nullcontext()
+    else:
+        frozen = mock.patch.object(harness, "select_bandwidth",
+                                   lambda x, yy: (hmul * spacing,) * 2)
+    fit = None
+    counters = _new_counters()
+    for origin in range(first, y.size + 1, cfg.state_refit_every):
+        before = counters["drift_fallback"]
+        with frozen:
+            fit = _fit_state(levels, y, origin, cfg, fit, counters=counters)
+        x, yy = build_state_pairs(levels, y, origin, cfg.es.n)
+        order = np.argsort(x, kind="stable")
+        xs, ys = x[order], yy[order]
+        want = _intercepts_at_data(xs, ys, fit.h1, loo=False)
+        got = fit.drift.drift
+        bad = ~np.isfinite(want)
+        assert np.array_equal(fit.pairs.x, xs)
+        assert np.array_equal(~np.isfinite(got), bad)
+        assert counters["drift_fallback"] - before == np.count_nonzero(bad)
+        v0, v1, v2 = fit.drift.moments[:3]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = np.where(v2 > 0.0, v0 * v0 / (v0 * v2 - v1 * v1), 1.0)
+        tol = GROWN_TOL * np.abs(ys).max() * np.maximum(cond, 1.0)
+        assert np.all(np.abs(got - want)[~bad] <= tol[~bad])
+        # resp = (y - drift)^2 moves by at most (2|y - drift| + tol) tol
+        r = ys - np.where(bad, 0.0, want)
+        move = np.where(bad, 0.0, (2.0 * np.abs(r) + tol) * tol)
+        assert np.all(np.abs(fit.pairs.resp - r * r) <= move)
+    assert fit is not None
 
 
 def test_no_lookahead_in_forecasts():

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from dynvol.errors import DegenerateCaseWarning
-from dynvol.integration import (MATCHED_SHAPE, IgPrior, bayes_es, bayes_ma,
-                                combine_estimates, dynamic_weight, effective_n,
-                                efficiency_ratios, ig_posterior, integrate,
-                                match_hyperparams)
+from dynvol.integration import (MATCHED_SHAPE, bayes_es, combine_estimates,
+                                dynamic_weight, integrate)
 from dynvol.state_domain import state_variance
 from dynvol.time_domain import EsConfig, es_variance
+from oracles import (IgPrior, bayes_ma, effective_n, efficiency_ratios,
+                     ig_posterior, match_hyperparams)
 
 
 def test_dynamic_weight_hand_value():

@@ -9,12 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dynvol.errors import NoCoverageError, SingularDesignError
-from dynvol.integration import (MATCHED_SHAPE, bayes_es, bayes_ma,
-                                combine_estimates, dynamic_weight)
+from dynvol.integration import (MATCHED_SHAPE, bayes_es, combine_estimates,
+                                dynamic_weight)
 from dynvol.state_domain import (StatePairs, StateVarianceEstimate,
                                  _epanechnikov, xi_weights)
 from dynvol.time_domain import (EsConfig, TimeVarianceEstimate, exp_smooth,
                                 moving_average)
+from oracles import bayes_ma
 
 EPS = np.finfo(float).eps
 

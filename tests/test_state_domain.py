@@ -16,7 +16,7 @@ from dynvol.state_domain import (CV_GRID, DET_RTOL, NU0, StatePairs,
                                  _window_xi, residual_squares,
                                  rule_of_thumb_bandwidth, select_bandwidth,
                                  state_variance, xi_weights)
-from oracles import kernel_density, s2_squared
+from oracles import ORACLE_TOL, kernel_density, s2_squared
 
 
 def _intercept(x, resp, x0, h):
@@ -256,12 +256,7 @@ def _dense_xi(x, x0, h):
 
 
 # The prefix-sum engine gives the oracle's NaN pattern exactly, and its
-# values within ORACLE_TOL * max|resp| * max(1, cond), cond being the
-# design's condition h^2 V0^2 / det. The deviation is rounding amplified by
-# the conditioning, which the oracle suffers as much: on these cases and on
-# 5000 more random ones the worst seen is 2.4e-13 of that bound; on 20 rate
-# paths it is 3.9e-11 of max|resp|, 1.1e-8 relative on intercepts near zero.
-ORACLE_TOL = 1e-11
+# values within ORACLE_TOL (tests/oracles.py) * max|resp| * max(1, cond).
 
 
 def _assert_matches_oracle(x, resp, h, loo):
