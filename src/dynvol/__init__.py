@@ -5,10 +5,9 @@ estimated sampling variances."""
 from .errors import (DegenerateCaseWarning, DegenerateSeriesError, DynvolError,
                      IngestionError, InsufficientHistoryError, NoCoverageError,
                      SingularDesignError, TooFewPointsError)
-from .harness import (StudyConfig, cir_study, gbm_study, ingest_csv,
-                      rolling_forecast, run_backtest, run_simulation_study,
-                      study_preset, sv_study, write_backtest_outputs,
-                      write_study_outputs)
+from .harness import (StudyConfig, ingest_csv, rolling_forecast, run_backtest,
+                      run_simulation_study, study_preset,
+                      write_backtest_outputs, write_study_outputs)
 from .integration import combine_estimates
 from .sde import GbmParams, RngStream, simulate_gbm
 from .state_domain import (StatePairs, select_bandwidth, state_variance,

@@ -16,160 +16,159 @@ import argparse
 import logging
 import sys
 import time
+from collections import namedtuple
 from dataclasses import replace
+from operator import attrgetter
 
 from .errors import DynvolError
-from .harness import (FREQUENCY_DELTA, StudyConfig, ingest_csv, run_backtest,
-                      run_simulation_study, study_preset,
+from .harness import (_PRESETS, FREQUENCY_DELTA, StudyConfig, ingest_csv,
+                      run_backtest, run_simulation_study, study_preset,
                       write_backtest_outputs, write_study_outputs)
-from .time_domain import EsConfig
 
 FULL_SCALE_REPS = 600
 
 log = logging.getLogger("dynvol")
 
 
+# A config key, the StudyConfig attribute it sets ("es.lam" is cfg.es.lam),
+# its command-line flag or None, and whether a backtest reads it
+_Key = namedtuple("_Key", "key attr flag backtest")
+_MODEL = _Key("model", "model", None, False)
+_WINDOW = _Key("window", "es.n", "--window", True)
+_HIST_WINDOW = _Key("hist_window", "hist_window", None, True)
+# in the order `config --dump` prints them
+_SETTINGS = (
+    _MODEL,
+    _Key("delta", "delta", None, False),
+    _Key("series_len", "series_len", "--series-len", False),
+    _Key("in_sample_len", "in_sample_len", "--in-sample", False),
+    _Key("n_reps", "n_reps", "--reps", False),
+    _Key("estimators", "estimators", "--estimators", True),
+    _Key("lambda", "es.lam", "--lambda", True),
+    _WINDOW,
+    _HIST_WINDOW,
+    _Key("refit_every", "state_refit_every", "--refit-every", True),
+    _Key("alpha", "alpha", "--alpha", True),
+    _Key("seed", "seed", "--seed", False),
+    _Key("trim_upper", "trim_upper", "--trim", False),
+    _Key("semi_grid", "semi_grid", None, True),
+    _Key("max_lag", "max_lag", None, True),
+    _Key("er_window", "er_window", None, True),
+)
+_ATTRS = {k.key: k.attr for k in _SETTINGS}
+_BACKTEST_READS = frozenset(k.key for k in _SETTINGS if k.backtest)
+_PARAM = "param_"
+
+
+def _values(cfg: StudyConfig) -> dict:
+    """Every config key's value in cfg; `param_<name>` keys hold the
+    model's parameters."""
+    out = {k.key: attrgetter(k.attr)(cfg) for k in _SETTINGS}
+    out.update((_PARAM + name, v) for name, v in vars(cfg.params()).items())
+    return out
+
+
+def _format(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(map(_format, value))
+    return value if isinstance(value, str) else repr(value)
+
+
+def _parse(key: str, text: str, current):
+    """text as the type of the key's current value; a tuple's items are
+    comma-separated and take the type of its first item."""
+    try:
+        if isinstance(current, tuple):
+            return tuple(type(current[0])(s.strip()) for s in text.split(","))
+        return type(current)(text)
+    except ValueError:
+        raise DynvolError(f"bad value for config key {key}: {text!r}") from None
+
+
 def _dump_config(cfg: StudyConfig) -> str:
-    p = cfg.params()
-    lines = [
-        f"model = {cfg.model}",
-        f"delta = {cfg.delta!r}",
-        f"series_len = {cfg.series_len}",
-        f"in_sample_len = {cfg.in_sample_len}",
-        f"n_reps = {cfg.n_reps}",
-        f"estimators = {','.join(cfg.estimators)}",
-        f"lambda = {cfg.es.lam!r}",
-        f"window = {cfg.es.n}",
-        f"hist_window = {cfg.hist_window}",
-        f"refit_every = {cfg.state_refit_every}",
-        f"alpha = {cfg.alpha!r}",
-        f"seed = {cfg.seed}",
-        f"trim_upper = {cfg.trim_upper!r}",
-        f"semi_grid = {','.join(repr(v) for v in cfg.semi_grid)}",
-        f"max_lag = {cfg.max_lag}",
-        f"er_window = {cfg.er_window}",
-    ]
-    for k, v in vars(p).items():
-        lines.append(f"param_{k} = {v!r}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_format(v)}\n"
+                   for key, v in _values(cfg).items())
 
 
 def _read_config_file(path: str) -> dict:
-    out = {}
+    out, lines = {}, {}
     with open(path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if "=" not in line:
                 raise DynvolError(f"bad config line: {raw.rstrip()}")
-            k, v = line.split("=", 1)
-            out[k.strip()] = v.strip()
+            key, value = (s.strip() for s in line.split("=", 1))
+            if key in lines:
+                raise DynvolError(f"config key {key} is set twice, on lines "
+                                  f"{lines[key]} and {lineno} of {path}")
+            out[key], lines[key] = value, lineno
     return out
-
-
-# config keys with a plain conversion; config file names on the left
-_SIMPLE_KEYS = {"series_len": int, "in_sample_len": int, "n_reps": int,
-                "refit_every": int, "hist_window": int, "alpha": float,
-                "seed": int, "trim_upper": float, "max_lag": int,
-                "er_window": int, "delta": float}
-_RENAME = {"refit_every": "state_refit_every"}
-_KEYS = frozenset(_SIMPLE_KEYS) | {"model", "lambda", "window", "estimators",
-                                   "semi_grid"}
-
-
-def _convert(key: str, conv, text: str):
-    try:
-        return conv(text)
-    except ValueError:
-        raise DynvolError(f"bad value for config key {key}: {text!r}") from None
 
 
 def _apply_overrides(cfg: StudyConfig, opts: dict) -> StudyConfig:
     """Apply key=value settings; an unknown key is an error, never ignored.
-
-    `model` must name the preset in use. `param_<name>` keys set the
-    model's parameters (the fields that `config --dump` lists).
-    """
-    unknown = sorted(k for k in opts
-                     if k not in _KEYS and not k.startswith("param_"))
-    if unknown:
-        raise DynvolError(f"unknown config key: {', '.join(unknown)}")
-    if "model" in opts and opts["model"].upper() != cfg.model:
-        raise DynvolError(f"config key model = {opts['model']} does not match "
+    The model key must name the preset in use; the window key also sets
+    hist_window unless that is given too."""
+    model = opts.get(_MODEL.key, cfg.model)
+    if model.upper() != cfg.model:
+        raise DynvolError(f"config key {_MODEL.key} = {model} does not match "
                           f"the {cfg.model} preset in use")
-    es = cfg.es
-    if "lambda" in opts:
-        es = EsConfig(_convert("lambda", float, opts["lambda"]), es.n)
-    if "window" in opts:
-        es = EsConfig(es.lam, _convert("window", int, opts["window"]))
-    fields = {}
-    if es is not cfg.es:
-        fields["es"] = es
-        if "window" in opts:
-            fields["hist_window"] = es.n
-    for key, conv in _SIMPLE_KEYS.items():
-        if key in opts:
-            fields[_RENAME.get(key, key)] = _convert(key, conv, opts[key])
-    if "estimators" in opts:
-        fields["estimators"] = tuple(s.strip()
-                                     for s in opts["estimators"].split(","))
-    if "semi_grid" in opts:
-        fields["semi_grid"] = tuple(_convert("semi_grid", float, s)
-                                    for s in opts["semi_grid"].split(","))
-    params = cfg.params()
-    changed = {}
-    for key in sorted(k for k in opts if k.startswith("param_")):
-        name = key[len("param_"):]
-        if name not in vars(params):
-            raise DynvolError(f"unknown config key {key} for model {cfg.model}")
-        current = getattr(params, name)
-        value = _convert(key, type(current), opts[key])
-        if value != current:
-            changed[name] = value
-    if changed:
-        fields["model_params"] = replace(params, **changed)
-    return replace(cfg, **fields) if fields else cfg
+    current = _values(cfg)
+    unknown = sorted(k for k in opts if k not in current)
+    if unknown:
+        raise DynvolError(f"unknown config key for the {cfg.model} preset: "
+                          f"{', '.join(unknown)}")
+    vals = {k: _parse(k, text, current[k]) for k, text in opts.items()
+            if k != _MODEL.key}
+    if _WINDOW.key in vals:
+        vals.setdefault(_HIST_WINDOW.key, vals[_WINDOW.key])
+    params = replace(cfg.params(), **{k[len(_PARAM):]: vals.pop(k)
+                                      for k in list(vals)
+                                      if k.startswith(_PARAM)})
+    fields = {"model_params": params} if params != cfg.params() else {}
+    for key, value in vals.items():
+        owner, _, name = _ATTRS[key].partition(".")
+        if name:
+            value = replace(fields.get(owner, getattr(cfg, owner)),
+                            **{name: value})
+        fields[owner] = value
+    return replace(cfg, **fields)
 
 
-def _collect_cli_opts(args) -> dict:
-    mapping = {"lam": "lambda", "window": "window", "reps": "n_reps",
-               "seed": "seed", "alpha": "alpha", "refit_every": "refit_every",
-               "trim": "trim_upper", "series_len": "series_len",
-               "in_sample": "in_sample_len", "estimators": "estimators"}
-    out = {}
-    for attr, key in mapping.items():
-        v = getattr(args, attr, None)
-        if v is not None:
-            out[key] = str(v)
-    return out
+def _resolve(preset: StudyConfig, args) -> StudyConfig:
+    """The preset, then the --config file, then --full-scale, then flags."""
+    cfg = preset
+    if args.config:
+        cfg = _apply_overrides(cfg, _read_config_file(args.config))
+    if getattr(args, "full_scale", False):
+        cfg = replace(cfg, n_reps=FULL_SCALE_REPS)
+    given = vars(args)
+    return _apply_overrides(cfg, {k.key: given[k.key] for k in _SETTINGS
+                                  if k.flag and given.get(k.key) is not None})
+
+
+def _reject_unread(cfg: StudyConfig) -> None:
+    """A backtest reads only some keys; every other key must keep its
+    preset value, or the setting would be silently ignored."""
+    base = _values(study_preset(cfg.model))
+    for key, value in _values(cfg).items():
+        if key not in _BACKTEST_READS and value != base[key]:
+            raise DynvolError(f"a backtest does not use config key {key}; "
+                              f"leave it at {_format(base[key])}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="dynvol",
                                 description="volatility estimation harness")
     sub = p.add_subparsers(dest="command", required=True)
+    models = [m.lower() for m in _PRESETS]
 
     sim = sub.add_parser("simulate", help="run a Monte Carlo study")
-    sim.add_argument("--model", default="cir", choices=["cir", "sv", "gbm"])
-    sim.add_argument("--reps", type=int, default=None)
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--alpha", type=float, default=None)
-    sim.add_argument("--lambda", dest="lam", type=float, default=None)
-    sim.add_argument("--window", type=int, default=None)
-    sim.add_argument("--refit-every", dest="refit_every", type=int,
-                     default=None)
-    sim.add_argument("--trim", type=float, default=None,
-                     help="upper trim fraction for robust means")
-    sim.add_argument("--series-len", dest="series_len", type=int, default=None)
-    sim.add_argument("--in-sample", dest="in_sample", type=int, default=None)
-    sim.add_argument("--estimators", default=None,
-                     help="comma-separated subset of the roster")
-    sim.add_argument("--config", default=None, help="key=value config file")
+    sim.add_argument("--model", default="cir", choices=models)
     sim.add_argument("--full-scale", action="store_true",
                      help=f"run {FULL_SCALE_REPS} replications")
-    sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--quiet", action="store_true")
 
     bt = sub.add_parser("backtest", help="out-of-sample run on a CSV of levels")
     bt.add_argument("--data", required=True, help="CSV with header date,value")
@@ -180,19 +179,18 @@ def _build_parser() -> argparse.ArgumentParser:
     bt.add_argument("--return-mode", dest="return_mode", default="log",
                     choices=["log", "diff"])
     bt.add_argument("--forward-fill", action="store_true")
-    bt.add_argument("--alpha", type=float, default=None)
-    bt.add_argument("--lambda", dest="lam", type=float, default=None)
-    bt.add_argument("--window", type=int, default=None)
-    bt.add_argument("--refit-every", dest="refit_every", type=int,
-                    default=None)
-    bt.add_argument("--estimators", default=None)
-    bt.add_argument("--config", default=None)
-    bt.add_argument("--out", required=True)
-    bt.add_argument("--quiet", action="store_true")
+
+    for run in (sim, bt):
+        for k in _SETTINGS:
+            if k.flag and (run is sim or k.backtest):
+                run.add_argument(k.flag, dest=k.key, help=f"config key {k.key}")
+        run.add_argument("--config", default=None, help="key=value config file")
+        run.add_argument("--out", required=True, help="output directory")
+        run.add_argument("--quiet", action="store_true")
 
     cf = sub.add_parser("config", help="print resolved defaults")
     cf.add_argument("--dump", action="store_true", required=True)
-    cf.add_argument("--model", default="cir", choices=["cir", "sv", "gbm"])
+    cf.add_argument("--model", default="cir", choices=models)
     return p
 
 
@@ -209,12 +207,7 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(_dump_config(study_preset(args.model)))
             return 0
         if args.command == "simulate":
-            cfg = study_preset(args.model)
-            if args.config:
-                cfg = _apply_overrides(cfg, _read_config_file(args.config))
-            if args.full_scale:
-                cfg = replace(cfg, n_reps=FULL_SCALE_REPS)
-            cfg = _apply_overrides(cfg, _collect_cli_opts(args))
+            cfg = _resolve(study_preset(args.model), args)
             t0 = time.time()
             result = run_simulation_study(cfg)
             write_study_outputs(result, args.out)
@@ -222,6 +215,8 @@ def main(argv: list[str] | None = None) -> int:
                      time.time() - t0, args.out)
             return 0
         if args.command == "backtest":
+            cfg = _resolve(study_preset("cir"), args)
+            _reject_unread(cfg)
             split = args.in_sample_end
             if split is not None and split.isdigit():
                 split = int(split)
@@ -229,13 +224,6 @@ def main(argv: list[str] | None = None) -> int:
                               in_sample_end=split,
                               return_mode=args.return_mode,
                               forward_fill=args.forward_fill)
-            cfg = study_preset("cir")
-            if args.config:
-                cfg = _apply_overrides(cfg, _read_config_file(args.config))
-            cfg = _apply_overrides(cfg, _collect_cli_opts(args))
-            if cfg.model_params is not None:
-                raise DynvolError("param_* keys set simulation model "
-                                  "parameters, which a backtest does not use")
             result = run_backtest(data, cfg)
             write_backtest_outputs(result, args.out)
             log.info("backtest of %s: outputs in %s", data.name, args.out)

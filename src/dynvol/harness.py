@@ -146,40 +146,24 @@ class StudyConfig:
         return {"CIR": DEFAULT_CIR, "SV": DEFAULT_SV, "GBM": DEFAULT_GBM}[self.model]
 
 
-def cir_study(**overrides) -> StudyConfig:
-    """Weekly square-root rate study: 1200 observations, first 900 in-sample."""
-    base = dict(model="CIR", delta=1.0 / 52.0, series_len=1200,
-                in_sample_len=900, es=EsConfig(0.94, 52), hist_window=52,
-                state_refit_every=8)
-    base.update(overrides)
-    return StudyConfig(**base)
-
-
-def sv_study(**overrides) -> StudyConfig:
-    """Monthly stochastic-variance study: 1000 observations, first three
-    quarters in-sample."""
-    base = dict(model="SV", delta=1.0 / 12.0, series_len=1000,
-                in_sample_len=750, es=EsConfig(0.94, 12), hist_window=12,
-                state_refit_every=2)
-    base.update(overrides)
-    return StudyConfig(**base)
-
-
-def gbm_study(**overrides) -> StudyConfig:
-    """Weekly geometric-Brownian study: 1000 observations, first two thirds
-    in-sample."""
-    base = dict(model="GBM", delta=1.0 / 52.0, series_len=1000,
-                in_sample_len=667, es=EsConfig(0.94, 52), hist_window=52,
-                state_refit_every=8)
-    base.update(overrides)
-    return StudyConfig(**base)
+# Each preset's fields that differ from the StudyConfig defaults, which are
+# the weekly square-root rate study: 1200 observations, first 900 in-sample.
+# SV is monthly with three quarters in-sample, GBM weekly with two thirds.
+_PRESETS = {
+    "CIR": {},
+    "SV": dict(delta=1.0 / 12.0, series_len=1000, in_sample_len=750,
+               es=EsConfig(0.94, 12), hist_window=12, state_refit_every=2),
+    "GBM": dict(series_len=1000, in_sample_len=667),
+}
 
 
 def study_preset(model: str, **overrides) -> StudyConfig:
-    factory = {"CIR": cir_study, "SV": sv_study, "GBM": gbm_study}
-    if model.upper() not in factory:
+    """The study design of model ("cir", "sv" or "gbm", any case), with the
+    given StudyConfig fields overridden."""
+    key = model.upper()
+    if key not in _PRESETS:
         raise ValueError(f"no preset for model {model!r}")
-    return factory[model.upper()](**overrides)
+    return StudyConfig(**{"model": key, **_PRESETS[key], **overrides})
 
 
 @dataclass(frozen=True)
@@ -290,16 +274,16 @@ def _fit_state(levels, y, origin, cfg: StudyConfig, prev: _StateFit | None,
     if x.size < MIN_STATE_PAIRS:
         return None
     if prev is None:
-        h1, h = select_bandwidth(x, yy)
-        drift = DriftFit.from_scratch(x, yy, h1)
+        drift, h = select_bandwidth(x, yy)
     else:
-        h1, h = prev.h1, prev.h
+        h = prev.h
         done = prev.pairs.count
         drift = prev.drift.extend(x[done:], yy[done:])
     counters["drift_fallback"] += int(
         np.count_nonzero(~np.isfinite(drift.drift)))
     eps_var = 1e-12 * float(np.var(drift.resid2))
-    return _StateFit(StatePairs(drift.x, drift.resid2), h1, h, eps_var, drift)
+    return _StateFit(StatePairs(drift.x, drift.resid2), drift.h, h, eps_var,
+                     drift)
 
 
 def _eval_state(fit: _StateFit, x0: float, counters):

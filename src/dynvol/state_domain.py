@@ -521,12 +521,13 @@ def _cv_bandwidth(x: np.ndarray, resp: np.ndarray) -> float:
     return best_h
 
 
-def select_bandwidth(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Bandwidths (h1 for the mean fit, h for the variance fit).
+def select_bandwidth(x: np.ndarray, y: np.ndarray) -> tuple[DriftFit, float]:
+    """The h1 drift fit of the pairs and the variance bandwidth h.
 
-    Both are picked independently by the same rule: leave-one-out CV on a
-    small multiplicative grid around 1.06*std(x)*N^(-1/5). The variance
-    bandwidth is selected against squared residuals from the h1 mean fit.
+    Both bandwidths are picked independently by the same rule: leave-one-out
+    CV on a small multiplicative grid around 1.06*std(x)*N^(-1/5). h1 (the
+    fit's h) is picked for the mean fit, h against the squared residuals of
+    the h1 fit.
 
     Requires at least 20 pairs.
     """
@@ -536,9 +537,8 @@ def select_bandwidth(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
         raise TooFewPointsError("need at least 20 pairs")
     if x.shape != y.shape:
         raise ValueError("x and y must have equal shapes")
-    h1 = _cv_bandwidth(x, y)
-    drift = _intercepts_at_data(x, y, h1, loo=False)
-    drift = np.where(np.isfinite(drift), drift, 0.0)
-    resid2 = residual_squares(y, drift)
-    h = _cv_bandwidth(x, resid2)
-    return h1, h
+    drift = DriftFit.from_scratch(x, y, _cv_bandwidth(x, y))
+    # the fit holds the pairs sorted by level; CV takes them in time order
+    resid2 = np.empty_like(y)
+    resid2[np.argsort(x, kind="stable")] = drift.resid2
+    return drift, _cv_bandwidth(x, resid2)

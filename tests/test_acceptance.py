@@ -14,10 +14,10 @@ from scipy import stats
 
 from dynvol.errors import NoCoverageError, SingularDesignError
 from dynvol import harness
-from dynvol.harness import (DEFAULT_CIR, BacktestDataset, cir_study,
-                            gbm_study, run_backtest, run_simulation_study,
-                            simulate_series, sv_study, write_study_outputs,
-                            _fit_state, _rolling)
+from dynvol.harness import (DEFAULT_CIR, BacktestDataset, run_backtest,
+                            run_simulation_study, simulate_series,
+                            study_preset, write_study_outputs, _fit_state,
+                            _rolling)
 from dynvol.integration import bayes_es
 from dynvol.sde import RngStream, simulate_cir, to_returns
 from dynvol.state_domain import (StatePairs, _epanechnikov,
@@ -38,21 +38,22 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def cir_run():
     t0 = time.perf_counter()
-    res = run_simulation_study(cir_study(n_reps=100))
+    res = run_simulation_study(study_preset("cir", n_reps=100))
     return res, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def sv_run():
     t0 = time.perf_counter()
-    res = run_simulation_study(sv_study(n_reps=100))
+    res = run_simulation_study(study_preset("sv", n_reps=100))
     return res, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def gbm_run():
     t0 = time.perf_counter()
-    res = run_simulation_study(gbm_study(n_reps=100, trim_upper=0.05))
+    res = run_simulation_study(study_preset("gbm", n_reps=100,
+                                            trim_upper=0.05))
     return res, time.perf_counter() - t0
 
 
@@ -273,7 +274,8 @@ def test_criterion_08_gbm_trimmed_robustness(gbm_run):
 
 
 def test_criterion_09_no_lookahead_bytes():
-    cfg = cir_study(series_len=300, in_sample_len=260, n_reps=1, seed=77)
+    cfg = study_preset("cir", series_len=300, in_sample_len=260, n_reps=1,
+                       seed=77)
     sim = simulate_series(cfg, 0)
     first = cfg.in_sample_len - 1
     m = cfg.series_len - cfg.in_sample_len
@@ -311,9 +313,10 @@ def _prior_forecasts_unmoved(levels, delta, cfg, first, run):
     return ok
 
 
-@pytest.mark.parametrize("study", [sv_study, gbm_study])
-def test_no_lookahead_bytes_other_models(study):
-    cfg = study(series_len=300, in_sample_len=260, n_reps=1, seed=77)
+@pytest.mark.parametrize("model", ["sv", "gbm"])
+def test_no_lookahead_bytes_other_models(model):
+    cfg = study_preset(model, series_len=300, in_sample_len=260, n_reps=1,
+                       seed=77)
     sim = simulate_series(cfg, 0)
     first = cfg.in_sample_len - 1
     m = cfg.series_len - cfg.in_sample_len
@@ -325,7 +328,7 @@ def test_no_lookahead_bytes_other_models(study):
 
 
 def test_no_lookahead_bytes_backtest(monkeypatch):
-    cfg = cir_study(er_window=60)
+    cfg = study_preset("cir", er_window=60)
     path = simulate_cir(DEFAULT_CIR, 1.0 / 52.0, 400, RngStream(78, 0))
     split = 300
     first = split - 1 - cfg.er_window
@@ -348,7 +351,8 @@ def test_no_lookahead_bytes_backtest(monkeypatch):
 
 
 def test_state_fit_reads_only_the_pairs_history():
-    cfg = cir_study(series_len=300, in_sample_len=260, n_reps=1, seed=77)
+    cfg = study_preset("cir", series_len=300, in_sample_len=260, n_reps=1,
+                       seed=77)
     sim = simulate_series(cfg, 0)
     origin = 270
     keep = origin - cfg.es.n
@@ -365,7 +369,8 @@ def test_state_fit_reads_only_the_pairs_history():
 
 
 def test_criterion_10_byte_determinism(tmp_path):
-    cfg = cir_study(series_len=400, in_sample_len=340, n_reps=3, seed=202)
+    cfg = study_preset("cir", series_len=400, in_sample_len=340, n_reps=3,
+                       seed=202)
     a, b = tmp_path / "a", tmp_path / "b"
     write_study_outputs(run_simulation_study(cfg), a)
     write_study_outputs(run_simulation_study(cfg), b)

@@ -10,11 +10,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dynvol.cli import (_apply_overrides, _dump_config, _read_config_file,
-                        main)
+from dynvol.cli import (_BACKTEST_READS, _MODEL, _SETTINGS, _apply_overrides,
+                        _build_parser, _dump_config, _read_config_file,
+                        _reject_unread, _resolve, _values, main)
 from dynvol.errors import DynvolError
 from dynvol.harness import study_preset
 from dynvol.sde import RngStream, simulate_gbm
+
+# a value for every config key but model that differs from the CIR preset
+CHANGED = {"delta": "0.01", "series_len": "1500", "in_sample_len": "400",
+           "n_reps": "7", "estimators": "RiskM,Integ", "lambda": "0.97",
+           "window": "30", "hist_window": "40", "refit_every": "4",
+           "alpha": "0.1", "seed": "3", "trim_upper": "0.2",
+           "semi_grid": "0.9,0.95", "max_lag": "20", "er_window": "60",
+           "param_kappa": "0.3", "param_theta": "0.1", "param_sigma": "0.05"}
 
 SIM_ARGS = ["simulate", "--model", "cir", "--reps", "2", "--series-len", "300",
             "--in-sample", "260", "--seed", "777", "--quiet"]
@@ -48,6 +57,57 @@ def test_config_file_overrides_and_comments(tmp_path):
     bad.write_text("no equals sign here\n")
     with pytest.raises(Exception):
         _read_config_file(bad)
+
+
+def test_changed_values_cover_every_key():
+    keys = set(_values(study_preset("cir"))) - {_MODEL.key}
+    assert set(CHANGED) == keys
+    cfg = _apply_overrides(study_preset("cir"), CHANGED)
+    preset = _values(study_preset("cir"))
+    for key, value in _values(cfg).items():
+        assert key == _MODEL.key or value != preset[key], key
+
+
+@pytest.mark.parametrize("model", ["cir", "sv", "gbm", "changed"])
+def test_config_dump_round_trips(tmp_path, model):
+    # dump, read the file back, apply it to the preset: the same config
+    if model == "changed":
+        preset = study_preset("cir")
+        cfg = _apply_overrides(preset, CHANGED)
+    else:
+        preset = cfg = study_preset(model)
+    f = tmp_path / "c.cfg"
+    f.write_text(_dump_config(cfg))
+    assert _apply_overrides(preset, _read_config_file(f)) == cfg
+
+
+@pytest.mark.parametrize("key", [k.key for k in _SETTINGS if k.flag])
+def test_flag_and_config_key_resolve_alike(tmp_path, key):
+    flag = next(k.flag for k in _SETTINGS if k.key == key)
+    f = tmp_path / "c.cfg"
+    f.write_text(f"{key} = {CHANGED[key]}\n")
+    parse = _build_parser().parse_args
+    base = ["simulate", "--out", str(tmp_path / "r")]
+    by_flag = _resolve(study_preset("cir"),
+                       parse(base + [flag, CHANGED[key]]))
+    by_file = _resolve(study_preset("cir"), parse(base + ["--config", str(f)]))
+    assert by_flag == by_file != study_preset("cir")
+
+
+def test_bad_flag_value_is_one_error_line_naming_the_key(tmp_path, capsys):
+    rc = main(["simulate", "--reps", "ten", "--out", str(tmp_path / "r")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "n_reps" in err[0]
+    assert not (tmp_path / "r").exists()
+
+
+def test_config_file_rejects_duplicate_keys(tmp_path):
+    f = tmp_path / "dup.cfg"
+    f.write_text("lambda = 0.9\nwindow = 26\n\nlambda = 0.97\n")
+    with pytest.raises(DynvolError, match="lambda .*lines 1 and 4"):
+        _read_config_file(f)
 
 
 def test_dump_config_covers_model_params():
@@ -233,7 +293,8 @@ def test_config_param_keys_take_effect(tmp_path):
 
 def test_backtest_rejects_changed_model_params(tmp_path, levels_csv, capsys):
     assert main(["config", "--dump", "--model", "cir"]) == 0
-    dump = capsys.readouterr().out + "er_window = 60\n"
+    dump = capsys.readouterr().out.replace("er_window = 250",
+                                           "er_window = 60")
     args = ["backtest", "--data", str(levels_csv), "--in-sample-end", "220",
             "--config"]
     same = tmp_path / "same.cfg"
@@ -244,6 +305,29 @@ def test_backtest_rejects_changed_model_params(tmp_path, levels_csv, capsys):
     capsys.readouterr()
     assert main(args + [str(changed), "--out", str(tmp_path / "b")]) == 1
     assert "backtest does not use" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", sorted(set(CHANGED) - _BACKTEST_READS))
+def test_backtest_rejects_keys_it_would_ignore(tmp_path, levels_csv, capsys,
+                                               monkeypatch, key):
+    import dynvol.cli as cli
+    monkeypatch.setattr(cli, "run_backtest",
+                        lambda *a: pytest.fail("backtest ran"))
+    f = tmp_path / "bt.cfg"
+    f.write_text(f"er_window = 60\n{key} = {CHANGED[key]}\n")
+    rc = main(["backtest", "--data", str(levels_csv), "--in-sample-end", "220",
+               "--config", str(f), "--out", str(tmp_path / "res")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+    assert not (tmp_path / "res").exists()
+
+
+def test_backtest_accepts_every_key_it_reads():
+    preset = study_preset("cir")
+    read = {k: v for k, v in CHANGED.items() if k in _BACKTEST_READS}
+    assert read
+    _reject_unread(_apply_overrides(preset, read))
 
 
 def test_package_import_loads_no_scipy():

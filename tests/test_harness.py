@@ -20,19 +20,20 @@ from dynvol.harness import (DEFAULT_SEMI_GRID, ESTIMATORS, MIN_STATE_PAIRS,
                             _eval_state, build_state_pairs,
                             _fit_state, _new_counters, _rolling,
                             _SemiSelector, _StateFit,
-                            cir_study, gbm_study,
                             ingest_csv, rolling_forecast, run_backtest,
                             run_simulation_study, simulate_series,
-                            study_preset, sv_study, write_backtest_outputs,
+                            study_preset, write_backtest_outputs,
                             write_study_outputs)
 from dynvol.integration import MATCHED_SHAPE, bayes_es, combine_estimates
 from dynvol.sde import RngStream, simulate_gbm
-from dynvol.state_domain import StatePairs, _epanechnikov, _intercepts_at_data
+from dynvol.state_domain import (DriftFit, StatePairs, _epanechnikov,
+                                 _intercepts_at_data)
 from dynvol.time_domain import (EsConfig, es_variance, exp_smooth,
                                 moving_average)
 from oracles import ORACLE_TOL, acf_direct
 
-SMALL = cir_study(series_len=300, in_sample_len=260, n_reps=3, seed=777)
+SMALL = study_preset("cir", series_len=300, in_sample_len=260, n_reps=3,
+                     seed=777)
 
 
 def semi_proxy(y, t: int, n: int,
@@ -72,13 +73,13 @@ def small_result():
 
 
 def test_presets_shapes():
-    c = cir_study()
+    c = study_preset("cir")
     assert (c.series_len, c.in_sample_len, c.es.n) == (1200, 900, 52)
-    s = sv_study()
+    s = study_preset("sv")
     assert (s.series_len, s.in_sample_len, s.es.n) == (1000, 750, 12)
     assert s.delta == pytest.approx(1.0 / 12.0)
     assert s.state_refit_every == 2
-    g = gbm_study()
+    g = study_preset("gbm")
     assert (g.series_len, g.in_sample_len) == (1000, 667)
     assert study_preset("sv", n_reps=5).n_reps == 5
     with pytest.raises(ValueError):
@@ -87,11 +88,11 @@ def test_presets_shapes():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        cir_study(in_sample_len=1200)
+        study_preset("cir", in_sample_len=1200)
     with pytest.raises(ValueError):
-        cir_study(estimators=("Hist", "Bogus"))
+        study_preset("cir", estimators=("Hist", "Bogus"))
     with pytest.raises(ValueError):
-        cir_study(trim_upper=1.0)
+        study_preset("cir", trim_upper=1.0)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -109,23 +110,23 @@ def test_config_rejects_values_that_would_fail_late(field, value):
     # a run would fail inside its first replication, ignore the setting, or
     # write every report row twice; the config names the field up front
     with pytest.raises(ValueError, match=field):
-        cir_study(**{field: value})
+        study_preset("cir", **{field: value})
 
 def test_simulate_series_truth_definitions():
-    cfg = cir_study(series_len=200, in_sample_len=150)
+    cfg = study_preset("cir", series_len=200, in_sample_len=150)
     sim = simulate_series(cfg, 0)
     p = cfg.params()
     assert np.allclose(sim.true_var, p.sigma**2 * sim.levels[:-1], rtol=1e-14)
     assert np.allclose(np.diff(sim.levels) / math.sqrt(cfg.delta),
                        sim.returns.y, atol=1e-12)
 
-    gcfg = gbm_study(series_len=200, in_sample_len=150)
+    gcfg = study_preset("gbm", series_len=200, in_sample_len=150)
     gsim = simulate_series(gcfg, 0)
     gp = gcfg.params()
     assert np.allclose(gsim.true_var, gp.sigma**2 * gsim.levels[:-1] ** 2,
                        rtol=1e-14)
 
-    scfg = sv_study(series_len=200, in_sample_len=150)
+    scfg = study_preset("sv", series_len=200, in_sample_len=150)
     ssim = simulate_series(scfg, 0)
     # state variable for this model is the accumulated series, starting at 0
     assert ssim.levels[0] == 0.0
@@ -136,7 +137,7 @@ def test_simulate_series_truth_definitions():
 
 
 def test_simulate_series_stream_determinism():
-    cfg = cir_study(series_len=120, in_sample_len=100)
+    cfg = study_preset("cir", series_len=120, in_sample_len=100)
     a = simulate_series(cfg, 2)
     b = simulate_series(cfg, 2)
     c = simulate_series(cfg, 3)
@@ -285,8 +286,10 @@ def test_drift_refit_walk_forward_matches_a_fit_from_scratch(
         assume(np.ptp(levels[:MIN_STATE_PAIRS]) > 0.0)
         frozen = nullcontext()
     else:
-        frozen = mock.patch.object(harness, "select_bandwidth",
-                                   lambda x, yy: (hmul * spacing,) * 2)
+        h = hmul * spacing
+        frozen = mock.patch.object(
+            harness, "select_bandwidth",
+            lambda x, yy: (DriftFit.from_scratch(x, yy, h), h))
     fit = None
     counters = _new_counters()
     for origin in range(first, y.size + 1, cfg.state_refit_every):
@@ -372,7 +375,8 @@ def test_singular_state_design_falls_back_to_kernel_weighted_mean():
 
 
 def test_insufficient_history_is_rejected_up_front():
-    cfg = cir_study(series_len=120, in_sample_len=100)  # 99 < 2n for SemiProxy
+    # 99 < 2n for SemiProxy
+    cfg = study_preset("cir", series_len=120, in_sample_len=100)
     sim = simulate_series(cfg, 0)
     with pytest.raises(InsufficientHistoryError):
         rolling_forecast(sim, cfg, "SemiProxy")
@@ -436,8 +440,8 @@ def test_study_er_uses_the_normal_quantile(small_result):
 def test_failed_replications_keep_their_reason(monkeypatch):
     # rep 1 raises while simulating; rep 2 leaves no finite step
     import dynvol.harness as hz
-    cfg = cir_study(series_len=300, in_sample_len=260, n_reps=4, seed=777,
-                    estimators=("Hist", "RiskM"))
+    cfg = study_preset("cir", series_len=300, in_sample_len=260, n_reps=4,
+                       seed=777, estimators=("Hist", "RiskM"))
     real_sim, real_rolling = hz.simulate_series, hz._rolling
     current = []
 
@@ -470,8 +474,8 @@ def test_failed_replications_keep_their_reason(monkeypatch):
 def test_per_rep_rows_carry_the_replication_id(monkeypatch, tmp_path):
     # with rep 1 of 3 failing, the rows of reps 0 and 2 keep their ids
     import dynvol.harness as hz
-    cfg = cir_study(series_len=300, in_sample_len=260, n_reps=3, seed=777,
-                    estimators=("Hist", "RiskM"))
+    cfg = study_preset("cir", series_len=300, in_sample_len=260, n_reps=3,
+                       seed=777, estimators=("Hist", "RiskM"))
     real_sim = hz.simulate_series
 
     def sim(cfg, rep):
@@ -502,8 +506,8 @@ def test_nan_step_exclusion_is_shared(monkeypatch):
     # force one estimator to fail at a single origin; that step must drop
     # out of every estimator's measures
     import dynvol.harness as hz
-    cfg = cir_study(series_len=300, in_sample_len=260, n_reps=1, seed=777,
-                    estimators=("Hist", "RiskM"))
+    cfg = study_preset("cir", series_len=300, in_sample_len=260, n_reps=1,
+                       seed=777, estimators=("Hist", "RiskM"))
     first = cfg.in_sample_len - 1
     bad_origin = first + 7
     real = moving_average
@@ -546,7 +550,8 @@ def test_write_study_outputs(tmp_path, small_result):
 
 
 def test_output_bytes_are_deterministic(tmp_path):
-    cfg = cir_study(series_len=280, in_sample_len=258, n_reps=2, seed=31)
+    cfg = study_preset("cir", series_len=280, in_sample_len=258, n_reps=2,
+                       seed=31)
     a, b = tmp_path / "a", tmp_path / "b"
     write_study_outputs(run_simulation_study(cfg), a)
     write_study_outputs(run_simulation_study(cfg), b)
@@ -678,7 +683,8 @@ def test_dataset_validation():
 @pytest.fixture(scope="module")
 def gbm_csv(tmp_path_factory):
     import datetime as dt
-    path = simulate_gbm(gbm_study().params(), 1.0 / 52.0, 360, RngStream(99, 0))
+    path = simulate_gbm(study_preset("gbm").params(), 1.0 / 52.0, 360,
+                                     RngStream(99, 0))
     d0 = dt.date(2015, 1, 2)
     rows = ["date,value"]
     for i, v in enumerate(path.values):
@@ -690,7 +696,7 @@ def gbm_csv(tmp_path_factory):
 
 def test_backtest_smoke(gbm_csv):
     data = ingest_csv(gbm_csv, frequency="weekly", in_sample_end=220)
-    cfg = gbm_study(er_window=60)
+    cfg = study_preset("gbm", er_window=60)
     res = run_backtest(data, cfg)
     assert res.report.n_reps == 1
     for e in ESTIMATORS:
@@ -720,7 +726,7 @@ def test_backtest_er_uses_empirical_residual_quantiles(gbm_csv, monkeypatch):
 
     monkeypatch.setattr(hz, "_rolling", rolling)
     data = ingest_csv(gbm_csv, frequency="weekly", in_sample_end=220)
-    cfg = gbm_study(er_window=60)
+    cfg = study_preset("gbm", er_window=60)
     res = run_backtest(data, cfg)
     (tracks,) = seen
     y = np.diff(np.log(data.values)) / math.sqrt(data.delta)
@@ -735,7 +741,7 @@ def test_backtest_er_uses_empirical_residual_quantiles(gbm_csv, monkeypatch):
 
 def test_backtest_outputs_and_lengths(tmp_path, gbm_csv):
     data = ingest_csv(gbm_csv, frequency="weekly", in_sample_end=220)
-    cfg = gbm_study(er_window=60, estimators=("RiskM", "Integ"))
+    cfg = study_preset("gbm", er_window=60, estimators=("RiskM", "Integ"))
     res = run_backtest(data, cfg)
     write_backtest_outputs(res, tmp_path)
     per = (tmp_path / "per_rep.csv").read_text().strip().splitlines()
@@ -747,6 +753,6 @@ def test_backtest_outputs_and_lengths(tmp_path, gbm_csv):
 
 def test_backtest_needs_warmup_history(gbm_csv):
     data = ingest_csv(gbm_csv, frequency="weekly", in_sample_end=120)
-    cfg = gbm_study(er_window=250)  # 250 warmup steps will not fit
+    cfg = study_preset("gbm", er_window=250)  # 250 warmup steps will not fit
     with pytest.raises(InsufficientHistoryError):
         run_backtest(data, cfg)

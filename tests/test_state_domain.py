@@ -10,7 +10,7 @@ from scipy import integrate as spi
 
 from dynvol.errors import (NoCoverageError, SingularDesignError,
                            TooFewPointsError)
-from dynvol.harness import build_state_pairs, cir_study, simulate_series
+from dynvol.harness import build_state_pairs, simulate_series, study_preset
 from dynvol.state_domain import (CV_GRID, DET_RTOL, NU0, StatePairs,
                                  _epanechnikov, _intercepts_at_data,
                                  _window_xi, residual_squares,
@@ -159,7 +159,8 @@ def test_select_bandwidth_prefers_smooth_scale():
     rng = np.random.default_rng(44)
     x = rng.uniform(0.0, 1.0, 400)
     y = 0.5 + (x - 0.5) ** 2 + rng.standard_normal(400) * 0.05
-    h1, h = select_bandwidth(x, y)
+    drift, h = select_bandwidth(x, y)
+    h1 = drift.h
     rot = rule_of_thumb_bandwidth(x)
     ratios = [h1 / rot, h / rot]
     for r in ratios:
@@ -191,7 +192,7 @@ def test_cv_improves_over_worst_candidate_on_rough_signal():
             sse += (y[i] - a) ** 2
         return sse
 
-    h1, _ = select_bandwidth(x, y)
+    h1 = select_bandwidth(x, y)[0].h
     rot = rule_of_thumb_bandwidth(x)
     assert loo_sse(h1) <= loo_sse(rot * 2.0) + 1e-9
 
@@ -272,7 +273,7 @@ def _assert_matches_oracle(x, resp, h, loo):
 
 @pytest.mark.parametrize("factor", CV_GRID)
 def test_prefix_engine_matches_oracle_on_rate_paths(factor):
-    cfg = cir_study()
+    cfg = study_preset("cir")
     for rep in range(2):
         sim = simulate_series(cfg, rep)
         x, y = build_state_pairs(sim.levels, sim.returns.y, 1150, 52)
