@@ -46,8 +46,8 @@ from .sde import (CirParams, GbmParams, ReturnSeries, RngStream, SvParams,
                   to_returns)
 from .state_domain import (DriftFit, StatePairs, _window_xi, select_bandwidth,
                            state_variance)
-from .time_domain import (EsConfig, autocorr_sq, es_variance, es_weights,
-                          exp_smooth, moving_average)
+from .time_domain import (EsConfig, autocorr_sq, es_variance, exp_smooth,
+                          moving_average)
 
 log = logging.getLogger("dynvol")
 
@@ -73,10 +73,6 @@ _ROSTER = {
                    True, True),
 }
 ESTIMATORS = tuple(_ROSTER)
-
-DEFAULT_CIR = CirParams(kappa=0.21459, theta=0.08571, sigma=0.07830)
-DEFAULT_SV = SvParams(kappa=3.0, theta=0.009, alpha2=4.0, substeps=30)
-DEFAULT_GBM = GbmParams(mu=0.03, sigma=0.26)
 
 DEFAULT_SEMI_GRID = (0.90, 0.92, 0.94, 0.96, 0.98)
 SEMI_FALLBACK_LAM = 0.94
@@ -141,19 +137,25 @@ class StudyConfig:
             raise ValueError("er_window must be >= 50")
 
     def params(self) -> CirParams | SvParams | GbmParams:
+        """model_params, or the model's default parameters when None."""
         if self.model_params is not None:
             return self.model_params
-        return {"CIR": DEFAULT_CIR, "SV": DEFAULT_SV, "GBM": DEFAULT_GBM}[self.model]
+        return _PRESETS[self.model]["model_params"]
 
 
-# Each preset's fields that differ from the StudyConfig defaults, which are
-# the weekly square-root rate study: 1200 observations, first 900 in-sample.
-# SV is monthly with three quarters in-sample, GBM weekly with two thirds.
+# Each preset's model parameters and the fields that differ from the
+# StudyConfig defaults, which are the weekly square-root rate study: 1200
+# observations, first 900 in-sample. SV is monthly with three quarters
+# in-sample, GBM weekly with two thirds.
 _PRESETS = {
-    "CIR": {},
-    "SV": dict(delta=1.0 / 12.0, series_len=1000, in_sample_len=750,
+    "CIR": dict(model_params=CirParams(kappa=0.21459, theta=0.08571,
+                                       sigma=0.07830)),
+    "SV": dict(model_params=SvParams(kappa=3.0, theta=0.009, alpha2=4.0,
+                                     substeps=30),
+               delta=1.0 / 12.0, series_len=1000, in_sample_len=750,
                es=EsConfig(0.94, 12), hist_window=12, state_refit_every=2),
-    "GBM": dict(series_len=1000, in_sample_len=667),
+    "GBM": dict(model_params=GbmParams(mu=0.03, sigma=0.26),
+                series_len=1000, in_sample_len=667),
 }
 
 
@@ -207,39 +209,54 @@ class _SemiSelector:
 
     For each candidate decay, one-step forecasts of the squared return are
     scored over the last n origins; the candidate with the smallest total
-    squared error wins. Needs 2n of history. A degenerate search (no finite
-    losses, or all of several candidates tied) falls back to
-    SEMI_FALLBACK_LAM and counts it in counters["semi_fallback"].
+    squared error wins, the first of them on a tie. Needs 2n of history. A
+    degenerate search (no finite losses, or all of several candidates tied)
+    falls back to SEMI_FALLBACK_LAM and counts it in
+    counters["semi_fallback"].
 
-    Every candidate's forecasts (and the fallback's) are computed once per
-    series, one matrix-vector product over all windows, so a step only
-    slices them and scores the slices.
+    value takes an int origin or a 1-d int array of origins. Each candidate's
+    forecasts over every scored window come from one exp_smooth call, the
+    smoother RiskM reads, and each loss is np.add.reduce of its window of
+    squared errors, so an origin's value does not depend on the others.
     """
 
     def __init__(self, y: np.ndarray, n: int, grid: tuple[float, ...]):
+        self.y = y
         self.n = n
-        self.y2 = y * y
-        # rows[j] = y2[j:j+n]; preds[j] is the forecast at origin j + n
-        rows = np.lib.stride_tricks.sliding_window_view(self.y2, n)
-        self.preds = [rows @ es_weights(lam, n)[::-1] for lam in grid]
-        self.fallback = rows @ es_weights(SEMI_FALLBACK_LAM, n)[::-1]
+        self.grid = grid
 
-    def value(self, t: int, counters: dict) -> float:
-        n = self.n
-        if t - 2 * n < 0:
+    def value(self, t, counters: dict):
+        n, o = self.n, np.atleast_1d(t)
+        lo = o.min() - n
+        if lo < n:
             raise InsufficientHistoryError(
-                f"need {2 * n} observations before origin {t}")
-        target = self.y2[t - n:t]
-        losses = []
-        for preds in self.preds:
-            diff = target - preds[t - 2 * n:t - n]
-            losses.append(float(np.dot(diff, diff)))
-        finite = [loss for loss in losses if math.isfinite(loss)]
-        if not finite or (len(losses) > 1 and max(finite) == min(finite)):
-            counters["semi_fallback"] += 1
-            return float(self.fallback[t - n])
-        # the first candidate with the smallest finite loss
-        return float(self.preds[losses.index(min(finite))][t - n])
+                f"need {2 * n} observations before origin {lo + n}")
+        # forecasts at origins lo .. max(o), scored against the squared
+        # returns they forecast; row j of a window view holds the n squared
+        # errors before origin o[j]
+        span = np.arange(lo, o.max() + 1)
+        y2 = self.y[span[:-1]] ** 2
+        preds, losses = [], []
+        for lam in self.grid:
+            pred = exp_smooth(self.y, span, EsConfig(lam, n))
+            err = y2 - pred[:-1]
+            windows = np.lib.stride_tricks.sliding_window_view(err * err, n)
+            preds.append(pred)
+            losses.append(np.add.reduce(windows[o - lo - n], axis=1))
+        preds, losses = np.array(preds), np.column_stack(losses)
+        finite = np.isfinite(losses)
+        best = np.where(finite, losses, np.inf)
+        lowest = best.min(axis=1)
+        # no finite loss, or every finite loss the same
+        fallback = lowest == np.inf
+        if len(self.grid) > 1:
+            fallback |= lowest == np.where(finite, losses, -np.inf).max(axis=1)
+        out = preds[best.argmin(axis=1), o - lo]
+        if fallback.any():
+            counters["semi_fallback"] += int(fallback.sum())
+            out[fallback] = exp_smooth(self.y, o[fallback],
+                                       EsConfig(SEMI_FALLBACK_LAM, n))
+        return float(out[0]) if np.ndim(t) == 0 else out
 
 
 class _StateFit(NamedTuple):
@@ -332,31 +349,33 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
     need_es = any(_ROSTER[e].smoother for e in ests)
     counters = _new_counters()
     tracks = {e: np.full(n_steps, np.nan) for e in ests}
-    semi = (_SemiSelector(y, cfg.es.n, cfg.semi_grid)
-            if "SemiProxy" in ests else None)
+    # _check_history and the stretch check above keep every window in range;
+    # the time-domain tracks take every origin in one call each
+    origins = np.arange(first, first + n_steps)
+    if "Hist" in ests:
+        tracks["Hist"] = moving_average(y, origins, cfg.hist_window)
+    es_track = exp_smooth(y, origins, cfg.es) if need_es else None
+    if "RiskM" in ests:
+        tracks["RiskM"] = es_track
+    if "SemiProxy" in ests:
+        tracks["SemiProxy"] = _SemiSelector(
+            y, cfg.es.n, cfg.semi_grid).value(origins, counters)
+    if not need_state:
+        return tracks, counters
+
     # Integ's autocorrelations at every origin, one table per series
-    acf = (autocorr_sq(y, np.arange(first, first + n_steps), cfg.max_lag)
+    acf = (autocorr_sq(y, origins, cfg.max_lag)
            if "Integ" in ests else None)
     fit = None
     lam, n = cfg.es.lam, cfg.es.n
-
-    for step in range(n_steps):
+    for step, es_val in enumerate(es_track.tolist()):
         i = first + step
         # counters goes by keyword to _fit_state and _eval_state: the count
         # hooks of perfbench/tracer.py look it up by name
-        if need_state and step % cfg.state_refit_every == 0:
+        if step % cfg.state_refit_every == 0:
             fit = _fit_state(levels, y, i, cfg, fit, counters=counters)
-        # _check_history and the stretch check above keep every window
-        # below in range
-        if "Hist" in ests:
-            tracks["Hist"][step] = moving_average(y, i, cfg.hist_window)
-        es_val = exp_smooth(y, i, cfg.es) if need_es else None
-        if "RiskM" in ests:
-            tracks["RiskM"][step] = es_val
-        if semi is not None:
-            tracks["SemiProxy"][step] = semi.value(i, counters)
         sve = None
-        if need_state and fit is not None:
+        if fit is not None:
             sve = _eval_state(fit, levels[i], counters=counters)
         if "NonBay" in ests:
             if sve is None:

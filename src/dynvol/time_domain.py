@@ -5,6 +5,11 @@ exponential-smoothing estimator decays them geometrically with factor lam and
 renormalizes the truncated weights to sum to one. As lam -> 1 the smoother
 reduces to the moving average, and the code routes that case through the
 identical summation so the reduction is exact.
+
+Both window estimators, like autocorr_sq, take one origin or a 1-d int array
+of origins, and the array form gives each origin the bits of the int form:
+a whole series of forecasts is one call. Their order of addition is fixed
+by numpy's elementwise ops, not by a BLAS kernel.
 """
 
 from __future__ import annotations
@@ -56,16 +61,36 @@ def _values(y) -> np.ndarray:
     return np.asarray(arr, dtype=float)
 
 
-def moving_average(y, t: int, n: int) -> float:
-    """Mean of the n squared returns before index t: uses y[t-n:t]."""
+def _window_rows(y, t, n: int) -> np.ndarray:
+    """Squared returns of the n-window before each origin: row j is
+    y[t_j-n:t_j]**2, one row for an int t. A contiguous copy, so a row
+    reduces exactly as the 1-d window would."""
     arr = _values(y)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if t - n < 0 or t > arr.size:
-        raise InsufficientHistoryError(f"window [{t - n}, {t}) out of range")
-    w = arr[t - n:t]
-    # the sum and division np.mean performs, without its wrapper
-    return float(np.add.reduce(w * w) / n)
+    o = np.atleast_1d(t)
+    if o.ndim != 1 or o.size == 0 or o.dtype.kind not in "iu":
+        raise ValueError("t must be an int or a non-empty 1-d int array")
+    o = o.astype(np.intp)
+    bad = o[(o < n) | (o > arr.size)]
+    if bad.size:
+        raise InsufficientHistoryError(
+            f"window [{bad[0] - n}, {bad[0]}) out of range")
+    z2 = arr[:o.max()] ** 2
+    return np.lib.stride_tricks.sliding_window_view(z2, n)[o - n]
+
+
+def _per_origin(t, vals: np.ndarray):
+    """vals as a float for an int origin, else the array itself."""
+    return float(vals[0]) if np.ndim(t) == 0 else vals
+
+
+def moving_average(y, t, n: int):
+    """Mean of the n squared returns before origin t: uses y[t-n:t].
+
+    t is an int, or a 1-d int array of origins for one value per origin;
+    both run the same summation (numpy's pairwise sum of each window)."""
+    return _per_origin(t, np.add.reduce(_window_rows(y, t, n), axis=1) / n)
 
 
 def es_weights(lam: float, n: int) -> np.ndarray:
@@ -80,32 +105,30 @@ def es_weights(lam: float, n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _es_weights_rev(lam: float, n: int) -> np.ndarray:
-    """Read-only es_weights(lam, n) in window order: entry k weights y[t-n+k].
-
-    A negative-stride view, not a contiguous copy: np.dot may route the two
-    layouts to different summation loops (numpy's own or BLAS), and the view
-    is the layout the smoothed values were defined with. Cached per (lam, n)
-    and read-only, so no caller can change another's weights.
-    """
+    """Read-only es_weights(lam, n) in window order: entry k weights
+    y[t-n+k]. Cached per (lam, n) and read-only, so no caller can change
+    another's weights."""
     w = es_weights(lam, n)
     w.flags.writeable = False
     return w[::-1]
 
 
-def exp_smooth(y, t: int, cfg: EsConfig) -> float:
-    """Exponentially weighted mean of squared returns before index t.
+def exp_smooth(y, t, cfg: EsConfig):
+    """Exponentially weighted mean of squared returns before origin t.
 
-    Weight on y[t-i]^2 is lam^(i-1)(1-lam)/(1-lam^n) for i = 1..n. At
+    Weight on y[t-i]^2 is lam^(i-1)(1-lam)/(1-lam^n) for i = 1..n. The value
+    is the sum over k of w[k] * y[t-n+k]^2, w = _es_weights_rev(lam, n),
+    added one term at a time in window order (oldest first), so it does not
+    depend on a BLAS kernel's order of addition. t is an int, or a 1-d int
+    array of origins for one value per origin; both run the same sum. At
     lam = 1 this dispatches to moving_average so the limit is exact.
     """
     if cfg.lam == 1.0:
         return moving_average(y, t, cfg.n)
-    arr = _values(y)
-    n = cfg.n
-    if t - n < 0 or t > arr.size:
-        raise InsufficientHistoryError(f"window [{t - n}, {t}) out of range")
-    window = arr[t - n:t]
-    return float(np.dot(_es_weights_rev(cfg.lam, n), window * window))
+    terms = _window_rows(y, t, cfg.n)
+    terms *= _es_weights_rev(cfg.lam, cfg.n)
+    np.add.accumulate(terms, axis=1, out=terms)
+    return _per_origin(t, terms[:, -1].copy())
 
 
 def autocorr_sq(y, upto_t, max_lag: int = 30) -> np.ndarray:

@@ -1,11 +1,12 @@
 """Direct definitions, asymptotic laws and the inverse-gamma prior algebra
-that dynvol is checked against."""
+that dynvol is checked against, and the test series they are checked on."""
 
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 
 from dynvol.errors import (DegenerateCaseWarning, DegenerateSeriesError,
                            InsufficientHistoryError)
@@ -145,3 +146,26 @@ def efficiency_ratios(d: float, s1_sq: float, s2_sq: float) -> tuple[float, floa
         raise ValueError("d, s1_sq, s2_sq must all be positive")
     r = d * s2_sq / s1_sq
     return 1.0 + r, 1.0 + 1.0 / r
+
+
+# a series is a run of segments: noise at a scale, zero returns, returns of
+# one magnitude (constant squares), or noise with one spike
+SEGMENT = st.tuples(st.sampled_from(["noise", "zero", "const", "spike"]),
+                    st.integers(1, 40), st.integers(-3, 3))
+
+
+def segmented_series(segments, seed):
+    """The series of a list of SEGMENT draws, noise from seed."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for kind, n, e in segments:
+        if kind == "zero":
+            parts.append(np.zeros(n))
+        elif kind == "const":
+            parts.append(rng.choice([-1.0, 1.0], n) * 10.0**e)
+        else:
+            part = rng.standard_normal(n) * 10.0**e
+            if kind == "spike":
+                part[rng.integers(n)] = 10.0 ** (e + 4)
+            parts.append(part)
+    return np.concatenate(parts)

@@ -14,7 +14,7 @@ from scipy import stats
 
 from dynvol.errors import NoCoverageError, SingularDesignError
 from dynvol import harness
-from dynvol.harness import (DEFAULT_CIR, BacktestDataset, run_backtest,
+from dynvol.harness import (BacktestDataset, run_backtest,
                             run_simulation_study, simulate_series,
                             study_preset, write_study_outputs, _fit_state,
                             _rolling)
@@ -25,6 +25,8 @@ from dynvol.state_domain import (StatePairs, _epanechnikov,
 from dynvol.time_domain import (EsConfig, es_variance, es_weights, exp_smooth,
                                 moving_average)
 from oracles import bayes_ma, kernel_density, s1_squared, s2_squared
+
+DEFAULT_CIR = study_preset("cir").params()
 
 
 def _intercept(x, resp, x0, h):

@@ -4,12 +4,13 @@ import csv
 import math
 import os
 from contextlib import nullcontext
+from dataclasses import replace
 from statistics import NormalDist
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from dynvol.errors import (DegenerateSeriesError, DynvolError, IngestionError,
@@ -30,40 +31,45 @@ from dynvol.state_domain import (DriftFit, StatePairs, _epanechnikov,
                                  _intercepts_at_data)
 from dynvol.time_domain import (EsConfig, es_variance, exp_smooth,
                                 moving_average)
-from oracles import ORACLE_TOL, acf_direct
+from oracles import ORACLE_TOL, SEGMENT, acf_direct, segmented_series
 
 SMALL = study_preset("cir", series_len=300, in_sample_len=260, n_reps=3,
                      seed=777)
 
 
-def semi_proxy(y, t: int, n: int,
+def semi_decay(y, t: int, n: int,
                lambda_grid: tuple[float, ...] = DEFAULT_SEMI_GRID,
                counters: dict | None = None) -> float:
-    """Reference loop for _SemiSelector with window n: score each candidate
-    decay by the squared error of its one-step forecasts of y[s]^2 over the
-    last n origins, and smooth with the best one; with no finite loss, or
-    all of several candidates tied, smooth with SEMI_FALLBACK_LAM and count
-    it in counters["semi_fallback"] when counters is given."""
+    """Reference loop for _SemiSelector's choice with window n: score each
+    candidate decay by the squared error of its one-step forecasts of y[s]^2
+    over the last n origins, summed by np.add.reduce as the engine does, and
+    return the first best one; with no finite loss, or all of several
+    candidates tied, return SEMI_FALLBACK_LAM and count it in
+    counters["semi_fallback"] when counters is given."""
     if t - 2 * n < 0:
         raise InsufficientHistoryError(
             f"need {2 * n} observations before origin {t}")
     losses = []
     for lam in lambda_grid:
         cfg = EsConfig(lam, n)
-        loss = 0.0
-        for s in range(t - n, t):
-            err = y[s] ** 2 - exp_smooth(y, s, cfg)
-            loss += err * err
-        losses.append(loss)
+        err = np.array([y[s] * y[s] - exp_smooth(y, s, cfg)
+                        for s in range(t - n, t)])
+        losses.append(np.add.reduce(err * err))
     losses = np.asarray(losses)
     finite = np.isfinite(losses)
     if (not finite.any()) or (losses[finite].max() == losses[finite].min()
                               and len(lambda_grid) > 1):
-        lam = SEMI_FALLBACK_LAM
         if counters is not None:
             counters["semi_fallback"] += 1
-    else:
-        lam = lambda_grid[int(np.argmin(np.where(finite, losses, np.inf)))]
+        return SEMI_FALLBACK_LAM
+    return lambda_grid[int(np.argmin(np.where(finite, losses, np.inf)))]
+
+
+def semi_proxy(y, t: int, n: int,
+               lambda_grid: tuple[float, ...] = DEFAULT_SEMI_GRID,
+               counters: dict | None = None) -> float:
+    """SemiProxy at origin t: smooth with semi_decay's choice."""
+    lam = semi_decay(y, t, n, lambda_grid, counters)
     return exp_smooth(y, t, EsConfig(lam, n))
 
 
@@ -152,9 +158,13 @@ def test_semi_selector_matches_reference_loop():
     sel = _SemiSelector(y, n, DEFAULT_SEMI_GRID)
     counters = _new_counters()
     for t in range(2 * n, 2 * n + 60):
-        # vectorized and looped routes differ only by summation order
-        assert sel.value(t, counters) == pytest.approx(
-            semi_proxy(y, t, n), rel=1e-11)
+        # the same sums in the same order: the chosen decay and the value
+        # are exact, and no other candidate's value equals the chosen one
+        lam = semi_decay(y, t, n)
+        values = {g: exp_smooth(y, t, EsConfig(g, n))
+                  for g in DEFAULT_SEMI_GRID}
+        assert [g for g, v in values.items() if v == values[lam]] == [lam]
+        assert sel.value(t, counters) == values[lam]
     assert counters["semi_fallback"] == 0
 
 
@@ -178,12 +188,91 @@ def test_semi_selector_falls_back_on_tied_losses(grid):
     got = sel.value(t, counters)
     assert counters["semi_fallback"] == 1
     assert got > 0.0
-    assert got == pytest.approx(
-        exp_smooth(y, t, EsConfig(SEMI_FALLBACK_LAM, n)), rel=1e-15)
-    assert got == pytest.approx(semi_proxy(y, t, n, grid), rel=1e-15)
+    assert got == exp_smooth(y, t, EsConfig(SEMI_FALLBACK_LAM, n))
+    assert got == semi_proxy(y, t, n, grid)
     # an untied window leaves the counter alone
     sel.value(t + 1, counters)
     assert counters["semi_fallback"] == 1
+
+
+_SEMI_GRIDS = st.sampled_from([DEFAULT_SEMI_GRID, (0.90, 0.96), (0.94,)])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(segments=st.lists(SEGMENT, min_size=1, max_size=8),
+       n=st.integers(1, 12), grid=_SEMI_GRIDS,
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_semi_selector_over_origins_matches_int_form(segments, n, grid, seed,
+                                                     data):
+    # zero segments make every candidate's loss vanish: exact ties
+    y = segmented_series(segments, seed)
+    assume(y.size >= 2 * n)
+    origins = np.array(data.draw(st.lists(
+        st.integers(2 * n, y.size), min_size=1, max_size=12)))
+    sel = _SemiSelector(y, n, grid)
+    table, per_origin, oracle = _new_counters(), _new_counters(), _new_counters()
+    got = sel.value(origins, table)
+    event(f"fallback: {table['semi_fallback'] > 0}")
+    assert np.array_equal(got, np.array(
+        [sel.value(t, per_origin) for t in origins.tolist()]))
+    assert np.array_equal(got, np.array(
+        [semi_proxy(y, t, n, grid, oracle) for t in origins.tolist()]))
+    assert table == per_origin == oracle
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(segments=st.lists(SEGMENT, min_size=1, max_size=8),
+       n=st.integers(1, 12), grid=_SEMI_GRIDS,
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_semi_selector_over_origins_reads_no_later_returns(segments, n, grid,
+                                                           seed, data):
+    y = segmented_series(segments, seed)
+    assume(y.size >= 2 * n)
+    origins = np.array(data.draw(st.lists(
+        st.integers(2 * n, y.size), min_size=1, max_size=12)))
+    cut = data.draw(st.sampled_from(origins.tolist()))
+    altered = y.copy()
+    altered[cut:] = 7.0 * altered[cut:] + 3.0
+    before = origins <= cut
+    got = _SemiSelector(y, n, grid).value(origins, _new_counters())
+    alt = _SemiSelector(altered, n, grid).value(origins, _new_counters())
+    assert np.array_equal(got[before], alt[before])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(segments=st.lists(SEGMENT, min_size=2, max_size=8),
+       n=st.integers(1, 12), grid=_SEMI_GRIDS,
+       seed=st.integers(0, 2**32 - 1))
+def test_semi_proxy_fallback_is_riskm_at_the_fallback_decay(segments, n, grid,
+                                                           seed):
+    # with RiskM at SEMI_FALLBACK_LAM on the same window, SemiProxy is RiskM
+    # bit for bit wherever it falls back
+    y = segmented_series(segments, seed)
+    first = 2 * n
+    assume(y.size > first)
+    z = y[:first] ** 2
+    assume(z.max() > z.min())
+    cfg = replace(SMALL, estimators=("RiskM", "SemiProxy"), semi_grid=grid,
+                  es=EsConfig(SEMI_FALLBACK_LAM, n))
+    tracks, counters = _rolling(y, y, cfg, first, y.size - first)
+    sel = _SemiSelector(y, n, grid)
+    fell_back = []
+    for t in range(first, y.size):
+        c = _new_counters()
+        sel.value(t, c)
+        fell_back.append(c["semi_fallback"] == 1)
+    fell_back = np.array(fell_back)
+    event(f"fallback: {fell_back.any()}")
+    assert counters["semi_fallback"] == fell_back.sum()
+    fallback_es = exp_smooth(y, np.arange(first, y.size),
+                             EsConfig(SEMI_FALLBACK_LAM, n))
+    assert np.array_equal(tracks["SemiProxy"][fell_back],
+                          fallback_es[fell_back])
+    assert np.array_equal(tracks["SemiProxy"][fell_back],
+                          tracks["RiskM"][fell_back])
 
 
 def test_tracks_do_not_depend_on_roster():
@@ -216,8 +305,8 @@ def test_rolling_matches_direct_estimator_calls():
         assert tracks["Hist"][step] == moving_average(y, i, SMALL.hist_window)
         es_val = exp_smooth(y, i, SMALL.es)
         assert tracks["RiskM"][step] == es_val
-        assert tracks["SemiProxy"][step] == pytest.approx(
-            semi_proxy(y, i, SMALL.es.n, SMALL.semi_grid, direct), rel=1e-11)
+        assert tracks["SemiProxy"][step] == semi_proxy(
+            y, i, SMALL.es.n, SMALL.semi_grid, direct)
         if step % SMALL.state_refit_every == 0:
             fit = _fit_state(levels, y, i, SMALL, fit, direct)
         sve = None if fit is None else _eval_state(fit, levels[i], direct)
@@ -513,9 +602,10 @@ def test_nan_step_exclusion_is_shared(monkeypatch):
     real = moving_average
 
     def patched(y, t, n):
-        if t == bad_origin:
-            return float("nan")
-        return real(y, t, n)
+        # the loop asks for every origin at once; NaN at bad_origin only
+        out = real(y, t, n)
+        out[np.asarray(t) == bad_origin] = np.nan
+        return out
 
     monkeypatch.setattr(hz, "moving_average", patched)
     res = run_simulation_study(cfg)

@@ -11,7 +11,7 @@ from dynvol.errors import DegenerateSeriesError, InsufficientHistoryError
 from dynvol.time_domain import (EsConfig, _es_weights_rev, autocorr_sq,
                                 es_variance, es_weights, exp_smooth,
                                 moving_average)
-from oracles import acf_direct, s1_squared
+from oracles import SEGMENT, acf_direct, s1_squared, segmented_series
 
 
 def test_moving_average_hand_value():
@@ -100,36 +100,14 @@ def test_autocorr_table_rejects_short_origins_and_bad_arguments():
             autocorr_sq(y, bad, max_lag=5)
 
 
-# a series is a run of segments: noise at a scale, zero returns, returns of
-# one magnitude (constant squares), or noise with one spike
-_segment = st.tuples(st.sampled_from(["noise", "zero", "const", "spike"]),
-                     st.integers(1, 40), st.integers(-3, 3))
-
-
-def _series(segments, seed):
-    rng = np.random.default_rng(seed)
-    parts = []
-    for kind, n, e in segments:
-        if kind == "zero":
-            parts.append(np.zeros(n))
-        elif kind == "const":
-            parts.append(rng.choice([-1.0, 1.0], n) * 10.0**e)
-        else:
-            part = rng.standard_normal(n) * 10.0**e
-            if kind == "spike":
-                part[rng.integers(n)] = 10.0 ** (e + 4)
-            parts.append(part)
-    return np.concatenate(parts)
-
-
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(segments=st.lists(_segment, min_size=1, max_size=8),
+@given(segments=st.lists(SEGMENT, min_size=1, max_size=8),
        max_lag=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
        data=st.data())
 def test_autocorr_table_matches_direct_definition(segments, max_lag, seed,
                                                   data):
-    y = _series(segments, seed)
+    y = segmented_series(segments, seed)
     assume(y.size >= max_lag + 2)
     origins = np.array(data.draw(st.lists(
         st.integers(max_lag + 2, y.size), min_size=1, max_size=12)))
@@ -152,12 +130,12 @@ def test_autocorr_table_matches_direct_definition(segments, max_lag, seed,
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(segments=st.lists(_segment, min_size=1, max_size=8),
+@given(segments=st.lists(SEGMENT, min_size=1, max_size=8),
        max_lag=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
        data=st.data())
 def test_autocorr_table_row_reads_no_later_returns(segments, max_lag, seed,
                                                    data):
-    y = _series(segments, seed)
+    y = segmented_series(segments, seed)
     assume(y.size >= max_lag + 3)
     origins = np.array(data.draw(st.lists(
         st.integers(max_lag + 2, y.size), min_size=1, max_size=12)))
@@ -168,6 +146,79 @@ def test_autocorr_table_row_reads_no_later_returns(segments, max_lag, seed,
     assert np.array_equal(autocorr_sq(y, origins, max_lag)[before],
                           autocorr_sq(altered, origins, max_lag)[before],
                           equal_nan=True)
+
+
+def _window_order_sum(y, t, lam, n):
+    """exp_smooth's definition: w[k] * y[t-n+k]^2 added oldest first."""
+    w = _es_weights_rev(lam, n)
+    acc = 0.0
+    for k in range(n):
+        acc += float(w[k]) * float(y[t - n + k] * y[t - n + k])
+    return acc
+
+
+_WINDOW_DECAYS = st.sampled_from([0.5, 0.9, 0.94, 0.97, 1.0])
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(segments=st.lists(SEGMENT, min_size=1, max_size=8),
+       n=st.integers(1, 60), lam=_WINDOW_DECAYS,
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_window_estimators_over_origins_match_int_form(segments, n, lam,
+                                                      seed, data):
+    y = segmented_series(segments, seed)
+    assume(y.size >= n)
+    origins = np.array(data.draw(st.lists(
+        st.integers(n, y.size), min_size=1, max_size=12)))
+    cfg = EsConfig(lam, n)
+    ma, es = moving_average(y, origins, n), exp_smooth(y, origins, cfg)
+    assert ma.shape == es.shape == origins.shape
+    # bit for bit, row by row
+    assert np.array_equal(
+        ma, np.array([moving_average(y, t, n) for t in origins.tolist()]))
+    assert np.array_equal(
+        es, np.array([exp_smooth(y, t, cfg) for t in origins.tolist()]))
+    if lam < 1.0:
+        assert np.array_equal(es, np.array(
+            [_window_order_sum(y, t, lam, n) for t in origins.tolist()]))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(segments=st.lists(SEGMENT, min_size=1, max_size=8),
+       n=st.integers(1, 60), lam=_WINDOW_DECAYS,
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_window_estimators_over_origins_read_no_later_returns(segments, n,
+                                                             lam, seed,
+                                                             data):
+    y = segmented_series(segments, seed)
+    assume(y.size >= n)
+    origins = np.array(data.draw(st.lists(
+        st.integers(n, y.size), min_size=1, max_size=12)))
+    cut = data.draw(st.sampled_from(origins.tolist()))
+    altered = y.copy()
+    altered[cut:] = 7.0 * altered[cut:] + 3.0
+    before = origins <= cut
+    cfg = EsConfig(lam, n)
+    assert np.array_equal(moving_average(y, origins, n)[before],
+                          moving_average(altered, origins, n)[before])
+    assert np.array_equal(exp_smooth(y, origins, cfg)[before],
+                          exp_smooth(altered, origins, cfg)[before])
+
+
+def test_window_estimators_reject_short_origins_and_bad_arguments():
+    y = np.random.default_rng(6).standard_normal(50)
+    cfg = EsConfig(0.94, 12)
+    for f in (lambda t: moving_average(y, t, 12),
+              lambda t: exp_smooth(y, t, cfg)):
+        for t in (np.array([20, 11, 40]), np.array([20, 51]), 11, 51):
+            with pytest.raises(InsufficientHistoryError):
+                f(t)
+        for bad in (np.array([], dtype=int), np.array([20.0]),
+                    np.ones((2, 2), int)):
+            with pytest.raises(ValueError):
+                f(bad)
 
 
 def _c_brute(lam, n, rho):
