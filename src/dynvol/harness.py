@@ -14,6 +14,13 @@ Forecasts at origin i use returns y[0:i] and levels r[0:i+1] only; the
 state-domain fit additionally excludes the n most recent returns and is
 refreshed on a fixed schedule while the query point moves every step.
 
+The walk-forward runs by refit block: each block of state_refit_every
+origins makes one state-domain fit and one windowed query of all its
+origins' levels. Everything else takes the whole series at once: the
+time-domain tracks and autocorrelations, Integ's time-domain variance, the
+dynamic blend and NonBay's shrinkage, each one call on arrays with one
+entry per origin, and so do the fallback counters.
+
 Studies and backtests score through one path: steps where any estimator's
 forecast is not finite are dropped for every estimator, and the exceedance
 ratio uses the normal alpha-quantile in studies and, in backtests, the
@@ -36,7 +43,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import (DegenerateSeriesError, DynvolError, IngestionError,
-                     InsufficientHistoryError, NoCoverageError)
+                     InsufficientHistoryError)
 from .evaluation import (ForecastTrack, MeasureReport, build_report,
                          empirical_quantile, exceedance_ratio, imade, made, pe,
                          rade, report_to_csv, report_to_text)
@@ -44,10 +51,10 @@ from .integration import MATCHED_SHAPE, bayes_es, combine_estimates
 from .sde import (CirParams, GbmParams, ReturnSeries, RngStream, SvParams,
                   levels_from_returns, simulate_cir, simulate_gbm, simulate_sv,
                   to_returns)
-from .state_domain import (DriftFit, StatePairs, _window_xi, select_bandwidth,
-                           state_variance)
-from .time_domain import (EsConfig, autocorr_sq, es_variance, exp_smooth,
-                          moving_average)
+from .state_domain import (DriftFit, StatePairs, StateVarianceEstimate,
+                           _window_estimates, select_bandwidth)
+from .time_domain import (EsConfig, TimeVarianceEstimate, autocorr_sq,
+                          es_variance, exp_smooth, moving_average)
 
 log = logging.getLogger("dynvol")
 
@@ -303,22 +310,19 @@ def _fit_state(levels, y, origin, cfg: StudyConfig, prev: _StateFit | None,
                      drift)
 
 
-def _eval_state(fit: _StateFit, x0: float, counters):
-    """State estimate at the query level, or None when there is no coverage.
-    A singular design falls back to the locally constant fit."""
-    try:
-        lo, xi, singular = _window_xi(fit.pairs.x, x0, fit.h)
-    except NoCoverageError:
-        counters["state_nocov"] += 1
-        return None
-    if singular:
-        counters["state_singular"] += 1
-    # the fitted intercept is the xi-weighted sum of the window's responses
-    sig2 = float(xi @ fit.pairs.resp[lo:lo + xi.size])
-    if sig2 < fit.eps_var:
-        counters["state_floor"] += 1
-        sig2 = fit.eps_var
-    return state_variance(sig2, xi, bandwidth=fit.h)
+def _eval_state(fit: _StateFit, x0: np.ndarray, counters):
+    """State estimate and sum of squared equivalent weights at each query
+    level of x0 (the origins of one refit block), NaN where there is no
+    coverage. A singular design falls back to the locally constant fit, and
+    an estimate below the fit's floor eps_var takes the floor."""
+    sig2, xi_sq, singular = _window_estimates(fit.pairs.x, fit.pairs.resp,
+                                              x0, fit.h)
+    floor = sig2 < fit.eps_var
+    sig2[floor] = fit.eps_var
+    counters["state_nocov"] += int(np.isnan(sig2).sum())
+    counters["state_singular"] += int(singular.sum())
+    counters["state_floor"] += int(floor.sum())
+    return sig2, xi_sq
 
 
 def _new_counters() -> dict:
@@ -363,39 +367,43 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
     if not need_state:
         return tracks, counters
 
-    # Integ's autocorrelations at every origin, one table per series
-    acf = (autocorr_sq(y, origins, cfg.max_lag)
-           if "Integ" in ests else None)
+    # the state estimate and its sum of squared weights at every origin, NaN
+    # where there is none: one fit and one windowed query per refit block.
+    # counters goes by keyword to _fit_state and _eval_state: the count
+    # hooks of perfbench/tracer.py look it up by name
+    sig2 = np.full(n_steps, np.nan)
+    xi_sq = np.full(n_steps, np.nan)
     fit = None
-    lam, n = cfg.es.lam, cfg.es.n
-    for step, es_val in enumerate(es_track.tolist()):
-        i = first + step
-        # counters goes by keyword to _fit_state and _eval_state: the count
-        # hooks of perfbench/tracer.py look it up by name
-        if step % cfg.state_refit_every == 0:
-            fit = _fit_state(levels, y, i, cfg, fit, counters=counters)
-        sve = None
+    for start in range(0, n_steps, cfg.state_refit_every):
+        block = slice(start, start + cfg.state_refit_every)
+        fit = _fit_state(levels, y, first + start, cfg, fit, counters=counters)
         if fit is not None:
-            sve = _eval_state(fit, levels[i], counters=counters)
-        if "NonBay" in ests:
-            if sve is None:
-                counters["nonbay_es_only"] += 1
-                tracks["NonBay"][step] = es_val
-            else:
-                tracks["NonBay"][step] = bayes_es(
-                    es_val, sve.sigma2_hat, lam, n, MATCHED_SHAPE)
-        if acf is not None and math.isnan(acf[step, 0]):
-            # autocorr_sq's degenerate row: no time-domain variance
-            counters["nan_steps"] += 1
-        elif acf is not None:
-            tve = es_variance(es_val, cfg.es, acf[step])
-            if tve.clamped:
-                counters["c_clamped"] += 1
-            if sve is None:
-                counters["integ_time_only"] += 1
-                tracks["Integ"][step] = es_val
-            else:
-                tracks["Integ"][step] = combine_estimates(tve, sve).sigma2_hat
+            sig2[block], xi_sq[block] = _eval_state(
+                fit, levels[origins[block]], counters=counters)
+    covered = ~np.isnan(sig2)
+    if "NonBay" in ests:
+        counters["nonbay_es_only"] += int(n_steps - covered.sum())
+        tracks["NonBay"] = es_track.copy()
+        tracks["NonBay"][covered] = bayes_es(es_track[covered], sig2[covered],
+                                             cfg.es.lam, cfg.es.n,
+                                             MATCHED_SHAPE)
+    if "Integ" in ests:
+        # autocorr_sq's degenerate rows have no time-domain variance
+        acf = autocorr_sq(y, origins, cfg.max_lag)
+        ok = np.flatnonzero(~np.isnan(acf[:, 0]))
+        counters["nan_steps"] += n_steps - ok.size
+        tve = es_variance(es_track[ok], cfg.es, acf[ok])
+        counters["c_clamped"] += tve.clamped
+        # Integ is the smoother alone where there is no state estimate
+        tracks["Integ"][ok] = es_track[ok]
+        both = covered[ok]
+        counters["integ_time_only"] += int(ok.size - both.sum())
+        rows = ok[both]
+        s2, sq = sig2[rows], xi_sq[rows]
+        tracks["Integ"][rows] = combine_estimates(
+            TimeVarianceEstimate(tve.sigma2_hat[both], tve.var_hat[both],
+                                 tve.c_t[both]),
+            StateVarianceEstimate(s2, sq, 2.0 * s2**2 * sq)).sigma2_hat
     return tracks, counters
 
 

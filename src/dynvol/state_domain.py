@@ -11,11 +11,15 @@ equivalent-weight representation
 reproduces the intercept as sum_i xi_i * response_i and satisfies
 sum xi_i = 1 and sum xi_i (x_i - x0) = 0 exactly.
 
-Two routes compute it, both on the design sorted by level. A query at one
-point (the per-step state estimate, and xi_weights) evaluates the kernel
-only on the window that searchsorted finds, in O(log N + window). The fit
-at every design point at once (the drift refit and leave-one-out bandwidth
-cross-validation) runs in O(N log N) on sorted prefix sums, after
+Two routes compute it, both on the design sorted by level. The windowed
+query evaluates the kernel only on the window that searchsorted finds, in
+O(log N + window): _window_xi at one point (xi_weights), and
+_window_estimates at the origins of one refit block of the walk-forward,
+whose windows are laid end to end and each reduced on its own with
+np.add.reduceat, so that an origin's estimate reads its own window only
+and has the same bits in any block. The fit at every design point at once
+(the drift refit and leave-one-out bandwidth cross-validation) runs in
+O(N log N) on sorted prefix sums, after
 Fan & Marron (1994) and Seifert, Brockmann, Engel & Gasser (1994): the
 Epanechnikov weight is quadratic on its support, so each moment sum over a
 window is a difference of prefix sums of powers of the centred level. The
@@ -32,7 +36,7 @@ and keeps each point's moments and exact counts. Every later refit only
 adds the few pairs the origin has moved past: it inserts them into the
 sorted design, adds their kernel weights, taken directly, to the moments
 of the points they reach, gives them moments of their own, and solves
-again only the span they touched: one copy of each array and
+again only the span they touched: one copy of the fit's table and
 O(pairs added x window) arithmetic. One function
 (_solve_intercepts) turns moments into intercepts on both paths. On every
 refit of a walk-forward the grown fit has the NaN pattern of a fit from
@@ -95,18 +99,20 @@ class StatePairs:
 
 @dataclass(frozen=True)
 class StateVarianceEstimate:
-    """Kernel variance estimate with its own sampling-variance estimate.
+    """Kernel variance estimate with its own sampling-variance estimate, as
+    floats for one query or as arrays with one entry per query.
 
     var_hat = 2 * sigma2_hat^2 * sum(xi^2); effective_n = 1 / sum(xi^2).
     """
 
-    sigma2_hat: float
-    xi_sq_sum: float
-    var_hat: float
+    sigma2_hat: float | np.ndarray
+    xi_sq_sum: float | np.ndarray
+    var_hat: float | np.ndarray
     bandwidth_used: float = float("nan")
 
     def __post_init__(self):
-        if self.sigma2_hat < 0 or self.var_hat < 0 or self.xi_sq_sum <= 0:
+        if (np.any(self.sigma2_hat < 0) or np.any(self.var_hat < 0)
+                or np.any(self.xi_sq_sum <= 0)):
             raise ValueError("invalid state variance estimate")
 
     @property
@@ -149,6 +155,60 @@ def _window_xi(xs: np.ndarray, x0: float, h: float):
     if det < DET_RTOL * h * h * v0 * v0:
         return lo, w / v0, True
     return lo, w * (v2 - d * v1) / det, False
+
+
+def _window_estimates(xs: np.ndarray, resp: np.ndarray, x0: np.ndarray,
+                      h: float):
+    """Local-linear intercept and sum of squared equivalent weights at each
+    query level of the 1-d array x0, on the sorted design xs with responses
+    resp: the windowed query of _window_xi for many queries at once.
+
+    Returns (est, xi_sq, singular), one entry per query; est and xi_sq are
+    NaN where the query has no coverage. Each query's window is found as
+    _window_xi finds it, the windows are laid end to end, and each moment
+    and sum reduces its own segment with np.add.reduceat, so a query's
+    values read its own window only and do not depend on the other queries.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    pad = PAD * (np.abs(x0) + h)
+    lo = np.searchsorted(xs, x0 - h - pad, "left")
+    hi = np.searchsorted(xs, x0 + h + pad, "right")
+    if xs.size:
+        # a query outside the data, or NaN, gets an empty window
+        hi = np.where((x0 >= xs[0]) & (x0 <= xs[-1]), hi, lo)
+    size = hi - lo
+    some = size > 0
+    starts = (np.cumsum(size) - size)[some]
+    windows = [slice(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
+
+    def per_window(v):
+        out = np.zeros(x0.size)
+        if starts.size:
+            out[some] = np.add.reduceat(v, starts)
+        return out
+
+    def spread(v):
+        return np.repeat(v, size)
+
+    d = np.concatenate([xs[s] for s in windows]) - spread(x0)
+    w = _epanechnikov(d / h)
+    wd = w * d
+    v0, v1, v2 = per_window(w), per_window(wd), per_window(wd * d)
+    covered = v0 > 0.0
+    det = v0 * v2 - v1 * v1
+    singular = covered & (v2 != 0.0) & (det < DET_RTOL * h * h * v0 * v0)
+    # xi = w (v2 - d v1) / det; zero-spread and singular windows take the
+    # normalized kernel weights, as w (1 - d 0) / v0 gives them exactly
+    const = (v2 == 0.0) | singular
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi = (w * (spread(np.where(const, 1.0, v2))
+                   - d * spread(np.where(const, 0.0, v1)))
+              / spread(np.where(const, v0, det)))
+    est = per_window(xi * np.concatenate([resp[s] for s in windows]))
+    xi_sq = per_window(xi * xi)
+    est[~covered] = np.nan
+    xi_sq[~covered] = np.nan
+    return est, xi_sq, singular
 
 
 def xi_weights(pairs: StatePairs, x0: float, h: float) -> np.ndarray:
@@ -401,19 +461,18 @@ def _resid2(y: np.ndarray, drift: np.ndarray) -> np.ndarray:
     return residual_squares(y, np.where(np.isfinite(drift), drift, 0.0))
 
 
-def _spliced(at: np.ndarray, arrays) -> list[np.ndarray]:
-    """Each array with a zero inserted on its last axis before each index
-    in the sorted at, as np.insert gives it, by one slice copy per run of
-    kept entries (np.insert costs several times more at a few indices)."""
-    n, k = arrays[0].shape[-1], at.size
+def _spliced(table: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """table with a zero column inserted before each column index in the
+    sorted at, as np.insert gives it, by one slice copy per run of kept
+    columns: all rows move together, and a boolean or integer scatter, or
+    np.insert, costs several times more."""
+    n, k = table.shape[1], at.size
     bounds = [0, *at.tolist(), n]
-    out = []
-    for a in arrays:
-        b = np.zeros(a.shape[:-1] + (n + k,), a.dtype)
-        for j in range(k + 1):
-            b[..., bounds[j] + j:bounds[j + 1] + j] = a[..., bounds[j]:
-                                                         bounds[j + 1]]
-        out.append(b)
+    out = np.empty((table.shape[0], n + k))
+    for j in range(k + 1):
+        out[:, bounds[j] + j:bounds[j + 1] + j] = table[:, bounds[j]:
+                                                        bounds[j + 1]]
+    out[:, at + np.arange(k)] = 0.0
     return out
 
 
@@ -427,23 +486,27 @@ class DriftFit:
     of 0.75 h^k and other the exact count of points of other levels in it;
     drift is the intercept, NaN where the design has no fit, and resid2 the
     squared residual y - drift, with the drift taken as 0 where it is NaN.
+    All of them are rows of one float table (other holds integers, exact in
+    a float), so that extend splices them together.
 
     from_scratch fits with the prefix-sum engine. extend adds the k pairs
     of a later origin, which arrive after every pair held, with one copy of
-    each array and O(k window) arithmetic: each new pair's kernel weights on
+    the table and O(k window) arithmetic: each new pair's kernel weights on
     the window around it, taken directly, go into the moments of every pair
     it weighs and make its own moments. Only the span of pairs they touched
     is solved again. The result agrees with a from-scratch fit on the same
     pairs within the engine's bound and with the same NaN pattern.
     """
 
-    x: np.ndarray
-    y: np.ndarray
     h: float
-    moments: np.ndarray
-    other: np.ndarray
-    drift: np.ndarray
-    resid2: np.ndarray
+    table: np.ndarray
+
+    x = property(lambda self: self.table[0])
+    y = property(lambda self: self.table[1])
+    moments = property(lambda self: self.table[2:7])
+    drift = property(lambda self: self.table[7])
+    resid2 = property(lambda self: self.table[8])
+    other = property(lambda self: self.table[9])
 
     @classmethod
     def from_scratch(cls, x: np.ndarray, y: np.ndarray, h: float) -> DriftFit:
@@ -451,7 +514,8 @@ class DriftFit:
         xs, ys = x[order], y[order]
         mom, flat, multi, other = _sorted_moments(xs, ys, h, False)
         drift = _solve_intercepts(mom, flat, multi)
-        return cls(xs, ys, h, mom, other, drift, _resid2(ys, drift))
+        return cls(h, np.vstack((xs, ys, mom, drift, _resid2(ys, drift),
+                                 other)))
 
     def extend(self, x_new: np.ndarray, y_new: np.ndarray) -> DriftFit:
         """The fit with the pairs (x_new, y_new) added."""
@@ -465,9 +529,8 @@ class DriftFit:
         # after the tied pairs held, as a stable sort of all pairs puts them
         at = np.searchsorted(self.x, xn, "right")
         new = at + np.arange(xn.size)
-        x, y, mom, other, drift, resid2 = _spliced(
-            at, (self.x, self.y, self.moments, self.other, self.drift,
-                 self.resid2))
+        fit = DriftFit(h, _spliced(self.table, at))
+        x, y, mom, other = fit.x, fit.y, fit.moments, fit.other
         x[new] = xn
         y[new] = yn
 
@@ -476,29 +539,39 @@ class DriftFit:
         b = int(np.searchsorted(x, xn[-1] + h + PAD * (abs(xn[-1]) + h),
                                 "right"))
         xw, yw = x[a:b], y[a:b]
-        u = (xw - xn[:, None]) / h
-        w = np.fmax(1.0 - u * u, 0.0)
-        wu = w * u
-        wuu = wu * u
-        apart = (w > 0.0) & (xw != xn[:, None])
-        # every pair in a new pair's window, new pairs included, sees it at
-        # -u: exactly, since x_j - x_i rounds to -(x_i - x_j)
-        mom[:, a:b] += np.stack((w.sum(0), -wu.sum(0), wuu.sum(0), yn @ w,
-                                 -(yn @ wu)))
+        k, width = xn.size, b - a
+        # kern[i] holds w, w u and w u^2 for new pair i at each pair j of
+        # [a, b), new pairs included, with u = (x_i - x_j)/h: what pair j's
+        # moments take in from new pair i. In new pair i's own moments u
+        # has the other sign, exactly, since x_j - x_i rounds to -(x_i - x_j)
+        u = (xn[:, None] - xw) / h
+        kern = np.empty((k, 3, width))
+        np.fmax(1.0 - u * u, 0.0, out=kern[:, 0])
+        np.multiply(kern[:, 0], u, out=kern[:, 1])
+        np.multiply(kern[:, 1], u, out=kern[:, 2])
+        apart = (kern[:, 0] > 0.0) & (xw != xn[:, None])
+        # one product sums kern over the new pairs, plain and weighted by
+        # their responses: rows v0, v1, v2, b0, b1 (and an unused sixth)
+        mom[:, a:b] += (np.stack((np.ones(k), yn))
+                        @ kern.reshape(k, -1)).reshape(6, width)[:5]
         other[a:b] += apart.sum(0)
-        # a new pair's own moments over the pairs held before it; the
-        # new-against-new block came in above
+        # a new pair's own moments over the pairs held before it (the
+        # new-against-new block came in above): one product sums kern over
+        # the span, plain and weighted by its responses, with the sign of u
+        # turned for v1 and b1
         cols = new - a
-        for m in (w, wu, wuu, apart):
-            m[:, cols] = 0
-        mom[:, new] += np.stack((w.sum(1), wu.sum(1), wuu.sum(1), w @ yw,
-                                 wu @ yw))
+        kern[:, :, cols] = 0.0
+        apart[:, cols] = False
+        own = (kern.reshape(-1, width)
+               @ np.stack((np.ones(width), yw), axis=1)).reshape(k, 6)
+        mom[:, new] += (own[:, [0, 2, 4, 1, 3]]
+                        * np.array([1.0, -1.0, 1.0, 1.0, -1.0])).T
         other[new] += apart.sum(1)
 
         span = other[a:b]
-        drift[a:b] = _solve_intercepts(mom[:, a:b], span == 0, span > 0)
-        resid2[a:b] = _resid2(yw, drift[a:b])
-        return DriftFit(x, y, h, mom, other, drift, resid2)
+        fit.drift[a:b] = _solve_intercepts(mom[:, a:b], span == 0, span > 0)
+        fit.resid2[a:b] = _resid2(yw, fit.drift[a:b])
+        return fit
 
 
 def _cv_bandwidth(x: np.ndarray, resp: np.ndarray) -> float:

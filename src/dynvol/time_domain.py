@@ -9,7 +9,9 @@ identical summation so the reduction is exact.
 Both window estimators, like autocorr_sq, take one origin or a 1-d int array
 of origins, and the array form gives each origin the bits of the int form:
 a whole series of forecasts is one call. Their order of addition is fixed
-by numpy's elementwise ops, not by a BLAS kernel.
+by numpy's elementwise ops, not by a BLAS kernel. es_variance likewise
+takes one estimate or an array of them, with one row of autocorrelations
+per origin.
 """
 
 from __future__ import annotations
@@ -38,21 +40,24 @@ class EsConfig:
 
 @dataclass(frozen=True)
 class TimeVarianceEstimate:
-    """Smoothed variance plus its own sampling-variance estimate.
+    """Smoothed variance plus its own sampling-variance estimate, as floats
+    for one origin or as arrays with one entry per origin.
 
     var_hat = 2 * sigma2_hat^2 * c_t, where c_t collapses the smoothing
     weights and the autocorrelation of squared returns into one factor.
-    `clamped` flags that a wild autocorrelation estimate pushed c_t below
-    the floor and the iid value was substituted.
+    `clamped` counts the origins where a wild autocorrelation estimate
+    pushed c_t below the floor and the iid value was substituted: 0 or 1
+    for one origin.
     """
 
-    sigma2_hat: float
-    var_hat: float
-    c_t: float
-    clamped: bool = False
+    sigma2_hat: float | np.ndarray
+    var_hat: float | np.ndarray
+    c_t: float | np.ndarray
+    clamped: int = 0
 
     def __post_init__(self):
-        if self.sigma2_hat < 0 or self.var_hat < 0 or self.c_t < 0:
+        if (np.any(self.sigma2_hat < 0) or np.any(self.var_hat < 0)
+                or np.any(self.c_t < 0)):
             raise ValueError("estimates must be nonnegative")
 
 
@@ -206,34 +211,47 @@ def _c_coef(lam: float, n: int, kmax: int) -> tuple[float, np.ndarray]:
     return c_iid, coef
 
 
-def es_variance(sigma2_hat: float, cfg: EsConfig,
+def es_variance(sigma2_hat, cfg: EsConfig,
                 rho: np.ndarray | None = None) -> TimeVarianceEstimate:
     """Sampling variance of the smoothed estimator given squared-return
     autocorrelations.
 
     Parameters
     ----------
-    sigma2_hat : float
-        The smoothed variance estimate (plugged in as sigma^4).
+    sigma2_hat : float or 1-d array
+        The smoothed variance estimate (plugged in as sigma^4), or one per
+        origin.
     cfg : EsConfig
     rho : array or None
         Autocorrelations at lags 1, 2, ...; lags beyond the array are
-        treated as zero. None means iid.
+        treated as zero. None means iid. With an array sigma2_hat, one row
+        per origin, as autocorr_sq gives them.
+
+    The array form returns arrays, and each entry has the bits of the float
+    form at that origin: c_t adds coef * rho with np.add.reduce along each
+    row, whatever the number of rows.
 
     Notes
     -----
     A noisy rho can drive the factor c_t negative or nearly so; values below
-    1e-2 times the iid factor are replaced by the iid factor and flagged.
+    1e-2 times the iid factor are replaced by the iid factor and counted in
+    `clamped`.
     """
-    if sigma2_hat < 0:
+    s = np.atleast_1d(np.asarray(sigma2_hat, dtype=float))
+    if np.any(s < 0):
         raise ValueError("sigma2_hat must be nonnegative")
-    kmax = 0 if rho is None else min(cfg.n - 1, len(rho))
+    kmax = 0 if rho is None else min(cfg.n - 1, np.shape(rho)[-1])
     c_iid, coef = _c_coef(cfg.lam, cfg.n, kmax)
-    c = c_iid if rho is None else c_iid + float(coef @ rho[:kmax])
-    clamped = False
-    if c < 1e-2 * c_iid:
-        c = c_iid
-        clamped = True
-    var_hat = 2.0 * sigma2_hat**2 * c
-    return TimeVarianceEstimate(sigma2_hat, var_hat, c, clamped)
-
+    if rho is None:
+        c = np.full(s.shape, c_iid)
+    else:
+        rows = np.atleast_2d(rho)[:, :kmax]
+        if rows.shape[0] != s.size:
+            raise ValueError("rho must have one row per estimate")
+        c = c_iid + np.add.reduce(rows * coef, axis=1)
+    low = c < 1e-2 * c_iid
+    c[low] = c_iid
+    var_hat = 2.0 * s**2 * c
+    return TimeVarianceEstimate(
+        *(_per_origin(sigma2_hat, v) for v in (s, var_hat, c)),
+        int(np.count_nonzero(low)))

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from dynvol.errors import (DegenerateSeriesError, DynvolError, IngestionError,
-                           InsufficientHistoryError)
+                           InsufficientHistoryError, NoCoverageError)
 from dynvol import harness
 from dynvol.harness import (DEFAULT_SEMI_GRID, ESTIMATORS, MIN_STATE_PAIRS,
                             SEMI_FALLBACK_LAM, BacktestDataset, StudyConfig,
@@ -28,7 +28,8 @@ from dynvol.harness import (DEFAULT_SEMI_GRID, ESTIMATORS, MIN_STATE_PAIRS,
 from dynvol.integration import MATCHED_SHAPE, bayes_es, combine_estimates
 from dynvol.sde import RngStream, simulate_gbm
 from dynvol.state_domain import (DriftFit, StatePairs, _epanechnikov,
-                                 _intercepts_at_data)
+                                 _intercepts_at_data, _window_xi,
+                                 state_variance)
 from dynvol.time_domain import (EsConfig, es_variance, exp_smooth,
                                 moving_average)
 from oracles import ORACLE_TOL, SEGMENT, acf_direct, segmented_series
@@ -287,14 +288,34 @@ def test_tracks_do_not_depend_on_roster():
         assert np.array_equal(tracks[e], solo.sigma2, equal_nan=True)
 
 
+# The walk below and _rolling add each window's kernel sums in different
+# orders (one window at a time against np.add.reduceat over a refit block),
+# so the state estimate and its sum of squared weights agree within the
+# engine's tolerance, ORACLE_TOL relative. NonBay is a convex combination
+# of the smoother and the state estimate, and Integ one whose weight moves
+# with the state estimate squared times its sum of squared weights: each
+# moves by at most four times that relative, TRACK_RTOL.
+TRACK_RTOL = 4.0 * ORACLE_TOL
+
+
 def test_rolling_matches_direct_estimator_calls():
-    # every estimator and counter of the loop, step by step, against direct
-    # calls: Integ from the autocorrelation by its definition (acf_direct)
-    sim = simulate_series(SMALL, 1)
+    # the differential oracle of the refit-block loop: every estimator and
+    # counter of _rolling against a walk over the origins one at a time,
+    # with the windowed point query _window_xi, the float forms of
+    # es_variance, combine_estimates and bayes_es, and Integ's
+    # autocorrelations by their definition (acf_direct); the 39 steps are
+    # not a multiple of 3 or 8, so the last refit block is short
+    for every in (1, 3, 8):
+        _walk_matches_rolling(every)
+
+
+def _walk_matches_rolling(every: int) -> None:
+    cfg = replace(SMALL, state_refit_every=every)
+    sim = simulate_series(cfg, 1)
     levels, y = sim.levels, sim.returns.y
-    first = SMALL.in_sample_len - 1
-    m = SMALL.series_len - SMALL.in_sample_len
-    tracks, counters = _rolling(levels, y, SMALL, first, m)
+    first = cfg.in_sample_len - 1
+    m = cfg.series_len - cfg.in_sample_len - 1
+    tracks, counters = _rolling(levels, y, cfg, first, m)
     direct = _new_counters()
     # the shift of the loop's autocorrelation table
     shift = float((y[:first] ** 2).mean())
@@ -302,28 +323,40 @@ def test_rolling_matches_direct_estimator_calls():
     fit = None
     for step in range(m):
         i = first + step
-        assert tracks["Hist"][step] == moving_average(y, i, SMALL.hist_window)
-        es_val = exp_smooth(y, i, SMALL.es)
+        assert tracks["Hist"][step] == moving_average(y, i, cfg.hist_window)
+        es_val = exp_smooth(y, i, cfg.es)
         assert tracks["RiskM"][step] == es_val
         assert tracks["SemiProxy"][step] == semi_proxy(
-            y, i, SMALL.es.n, SMALL.semi_grid, direct)
-        if step % SMALL.state_refit_every == 0:
-            fit = _fit_state(levels, y, i, SMALL, fit, direct)
-        sve = None if fit is None else _eval_state(fit, levels[i], direct)
+            y, i, cfg.es.n, cfg.semi_grid, direct)
+        if step % every == 0:
+            fit = _fit_state(levels, y, i, cfg, fit, direct)
+        sve = None
+        if fit is not None:
+            try:
+                lo, xi, singular = _window_xi(fit.pairs.x, levels[i], fit.h)
+            except NoCoverageError:
+                direct["state_nocov"] += 1
+            else:
+                direct["state_singular"] += singular
+                sig2 = float(xi @ fit.pairs.resp[lo:lo + xi.size])
+                if sig2 < fit.eps_var:
+                    direct["state_floor"] += 1
+                    sig2 = fit.eps_var
+                sve = state_variance(sig2, xi, bandwidth=fit.h)
         if sve is None:
             direct["nonbay_es_only"] += 1
             assert tracks["NonBay"][step] == es_val
         else:
-            assert tracks["NonBay"][step] == bayes_es(
-                es_val, sve.sigma2_hat, SMALL.es.lam, SMALL.es.n,
-                MATCHED_SHAPE)
+            want = bayes_es(es_val, sve.sigma2_hat, cfg.es.lam, cfg.es.n,
+                            MATCHED_SHAPE)
+            assert abs(tracks["NonBay"][step] - want) <= TRACK_RTOL * want
         try:
-            rho, tol = acf_direct(y, i, SMALL.max_lag, shift)
+            rho, tol = acf_direct(y, i, cfg.max_lag, shift)
         except DegenerateSeriesError:
             direct["nan_steps"] += 1
             assert np.isnan(tracks["Integ"][step])
             continue
-        tve = es_variance(es_val, SMALL.es, rho)
+        tve = es_variance(es_val, cfg.es, rho)
         direct["c_clamped"] += tve.clamped
         if sve is None:
             direct["integ_time_only"] += 1
@@ -336,10 +369,77 @@ def test_rolling_matches_direct_estimator_calls():
         w = blend.w_time
         move = 2.0 * tol / tve.c_t + 8.0 * eps
         bound = (abs(es_val - sve.sigma2_hat) * w * (1.0 - w) * move
-                 + 4.0 * eps * blend.sigma2_hat)
+                 + TRACK_RTOL * blend.sigma2_hat)
         assert abs(tracks["Integ"][step] - blend.sigma2_hat) <= bound
     assert counters == direct
     assert counters["nonbay_es_only"] < m
+
+
+def _hand_fit(x, resp, h):
+    order = np.argsort(x, kind="stable")
+    return _StateFit(StatePairs(x[order], resp[order]), h, h, 0.0)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(levels=st.lists(st.integers(0, 40), min_size=1, max_size=60),
+       spacing=st.sampled_from([1e-3, 0.3, 1.0, 40.0]),
+       offset=st.sampled_from([0.0, -7.5, 1e4]),
+       hmul=st.sampled_from([0.4, 0.5001, 1.0, 2.5, 30.0]),
+       picks=st.lists(st.tuples(
+           st.sampled_from(["point", "edge", "between", "outside"]),
+           st.integers(0, 59), st.floats(0.0, 1.0)), min_size=1, max_size=20),
+       every=st.integers(1, 8), seed=st.integers(0, 2**16))
+def test_eval_state_block_rows_are_single_queries(levels, spacing, offset,
+                                                  hmul, picks, every, seed):
+    # every row of a refit block's _eval_state has the bytes of the same
+    # query evaluated alone, and the block's counters are the sum of the
+    # single queries': a query's sums read its own window only. The
+    # queries mix design points (zero-spread windows on sparse lattices),
+    # points one bandwidth from a design point (singular windows of one
+    # weighted level), points between and outside the design (no
+    # coverage); blocks of 1-8 queries, the last one short
+    x = offset + spacing * np.asarray(levels, dtype=float)
+    h = hmul * spacing
+    resp = np.random.default_rng(seed).exponential(size=x.size)
+    fit = _hand_fit(x, resp, h)
+    xs = fit.pairs.x
+    q = np.array([{"point": xs[k % xs.size],
+                   "edge": xs[k % xs.size] + (h if f < 0.5 else -h),
+                   "between": xs[0] + f * (xs[-1] - xs[0]),
+                   "outside": xs[-1] + h * (1.0 + f)}[kind]
+                  for kind, k, f in picks])
+    for start in range(0, q.size, every):
+        block = q[start:start + every]
+        counters = _new_counters()
+        sig2, xi_sq = _eval_state(fit, block, counters=counters)
+        alone = _new_counters()
+        for j in range(block.size):
+            one = _eval_state(fit, block[j:j + 1], counters=alone)
+            assert sig2[j:j + 1].tobytes() == one[0].tobytes()
+            assert xi_sq[j:j + 1].tobytes() == one[1].tobytes()
+        assert counters == alone
+        for key in ("state_nocov", "state_singular", "state_floor"):
+            event(f"{key} > 0: {counters[key] > 0}")
+
+
+def test_eval_state_block_mixes_every_kind_of_query():
+    # one block with an uncovered query (a gap wider than the kernel), a
+    # zero-spread window, a singular window and ordinary ones, each row
+    # equal to the query alone
+    x = np.array([0.0, 0.0, 0.5, 0.5, 1.5, 5.0, 5.2, 5.5, 6.0, 20.0])
+    fit = _hand_fit(x, np.linspace(1.0, 2.0, x.size), 0.5001)
+    q = np.array([12.0, 20.0, 0.6, 5.3, 5.6, 0.0])
+    counters = _new_counters()
+    sig2, xi_sq = _eval_state(fit, q, counters=counters)
+    assert counters["state_nocov"] == 1 and np.isnan(sig2[0])
+    assert counters["state_singular"] == 1
+    for j in range(q.size):
+        one = _eval_state(fit, q[j:j + 1], counters=_new_counters())
+        assert sig2[j:j + 1].tobytes() == one[0].tobytes()
+        assert xi_sq[j:j + 1].tobytes() == one[1].tobytes()
+    # the zero-spread window at 20.0 is its one point
+    assert (sig2[1], xi_sq[1]) == (2.0, 1.0)
 
 
 # A grown drift fit and a fit from scratch on the same pairs are each
@@ -453,14 +553,15 @@ def test_singular_state_design_falls_back_to_kernel_weighted_mean():
     h = 0.5001
     fit = _StateFit(StatePairs(x, resp), h, h, 0.0)
     counters = _new_counters()
-    sve = _eval_state(fit, 0.6, counters=counters)
+    sig2, xi_sq = _eval_state(fit, np.array([0.6]), counters=counters)
     assert counters["state_singular"] == 1
     assert sum(counters.values()) == 1
     w = _epanechnikov((x - 0.6) / h)
     assert w[2] == 0.0
-    assert sve.sigma2_hat == pytest.approx(float(w @ resp / w.sum()),
-                                           rel=1e-15)
-    assert sve.sigma2_hat == pytest.approx(1.5, rel=1e-15)
+    assert sig2[0] == pytest.approx(float(w @ resp / w.sum()), rel=1e-15)
+    assert sig2[0] == pytest.approx(1.5, rel=1e-15)
+    # the two tied points weigh one half each
+    assert xi_sq[0] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_insufficient_history_is_rejected_up_front():

@@ -8,7 +8,7 @@ import pytest
 from dynvol.errors import DegenerateCaseWarning
 from dynvol.integration import (MATCHED_SHAPE, bayes_es, combine_estimates,
                                 dynamic_weight, integrate)
-from dynvol.state_domain import state_variance
+from dynvol.state_domain import StateVarianceEstimate, state_variance
 from dynvol.time_domain import EsConfig, es_variance
 from oracles import (IgPrior, bayes_ma, effective_n, efficiency_ratios,
                      ig_posterior, match_hyperparams)
@@ -46,6 +46,85 @@ def test_combine_estimates_wires_the_variances():
         expect_w * 1.0 + (1.0 - expect_w) * 1.5, rel=1e-13)
     assert got.var_time == pytest.approx(tve.var_hat, rel=1e-15)
     assert got.var_state == pytest.approx(sve.var_hat, rel=1e-15)
+
+
+def _array_case():
+    rng = np.random.default_rng(31)
+    var_time = rng.uniform(0.0, 2.0, size=12)
+    var_state = rng.uniform(0.0, 2.0, size=12)
+    var_time[3], var_state[5] = 0.0, 0.0
+    var_time[7] = var_state[7] = 0.0  # the degenerate tie
+    return var_time, var_state, rng.uniform(0.0, 4.0, (2, 12))
+
+
+def test_blend_array_forms_are_the_scalar_forms_per_origin():
+    # each entry of an array call has the bits of the float call
+    var_time, var_state, (t_est, s_est) = _array_case()
+    with pytest.warns(DegenerateCaseWarning):
+        w = dynamic_weight(var_time, var_state)
+    with pytest.warns(DegenerateCaseWarning):
+        one = [dynamic_weight(a, b) for a, b in zip(var_time, var_state)]
+    assert w.tobytes() == np.array(one).tobytes()
+    est = integrate(t_est, s_est, w, var_time, var_state)
+    for j in range(w.size):
+        e = integrate(t_est[j], s_est[j], one[j], var_time[j], var_state[j])
+        assert isinstance(e.sigma2_hat, float)
+        assert (est.sigma2_hat[j], est.w_time[j]) == (e.sigma2_hat, e.w_time)
+    nb = bayes_es(t_est, s_est, 0.94, 52, MATCHED_SHAPE)
+    assert nb.tobytes() == np.array(
+        [bayes_es(a, b, 0.94, 52, MATCHED_SHAPE)
+         for a, b in zip(t_est, s_est)]).tobytes()
+
+
+def test_combine_estimates_array_form_matches_scalar_calls():
+    cfg = EsConfig(0.94, 52)
+    rng = np.random.default_rng(32)
+    t_est, s_est = rng.uniform(0.1, 2.0, (2, 6))
+    rho = rng.uniform(-0.1, 0.3, (6, 30))
+    xi_sq = rng.uniform(0.01, 0.5, 6)
+    tve = es_variance(t_est, cfg, rho)
+    sve = StateVarianceEstimate(s_est, xi_sq, 2.0 * s_est**2 * xi_sq)
+    got = combine_estimates(tve, sve)
+    for j in range(6):
+        one = combine_estimates(
+            es_variance(float(t_est[j]), cfg, rho[j]),
+            StateVarianceEstimate(float(s_est[j]), float(xi_sq[j]),
+                                  float(sve.var_hat[j])))
+        assert got.sigma2_hat[j] == one.sigma2_hat
+        assert got.w_time[j] == one.w_time
+
+
+def test_degenerate_tie_warns_once_per_call():
+    var_time, var_state, _ = _array_case()
+    var_time[:4] = var_state[:4] = 0.0
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        w = dynamic_weight(var_time, var_state)
+    assert [x.category for x in seen] == [DegenerateCaseWarning]
+    assert np.all(w[:4] == 0.5)
+
+
+def test_blend_array_forms_reject_a_bad_entry_anywhere():
+    good = np.array([0.1, 0.2, 0.3])
+    bad = np.array([0.1, -1e-300, 0.3])
+    with pytest.raises(ValueError):
+        dynamic_weight(good, bad)
+    with pytest.raises(ValueError):
+        dynamic_weight(bad, good)
+    with pytest.raises(ValueError):
+        integrate(good, bad, good)
+    with pytest.raises(ValueError):
+        integrate(bad, good, good)
+    with pytest.raises(ValueError):
+        integrate(good, good, np.array([0.1, 1.5, 0.2]))
+    with pytest.raises(ValueError):
+        integrate(good, good, np.array([0.1, np.nan, 0.2]))
+    with pytest.raises(ValueError):
+        bayes_es(good, bad, 0.94, 52, MATCHED_SHAPE)
+    with pytest.raises(ValueError):
+        bayes_es(bad, good, 0.94, 52, MATCHED_SHAPE)
+    with pytest.raises(ValueError):
+        StateVarianceEstimate(good, np.array([0.1, 0.0, 0.1]), good)
 
 
 def test_ig_prior_validation_and_moments():

@@ -274,6 +274,36 @@ def test_es_variance_clamp_floor():
     assert ok.c_t < iid.c_t
 
 
+def test_es_variance_array_form_is_the_scalar_form_per_origin():
+    # each entry of the array form has the bits of the float call with that
+    # row of rho, and clamped counts the rows the float calls flag
+    rng = np.random.default_rng(21)
+    for lam, n, lags in ((0.94, 52, 30), (0.9, 2, 5), (1.0, 7, 30)):
+        cfg = EsConfig(lam, n)
+        sig = rng.uniform(0.0, 3.0, size=9)
+        sig[2] = 0.0
+        rho = rng.uniform(-1.0, 0.6, size=(9, lags))
+        rho[0] = -1.0  # drives c_t below the floor
+        got = es_variance(sig, cfg, rho)
+        one = [es_variance(float(s), cfg, r) for s, r in zip(sig, rho)]
+        for field in ("sigma2_hat", "var_hat", "c_t"):
+            want = np.array([getattr(e, field) for e in one])
+            assert getattr(got, field).tobytes() == want.tobytes()
+        assert got.clamped == sum(e.clamped for e in one)
+        assert got.clamped >= 1
+        iid = es_variance(sig, cfg)
+        assert iid.var_hat.tobytes() == np.array(
+            [es_variance(float(s), cfg).var_hat for s in sig]).tobytes()
+
+
+def test_es_variance_array_form_validates_every_entry():
+    cfg = EsConfig(0.94, 52)
+    with pytest.raises(ValueError):
+        es_variance(np.array([0.1, -1e-300, 0.2]), cfg)
+    with pytest.raises(ValueError):
+        es_variance(np.array([0.1, 0.2]), cfg, np.zeros((3, 30)))
+
+
 def test_s1_squared_limits_and_value():
     # c -> 0 gives the iid asymptotic factor 2 sigma^4
     assert s1_squared(1.0, 1e-14) == pytest.approx(2.0, rel=1e-9)
