@@ -5,7 +5,7 @@ estimated sampling variances."""
 from .errors import (DegenerateCaseWarning, DegenerateSeriesError, DynvolError,
                      IngestionError, InsufficientHistoryError, NoCoverageError,
                      SingularDesignError, TooFewPointsError)
-from .harness import (StudyConfig, ingest_csv, rolling_forecast, run_backtest,
+from .harness import (StudyConfig, ingest_csv, run_backtest,
                       run_simulation_study, study_preset,
                       write_backtest_outputs, write_study_outputs)
 from .integration import combine_estimates

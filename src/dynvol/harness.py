@@ -36,6 +36,7 @@ import datetime as _dt
 import logging
 import math
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 from typing import Callable, NamedTuple
@@ -188,23 +189,29 @@ class SimulatedSeries:
             raise ValueError("true_var must align with returns")
 
 
-def simulate_series(cfg: StudyConfig, rep: int) -> SimulatedSeries:
-    """One replication of the configured model on stream `rep`."""
-    rng = RngStream(cfg.seed, rep)
+def simulate_series(cfg: StudyConfig, reps: Sequence[int]
+                    ) -> list[SimulatedSeries]:
+    """One replication of the configured model per rep in reps, rep r on
+    stream r. SV replications run in lockstep; a replication has the same
+    bits in any group."""
     p = cfg.params()
-    if cfg.model == "CIR":
-        path = simulate_cir(p, cfg.delta, cfg.series_len, rng)
-        rs = to_returns(path)
-        true_var = p.sigma**2 * path.values[:-1]
-        return SimulatedSeries(path.values, rs, true_var)
+    rngs = [RngStream(cfg.seed, rep) for rep in reps]
     if cfg.model == "SV":
-        rs, vbar = simulate_sv(p, cfg.delta, cfg.series_len - 1, rng)
-        return SimulatedSeries(levels_from_returns(rs), rs, vbar)
+        return [SimulatedSeries(levels_from_returns(rs), rs, vbar)
+                for rs, vbar in simulate_sv(p, cfg.delta, cfg.series_len - 1,
+                                            rngs)]
+    if cfg.model == "CIR":
+        paths = [simulate_cir(p, cfg.delta, cfg.series_len, rng)
+                 for rng in rngs]
+        return [SimulatedSeries(path.values, to_returns(path),
+                                p.sigma**2 * path.values[:-1])
+                for path in paths]
     if cfg.model == "GBM":
-        path = simulate_gbm(p, cfg.delta, cfg.series_len, rng)
-        rs = to_returns(path)
-        true_var = p.sigma**2 * path.values[:-1] ** 2
-        return SimulatedSeries(path.values, rs, true_var)
+        paths = [simulate_gbm(p, cfg.delta, cfg.series_len, rng)
+                 for rng in rngs]
+        return [SimulatedSeries(path.values, to_returns(path),
+                                p.sigma**2 * path.values[:-1] ** 2)
+                for path in paths]
     raise ValueError(f"cannot simulate model {cfg.model!r}")
 
 
@@ -407,30 +414,13 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
     return tracks, counters
 
 
-def rolling_forecast(sim: SimulatedSeries | tuple, cfg: StudyConfig,
-                     estimator_id: str) -> ForecastTrack:
-    """One-step-ahead variance forecasts for one estimator over the
-    out-of-sample stretch [in_sample_len - 1, series_len - 2]."""
-    levels, y = _unpack_series(sim)
-    if estimator_id not in ESTIMATORS:
-        raise ValueError(f"unknown estimator {estimator_id!r}")
-    sub = replace(cfg, estimators=(estimator_id,))
-    first = cfg.in_sample_len - 1
-    n_steps = y.size - first
-    tracks, _ = _rolling(levels, y, sub, first, n_steps)
-    return ForecastTrack(estimator_id, tracks[estimator_id])
-
-
-def _unpack_series(sim) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(sim, SimulatedSeries):
-        return sim.levels, sim.returns.y
-    levels, rs = sim
-    y = rs.y if isinstance(rs, ReturnSeries) else np.asarray(rs, dtype=float)
-    return np.asarray(levels, dtype=float), y
-
-
 # ---------------------------------------------------------------------------
 # simulation study
+
+# most SV replications one simulate_series call runs in lockstep; a
+# lockstep substep has a fixed cost that pays off from about 15 of them.
+# CIR and GBM simulate path by path, one replication per call.
+SV_GROUP = 64
 
 # per-replication measures, in per_rep.csv column order
 _MEASURES = ("imade", "made", "pe", "rade", "er")
@@ -490,10 +480,22 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
     excluded = 0
     failed: dict[int, str] = {}
     excluded_per_rep: list[int] = []
+    group = SV_GROUP if cfg.model == "SV" else 1
+    sims: dict[int, SimulatedSeries] = {}
 
     for rep in range(cfg.n_reps):
         try:
-            sim = simulate_series(cfg, rep)
+            if not sims:
+                reps = range(rep, min(rep + group, cfg.n_reps))
+                try:
+                    sims = dict(zip(reps, simulate_series(cfg, reps)))
+                except DynvolError:
+                    if len(reps) == 1:
+                        raise
+                    # charge the failure to its replication: this one alone,
+                    # then a group from the next one
+                    sims = dict(zip([rep], simulate_series(cfg, [rep])))
+            sim = sims.pop(rep)
             tracks, counters = _rolling(sim.levels, sim.returns.y, cfg, first, m)
             truth = sim.true_var[first:first + m]
             mask, vals = _score(tracks, sim.returns.y[first:first + m],

@@ -5,17 +5,24 @@ Three generators are provided: a square-root mean-reverting rate model
 returns are conditionally Gaussian given the substep-averaged variance, and
 geometric Brownian motion sampled from its exact log-normal transition law.
 
-The two scalar recursions (`simulate_cir` and `sv_inner_path`) run on Python
-floats: they iterate a memoryview of the contiguous draws and append to an
-`array.array`, which is several times faster than indexing numpy scalars.
-Their output bits are pinned by SHA-256 digests in `tests/test_sde.py`, so a
-rewrite of either kernel has to reproduce them exactly.
+`simulate_cir` is a scalar recursion per path on Python floats: it iterates
+a memoryview of the contiguous draws and appends to an `array.array`, which
+is several times faster than indexing numpy scalars. The stochastic-variance
+scheme runs 30 substeps per observation, so `simulate_sv` advances a group
+of replications in lockstep instead: `sv_inner_path` takes one column per
+replication and makes one numpy step per substep for the whole group. Each
+element still goes through the IEEE operations of the scalar formula in the
+same order, only side by side, so a replication has the same bits alone or
+in any group. The output bits are pinned by SHA-256 digests in
+`tests/test_sde.py`, so a rewrite of either kernel has to reproduce them
+exactly.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,60 +196,115 @@ def simulate_cir(params: CirParams, delta: float, n_obs: int, rng: RngStream,
     return SamplePath(np.frombuffer(out), delta)
 
 
-def sv_inner_path(params: SvParams, v0: float, eps: np.ndarray,
+def sv_inner_path(params: SvParams, v0, eps: np.ndarray,
                   dstar: float) -> np.ndarray:
     """Advance the latent-variance scheme through len(eps) substeps of size
-    dstar, starting at v0. Returns len(eps) + 1 values including v0."""
-    if not (v0 > 0 and dstar > 0):
+    dstar, starting at v0, for every column of eps at once.
+
+    v0 has shape (R,) and eps (N, R); returns the (N + 1, R) values including
+    v0. A float v0 and a 1-d eps are the one-column case and return N + 1
+    values. Each column has the bits of the scalar step, evaluated left to
+    right: v <- max(v + kappa (theta - v) d + alpha v sqrt(d) e
+    + (alpha2 d / 2) v (e^2 - 1), floor), with d = dstar.
+    """
+    v0 = np.asarray(v0, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    if not (np.all(v0 > 0) and dstar > 0):
         raise ValueError("v0 and dstar must be positive")
-    k, th = params.kappa, params.theta
+    one_path = eps.ndim == 1
+    if one_path:
+        eps = eps[:, None]
+    n, r = eps.shape
     alpha = math.sqrt(params.alpha2)
-    sqdstar = math.sqrt(dstar)
     half_a2 = 0.5 * params.alpha2 * dstar
-    floor = POSITIVITY_FLOOR
-    v = float(v0)
-    out = array("d", [v])
-    append = out.append
-    for e in memoryview(np.ascontiguousarray(eps, dtype=float).ravel()):
-        v = (v + k * (th - v) * dstar
-             + alpha * v * sqdstar * e
-             + half_a2 * v * (e * e - 1.0))
-        if v < floor:
-            v = floor
-        append(v)
-    return np.frombuffer(out)
+    # Per substep, w holds the four terms that are added left to right:
+    #   w = (t - v) * k  -> [v, kappa (theta - v), alpha v, half_a2 v]
+    #   w[1:3] *= [d, sqrt(d)];  w[2:4] *= [e, e^2 - 1]
+    # Negating v and its factors is exact, so one subtraction and one
+    # product start all four, and np.add.reduce sums four rows in order.
+    # The constants are full (rows, R) arrays: a same-shape ufunc is faster
+    # than a broadcast one at these sizes.
+    t = np.repeat([[0.0], [params.theta], [0.0], [0.0]], r, axis=1)
+    k = np.repeat([[-1.0], [params.kappa], [-alpha], [-half_a2]], r, axis=1)
+    d = np.repeat([[dstar], [math.sqrt(dstar)]], r, axis=1)
+    floor = np.full(r, POSITIVITY_FLOOR)
+    eq = np.empty((n, 2, r))
+    eq[:, 0] = eps
+    np.multiply(eps, eps, out=eq[:, 1])  # in place: no (N, R) temporaries
+    np.subtract(eq[:, 1], 1.0, out=eq[:, 1])
+    out = np.empty((n + 1, r))
+    out[0] = v0
+    w = np.empty((4, r))
+    w12, w23 = w[1:3], w[2:4]
+    total = np.empty(r)
+    sub, mul, add_rows, maximum = (np.subtract, np.multiply, np.add.reduce,
+                                   np.maximum)
+    v = out[0]
+    # row views made one at a time: a list of them all costs memory
+    for v_next, e in zip(out[1:], eq):
+        sub(t, v, out=w)
+        mul(w, k, out=w)
+        mul(w12, d, out=w12)
+        mul(w23, e, out=w23)
+        add_rows(w, axis=0, out=total)
+        maximum(total, floor, out=v_next)
+        v = v_next
+    return out[:, 0] if one_path else out
+
+
+# observations per sv_inner_path call in simulate_sv: bounds the working
+# memory of a group to a few hundred substeps per replication
+SV_BLOCK = 16
 
 
 def simulate_sv(params: SvParams, delta: float, n_obs: int,
-                rng: RngStream) -> tuple[ReturnSeries, np.ndarray]:
-    """Simulate n_obs conditionally Gaussian returns and their true variances.
+                rngs: Sequence[RngStream]
+                ) -> list[tuple[ReturnSeries, np.ndarray]]:
+    """Simulate n_obs conditionally Gaussian returns and their true variances
+    on each stream of rngs, all streams in lockstep.
 
     The latent variance runs on a grid of `substeps` inner Milstein steps per
     observation interval; each return is drawn as N(0, vbar_i) where vbar_i
     is the average of the variance over the interval's substeps. The initial
     variance is drawn from the stationary inverse-gamma law.
 
+    Each stream draws the start, then the substep normals, then the return
+    normals, so a stream gives the same result in any group. The normals are
+    drawn SV_BLOCK observations at a time, which gives the same numbers as
+    one draw of all of them.
+
     Returns
     -------
-    (ReturnSeries, np.ndarray)
-        The returns and the per-interval averaged variance path (length n_obs).
+    list of (ReturnSeries, np.ndarray)
+        Per stream, the returns and the per-interval averaged variance path
+        (length n_obs).
     """
     if n_obs < 1:
         raise ValueError("n_obs must be >= 1")
     if not delta > 0:
         raise ValueError("delta must be positive")
-    gen = rng.generator()
+    gens = [rng.generator() for rng in rngs]
+    if not gens:
+        return []
     m = params.substeps
     dstar = delta / m
     # stationary draw: V = 1/G with G ~ Gamma(shape=a, rate=b)
-    v = 1.0 / float(gen.gamma(params.shape_a, 1.0 / params.rate_b))
-    eps = gen.standard_normal((n_obs, m))
-    zeta = gen.standard_normal(n_obs)
-    path = sv_inner_path(params, v, eps.ravel(), dstar)
-    # interval i spans substep starts i*m .. i*m + m - 1
-    vbar = path[:-1].reshape(n_obs, m).mean(axis=1)
-    y = np.sqrt(vbar) * zeta
-    return ReturnSeries(y, delta, n_obs + 1), vbar
+    v = np.array([1.0 / float(gen.gamma(params.shape_a, 1.0 / params.rate_b))
+                  for gen in gens])
+    vbar = np.empty((len(gens), n_obs))
+    for lo in range(0, n_obs, SV_BLOCK):
+        nb = min(SV_BLOCK, n_obs - lo)
+        eps = np.column_stack([gen.standard_normal(nb * m) for gen in gens])
+        path = sv_inner_path(params, v, eps, dstar)
+        v = path[-1]
+        # interval i spans substep starts i*m .. i*m + m - 1; the mean runs
+        # over C-contiguous rows, as on a single path (a strided view sums
+        # in another order)
+        starts = np.ascontiguousarray(path[:-1].T)
+        vbar[:, lo:lo + nb] = starts.reshape(-1, nb, m).mean(axis=2)
+    return [(ReturnSeries(np.sqrt(vb) * gen.standard_normal(n_obs), delta,
+                          n_obs + 1), vb)
+            for gen, vb in zip(gens, vbar)]
 
 
 def simulate_gbm(params: GbmParams, delta: float, n_obs: int, rng: RngStream,

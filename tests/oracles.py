@@ -3,6 +3,7 @@ that dynvol is checked against, and the test series they are checked on."""
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from dynvol.errors import (DegenerateCaseWarning, DegenerateSeriesError,
                            InsufficientHistoryError)
 from dynvol.integration import MATCHED_SHAPE, _window_mass, bayes_es
+from dynvol.sde import POSITIVITY_FLOOR, SvParams
 from dynvol.state_domain import NU0, _epanechnikov, rule_of_thumb_bandwidth
 
 # unit roundoff of float64
@@ -169,3 +171,28 @@ def segmented_series(segments, seed):
                 part[rng.integers(n)] = 10.0 ** (e + 4)
             parts.append(part)
     return np.concatenate(parts)
+
+
+def sv_inner_path_scalar(params: SvParams, v0: float, eps: np.ndarray,
+                         dstar: float) -> np.ndarray:
+    """The latent-variance scheme one path at a time on Python floats: the
+    loop sde.sv_inner_path ran before it stepped a group of columns in
+    lockstep. Returns len(eps) + 1 values including v0."""
+    if not (v0 > 0 and dstar > 0):
+        raise ValueError("v0 and dstar must be positive")
+    k, th = params.kappa, params.theta
+    alpha = math.sqrt(params.alpha2)
+    sqdstar = math.sqrt(dstar)
+    half_a2 = 0.5 * params.alpha2 * dstar
+    floor = POSITIVITY_FLOOR
+    v = float(v0)
+    out = array("d", [v])
+    append = out.append
+    for e in memoryview(np.ascontiguousarray(eps, dtype=float).ravel()):
+        v = (v + k * (th - v) * dstar
+             + alpha * v * sqdstar * e
+             + half_a2 * v * (e * e - 1.0))
+        if v < floor:
+            v = floor
+        append(v)
+    return np.frombuffer(out)

@@ -278,7 +278,7 @@ def test_criterion_08_gbm_trimmed_robustness(gbm_run):
 def test_criterion_09_no_lookahead_bytes():
     cfg = study_preset("cir", series_len=300, in_sample_len=260, n_reps=1,
                        seed=77)
-    sim = simulate_series(cfg, 0)
+    [sim] = simulate_series(cfg, [0])
     first = cfg.in_sample_len - 1
     m = cfg.series_len - cfg.in_sample_len
     base, _ = _rolling(sim.levels, sim.returns.y, cfg, first, m)
@@ -319,7 +319,7 @@ def _prior_forecasts_unmoved(levels, delta, cfg, first, run):
 def test_no_lookahead_bytes_other_models(model):
     cfg = study_preset(model, series_len=300, in_sample_len=260, n_reps=1,
                        seed=77)
-    sim = simulate_series(cfg, 0)
+    [sim] = simulate_series(cfg, [0])
     first = cfg.in_sample_len - 1
     m = cfg.series_len - cfg.in_sample_len
 
@@ -355,7 +355,7 @@ def test_no_lookahead_bytes_backtest(monkeypatch):
 def test_state_fit_reads_only_the_pairs_history():
     cfg = study_preset("cir", series_len=300, in_sample_len=260, n_reps=1,
                        seed=77)
-    sim = simulate_series(cfg, 0)
+    [sim] = simulate_series(cfg, [0])
     origin = 270
     keep = origin - cfg.es.n
     counters = {"drift_fallback": 0}

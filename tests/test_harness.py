@@ -21,12 +21,13 @@ from dynvol.harness import (DEFAULT_SEMI_GRID, ESTIMATORS, MIN_STATE_PAIRS,
                             _eval_state, build_state_pairs,
                             _fit_state, _new_counters, _rolling,
                             _SemiSelector, _StateFit,
-                            ingest_csv, rolling_forecast, run_backtest,
+                            ingest_csv, run_backtest,
                             run_simulation_study, simulate_series,
                             study_preset, write_backtest_outputs,
                             write_study_outputs)
+from dynvol.evaluation import ForecastTrack
 from dynvol.integration import MATCHED_SHAPE, bayes_es, combine_estimates
-from dynvol.sde import RngStream, simulate_gbm
+from dynvol.sde import RngStream, SvParams, simulate_gbm
 from dynvol.state_domain import (DriftFit, StatePairs, _epanechnikov,
                                  _intercepts_at_data, _window_xi,
                                  state_variance)
@@ -36,6 +37,16 @@ from oracles import ORACLE_TOL, SEGMENT, acf_direct, segmented_series
 
 SMALL = study_preset("cir", series_len=300, in_sample_len=260, n_reps=3,
                      seed=777)
+
+
+def rolling_forecast(sim, cfg: StudyConfig, estimator_id: str) -> ForecastTrack:
+    """One estimator's forecasts over the out-of-sample stretch
+    [in_sample_len - 1, series_len - 2], from the loop run with it alone."""
+    first = cfg.in_sample_len - 1
+    tracks, _ = _rolling(sim.levels, sim.returns.y,
+                         replace(cfg, estimators=(estimator_id,)), first,
+                         cfg.series_len - cfg.in_sample_len)
+    return ForecastTrack(estimator_id, tracks[estimator_id])
 
 
 def semi_decay(y, t: int, n: int,
@@ -121,20 +132,20 @@ def test_config_rejects_values_that_would_fail_late(field, value):
 
 def test_simulate_series_truth_definitions():
     cfg = study_preset("cir", series_len=200, in_sample_len=150)
-    sim = simulate_series(cfg, 0)
+    [sim] = simulate_series(cfg, [0])
     p = cfg.params()
     assert np.allclose(sim.true_var, p.sigma**2 * sim.levels[:-1], rtol=1e-14)
     assert np.allclose(np.diff(sim.levels) / math.sqrt(cfg.delta),
                        sim.returns.y, atol=1e-12)
 
     gcfg = study_preset("gbm", series_len=200, in_sample_len=150)
-    gsim = simulate_series(gcfg, 0)
+    [gsim] = simulate_series(gcfg, [0])
     gp = gcfg.params()
     assert np.allclose(gsim.true_var, gp.sigma**2 * gsim.levels[:-1] ** 2,
                        rtol=1e-14)
 
     scfg = study_preset("sv", series_len=200, in_sample_len=150)
-    ssim = simulate_series(scfg, 0)
+    [ssim] = simulate_series(scfg, [0])
     # state variable for this model is the accumulated series, starting at 0
     assert ssim.levels[0] == 0.0
     assert np.allclose(np.diff(ssim.levels) / math.sqrt(scfg.delta),
@@ -145,11 +156,34 @@ def test_simulate_series_truth_definitions():
 
 def test_simulate_series_stream_determinism():
     cfg = study_preset("cir", series_len=120, in_sample_len=100)
-    a = simulate_series(cfg, 2)
-    b = simulate_series(cfg, 2)
-    c = simulate_series(cfg, 3)
+    [a] = simulate_series(cfg, [2])
+    [b] = simulate_series(cfg, [2])
+    [c] = simulate_series(cfg, [3])
     assert np.array_equal(a.levels, b.levels)
     assert not np.array_equal(a.levels, c.levels)
+
+
+@settings(max_examples=25, deadline=None)
+@given(lo=st.integers(0, 80), size=st.integers(1, 20),
+       series_len=st.integers(3, 60), substeps=st.sampled_from([3, 9]),
+       seed=st.integers(0, 2**31))
+def test_sv_group_gives_each_replication_its_own_bytes(lo, size, series_len,
+                                                       substeps, seed):
+    # replications run in lockstep have the bytes they have alone, at any
+    # group offset and size and any length, whole blocks of
+    # sde.SV_BLOCK observations or not; vbar sums 9 substeps pairwise, as
+    # numpy sums 8 or more contiguous terms
+    cfg = study_preset("sv", series_len=series_len, in_sample_len=2, seed=seed,
+                       model_params=SvParams(3.0, 0.009, 4.0,
+                                             substeps=substeps))
+    group = simulate_series(cfg, range(lo, lo + size))
+    assert len(group) == size
+    for rep, sim in zip(range(lo, lo + size), group):
+        [alone] = simulate_series(cfg, [rep])
+        for got, want in ((sim.levels, alone.levels),
+                          (sim.returns.y, alone.returns.y),
+                          (sim.true_var, alone.true_var)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_semi_selector_matches_reference_loop():
@@ -279,7 +313,7 @@ def test_semi_proxy_fallback_is_riskm_at_the_fallback_decay(segments, n, grid,
 def test_tracks_do_not_depend_on_roster():
     # each estimator's forecasts are identical whether it runs alone or
     # alongside the others
-    sim = simulate_series(SMALL, 0)
+    [sim] = simulate_series(SMALL, [0])
     first = SMALL.in_sample_len - 1
     m = SMALL.series_len - SMALL.in_sample_len
     tracks, _ = _rolling(sim.levels, sim.returns.y, SMALL, first, m)
@@ -311,7 +345,7 @@ def test_rolling_matches_direct_estimator_calls():
 
 def _walk_matches_rolling(every: int) -> None:
     cfg = replace(SMALL, state_refit_every=every)
-    sim = simulate_series(cfg, 1)
+    [sim] = simulate_series(cfg, [1])
     levels, y = sim.levels, sim.returns.y
     first = cfg.in_sample_len - 1
     m = cfg.series_len - cfg.in_sample_len - 1
@@ -509,7 +543,7 @@ def test_drift_refit_walk_forward_matches_a_fit_from_scratch(
 def test_no_lookahead_in_forecasts():
     # corrupting the series strictly after level index k must not change
     # forecasts at origins <= k
-    sim = simulate_series(SMALL, 2)
+    [sim] = simulate_series(SMALL, [2])
     first = SMALL.in_sample_len - 1
     m = SMALL.series_len - SMALL.in_sample_len
     k = first + 15
@@ -567,7 +601,7 @@ def test_singular_state_design_falls_back_to_kernel_weighted_mean():
 def test_insufficient_history_is_rejected_up_front():
     # 99 < 2n for SemiProxy
     cfg = study_preset("cir", series_len=120, in_sample_len=100)
-    sim = simulate_series(cfg, 0)
+    [sim] = simulate_series(cfg, [0])
     with pytest.raises(InsufficientHistoryError):
         rolling_forecast(sim, cfg, "SemiProxy")
     with pytest.raises(DynvolError):
@@ -597,7 +631,7 @@ def test_study_measures_recompute_from_tracks(small_result):
     from dynvol.evaluation import imade
     rep, est = 1, "Integ"
     j = SMALL.estimators.index(est)
-    sim = simulate_series(SMALL, rep)
+    [sim] = simulate_series(SMALL, [rep])
     track = rolling_forecast(sim, SMALL, est)
     first = SMALL.in_sample_len - 1
     m = SMALL.series_len - SMALL.in_sample_len
@@ -605,10 +639,9 @@ def test_study_measures_recompute_from_tracks(small_result):
     got = small_result.per_rep["imade"][rep, j]
     assert got == pytest.approx(imade(truth, track), rel=1e-15)
     # curve for a single rep and step is |forecast - truth| averaged over reps
-    other = [np.abs(rolling_forecast(simulate_series(SMALL, r), SMALL,
-                                     est).sigma2 - simulate_series(
-                                         SMALL, r).true_var[first:first + m])
-             for r in range(3)]
+    other = [np.abs(rolling_forecast(s, SMALL, est).sigma2
+                    - s.true_var[first:first + m])
+             for s in simulate_series(SMALL, range(3))]
     assert np.allclose(small_result.curve[:, j],
                        np.mean(other, axis=0), rtol=1e-13)
 
@@ -619,7 +652,7 @@ def test_study_er_uses_the_normal_quantile(small_result):
     z = NormalDist().inv_cdf(SMALL.alpha)
     first = SMALL.in_sample_len - 1
     for rep in range(SMALL.n_reps):
-        sim = simulate_series(SMALL, rep)
+        [sim] = simulate_series(SMALL, [rep])
         y_out = sim.returns.y[first:]
         for j, e in enumerate(SMALL.estimators):
             track = rolling_forecast(sim, SMALL, e)
@@ -635,11 +668,11 @@ def test_failed_replications_keep_their_reason(monkeypatch):
     real_sim, real_rolling = hz.simulate_series, hz._rolling
     current = []
 
-    def sim(cfg, rep):
-        current.append(rep)
-        if rep == 1:
+    def sim(cfg, reps):
+        current.extend(reps)
+        if 1 in reps:
             raise DegenerateSeriesError("boom")
-        return real_sim(cfg, rep)
+        return real_sim(cfg, reps)
 
     def rolling(*args):
         tracks, counters = real_rolling(*args)
@@ -661,6 +694,31 @@ def test_failed_replications_keep_their_reason(monkeypatch):
     assert res.report.excluded_steps == 0
 
 
+def test_failed_sv_replication_is_charged_alone(monkeypatch):
+    # SV replications are simulated as a group; when the group's simulation
+    # raises, only the replication that fails alone is skipped
+    import dynvol.harness as hz
+    cfg = study_preset("sv", series_len=120, in_sample_len=100, n_reps=5,
+                       seed=3, estimators=("Hist", "RiskM"),
+                       model_params=SvParams(3.0, 0.009, 4.0, substeps=3))
+    clean = run_simulation_study(cfg)
+    real_sim = hz.simulate_series
+
+    def sim(cfg, reps):
+        if 2 in reps:
+            raise DegenerateSeriesError("boom")
+        return real_sim(cfg, reps)
+
+    monkeypatch.setattr(hz, "simulate_series", sim)
+    res = run_simulation_study(cfg)
+    assert res.failed_reps == (2,)
+    assert res.diagnostics["failed_reasons"] == {
+        2: "DegenerateSeriesError: boom"}
+    # the others keep the measures they have in the unpatched study
+    for k in res.per_rep:
+        assert np.array_equal(res.per_rep[k], clean.per_rep[k][[0, 1, 3, 4]])
+
+
 def test_per_rep_rows_carry_the_replication_id(monkeypatch, tmp_path):
     # with rep 1 of 3 failing, the rows of reps 0 and 2 keep their ids
     import dynvol.harness as hz
@@ -668,10 +726,10 @@ def test_per_rep_rows_carry_the_replication_id(monkeypatch, tmp_path):
                        seed=777, estimators=("Hist", "RiskM"))
     real_sim = hz.simulate_series
 
-    def sim(cfg, rep):
-        if rep == 1:
+    def sim(cfg, reps):
+        if 1 in reps:
             raise DegenerateSeriesError("boom")
-        return real_sim(cfg, rep)
+        return real_sim(cfg, reps)
 
     monkeypatch.setattr(hz, "simulate_series", sim)
     res = run_simulation_study(cfg)
@@ -714,7 +772,7 @@ def test_nan_step_exclusion_is_shared(monkeypatch):
     assert res.diagnostics["excluded_per_rep"] == (1,)
     monkeypatch.undo()
 
-    sim = simulate_series(cfg, 0)
+    [sim] = simulate_series(cfg, [0])
     track = rolling_forecast(sim, cfg, "RiskM")
     m = cfg.series_len - cfg.in_sample_len
     mask = np.ones(m, dtype=bool)

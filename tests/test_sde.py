@@ -2,15 +2,19 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from dynvol.sde import (POSITIVITY_FLOOR, CirParams, GbmParams, ReturnSeries,
                         RngStream, SamplePath, SvParams, levels_from_returns,
                         simulate_cir, simulate_gbm, simulate_sv,
                         sv_inner_path, to_returns)
+from oracles import sv_inner_path_scalar
 
 WEEKLY = 1.0 / 52.0
 MONTHLY = 1.0 / 12.0
@@ -100,8 +104,8 @@ def test_gbm_positive_and_starts_at_r0():
 def test_sv_variance_positive_and_mean_near_theta():
     reps = 200
     means = np.empty(reps)
-    for r in range(reps):
-        _, vbar = simulate_sv(SV, MONTHLY, 120, RngStream(21, r))
+    sims = simulate_sv(SV, MONTHLY, 120, [RngStream(21, r) for r in range(reps)])
+    for r, (_, vbar) in enumerate(sims):
         assert np.all(vbar > 0)
         means[r] = vbar.mean()
     se = means.std(ddof=1) / math.sqrt(reps)
@@ -110,35 +114,39 @@ def test_sv_variance_positive_and_mean_near_theta():
 
 def test_sv_standardized_returns_are_standard_normal():
     # y_i / sqrt(vbar_i) ~ N(0,1) by construction of the conditional law
-    z = []
-    for r in range(40):
-        rs, vbar = simulate_sv(SV, MONTHLY, 250, RngStream(33, r))
-        z.append(rs.y / np.sqrt(vbar))
-    z = np.concatenate(z)
+    sims = simulate_sv(SV, MONTHLY, 250, [RngStream(33, r) for r in range(40)])
+    z = np.concatenate([rs.y / np.sqrt(vbar) for rs, vbar in sims])
     assert stats.kstest(z, "norm").pvalue > 0.01
 
 
 def test_sv_scheme_strong_convergence():
     # coupled refinements: coarse normals are aggregated fine normals;
-    # terminal error vs the finest grid should shrink at strong order ~1
+    # terminal error vs the finest grid should shrink at strong order ~1;
+    # the replications are the columns of one call per grid
     finest = 256
     levels = (8, 16, 32, 64)
     reps = 300
     delta = MONTHLY
-    gen = np.random.default_rng(1234)
-    errs = {m: 0.0 for m in levels}
-    for _ in range(reps):
-        eps_f = gen.standard_normal(finest)
-        ref = sv_inner_path(SV, SV.theta, eps_f, delta / finest)[-1]
-        for m in levels:
-            k = finest // m
-            eps_m = eps_f.reshape(m, k).sum(axis=1) / math.sqrt(k)
-            vm = sv_inner_path(SV, SV.theta, eps_m, delta / m)[-1]
-            errs[m] += abs(vm - ref)
+    # row r of the draw is replication r's normals, as in one draw per rep
+    eps_f = np.random.default_rng(1234).standard_normal((reps, finest)).T
+    v0 = np.full(reps, SV.theta)
+    ref = sv_inner_path(SV, v0, eps_f, delta / finest)[-1]
+    errs = {}
+    for m in levels:
+        k = finest // m
+        eps_m = eps_f.reshape(m, k, reps).sum(axis=1) / math.sqrt(k)
+        vm = sv_inner_path(SV, v0, eps_m, delta / m)[-1]
+        errs[m] = float(np.abs(vm - ref).sum())
     xs = np.log([delta / m for m in levels])
     ys = np.log([errs[m] / reps for m in levels])
     slope = np.polyfit(xs, ys, 1)[0]
     assert slope >= 0.8
+
+
+def test_simulate_sv_of_no_streams_is_empty():
+    assert simulate_sv(SV, MONTHLY, 10, []) == []
+    with pytest.raises(ValueError, match="n_obs"):
+        simulate_sv(SV, MONTHLY, 0, [])
 
 
 def test_return_series_length_contract():
@@ -170,7 +178,7 @@ def _digest(*arrays):
 
 
 def _sv(params, n_obs, rng):
-    rs, vbar = simulate_sv(params, MONTHLY, n_obs, rng)
+    [(rs, vbar)] = simulate_sv(params, MONTHLY, n_obs, [rng])
     return _digest(rs.y, vbar)
 
 
@@ -205,5 +213,46 @@ def test_sv_path_is_one_inner_path_over_all_substeps():
     eps = gen.standard_normal((400, 7))
     path = sv_inner_path(FLOOR_SV, v0, eps.ravel(), MONTHLY / 7)
     assert np.count_nonzero(path == POSITIVITY_FLOOR) > 0
-    _, vbar = simulate_sv(FLOOR_SV, MONTHLY, 400, RngStream(5, 1))
+    [(_, vbar)] = simulate_sv(FLOOR_SV, MONTHLY, 400, [RngStream(5, 1)])
     assert np.array_equal(vbar, path[:-1].reshape(400, 7).mean(axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(floor_case=st.booleans(), substeps=st.sampled_from([1, 7]),
+       n=st.integers(1, 300), r=st.integers(1, 70),
+       seed=st.integers(0, 2**32 - 1))
+def test_sv_inner_path_columns_are_the_scalar_recursion(floor_case, substeps,
+                                                        n, r, seed):
+    # the differential oracle of the lockstep kernel: every column has the
+    # bytes of the scalar loop on that column alone
+    params = replace(FLOOR_SV if floor_case else SV, substeps=substeps)
+    dstar = MONTHLY / substeps
+    gen = np.random.default_rng(seed)
+    v0 = 1.0 / gen.gamma(params.shape_a, 1.0 / params.rate_b, r)
+    eps = gen.standard_normal((n, r))
+    got = sv_inner_path(params, v0, eps, dstar)
+    assert got.shape == (n + 1, r)
+    want = np.column_stack([sv_inner_path_scalar(params, v0[j], eps[:, j],
+                                                 dstar) for j in range(r)])
+    assert got.tobytes() == want.tobytes()
+    if np.any(want == POSITIVITY_FLOOR):
+        event("floor hit")
+
+
+@pytest.mark.parametrize("substeps", [1, 7])
+def test_sv_inner_path_matches_the_scalar_recursion_at_the_floor(substeps):
+    params = replace(FLOOR_SV, substeps=substeps)
+    dstar = MONTHLY / substeps
+    gen = np.random.default_rng(substeps)
+    v0 = 1.0 / gen.gamma(params.shape_a, 1.0 / params.rate_b, 70)
+    eps = gen.standard_normal((300, 70))
+    got = sv_inner_path(params, v0, eps, dstar)
+    want = np.column_stack([sv_inner_path_scalar(params, v0[j], eps[:, j],
+                                                 dstar) for j in range(70)])
+    # the clamp must fire, in most columns, or this pins nothing
+    assert np.count_nonzero((want == POSITIVITY_FLOOR).any(axis=0)) > 35
+    assert got.tobytes() == want.tobytes()
+    # a 1-d input is the one-column case
+    one = sv_inner_path(params, v0[3], eps[:, 3], dstar)
+    assert one.shape == (301,)
+    assert one.tobytes() == want[:, 3].tobytes()

@@ -275,7 +275,7 @@ def _assert_matches_oracle(x, resp, h, loo):
 def test_prefix_engine_matches_oracle_on_rate_paths(factor):
     cfg = study_preset("cir")
     for rep in range(2):
-        sim = simulate_series(cfg, rep)
+        [sim] = simulate_series(cfg, [rep])
         x, y = build_state_pairs(sim.levels, sim.returns.y, 1150, 52)
         h = rule_of_thumb_bandwidth(x) * factor
         for loo in (True, False):
