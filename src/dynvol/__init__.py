@@ -10,8 +10,7 @@ from .harness import (StudyConfig, ingest_csv, run_backtest,
                       write_backtest_outputs, write_study_outputs)
 from .integration import combine_estimates
 from .sde import GbmParams, RngStream, simulate_gbm
-from .state_domain import (StatePairs, select_bandwidth, state_variance,
-                           xi_weights)
+from .state_domain import select_bandwidth, xi_weights
 from .time_domain import EsConfig, autocorr_sq, es_variance, exp_smooth
 
 __version__ = "0.1.0"

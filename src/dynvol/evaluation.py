@@ -1,9 +1,9 @@
 """Forecast evaluation: tail-risk calibration and accuracy measures.
 
-All measures are computed over an out-of-sample stretch of one-step-ahead
-variance forecasts. Exceedance compares raw returns against a scaled lower
-quantile, which the caller supplies as a number: studies pass the normal
-quantile, backtests each estimator's empirical residual quantile
+All measures take an out-of-sample stretch of one-step-ahead variance
+forecasts as an array. Exceedance compares raw returns against a scaled
+lower quantile, which the caller supplies as a number: studies pass the
+normal quantile, backtests each estimator's empirical residual quantile
 (`empirical_quantile`). The absolute/squared deviation measures compare
 squared returns (or the true variance, when known) against the forecasts.
 """
@@ -19,23 +19,6 @@ import numpy as np
 ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
-@dataclass(frozen=True)
-class ForecastTrack:
-    """One estimator's variance forecasts over the evaluation stretch."""
-
-    estimator_id: str
-    sigma2: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma2", np.asarray(self.sigma2, dtype=float))
-        if self.sigma2.ndim != 1:
-            raise ValueError("sigma2 must be 1-d")
-
-    @property
-    def horizon(self) -> int:
-        return self.sigma2.size
-
-
 def empirical_quantile(residuals: np.ndarray, alpha: float, window: int) -> float:
     """Order statistic x_(ceil(alpha*window)) of the last `window` residuals."""
     r = np.asarray(residuals, dtype=float)
@@ -46,42 +29,43 @@ def empirical_quantile(residuals: np.ndarray, alpha: float, window: int) -> floa
     return float(tail[idx])
 
 
-def _check_lengths(returns_out: np.ndarray, track: ForecastTrack) -> np.ndarray:
+def _check_lengths(returns_out: np.ndarray, sigma2: np.ndarray):
     r = np.asarray(returns_out, dtype=float)
-    if r.size != track.horizon:
-        raise ValueError("returns and forecasts must have equal length")
+    s = np.asarray(sigma2, dtype=float)
+    if r.size != s.size:
+        raise ValueError("forecasts and values must have equal length")
     if r.size == 0:
         raise ValueError("empty evaluation stretch")
-    return r
+    return r, s
 
 
-def exceedance_ratio(returns_out: np.ndarray, track: ForecastTrack,
+def exceedance_ratio(returns_out: np.ndarray, sigma2: np.ndarray,
                      quantile: float) -> float:
     """Fraction of steps where the raw return fell below quantile * sigma_hat."""
-    r = _check_lengths(returns_out, track)
-    return float(np.mean(r < quantile * np.sqrt(track.sigma2)))
+    r, s = _check_lengths(returns_out, sigma2)
+    return float(np.mean(r < quantile * np.sqrt(s)))
 
 
-def made(returns_out: np.ndarray, track: ForecastTrack) -> float:
+def made(returns_out: np.ndarray, sigma2: np.ndarray) -> float:
     """Mean absolute deviation of squared returns from the forecasts."""
-    r = _check_lengths(returns_out, track)
-    return float(np.mean(np.abs(r * r - track.sigma2)))
+    r, s = _check_lengths(returns_out, sigma2)
+    return float(np.mean(np.abs(r * r - s)))
 
 
-def pe(returns_out: np.ndarray, track: ForecastTrack) -> float:
+def pe(returns_out: np.ndarray, sigma2: np.ndarray) -> float:
     """Mean squared deviation of squared returns from the forecasts."""
-    r = _check_lengths(returns_out, track)
-    return float(np.mean((r * r - track.sigma2) ** 2))
+    r, s = _check_lengths(returns_out, sigma2)
+    return float(np.mean((r * r - s) ** 2))
 
 
-def rade(returns_out: np.ndarray, track: ForecastTrack) -> float:
+def rade(returns_out: np.ndarray, sigma2: np.ndarray) -> float:
     """Mean absolute deviation of |return| from its forecast mean
     sqrt(2/pi) * sigma_hat."""
-    r = _check_lengths(returns_out, track)
-    return float(np.mean(np.abs(np.abs(r) - ROOT_2_OVER_PI * np.sqrt(track.sigma2))))
+    r, s = _check_lengths(returns_out, sigma2)
+    return float(np.mean(np.abs(np.abs(r) - ROOT_2_OVER_PI * np.sqrt(s))))
 
 
-def imade(true_sigma2: np.ndarray | None, track: ForecastTrack) -> float:
+def imade(true_sigma2: np.ndarray | None, sigma2: np.ndarray) -> float:
     """Mean absolute deviation of forecasts from the true variance.
 
     Only defined when the true variance is known (simulated data); passing
@@ -89,12 +73,8 @@ def imade(true_sigma2: np.ndarray | None, track: ForecastTrack) -> float:
     """
     if true_sigma2 is None:
         raise ValueError("true variance unavailable (real-data mode)")
-    t = np.asarray(true_sigma2, dtype=float)
-    if t.size != track.horizon:
-        raise ValueError("true variance and forecasts must have equal length")
-    if t.size == 0:
-        raise ValueError("empty evaluation stretch")
-    return float(np.mean(np.abs(track.sigma2 - t)))
+    t, s = _check_lengths(true_sigma2, sigma2)
+    return float(np.mean(np.abs(s - t)))
 
 
 def score(measure_matrix: np.ndarray) -> np.ndarray:

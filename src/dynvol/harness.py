@@ -45,17 +45,16 @@ import numpy as np
 
 from .errors import (DegenerateSeriesError, DynvolError, IngestionError,
                      InsufficientHistoryError)
-from .evaluation import (ForecastTrack, MeasureReport, build_report,
-                         empirical_quantile, exceedance_ratio, imade, made, pe,
-                         rade, report_to_csv, report_to_text)
+from .evaluation import (MeasureReport, build_report, empirical_quantile,
+                         exceedance_ratio, imade, made, pe, rade,
+                         report_to_csv, report_to_text)
 from .integration import MATCHED_SHAPE, bayes_es, combine_estimates
 from .sde import (CirParams, GbmParams, ReturnSeries, RngStream, SvParams,
                   levels_from_returns, simulate_cir, simulate_gbm, simulate_sv,
                   to_returns)
-from .state_domain import (DriftFit, StatePairs, StateVarianceEstimate,
-                           _window_estimates, select_bandwidth)
-from .time_domain import (EsConfig, TimeVarianceEstimate, autocorr_sq,
-                          es_variance, exp_smooth, moving_average)
+from .state_domain import DriftFit, _window_estimates, select_bandwidth
+from .time_domain import (EsConfig, autocorr_sq, es_variance, exp_smooth,
+                          moving_average)
 
 log = logging.getLogger("dynvol")
 
@@ -110,6 +109,11 @@ class StudyConfig:
     def __post_init__(self):
         if self.model not in ("CIR", "SV", "GBM", "External"):
             raise ValueError(f"unknown model {self.model!r}")
+        preset = _PRESETS.get(self.model)  # none for an external series
+        kind = type(preset["model_params"]) if preset else object
+        if not isinstance(self.model_params, (kind, type(None))):
+            raise ValueError(f"model_params must be {kind.__name__}, not "
+                             f"{type(self.model_params).__name__}")
         if self.in_sample_len >= self.series_len:
             raise ValueError("in_sample_len must be < series_len")
         if self.in_sample_len < 2:
@@ -274,15 +278,13 @@ class _SemiSelector:
 
 
 class _StateFit(NamedTuple):
-    """Frozen state-domain dataset, sorted by level, and bandwidths between
-    refits; drift is the h1 drift fit the next refit extends (None for a
-    dataset made by hand)."""
+    """The state-domain fit between refits: the h1 drift fit, whose sorted x
+    and resid2 the variance bandwidth h queries and the next refit extends,
+    and the floor eps_var of the state estimate."""
 
-    pairs: StatePairs
-    h1: float
+    pairs: DriftFit
     h: float
     eps_var: float
-    drift: DriftFit | None = None
 
 
 def build_state_pairs(levels: np.ndarray, y: np.ndarray, origin: int,
@@ -309,12 +311,11 @@ def _fit_state(levels, y, origin, cfg: StudyConfig, prev: _StateFit | None,
     else:
         h = prev.h
         done = prev.pairs.count
-        drift = prev.drift.extend(x[done:], yy[done:])
+        drift = prev.pairs.extend(x[done:], yy[done:])
     counters["drift_fallback"] += int(
         np.count_nonzero(~np.isfinite(drift.drift)))
     eps_var = 1e-12 * float(np.var(drift.resid2))
-    return _StateFit(StatePairs(drift.x, drift.resid2), drift.h, h, eps_var,
-                     drift)
+    return _StateFit(drift, h, eps_var)
 
 
 def _eval_state(fit: _StateFit, x0: np.ndarray, counters):
@@ -322,7 +323,7 @@ def _eval_state(fit: _StateFit, x0: np.ndarray, counters):
     level of x0 (the origins of one refit block), NaN where there is no
     coverage. A singular design falls back to the locally constant fit, and
     an estimate below the fit's floor eps_var takes the floor."""
-    sig2, xi_sq, singular = _window_estimates(fit.pairs.x, fit.pairs.resp,
+    sig2, xi_sq, singular = _window_estimates(fit.pairs.x, fit.pairs.resid2,
                                               x0, fit.h)
     floor = sig2 < fit.eps_var
     sig2[floor] = fit.eps_var
@@ -406,11 +407,10 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
         both = covered[ok]
         counters["integ_time_only"] += int(ok.size - both.sum())
         rows = ok[both]
-        s2, sq = sig2[rows], xi_sq[rows]
+        s2 = sig2[rows]
         tracks["Integ"][rows] = combine_estimates(
-            TimeVarianceEstimate(tve.sigma2_hat[both], tve.var_hat[both],
-                                 tve.c_t[both]),
-            StateVarianceEstimate(s2, sq, 2.0 * s2**2 * sq)).sigma2_hat
+            tve.sigma2_hat[both], tve.var_hat[both], s2,
+            2.0 * s2**2 * xi_sq[rows])
     return tracks, counters
 
 
@@ -450,7 +450,7 @@ def _score(tracks: dict[str, np.ndarray], y_out: np.ndarray,
     y_m = y_out[mask]
     vals = {}
     for e, track in tracks.items():
-        tr = ForecastTrack(e, track[mask])
+        tr = track[mask]
         v = {} if truth is None else {"imade": imade(truth[mask], tr)}
         v.update(made=made(y_m, tr), pe=pe(y_m, tr), rade=rade(y_m, tr),
                  er=exceedance_ratio(y_m, tr, quantiles[e]))
@@ -552,6 +552,12 @@ class BacktestDataset:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        if self.values.ndim != 1:
+            raise ValueError("values must be a 1-d array of levels")
+        bad = np.flatnonzero(~np.isfinite(self.values))
+        if bad.size:
+            raise ValueError(f"values must be finite; values[{bad[0]}] is "
+                             f"{self.values[bad[0]]}")
         if self.return_mode not in ("log", "diff"):
             raise ValueError("return_mode must be 'log' or 'diff'")
         if not 2 <= self.in_sample_end < self.values.size:

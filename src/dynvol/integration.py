@@ -1,11 +1,11 @@
 """Combining time-domain and state-domain variance estimates.
 
-Two routes are provided. The dynamic route weights the two estimators by
-their estimated sampling variances, so the weight adapts every step. The
-Bayesian route treats the state-domain estimate as the mean of an
-inverse-gamma prior on the variance and shrinks the window estimate toward
-it; with moment-matched hyperparameters the posterior-mean weights become a
-fixed function of the smoothing parameters.
+Two routes are provided. The dynamic route (Integ) weights the time-domain
+estimate by w = var_state / (var_time + var_state), so the weight adapts
+every step. The Bayesian route (NonBay) treats the state-domain estimate as
+the mean of an inverse-gamma prior on the variance and shrinks the window
+estimate toward it; with moment-matched hyperparameters the posterior-mean
+weights become a fixed function of the smoothing parameters.
 
 Every function takes floats for one origin or equal-length arrays for one
 value per origin; the float form is the one-entry case of the same numpy
@@ -16,7 +16,6 @@ Validation rejects a bad value anywhere in an array.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,28 +32,6 @@ def _per_origin(vals: np.ndarray):
     return float(vals) if vals.ndim == 0 else vals
 
 
-def _in_unit_interval(w) -> bool:
-    # NaN is outside, as in a chained comparison
-    return bool(np.all((0.0 <= w) & (w <= 1.0)))
-
-
-@dataclass(frozen=True)
-class IntegratedEstimate:
-    """Convex combination of the two estimators; w_time is the weight on the
-    time-domain component. Floats, or arrays with one entry per origin."""
-
-    sigma2_hat: float | np.ndarray
-    w_time: float | np.ndarray
-    var_time: float | np.ndarray = float("nan")
-    var_state: float | np.ndarray = float("nan")
-
-    def __post_init__(self):
-        if not _in_unit_interval(self.w_time):
-            raise ValueError("w_time must lie in [0, 1]")
-        if np.any(self.sigma2_hat < 0):
-            raise ValueError("sigma2_hat must be nonnegative")
-
-
 def dynamic_weight(var_time, var_state):
     """Weight on the time-domain estimator: var_state/(var_time + var_state).
 
@@ -63,39 +40,28 @@ def dynamic_weight(var_time, var_state):
     """
     vt = np.asarray(var_time, dtype=float)
     vs = np.asarray(var_state, dtype=float)
-    if np.any(vt < 0) or np.any(vs < 0):
-        raise ValueError("variances must be nonnegative")
     total = vt + vs
     tie = total == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = np.where(tie, 0.5, np.clip(vs / total, 0.0, 1.0))
+    # w is NaN where a variance is NaN or both are infinite
+    if np.any(vt < 0) or np.any(vs < 0) or np.any(np.isnan(w)):
+        raise ValueError("variances must be nonnegative and not both infinite")
     if np.any(tie):
         warnings.warn("both variance estimates are zero; weight set to 0.5",
                       DegenerateCaseWarning, stacklevel=2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = np.where(tie, 0.5, np.clip(vs / total, 0.0, 1.0))
     return _per_origin(w)
 
 
-def integrate(time_est, state_est, w, var_time=float("nan"),
-              var_state=float("nan")) -> IntegratedEstimate:
-    """Combine two variance estimates with weight w on the time-domain one."""
-    w = np.asarray(w, dtype=float)
-    if not _in_unit_interval(w):
-        raise ValueError("w must lie in [0, 1]")
+def combine_estimates(time_est, var_time, state_est, var_state):
+    """Integ's blend w time_est + (1 - w) state_est, with the dynamic weight
+    w = dynamic_weight(var_time, var_state) on the time-domain estimate."""
+    w = dynamic_weight(var_time, var_state)
     te = np.asarray(time_est, dtype=float)
     se = np.asarray(state_est, dtype=float)
     if np.any(te < 0) or np.any(se < 0):
         raise ValueError("estimates must be nonnegative")
-    sigma2 = w * te + (1.0 - w) * se
-    return IntegratedEstimate(_per_origin(sigma2), _per_origin(w), var_time,
-                              var_state)
-
-
-def combine_estimates(tve, sve) -> IntegratedEstimate:
-    """Variance-weighted combination of a TimeVarianceEstimate and a
-    StateVarianceEstimate, at one origin or at each of several."""
-    w = dynamic_weight(tve.var_hat, sve.var_hat)
-    return integrate(tve.sigma2_hat, sve.sigma2_hat, w,
-                     var_time=tve.var_hat, var_state=sve.var_hat)
+    return _per_origin(w * te + (1.0 - w) * se)
 
 
 def _window_mass(lam: float, n: int) -> tuple[float, float]:

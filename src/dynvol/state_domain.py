@@ -9,11 +9,12 @@ equivalent-weight representation
     V_j = sum_i (x_i - x0)^j W_i,
 
 reproduces the intercept as sum_i xi_i * response_i and satisfies
-sum xi_i = 1 and sum xi_i (x_i - x0) = 0 exactly.
+sum xi_i = 1 and sum xi_i (x_i - x0) = 0 exactly. The estimate's sampling
+variance is 2 sigma2_hat^2 sum_i xi_i^2, from the sums the query returns.
 
-Two routes compute it, both on the design sorted by level. The windowed
-query evaluates the kernel only on the window that searchsorted finds, in
-O(log N + window): _window_xi at one point (xi_weights), and
+Two routes compute the intercept, both on the design sorted by level. The
+windowed query evaluates the kernel only on the window that searchsorted
+finds, in O(log N + window): _window_xi at one point (xi_weights), and
 _window_estimates at the origins of one refit block of the walk-forward,
 whose windows are laid end to end and each reduced on its own with
 np.add.reduceat, so that an origin's estimate reads its own window only
@@ -77,47 +78,6 @@ def _epanechnikov(u: np.ndarray) -> np.ndarray:
 
 # int W(u)^2 du of the Epanechnikov kernel
 NU0 = 0.6
-
-
-@dataclass(frozen=True)
-class StatePairs:
-    """Historical (state level, response) pairs for the kernel fit."""
-
-    x: np.ndarray
-    resp: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "resp", np.asarray(self.resp, dtype=float))
-        if self.x.shape != self.resp.shape or self.x.ndim != 1:
-            raise ValueError("x and resp must be 1-d arrays of equal length")
-
-    @property
-    def count(self) -> int:
-        return self.x.size
-
-
-@dataclass(frozen=True)
-class StateVarianceEstimate:
-    """Kernel variance estimate with its own sampling-variance estimate, as
-    floats for one query or as arrays with one entry per query.
-
-    var_hat = 2 * sigma2_hat^2 * sum(xi^2); effective_n = 1 / sum(xi^2).
-    """
-
-    sigma2_hat: float | np.ndarray
-    xi_sq_sum: float | np.ndarray
-    var_hat: float | np.ndarray
-    bandwidth_used: float = float("nan")
-
-    def __post_init__(self):
-        if (np.any(self.sigma2_hat < 0) or np.any(self.var_hat < 0)
-                or np.any(self.xi_sq_sum <= 0)):
-            raise ValueError("invalid state variance estimate")
-
-    @property
-    def effective_n(self) -> float:
-        return 1.0 / self.xi_sq_sum
 
 
 def _window_xi(xs: np.ndarray, x0: float, h: float):
@@ -211,43 +171,22 @@ def _window_estimates(xs: np.ndarray, resp: np.ndarray, x0: np.ndarray,
     return est, xi_sq, singular
 
 
-def xi_weights(pairs: StatePairs, x0: float, h: float) -> np.ndarray:
-    """Equivalent local-linear weights at x0, one per pair.
+def xi_weights(x: np.ndarray, x0: float, h: float) -> np.ndarray:
+    """Equivalent local-linear weights at x0, one per design point of x.
 
     dot(xi, resp) equals the local-linear intercept; sum(xi) == 1 and
     sum(xi * (x - x0)) == 0. A zero-spread neighborhood returns the
     normalized kernel weights (both identities still hold); an
     ill-conditioned design raises SingularDesignError.
     """
-    order = np.argsort(pairs.x, kind="stable")
-    lo, xi, singular = _window_xi(pairs.x[order], x0, h)
+    x = np.asarray(x, dtype=float)
+    order = np.argsort(x, kind="stable")
+    lo, xi, singular = _window_xi(x[order], x0, h)
     if singular:
         raise SingularDesignError(f"local design singular at {x0}")
-    out = np.zeros(pairs.count)
+    out = np.zeros(x.size)
     out[order[lo:lo + xi.size]] = xi
     return out
-
-
-def residual_squares(y: np.ndarray, drift_at_x: np.ndarray) -> np.ndarray:
-    """Squared residuals (y - drift)^2; with drift identically 0 this is y^2."""
-    y = np.asarray(y, dtype=float)
-    drift_at_x = np.asarray(drift_at_x, dtype=float)
-    if y.shape != drift_at_x.shape:
-        raise ValueError("y and drift_at_x must have equal shapes")
-    r = y - drift_at_x
-    return r * r
-
-
-def state_variance(sigma2_hat: float, xi: np.ndarray,
-                   bandwidth: float = float("nan")) -> StateVarianceEstimate:
-    """Package a variance estimate with var_hat = 2 sigma2_hat^2 sum(xi^2)."""
-    if sigma2_hat < 0:
-        raise ValueError("sigma2_hat must be nonnegative")
-    xi = np.asarray(xi, dtype=float)
-    s = float(np.dot(xi, xi))
-    if s <= 0:
-        raise ValueError("xi weights must not be all zero")
-    return StateVarianceEstimate(sigma2_hat, s, 2.0 * sigma2_hat**2 * s, bandwidth)
 
 
 def rule_of_thumb_bandwidth(x: np.ndarray) -> float:
@@ -457,8 +396,9 @@ def _intercepts_at_data(x: np.ndarray, resp: np.ndarray, h: float,
 
 
 def _resid2(y: np.ndarray, drift: np.ndarray) -> np.ndarray:
-    # a pair without a drift fit keeps its raw square
-    return residual_squares(y, np.where(np.isfinite(drift), drift, 0.0))
+    # (y - drift)^2; a pair without a drift fit keeps its raw square
+    r = y - np.where(np.isfinite(drift), drift, 0.0)
+    return r * r
 
 
 def _spliced(table: np.ndarray, at: np.ndarray) -> np.ndarray:
@@ -487,7 +427,7 @@ class DriftFit:
     drift is the intercept, NaN where the design has no fit, and resid2 the
     squared residual y - drift, with the drift taken as 0 where it is NaN.
     All of them are rows of one float table (other holds integers, exact in
-    a float), so that extend splices them together.
+    a float), so that extend splices them together; count is their length.
 
     from_scratch fits with the prefix-sum engine. extend adds the k pairs
     of a later origin, which arrive after every pair held, with one copy of
@@ -507,6 +447,7 @@ class DriftFit:
     drift = property(lambda self: self.table[7])
     resid2 = property(lambda self: self.table[8])
     other = property(lambda self: self.table[9])
+    count = property(lambda self: self.table.shape[1])
 
     @classmethod
     def from_scratch(cls, x: np.ndarray, y: np.ndarray, h: float) -> DriftFit:

@@ -20,8 +20,8 @@ from dynvol.harness import (BacktestDataset, run_backtest,
                             _rolling)
 from dynvol.integration import bayes_es
 from dynvol.sde import RngStream, simulate_cir, to_returns
-from dynvol.state_domain import (StatePairs, _epanechnikov,
-                                 rule_of_thumb_bandwidth, xi_weights)
+from dynvol.state_domain import (_epanechnikov, rule_of_thumb_bandwidth,
+                                 xi_weights)
 from dynvol.time_domain import (EsConfig, es_variance, es_weights, exp_smooth,
                                 moving_average)
 from oracles import bayes_ma, kernel_density, s1_squared, s2_squared
@@ -30,7 +30,7 @@ DEFAULT_CIR = study_preset("cir").params()
 
 
 def _intercept(x, resp, x0, h):
-    return float(xi_weights(StatePairs(x, resp), x0, h) @ resp)
+    return float(xi_weights(x, x0, h) @ resp)
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -126,7 +126,7 @@ def test_criterion_02_local_linear_oracle():
         x0 = float(rng.uniform(x.min(), x.max()))
         h = float(rng.uniform(0.15, 0.8))
         try:
-            xi = xi_weights(StatePairs(x, resp), x0, h)
+            xi = xi_weights(x, x0, h)
         except (NoCoverageError, SingularDesignError):
             continue
         # independent route: solve the weighted normal equations directly
@@ -364,9 +364,10 @@ def test_state_fit_reads_only_the_pairs_history():
     levels[keep:] = np.nan
     y[keep:] = np.nan
     again = _fit_state(levels, y, origin, cfg, None, counters)
-    for a, b in ((fit.pairs.x, again.pairs.x), (fit.pairs.resp, again.pairs.resp),
-                 (np.array([fit.h1, fit.h, fit.eps_var]),
-                  np.array([again.h1, again.h, again.eps_var]))):
+    for a, b in ((fit.pairs.x, again.pairs.x),
+                 (fit.pairs.resid2, again.pairs.resid2),
+                 (np.array([fit.pairs.h, fit.h, fit.eps_var]),
+                  np.array([again.pairs.h, again.h, again.eps_var]))):
         assert a.tobytes() == b.tobytes()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from dynvol.evaluation import (ForecastTrack, build_report, empirical_quantile,
+from dynvol.evaluation import (build_report, empirical_quantile,
                                exceedance_ratio, imade, made, pe, rade,
                                relative_loss, report_to_csv, report_to_text,
                                score, trimmed_mean)
@@ -15,20 +15,20 @@ Z_05 = float(norm.ppf(0.05))
 def test_exceedance_ratio_hand_value():
     y = np.array([-1.0, 1.0])
     # sigma 0 makes the threshold 0: only the negative return is below it
-    track = ForecastTrack("x", np.zeros(2))
+    track = np.zeros(2)
     assert exceedance_ratio(y, track, Z_05) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_exceedance_ratio_counts_lower_tail():
     rng = np.random.default_rng(6)
     y = rng.standard_normal(200_000)
-    track = ForecastTrack("x", np.ones_like(y))
+    track = np.ones_like(y)
     er = exceedance_ratio(y, track, Z_05)
     assert er == pytest.approx(0.05, abs=0.005)
 
 
 def test_made_pe_rade_imade_hand_values():
-    track = ForecastTrack("x", np.array([2.0, 2.0]))
+    track = np.array([2.0, 2.0])
     y = np.array([1.0, 2.0])  # y^2 = [1, 4]
     assert made(y, track) == pytest.approx(1.5, abs=1e-15)
     assert pe(y, track) == pytest.approx(2.5, abs=1e-15)
@@ -41,7 +41,7 @@ def test_made_pe_rade_imade_hand_values():
 
 
 def test_measure_length_contract():
-    track = ForecastTrack("x", np.array([1.0, 1.0]))
+    track = np.array([1.0, 1.0])
     with pytest.raises(ValueError):
         made(np.array([1.0]), track)
     with pytest.raises(ValueError):
@@ -81,11 +81,6 @@ def test_empirical_quantile_order_statistic():
     assert empirical_quantile(resid, 0.05, 250) == 13.0
     with pytest.raises(ValueError):
         empirical_quantile(resid[:100], 0.05, 250)
-
-
-def test_forecast_track_horizon():
-    t = ForecastTrack("Integ", np.array([0.1, 0.2, float("nan")]))
-    assert t.horizon == 3
 
 
 def _tiny_report():

@@ -25,12 +25,11 @@ from dynvol.harness import (DEFAULT_SEMI_GRID, ESTIMATORS, MIN_STATE_PAIRS,
                             run_simulation_study, simulate_series,
                             study_preset, write_backtest_outputs,
                             write_study_outputs)
-from dynvol.evaluation import ForecastTrack
-from dynvol.integration import MATCHED_SHAPE, bayes_es, combine_estimates
+from dynvol.integration import (MATCHED_SHAPE, bayes_es, combine_estimates,
+                                dynamic_weight)
 from dynvol.sde import RngStream, SvParams, simulate_gbm
-from dynvol.state_domain import (DriftFit, StatePairs, _epanechnikov,
-                                 _intercepts_at_data, _window_xi,
-                                 state_variance)
+from dynvol.state_domain import (DriftFit, _epanechnikov, _intercepts_at_data,
+                                 _window_xi)
 from dynvol.time_domain import (EsConfig, es_variance, exp_smooth,
                                 moving_average)
 from oracles import ORACLE_TOL, SEGMENT, acf_direct, segmented_series
@@ -39,14 +38,14 @@ SMALL = study_preset("cir", series_len=300, in_sample_len=260, n_reps=3,
                      seed=777)
 
 
-def rolling_forecast(sim, cfg: StudyConfig, estimator_id: str) -> ForecastTrack:
+def rolling_forecast(sim, cfg: StudyConfig, estimator_id: str) -> np.ndarray:
     """One estimator's forecasts over the out-of-sample stretch
     [in_sample_len - 1, series_len - 2], from the loop run with it alone."""
     first = cfg.in_sample_len - 1
     tracks, _ = _rolling(sim.levels, sim.returns.y,
                          replace(cfg, estimators=(estimator_id,)), first,
                          cfg.series_len - cfg.in_sample_len)
-    return ForecastTrack(estimator_id, tracks[estimator_id])
+    return tracks[estimator_id]
 
 
 def semi_decay(y, t: int, n: int,
@@ -129,6 +128,18 @@ def test_config_rejects_values_that_would_fail_late(field, value):
     # write every report row twice; the config names the field up front
     with pytest.raises(ValueError, match=field):
         study_preset("cir", **{field: value})
+
+
+def test_config_rejects_parameters_of_another_model():
+    # a run would fail late, with an AttributeError no replication catches
+    cir, sv = study_preset("cir").params(), study_preset("sv").params()
+    with pytest.raises(ValueError, match="SvParams"):
+        StudyConfig(model="SV", model_params=cir)
+    with pytest.raises(ValueError, match="CirParams"):
+        study_preset("cir", model_params=sv)
+    # an external series takes the parameters of any model
+    assert StudyConfig(model="External", model_params=sv).params() is sv
+
 
 def test_simulate_series_truth_definitions():
     cfg = study_preset("cir", series_len=200, in_sample_len=150)
@@ -319,7 +330,7 @@ def test_tracks_do_not_depend_on_roster():
     tracks, _ = _rolling(sim.levels, sim.returns.y, SMALL, first, m)
     for e in ESTIMATORS:
         solo = rolling_forecast(sim, SMALL, e)
-        assert np.array_equal(tracks[e], solo.sigma2, equal_nan=True)
+        assert np.array_equal(tracks[e], solo, equal_nan=True)
 
 
 # The walk below and _rolling add each window's kernel sums in different
@@ -335,10 +346,11 @@ TRACK_RTOL = 4.0 * ORACLE_TOL
 def test_rolling_matches_direct_estimator_calls():
     # the differential oracle of the refit-block loop: every estimator and
     # counter of _rolling against a walk over the origins one at a time,
-    # with the windowed point query _window_xi, the float forms of
-    # es_variance, combine_estimates and bayes_es, and Integ's
-    # autocorrelations by their definition (acf_direct); the 39 steps are
-    # not a multiple of 3 or 8, so the last refit block is short
+    # with the windowed point query _window_xi, the state estimate's
+    # sampling variance 2 s^2 sum(xi^2) computed here, the float forms of
+    # es_variance, dynamic_weight, combine_estimates and bayes_es, and
+    # Integ's autocorrelations by their definition (acf_direct); the 39
+    # steps are not a multiple of 3 or 8, so the last refit block is short
     for every in (1, 3, 8):
         _walk_matches_rolling(every)
 
@@ -364,7 +376,7 @@ def _walk_matches_rolling(every: int) -> None:
             y, i, cfg.es.n, cfg.semi_grid, direct)
         if step % every == 0:
             fit = _fit_state(levels, y, i, cfg, fit, direct)
-        sve = None
+        sig2 = None
         if fit is not None:
             try:
                 lo, xi, singular = _window_xi(fit.pairs.x, levels[i], fit.h)
@@ -372,16 +384,16 @@ def _walk_matches_rolling(every: int) -> None:
                 direct["state_nocov"] += 1
             else:
                 direct["state_singular"] += singular
-                sig2 = float(xi @ fit.pairs.resp[lo:lo + xi.size])
+                sig2 = float(xi @ fit.pairs.resid2[lo:lo + xi.size])
                 if sig2 < fit.eps_var:
                     direct["state_floor"] += 1
                     sig2 = fit.eps_var
-                sve = state_variance(sig2, xi, bandwidth=fit.h)
-        if sve is None:
+                var_state = 2.0 * sig2**2 * float(xi @ xi)
+        if sig2 is None:
             direct["nonbay_es_only"] += 1
             assert tracks["NonBay"][step] == es_val
         else:
-            want = bayes_es(es_val, sve.sigma2_hat, cfg.es.lam, cfg.es.n,
+            want = bayes_es(es_val, sig2, cfg.es.lam, cfg.es.n,
                             MATCHED_SHAPE)
             assert abs(tracks["NonBay"][step] - want) <= TRACK_RTOL * want
         try:
@@ -392,26 +404,31 @@ def _walk_matches_rolling(every: int) -> None:
             continue
         tve = es_variance(es_val, cfg.es, rho)
         direct["c_clamped"] += tve.clamped
-        if sve is None:
+        if sig2 is None:
             direct["integ_time_only"] += 1
             assert tracks["Integ"][step] == es_val
             continue
-        blend = combine_estimates(tve, sve)
+        blend = combine_estimates(es_val, tve.var_hat, sig2, var_state)
         # the coefficients of rho in c_t are nonnegative and sum to at most
         # 1, so rho within tol moves c_t by at most tol, and the weight by at
         # most w (1 - w) times c_t's relative move
-        w = blend.w_time
+        w = dynamic_weight(tve.var_hat, var_state)
         move = 2.0 * tol / tve.c_t + 8.0 * eps
-        bound = (abs(es_val - sve.sigma2_hat) * w * (1.0 - w) * move
-                 + TRACK_RTOL * blend.sigma2_hat)
-        assert abs(tracks["Integ"][step] - blend.sigma2_hat) <= bound
+        bound = (abs(es_val - sig2) * w * (1.0 - w) * move
+                 + TRACK_RTOL * blend)
+        assert abs(tracks["Integ"][step] - blend) <= bound
     assert counters == direct
     assert counters["nonbay_es_only"] < m
 
 
 def _hand_fit(x, resp, h):
+    # a fit whose squared residuals are resp: the rows of DriftFit's table
+    # are x, y, five moments, drift, resid2 and other, and the query reads
+    # x and resid2 only
     order = np.argsort(x, kind="stable")
-    return _StateFit(StatePairs(x[order], resp[order]), h, h, 0.0)
+    table = np.zeros((10, x.size))
+    table[0], table[8] = x[order], resp[order]
+    return _StateFit(DriftFit(h, table), h, 0.0)
 
 
 @settings(max_examples=150, deadline=None,
@@ -522,13 +539,13 @@ def test_drift_refit_walk_forward_matches_a_fit_from_scratch(
         x, yy = build_state_pairs(levels, y, origin, cfg.es.n)
         order = np.argsort(x, kind="stable")
         xs, ys = x[order], yy[order]
-        want = _intercepts_at_data(xs, ys, fit.h1, loo=False)
-        got = fit.drift.drift
+        want = _intercepts_at_data(xs, ys, fit.pairs.h, loo=False)
+        got = fit.pairs.drift
         bad = ~np.isfinite(want)
         assert np.array_equal(fit.pairs.x, xs)
         assert np.array_equal(~np.isfinite(got), bad)
         assert counters["drift_fallback"] - before == np.count_nonzero(bad)
-        v0, v1, v2 = fit.drift.moments[:3]
+        v0, v1, v2 = fit.pairs.moments[:3]
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = np.where(v2 > 0.0, v0 * v0 / (v0 * v2 - v1 * v1), 1.0)
         tol = GROWN_TOL * np.abs(ys).max() * np.maximum(cond, 1.0)
@@ -536,7 +553,7 @@ def test_drift_refit_walk_forward_matches_a_fit_from_scratch(
         # resp = (y - drift)^2 moves by at most (2|y - drift| + tol) tol
         r = ys - np.where(bad, 0.0, want)
         move = np.where(bad, 0.0, (2.0 * np.abs(r) + tol) * tol)
-        assert np.all(np.abs(fit.pairs.resp - r * r) <= move)
+        assert np.all(np.abs(fit.pairs.resid2 - r * r) <= move)
     assert fit is not None
 
 
@@ -585,7 +602,7 @@ def test_singular_state_design_falls_back_to_kernel_weighted_mean():
     x = np.array([0.5, 0.5, 1.5])
     resp = np.array([1.0, 2.0, 9.0])
     h = 0.5001
-    fit = _StateFit(StatePairs(x, resp), h, h, 0.0)
+    fit = _hand_fit(x, resp, h)
     counters = _new_counters()
     sig2, xi_sq = _eval_state(fit, np.array([0.6]), counters=counters)
     assert counters["state_singular"] == 1
@@ -639,7 +656,7 @@ def test_study_measures_recompute_from_tracks(small_result):
     got = small_result.per_rep["imade"][rep, j]
     assert got == pytest.approx(imade(truth, track), rel=1e-15)
     # curve for a single rep and step is |forecast - truth| averaged over reps
-    other = [np.abs(rolling_forecast(s, SMALL, est).sigma2
+    other = [np.abs(rolling_forecast(s, SMALL, est)
                     - s.true_var[first:first + m])
              for s in simulate_series(SMALL, range(3))]
     assert np.allclose(small_result.curve[:, j],
@@ -657,7 +674,7 @@ def test_study_er_uses_the_normal_quantile(small_result):
         for j, e in enumerate(SMALL.estimators):
             track = rolling_forecast(sim, SMALL, e)
             assert small_result.per_rep["er"][rep, j] == float(
-                np.mean(y_out < z * np.sqrt(track.sigma2)))
+                np.mean(y_out < z * np.sqrt(track)))
 
 
 def test_failed_replications_keep_their_reason(monkeypatch):
@@ -778,7 +795,7 @@ def test_nan_step_exclusion_is_shared(monkeypatch):
     mask = np.ones(m, dtype=bool)
     mask[7] = False
     truth = sim.true_var[first:first + m]
-    expect = float(np.mean(np.abs(track.sigma2[mask] - truth[mask])))
+    expect = float(np.mean(np.abs(track[mask] - truth[mask])))
     j = cfg.estimators.index("RiskM")
     assert res.per_rep["imade"][0, j] == pytest.approx(expect, rel=1e-14)
 
@@ -924,6 +941,18 @@ def test_dataset_validation():
     with pytest.raises(ValueError):
         BacktestDataset("x", np.arange(4.0) + 1.0, None, 1 / 52, 2,
                         return_mode="pct")
+    with pytest.raises(ValueError, match="1-d"):
+        BacktestDataset("x", np.ones((2, 3)), None, 1 / 52, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_levels_that_are_not_finite(bad):
+    # built directly, not through ingest_csv; the run would otherwise fail
+    # late inside the state fit
+    values = np.arange(6.0) + 1.0
+    values[3] = bad
+    with pytest.raises(ValueError, match=r"values\[3\]"):
+        BacktestDataset("x", values, None, 1 / 52, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,7 @@ import pytest
 
 from dynvol.errors import DegenerateCaseWarning
 from dynvol.integration import (MATCHED_SHAPE, bayes_es, combine_estimates,
-                                dynamic_weight, integrate)
-from dynvol.state_domain import StateVarianceEstimate, state_variance
+                                dynamic_weight)
 from dynvol.time_domain import EsConfig, es_variance
 from oracles import (IgPrior, bayes_ma, effective_n, efficiency_ratios,
                      ig_posterior, match_hyperparams)
@@ -29,23 +28,24 @@ def test_dynamic_weight_degenerate_pair_warns():
 
 
 def test_integrate_convex_combination():
-    est = integrate(2.0, 4.0, 0.25)
-    assert est.sigma2_hat == pytest.approx(0.25 * 2.0 + 0.75 * 4.0, abs=1e-15)
-    assert est.w_time == 0.25
+    # variances 3 and 1 put the weight 1/4 on the time-domain estimate
+    est = combine_estimates(2.0, 3.0, 4.0, 1.0)
+    assert est == pytest.approx(0.25 * 2.0 + 0.75 * 4.0, abs=1e-15)
+    assert dynamic_weight(3.0, 1.0) == 0.25
     with pytest.raises(ValueError):
-        integrate(1.0, 1.0, 1.5)
+        combine_estimates(1.0, 1.0, -1.0, 1.0)
 
 
 def test_combine_estimates_wires_the_variances():
     tve = es_variance(1.0, EsConfig(lam=0.94, n=52), rho=None)
-    sve = state_variance(1.5, np.array([0.6, 0.4]))
-    got = combine_estimates(tve, sve)
-    expect_w = sve.var_hat / (tve.var_hat + sve.var_hat)
-    assert got.w_time == pytest.approx(expect_w, rel=1e-13)
-    assert got.sigma2_hat == pytest.approx(
+    # the state estimate 1.5 from weights (0.6, 0.4): 2 s^2 sum(xi^2)
+    var_state = 2.0 * 1.5**2 * (0.6**2 + 0.4**2)
+    got = combine_estimates(tve.sigma2_hat, tve.var_hat, 1.5, var_state)
+    expect_w = var_state / (tve.var_hat + var_state)
+    assert dynamic_weight(tve.var_hat, var_state) == pytest.approx(
+        expect_w, rel=1e-13)
+    assert got == pytest.approx(
         expect_w * 1.0 + (1.0 - expect_w) * 1.5, rel=1e-13)
-    assert got.var_time == pytest.approx(tve.var_hat, rel=1e-15)
-    assert got.var_state == pytest.approx(sve.var_hat, rel=1e-15)
 
 
 def _array_case():
@@ -65,11 +65,14 @@ def test_blend_array_forms_are_the_scalar_forms_per_origin():
     with pytest.warns(DegenerateCaseWarning):
         one = [dynamic_weight(a, b) for a, b in zip(var_time, var_state)]
     assert w.tobytes() == np.array(one).tobytes()
-    est = integrate(t_est, s_est, w, var_time, var_state)
-    for j in range(w.size):
-        e = integrate(t_est[j], s_est[j], one[j], var_time[j], var_state[j])
-        assert isinstance(e.sigma2_hat, float)
-        assert (est.sigma2_hat[j], est.w_time[j]) == (e.sigma2_hat, e.w_time)
+    with pytest.warns(DegenerateCaseWarning):
+        est = combine_estimates(t_est, var_time, s_est, var_state)
+    with pytest.warns(DegenerateCaseWarning):
+        for j in range(w.size):
+            e = combine_estimates(t_est[j], var_time[j], s_est[j],
+                                  var_state[j])
+            assert isinstance(e, float)
+            assert est[j] == e
     nb = bayes_es(t_est, s_est, 0.94, 52, MATCHED_SHAPE)
     assert nb.tobytes() == np.array(
         [bayes_es(a, b, 0.94, 52, MATCHED_SHAPE)
@@ -83,15 +86,15 @@ def test_combine_estimates_array_form_matches_scalar_calls():
     rho = rng.uniform(-0.1, 0.3, (6, 30))
     xi_sq = rng.uniform(0.01, 0.5, 6)
     tve = es_variance(t_est, cfg, rho)
-    sve = StateVarianceEstimate(s_est, xi_sq, 2.0 * s_est**2 * xi_sq)
-    got = combine_estimates(tve, sve)
+    var_state = 2.0 * s_est**2 * xi_sq
+    got = combine_estimates(tve.sigma2_hat, tve.var_hat, s_est, var_state)
+    w = dynamic_weight(tve.var_hat, var_state)
     for j in range(6):
-        one = combine_estimates(
-            es_variance(float(t_est[j]), cfg, rho[j]),
-            StateVarianceEstimate(float(s_est[j]), float(xi_sq[j]),
-                                  float(sve.var_hat[j])))
-        assert got.sigma2_hat[j] == one.sigma2_hat
-        assert got.w_time[j] == one.w_time
+        tve_j = es_variance(float(t_est[j]), cfg, rho[j])
+        one = combine_estimates(tve_j.sigma2_hat, tve_j.var_hat,
+                                float(s_est[j]), float(var_state[j]))
+        assert got[j] == one
+        assert w[j] == dynamic_weight(tve_j.var_hat, float(var_state[j]))
 
 
 def test_degenerate_tie_warns_once_per_call():
@@ -112,19 +115,19 @@ def test_blend_array_forms_reject_a_bad_entry_anywhere():
     with pytest.raises(ValueError):
         dynamic_weight(bad, good)
     with pytest.raises(ValueError):
-        integrate(good, bad, good)
+        combine_estimates(good, good, bad, good)
     with pytest.raises(ValueError):
-        integrate(bad, good, good)
+        combine_estimates(bad, good, good, good)
     with pytest.raises(ValueError):
-        integrate(good, good, np.array([0.1, 1.5, 0.2]))
+        combine_estimates(good, bad, good, good)
     with pytest.raises(ValueError):
-        integrate(good, good, np.array([0.1, np.nan, 0.2]))
+        combine_estimates(good, good, good, np.array([0.1, np.nan, 0.2]))
+    with pytest.raises(ValueError):
+        combine_estimates(good, np.full(3, np.inf), good, np.full(3, np.inf))
     with pytest.raises(ValueError):
         bayes_es(good, bad, 0.94, 52, MATCHED_SHAPE)
     with pytest.raises(ValueError):
         bayes_es(bad, good, 0.94, 52, MATCHED_SHAPE)
-    with pytest.raises(ValueError):
-        StateVarianceEstimate(good, np.array([0.1, 0.0, 0.1]), good)
 
 
 def test_ig_prior_validation_and_moments():

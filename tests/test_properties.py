@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from dynvol.errors import NoCoverageError, SingularDesignError
 from dynvol.integration import (MATCHED_SHAPE, bayes_es, combine_estimates,
                                 dynamic_weight)
-from dynvol.state_domain import (StatePairs, StateVarianceEstimate,
-                                 _epanechnikov, xi_weights)
-from dynvol.time_domain import (EsConfig, TimeVarianceEstimate, exp_smooth,
-                                moving_average)
+from dynvol.state_domain import _epanechnikov, xi_weights
+from dynvol.time_domain import EsConfig, exp_smooth, moving_average
 from oracles import bayes_ma
 
 EPS = np.finfo(float).eps
@@ -40,13 +38,12 @@ def test_dynamic_weight_lies_in_unit_interval(var_time, var_state):
 @given(_nonneg, _nonneg, _nonneg, _nonneg)
 def test_combine_estimates_lies_between_its_inputs(s_time, v_time, s_state,
                                                    v_state):
-    tve = TimeVarianceEstimate(s_time, v_time, 1.0)
-    sve = StateVarianceEstimate(s_state, 1.0, v_state)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        est = combine_estimates(tve, sve)
-    assert 0.0 <= est.w_time <= 1.0
-    assert _between(est.sigma2_hat, s_time, s_state)
+        w = dynamic_weight(v_time, v_state)
+        est = combine_estimates(s_time, v_time, s_state, v_state)
+    assert 0.0 <= w <= 1.0
+    assert _between(est, s_time, s_state)
 
 
 @given(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=60),
@@ -55,7 +52,7 @@ def test_xi_weight_identities_hold(xs, where, h):
     x = np.asarray(xs)
     x0 = float(x.min() + where * (x.max() - x.min()))
     try:
-        xi = xi_weights(StatePairs(x, np.zeros(x.size)), x0, h)
+        xi = xi_weights(x, x0, h)
     except (NoCoverageError, SingularDesignError):
         assume(False)
     d = x - x0

@@ -11,16 +11,15 @@ from scipy import integrate as spi
 from dynvol.errors import (NoCoverageError, SingularDesignError,
                            TooFewPointsError)
 from dynvol.harness import build_state_pairs, simulate_series, study_preset
-from dynvol.state_domain import (CV_GRID, DET_RTOL, NU0, StatePairs,
-                                 _epanechnikov, _intercepts_at_data,
-                                 _window_xi, residual_squares,
+from dynvol.state_domain import (CV_GRID, DET_RTOL, NU0, _epanechnikov,
+                                 _intercepts_at_data, _window_xi,
                                  rule_of_thumb_bandwidth, select_bandwidth,
-                                 state_variance, xi_weights)
+                                 xi_weights)
 from oracles import ORACLE_TOL, kernel_density, s2_squared
 
 
 def _intercept(x, resp, x0, h):
-    return float(xi_weights(StatePairs(x, resp), x0, h) @ resp)
+    return float(xi_weights(x, x0, h) @ resp)
 
 
 def test_kernel_shape_and_nu0():
@@ -57,7 +56,7 @@ def test_xi_weights_match_brute_force_wls():
         x0 = float(rng.uniform(x.min(), x.max()))
         h = float(rng.uniform(0.08, 0.5))
         try:
-            xi = xi_weights(StatePairs(x, np.zeros(m)), x0, h)
+            xi = xi_weights(x, x0, h)
         except (NoCoverageError, SingularDesignError):
             continue
         brute = _xi_brute(x, x0, h)
@@ -69,7 +68,7 @@ def test_xi_weights_match_brute_force_wls():
 def test_xi_weight_identities():
     rng = np.random.default_rng(4)
     x = rng.uniform(0.0, 2.0, size=80)
-    xi = xi_weights(StatePairs(x, np.zeros(80)), 1.0, 0.4)
+    xi = xi_weights(x, 1.0, 0.4)
     assert xi.sum() == pytest.approx(1.0, abs=1e-10)
     assert float(xi @ (x - 1.0)) == pytest.approx(0.0, abs=1e-10)
 
@@ -85,7 +84,7 @@ def test_zero_spread_cluster_falls_back_to_plain_average():
     # becomes the kernel-weighted (here plain) mean
     x = np.full(5, 0.7)
     resp = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    xi = xi_weights(StatePairs(x, resp), 0.7, 0.1)
+    xi = xi_weights(x, 0.7, 0.1)
     assert np.allclose(xi, 0.2, atol=1e-12)
     assert float(xi @ resp) == pytest.approx(3.0, abs=1e-12)
 
@@ -93,7 +92,7 @@ def test_zero_spread_cluster_falls_back_to_plain_average():
 def test_no_coverage_raises():
     x = np.linspace(0.0, 1.0, 30)
     with pytest.raises(NoCoverageError):
-        xi_weights(StatePairs(x, x), 5.0, 0.2)
+        xi_weights(x, 5.0, 0.2)
 
 
 def test_singular_design_raises():
@@ -106,7 +105,7 @@ def test_singular_design_raises():
     # h=1.0 puts x=1.5 exactly at |u|=1 -> weight 0; covered set is a cluster
     # at 0.5 but x0=0.6 != 0.5 so the design matrix is rank one and det ~ 0
     with pytest.raises(SingularDesignError):
-        xi_weights(StatePairs(x, resp), 0.6, 0.5001)
+        xi_weights(x, 0.6, 0.5001)
 
 
 def test_drift_then_residual_pipeline():
@@ -115,16 +114,6 @@ def test_drift_then_residual_pipeline():
     y = 1.0 + 2.0 * x + rng.standard_normal(200) * 0.01
     drift = _intercept(x, y, 0.5, 0.25)
     assert drift == pytest.approx(2.0, abs=0.02)
-    r2 = residual_squares(np.array([2.5, 1.5]), np.array([2.0, 2.0]))
-    assert np.allclose(r2, [0.25, 0.25], atol=1e-15)
-
-
-def test_state_variance_hand_value():
-    xi = np.array([0.5, 0.3, 0.2])
-    est = state_variance(1.0, xi)
-    assert est.xi_sq_sum == pytest.approx(0.38, abs=1e-15)
-    assert est.var_hat == pytest.approx(0.76, abs=1e-15)
-    assert est.effective_n == pytest.approx(1.0 / 0.38, rel=1e-12)
 
 
 def test_s2_squared_hand_value():
@@ -406,14 +395,13 @@ def test_point_query_matches_dense_oracle(levels, spacing, offset, hmul,
     x0 = float({"first": xs[0], "last": xs[-1], "below": xj - h,
                 "above": xj + h,
                 "between": xs[0] + frac * (xs[-1] - xs[0])}[where])
-    pairs = StatePairs(x, np.zeros(x.size))
     try:
         want, cond = _dense_xi(x, x0, h)
     except (NoCoverageError, SingularDesignError) as exc:
         with pytest.raises(type(exc)):
-            xi_weights(pairs, x0, h)
+            xi_weights(x, x0, h)
         return
-    got = xi_weights(pairs, x0, h)
+    got = xi_weights(x, x0, h)
     assert np.all(np.abs(got - want) <= ORACLE_TOL * max(1.0, cond))
     lo, xi, singular = _window_xi(xs, x0, h)
     assert not singular
