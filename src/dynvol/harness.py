@@ -198,6 +198,8 @@ def simulate_series(cfg: StudyConfig, reps: Sequence[int]
     """One replication of the configured model per rep in reps, rep r on
     stream r. SV replications run in lockstep; a replication has the same
     bits in any group."""
+    if cfg.model not in _PRESETS:
+        raise ValueError(f"cannot simulate model {cfg.model!r}")
     p = cfg.params()
     rngs = [RngStream(cfg.seed, rep) for rep in reps]
     if cfg.model == "SV":
@@ -210,13 +212,10 @@ def simulate_series(cfg: StudyConfig, reps: Sequence[int]
         return [SimulatedSeries(path.values, to_returns(path),
                                 p.sigma**2 * path.values[:-1])
                 for path in paths]
-    if cfg.model == "GBM":
-        paths = [simulate_gbm(p, cfg.delta, cfg.series_len, rng)
-                 for rng in rngs]
-        return [SimulatedSeries(path.values, to_returns(path),
-                                p.sigma**2 * path.values[:-1] ** 2)
-                for path in paths]
-    raise ValueError(f"cannot simulate model {cfg.model!r}")
+    paths = [simulate_gbm(p, cfg.delta, cfg.series_len, rng) for rng in rngs]
+    return [SimulatedSeries(path.values, to_returns(path),
+                            p.sigma**2 * path.values[:-1] ** 2)
+            for path in paths]
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +467,8 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
     reported. The exceedance ratio uses the normal alpha-quantile. A
     replication that fails outright, or has no usable step, is skipped;
     diagnostics["failed_reasons"] maps it to "<ExceptionClass>: <message>".
+    A model with no simulator (an external series) raises ValueError from
+    the first simulation, before any replication runs.
     """
     ests = cfg.estimators
     first = cfg.in_sample_len - 1

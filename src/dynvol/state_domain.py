@@ -19,17 +19,23 @@ _window_estimates at the origins of one refit block of the walk-forward,
 whose windows are laid end to end and each reduced on its own with
 np.add.reduceat, so that an origin's estimate reads its own window only
 and has the same bits in any block. The fit at every design point at once
-(the drift refit and leave-one-out bandwidth cross-validation) runs in
+(the first drift fit and leave-one-out bandwidth cross-validation) runs in
 O(N log N) on sorted prefix sums, after
 Fan & Marron (1994) and Seifert, Brockmann, Engel & Gasser (1994): the
 Epanechnikov weight is quadratic on its support, so each moment sum over a
 window is a difference of prefix sums of powers of the centred level. The
 window is the exact positive support of the kernel; weights in a thin band
 at its edge and on the point's own level are taken directly; empty,
-own-level-only and single-level windows are told apart by exact counts. Its
-tests check it against the direct O(N^2) evaluation: the NaN pattern is
-identical, and values agree within 1e-11 * max|resp| * h^2 V0^2 / det, the
-design's condition (the worst case seen is 2.4e-13 of that bound).
+own-level-only and single-level windows are told apart by exact counts. The
+engine runs in two steps: a design (_design) holds all that depends only on
+the sorted levels and h (the support, the edge bands, the level moments),
+and a moment step (_moments) applies it to one response. Bandwidth
+selection sorts the levels once and builds the designs of the CV grid once
+per series; the drift search, the h1 fit and the variance search all share
+them. Its tests check the engine against the direct O(N^2) evaluation: the
+NaN pattern is identical, and values agree within
+1e-11 * max|resp| * h^2 V0^2 / det, the design's condition (the worst case
+seen is 2.4e-13 of that bound).
 
 The drift refit of a walk-forward run has one lifecycle (DriftFit). Its
 bandwidth is frozen after the first fit, which runs the prefix-sum engine
@@ -49,6 +55,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -200,7 +207,32 @@ def rule_of_thumb_bandwidth(x: np.ndarray) -> float:
     return 1.06 * s * x.size ** (-0.2)
 
 
-def _support(xs: np.ndarray, h: float):
+class _Levels(NamedTuple):
+    """The sorted design xs and its runs of tied levels, none of which
+    depends on h: level is each point's run, first and count each run's
+    first index and length, and [own_lo, own_hi) each point's own run."""
+
+    xs: np.ndarray
+    level: np.ndarray
+    first: np.ndarray
+    count: np.ndarray
+    own_lo: np.ndarray
+    own_hi: np.ndarray
+
+
+def _levels(xs: np.ndarray) -> _Levels:
+    if not (np.isfinite(xs[0]) and np.isfinite(xs[-1])):
+        raise ValueError("state levels must be finite")
+    new_level = np.append(True, xs[1:] != xs[:-1])
+    level = np.cumsum(new_level) - 1
+    first = np.flatnonzero(new_level)
+    bounds = np.append(first, xs.size)
+    return _Levels(xs, level, first, np.diff(bounds), bounds[level],
+                   bounds[level + 1])
+
+
+def _support(xs: np.ndarray, h: float, own_lo: np.ndarray,
+             own_hi: np.ndarray):
     """Index range [lo, hi) of the sorted design xs with positive kernel
     weight at each xs[i], decided by the floating-point weight the kernel
     itself gives each point, so a point on the edge of the support is in or
@@ -210,8 +242,6 @@ def _support(xs: np.ndarray, h: float):
     of the edge; those are settled by bisection on the weight, which is
     monotone in the sorted index on either side of the query.
     """
-    own_lo = np.searchsorted(xs, xs, "left")
-    own_hi = np.searchsorted(xs, xs, "right")
     pad = PAD * (np.abs(xs) + h)
 
     def positive(j):
@@ -234,80 +264,129 @@ def _support(xs: np.ndarray, h: float):
         zero = ~positive(np.minimum(mid, xs.size - 1))
         b = np.where(act & zero, mid, b)
         a = np.where(act & ~zero, mid + 1, a)
-    return lo, a, own_lo, own_hi
+    return lo, a
 
 
-def _prefix_moments(xs: np.ndarray, rs: np.ndarray, h: float,
-                    bands) -> np.ndarray:
-    """Moments (v0, v1, v2, b0, b1) in units of 0.75 h^k over index bands
-    of the sorted design, from prefix sums; bands is a list of index
-    ranges (a, b), one array each, whose union per query lies between the
-    first band's a and the last band's b.
+def _band_sums(xs: np.ndarray, h: float, blocks, at: np.ndarray,
+               rs: np.ndarray | None) -> np.ndarray:
+    """Sums of t^k (k <= 4), or with rs given of rs*t^k (k <= 3), over the
+    two prefix-sum bands of each point of the sorted design, one row per k.
 
-    With t = (x - c)/h and s the query's t, the weight 1 - (t - s)^2 makes
-    each moment a binomial combination of band sums of t^k (k <= 4) and
-    resp*t^k (k <= 3). c is the midpoint of a block of queries spanning at
-    most BLOCK_SPAN bandwidths, and the prefix sums run only over that
-    block's bands, so |t| stays small. An empty band sums to exactly zero.
+    t = (x - c)/h, where c is the centre of the point's block; blocks is
+    (top, lens, left, c), one entry per block, whose span [left,
+    left + lens - 1) of the design is laid end to end with the others after
+    a zero row at row top, so that its prefix sums run over its own span
+    only and |t| stays small. at holds, per point, the rows of the prefix
+    sums up to lo_in, own_lo, own_hi and hi_in: the bands are [lo_in,
+    own_lo) and [own_hi, hi_in). An empty band sums to exactly zero.
     """
-    n = xs.size
-    sums = np.zeros((n, 9))
-    s = np.empty(n)
-    start = 0
-    while start < n:
-        stop = int(np.searchsorted(xs, xs[start] + BLOCK_SPAN * h, "right"))
-        c = 0.5 * (xs[start] + xs[stop - 1])
-        left, right = bands[0][0][start], bands[-1][1][stop - 1]
-        t = (xs[left:right] - c) / h
-        # row k + 1 holds the sums over rows 0..k of the span
-        pw = np.empty((right - left + 1, 9))
-        pw[0] = 0.0
-        pw[1:, 0] = 1.0
-        pw[1:, 1] = t
-        pw[1:, 2] = t * t
-        pw[1:, 3] = pw[1:, 2] * t
-        pw[1:, 4] = pw[1:, 2] * pw[1:, 2]
-        pw[1:, 5:] = pw[1:, :4] * rs[left:right, None]
-        np.cumsum(pw, axis=0, out=pw)
-        for a, b in bands:
-            sums[start:stop] += (pw[b[start:stop] - left]
-                                 - pw[a[start:stop] - left])
-        s[start:stop] = (xs[start:stop] - c) / h
-        start = stop
+    top, lens, left, c = blocks
+    cols = 5 if rs is None else 4
+    src = np.arange(int(lens.sum())) + np.repeat(left - 1 - top, lens)
+    t = (xs[src] - np.repeat(c, lens)) / h
+    pw = np.empty((src.size, cols))
+    pw[:, 0] = 1.0
+    pw[:, 1] = t
+    pw[:, 2] = t * t
+    pw[:, 3] = pw[:, 2] * t
+    if rs is None:
+        pw[:, 4] = pw[:, 2] * pw[:, 2]
+    else:
+        pw *= rs[src, None]
+    pw[top] = 0.0
+    # row top + 1 + k of a block then holds the sums over its rows 0..k
+    for a, b in zip(top.tolist(), (top + lens).tolist()):
+        pw[a:b].cumsum(axis=0, out=pw[a:b])
+    # take gathers whole rows several times faster than indexing
+    sums = pw.take(at[1], axis=0)
+    sums -= pw.take(at[0], axis=0)
+    upper = pw.take(at[3], axis=0)
+    upper -= pw.take(at[2], axis=0)
+    sums += upper
+    return sums.T
 
-    t0, t1, t2, t3, t4, r0, r1, r2, r3 = sums.T
-    # sums of e^k and resp*e^k with e = t - s = (x_j - x_i)/h
+
+class _Design(NamedTuple):
+    """The part of the fit at every point of the sorted design that does
+    not depend on the response (_design); _moments applies it to one."""
+
+    h: float
+    lv: _Levels
+    blocks: tuple
+    at: np.ndarray
+    s: np.ndarray
+    mom: np.ndarray
+    edge: tuple
+    levels_in: np.ndarray
+    other: np.ndarray
+
+
+def _design(lv: _Levels, h: float) -> _Design:
+    """The response-free part of the fit at every point of the sorted
+    design lv.xs with bandwidth h, in O(N log N).
+
+    Each window [lo, hi) is the exact positive support of the kernel at the
+    point (_support). Its moments come from prefix sums (_band_sums) over
+    the points with |u| < 1 - EDGE_BAND, and from the kernel weights
+    themselves over the thin band next to the edge of the support, where a
+    weight of a few ulps would otherwise be lost in the rounding of the
+    prefix sums. With t = (x - c)/h and s the query's t, the weight
+    1 - (t - s)^2 makes each moment a binomial combination of band sums of
+    t^k; c is the midpoint of a block of queries spanning at most
+    BLOCK_SPAN bandwidths. The design keeps the blocks, the prefix-sum rows
+    of the bands (at) and s for the response sums, the level moments (v0
+    without the own level, v1, v2) in units of 0.75 h^k, the edge weights
+    (edge: query, level, w, u), the count of levels in each window and the
+    exact count of points of other levels in it.
+    """
+    xs, n = lv.xs, lv.xs.size
+    lo, hi = _support(xs, h, lv.own_lo, lv.own_hi)
+    inner = (1.0 - EDGE_BAND) * h
+    lo_in = np.maximum(np.searchsorted(xs, xs - inner, "left"), lo)
+    hi_in = np.minimum(np.searchsorted(xs, xs + inner, "right"), hi)
+    starts = [0]
+    while (stop := int(np.searchsorted(xs, xs[starts[-1]] + BLOCK_SPAN * h,
+                                       "right"))) < n:
+        starts.append(stop)
+    starts = np.array(starts)
+    stops = np.append(starts[1:], n)
+    size = stops - starts
+    c = 0.5 * (xs[starts] + xs[stops - 1])
+    s = (xs - np.repeat(c, size)) / h
+    left = lo_in[starts]
+    lens = hi_in[stops - 1] - left + 1
+    top = np.cumsum(lens) - lens
+    blocks = (top, lens, left, c)
+    # a prefix sum up to index j of the design sits in row top + j - left
+    # of the point's block
+    at = (np.stack((lo_in, lv.own_lo, lv.own_hi, hi_in))
+          + np.repeat(top - left, size))
+    t0, t1, t2, t3, t4 = _band_sums(xs, h, blocks, at, None)
+    # sums of e^k with e = t - s = (x_j - x_i)/h
     s2 = s * s
     e1 = t1 - s * t0
     e2 = t2 - 2.0 * s * t1 + s2 * t0
     e3 = t3 - 3.0 * s * t2 + 3.0 * s2 * t1 - s2 * s * t0
     e4 = (t4 - 4.0 * s * t3 + 6.0 * s2 * t2 - 4.0 * s2 * s * t1
           + s2 * s2 * t0)
-    f1 = r1 - s * r0
-    f2 = r2 - 2.0 * s * r1 + s2 * r0
-    f3 = r3 - 3.0 * s * r2 + 3.0 * s2 * r1 - s2 * s * r0
-    return np.stack((t0 - e2, e1 - e3, e2 - e4, r0 - f2, f1 - f3))
 
-
-def _edge_moments(xs: np.ndarray, h: float, level: np.ndarray,
-                  ux: np.ndarray, count: np.ndarray, rsum: np.ndarray,
-                  bands) -> np.ndarray:
-    """Moments (v0, v1, v2, b0, b1) in units of 0.75 h^k over index bands
-    of the sorted design that hold whole levels; each level's weight
-    1 - u^2 comes from u = (x_j - x_i)/h computed as the kernel computes
-    it, and its count and response sum stand for its tied points."""
-    n = xs.size
-    lev = np.append(level, level[-1] + 1)
-    a = np.concatenate([lev[p] for p, _ in bands])
-    k = np.concatenate([lev[q] for _, q in bands]) - a
-    query = np.repeat(np.tile(np.arange(n), len(bands)), k)
+    # the edge bands hold whole levels; each level's weight 1 - u^2 comes
+    # from u = (x_j - x_i)/h computed as the kernel computes it, and its
+    # count stands for its tied points
+    lev = np.append(lv.level, lv.level[-1] + 1)
+    a = np.concatenate((lev[lo], lev[hi_in]))
+    k = np.concatenate((lev[lo_in], lev[hi])) - a
+    query = np.repeat(np.tile(np.arange(n), 2), k)
     ids = np.repeat(a - np.cumsum(k) + k, k) + np.arange(int(k.sum()))
-    u = (ux[ids] - xs[query]) / h
+    u = (xs[lv.first][ids] - xs[query]) / h
     w = 1.0 - u * u
-    wc = w * count[ids]
-    wr = w * rsum[ids]
-    return np.stack([np.bincount(query, m, n)
-                     for m in (wc, wc * u, wc * u * u, wr, wr * u)])
+    wc = w * lv.count[ids]
+    mom = np.stack((t0 - e2 + np.bincount(query, wc, n),
+                    e1 - e3 + np.bincount(query, wc * u, n),
+                    e2 - e4 + np.bincount(query, wc * u * u, n)))
+    return _Design(h, lv, blocks, at, s, mom, (query, ids, w, u),
+                   lv.level[hi - 1] - lv.level[lo] + 1,
+                   (hi - lo) - (lv.own_hi - lv.own_lo))
 
 
 def _solve_intercepts(mom: np.ndarray, flat: np.ndarray,
@@ -329,52 +408,41 @@ def _solve_intercepts(mom: np.ndarray, flat: np.ndarray,
         return np.where(flat, b0 / v0, fit)
 
 
-def _sorted_moments(xs: np.ndarray, rs: np.ndarray, h: float, loo: bool):
+def _moments(d: _Design, rs: np.ndarray, loo: bool):
     """Moments (v0, v1, v2, b0, b1) of the window at every point of the
-    sorted design xs, in units of 0.75 h^k, in O(N log N); also the masks
-    flat and multi that _solve_intercepts reads, and the count of points of
-    other levels in each window.
+    design d for the responses rs in the design's order, in units of
+    0.75 h^k, and the masks flat and multi that _solve_intercepts reads.
 
     With loo=True the point's own observation is excluded (used by
-    cross-validation).
-
-    Each window [lo, hi) is the exact positive support of the kernel at the
-    point (_support). Its moments come from prefix sums (_prefix_moments)
-    over the points with |u| < 1 - EDGE_BAND, and from the kernel weights
-    themselves (_edge_moments) over the thin band next to the edge of the
-    support, where a weight of a few ulps would otherwise be lost in the
-    rounding of the prefix sums. The point's own level adds exactly its
-    count to v0 and its response sum to b0 (weight 1, no spread);
-    leave-one-out takes the point itself out of both. Which case a window
-    falls in (empty, own level only, one other level, two or more levels)
-    is decided from exact counts of points and levels, never from rounded
-    sums. The moment algebra is that of the Epanechnikov kernel, the
-    package's one kernel.
+    cross-validation). The response sums b0, b1 take the design's blocks,
+    bands and edge weights as the level moments do. The point's own level
+    adds exactly its count to v0 and its response sum to b0 (weight 1, no
+    spread); leave-one-out takes the point itself out of both. Which case a
+    window falls in (empty, own level only, one other level, two or more
+    levels) is decided from exact counts of points and levels, never from
+    rounded sums. The moment algebra is that of the Epanechnikov kernel,
+    the package's one kernel.
     """
-    n = xs.size
-    if not (np.isfinite(xs[0]) and np.isfinite(xs[-1])):
-        raise ValueError("state levels must be finite")
-    lo, hi, own_lo, own_hi = _support(xs, h)
-    inner = (1.0 - EDGE_BAND) * h
-    lo_in = np.maximum(np.searchsorted(xs, xs - inner, "left"), lo)
-    hi_in = np.minimum(np.searchsorted(xs, xs + inner, "right"), hi)
-
-    new_level = np.append(True, xs[1:] != xs[:-1])
-    level = np.cumsum(new_level) - 1
-    first = np.flatnonzero(new_level)
-    count = np.diff(np.append(first, n))
-    rsum = np.add.reduceat(rs, first)
+    lv, n = d.lv, rs.size
+    r0, r1, r2, r3 = _band_sums(lv.xs, d.h, d.blocks, d.at, rs)
+    # sums of resp*e^k with e = t - s
+    s = d.s
+    s2 = s * s
+    f1 = r1 - s * r0
+    f2 = r2 - 2.0 * s * r1 + s2 * r0
+    f3 = r3 - 3.0 * s * r2 + 3.0 * s2 * r1 - s2 * s * r0
+    query, ids, w, u = d.edge
+    rsum = np.add.reduceat(rs, lv.first)
+    wr = w * rsum[ids]
     # the own level has e = 0 and weight 1 per point: its share is exact
-    own = own_hi - own_lo - loo
-    mom = (_prefix_moments(xs, rs, h, [(lo_in, own_lo), (own_hi, hi_in)])
-           + _edge_moments(xs, h, level, xs[first], count, rsum,
-                           [(lo, lo_in), (hi_in, hi)]))
-    mom[0] += own
-    mom[3] += rsum[level] - loo * rs
-
-    distinct = level[hi - 1] - level[lo] + 1 - (own == 0)
-    other = (hi - lo) - (own_hi - own_lo)
-    return mom, (distinct == 1) & (own > 0), distinct >= 2, other
+    own = lv.own_hi - lv.own_lo - loo
+    v0, v1, v2 = d.mom
+    mom = np.stack((v0 + own, v1, v2,
+                    r0 - f2 + np.bincount(query, wr, n)
+                    + (rsum[lv.level] - loo * rs),
+                    f1 - f3 + np.bincount(query, wr * u, n)))
+    distinct = d.levels_in - (own == 0)
+    return mom, (distinct == 1) & (own > 0), distinct >= 2
 
 
 def _intercepts_at_data(x: np.ndarray, resp: np.ndarray, h: float,
@@ -384,14 +452,15 @@ def _intercepts_at_data(x: np.ndarray, resp: np.ndarray, h: float,
     With loo=True the point's own observation is excluded (used by
     cross-validation). Points whose design is empty or singular get NaN; a
     window whose only level is the point's own degrades to the locally
-    constant fit. The design is sorted once (_sorted_moments).
+    constant fit. The design is sorted once and the one-bandwidth case of
+    _design and _moments.
     """
     out = np.full(x.size, np.nan)
     if x.size == 0:
         return out
     order = np.argsort(x, kind="stable")
-    mom, flat, multi, _ = _sorted_moments(x[order], resp[order], h, loo)
-    out[order] = _solve_intercepts(mom, flat, multi)
+    d = _design(_levels(x[order]), h)
+    out[order] = _solve_intercepts(*_moments(d, resp[order], loo))
     return out
 
 
@@ -429,9 +498,10 @@ class DriftFit:
     All of them are rows of one float table (other holds integers, exact in
     a float), so that extend splices them together; count is their length.
 
-    from_scratch fits with the prefix-sum engine. extend adds the k pairs
-    of a later origin, which arrive after every pair held, with one copy of
-    the table and O(k window) arithmetic: each new pair's kernel weights on
+    from_scratch fits with the prefix-sum engine, and from_design on a
+    design already built (bandwidth CV's). extend adds the k pairs of a
+    later origin, which arrive after every pair held, with one copy of the
+    table and O(k window) arithmetic: each new pair's kernel weights on
     the window around it, taken directly, go into the moments of every pair
     it weighs and make its own moments. Only the span of pairs they touched
     is solved again. The result agrees with a from-scratch fit on the same
@@ -452,11 +522,15 @@ class DriftFit:
     @classmethod
     def from_scratch(cls, x: np.ndarray, y: np.ndarray, h: float) -> DriftFit:
         order = np.argsort(x, kind="stable")
-        xs, ys = x[order], y[order]
-        mom, flat, multi, other = _sorted_moments(xs, ys, h, False)
+        return cls.from_design(_design(_levels(x[order]), h), y[order])
+
+    @classmethod
+    def from_design(cls, d: _Design, ys: np.ndarray) -> DriftFit:
+        """The fit of the responses ys, in the design's order, on d."""
+        mom, flat, multi = _moments(d, ys, False)
         drift = _solve_intercepts(mom, flat, multi)
-        return cls(h, np.vstack((xs, ys, mom, drift, _resid2(ys, drift),
-                                 other)))
+        return cls(d.h, np.vstack((d.lv.xs, ys, mom, drift,
+                                   _resid2(ys, drift), d.other)))
 
     def extend(self, x_new: np.ndarray, y_new: np.ndarray) -> DriftFit:
         """The fit with the pairs (x_new, y_new) added."""
@@ -515,24 +589,27 @@ class DriftFit:
         return fit
 
 
-def _cv_bandwidth(x: np.ndarray, resp: np.ndarray) -> float:
-    """Leave-one-out CV over a multiplicative grid around the rule of thumb.
+def _cv_design(designs: list[_Design], order: np.ndarray,
+               resp: np.ndarray) -> _Design:
+    """The design of the grid whose leave-one-out fit of resp, taken in
+    time order, has the least mean squared error; order sorts resp into
+    the designs' order.
 
     Candidates where more than 20% of points have no valid fit are skipped;
-    if all are skipped the rule of thumb is returned.
+    if all are skipped the rule of thumb (the grid's factor 1) is returned.
     """
-    rot = rule_of_thumb_bandwidth(x)
-    best_h, best_loss = rot, math.inf
-    for f in CV_GRID:
-        h = rot * f
-        pred = _intercepts_at_data(x, resp, h, loo=True)
+    best, best_loss = designs[CV_GRID.index(1.0)], math.inf
+    rs = resp[order]
+    pred = np.empty(resp.size)
+    for d in designs:
+        pred[order] = _solve_intercepts(*_moments(d, rs, True))
         ok = np.isfinite(pred)
-        if ok.sum() < 0.8 * x.size:
+        if ok.sum() < 0.8 * resp.size:
             continue
         loss = float(np.mean((resp[ok] - pred[ok]) ** 2))
         if loss < best_loss:
-            best_h, best_loss = h, loss
-    return best_h
+            best, best_loss = d, loss
+    return best
 
 
 def select_bandwidth(x: np.ndarray, y: np.ndarray) -> tuple[DriftFit, float]:
@@ -541,7 +618,8 @@ def select_bandwidth(x: np.ndarray, y: np.ndarray) -> tuple[DriftFit, float]:
     Both bandwidths are picked independently by the same rule: leave-one-out
     CV on a small multiplicative grid around 1.06*std(x)*N^(-1/5). h1 (the
     fit's h) is picked for the mean fit, h against the squared residuals of
-    the h1 fit.
+    the h1 fit. Both searches run on the same levels, so the grid's designs
+    are built once and shared by the two searches and the h1 fit.
 
     Requires at least 20 pairs.
     """
@@ -551,8 +629,12 @@ def select_bandwidth(x: np.ndarray, y: np.ndarray) -> tuple[DriftFit, float]:
         raise TooFewPointsError("need at least 20 pairs")
     if x.shape != y.shape:
         raise ValueError("x and y must have equal shapes")
-    drift = DriftFit.from_scratch(x, y, _cv_bandwidth(x, y))
+    order = np.argsort(x, kind="stable")
+    lv = _levels(x[order])
+    rot = rule_of_thumb_bandwidth(x)
+    designs = [_design(lv, rot * f) for f in CV_GRID]
+    drift = DriftFit.from_design(_cv_design(designs, order, y), y[order])
     # the fit holds the pairs sorted by level; CV takes them in time order
     resid2 = np.empty_like(y)
-    resid2[np.argsort(x, kind="stable")] = drift.resid2
-    return drift, _cv_bandwidth(x, resid2)
+    resid2[order] = drift.resid2
+    return drift, _cv_design(designs, order, resid2).h

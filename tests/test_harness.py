@@ -760,6 +760,21 @@ def test_per_rep_rows_carry_the_replication_id(monkeypatch, tmp_path):
     assert float(rows[2]["made"]) == res.per_rep["made"][1, 0]
 
 
+def test_study_rejects_a_model_it_cannot_simulate(monkeypatch):
+    # an external series has no simulator: the study says so before any
+    # replication runs, and the config a backtest builds stays valid
+    cfg = StudyConfig(model="External", series_len=300, in_sample_len=200,
+                      n_reps=2)
+    calls = []
+    monkeypatch.setattr(harness, "_rolling",
+                        lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match="cannot simulate model 'External'"):
+        run_simulation_study(cfg)
+    with pytest.raises(ValueError, match="cannot simulate model 'External'"):
+        simulate_series(cfg, [0])
+    assert calls == []
+
+
 def test_study_is_deterministic(small_result):
     again = run_simulation_study(SMALL)
     for k in small_result.per_rep:

@@ -4,15 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as spi
 
-from dynvol.errors import (NoCoverageError, SingularDesignError,
-                           TooFewPointsError)
+from dynvol.errors import (DegenerateSeriesError, NoCoverageError,
+                           SingularDesignError, TooFewPointsError)
 from dynvol.harness import build_state_pairs, simulate_series, study_preset
-from dynvol.state_domain import (CV_GRID, DET_RTOL, NU0, _epanechnikov,
-                                 _intercepts_at_data, _window_xi,
+from dynvol.state_domain import (CV_GRID, DET_RTOL, NU0, DriftFit,
+                                 _epanechnikov, _intercepts_at_data,
+                                 _window_xi,
                                  rule_of_thumb_bandwidth, select_bandwidth,
                                  xi_weights)
 from oracles import ORACLE_TOL, kernel_density, s2_squared
@@ -160,6 +161,97 @@ def test_select_bandwidth_prefers_smooth_scale():
 def test_select_bandwidth_needs_points():
     with pytest.raises(TooFewPointsError):
         select_bandwidth(np.arange(10.0), np.arange(10.0))
+
+
+def _select_bandwidth_per_candidate(x, y):
+    """select_bandwidth with a fresh engine pass for every candidate of both
+    searches and the h1 fit from scratch: (h1, h, table bytes) and the
+    number of candidates the drift search skipped."""
+    rot = rule_of_thumb_bandwidth(x)
+
+    def cv(resp):
+        best_h, best_loss, skipped = rot, math.inf, 0
+        for f in CV_GRID:
+            pred = _intercepts_at_data(x, resp, rot * f, loo=True)
+            ok = np.isfinite(pred)
+            if ok.sum() < 0.8 * x.size:
+                skipped += 1
+                continue
+            loss = float(np.mean((resp[ok] - pred[ok]) ** 2))
+            if loss < best_loss:
+                best_h, best_loss = rot * f, loss
+        return best_h, skipped
+
+    h1, skipped = cv(y)
+    drift = DriftFit.from_scratch(x, y, h1)
+    resid2 = np.empty_like(y)
+    resid2[np.argsort(x, kind="stable")] = drift.resid2
+    return (h1, cv(resid2)[0], drift.table.tobytes()), skipped
+
+
+# 14 tied points and three pairs of singletons, each pair 1e-3 apart and
+# more than two rules of thumb from every other level: under leave-one-out a
+# pair's points see one other level only, so every candidate is skipped
+_ALL_SKIPPED = np.concatenate((np.zeros(14), [1.0, -1.0, 2.0],
+                               [1.001, -0.999, 2.001]))
+
+
+@st.composite
+def _tied_series(draw):
+    """Levels in constant stretches on a few distinct values, plus pairs of
+    singleton levels a thousandth of the spacing apart, in time order or
+    shuffled: series where some grid candidates leave more than 20% of the
+    points without a leave-one-out fit."""
+    spacing = draw(st.sampled_from([1e-3, 0.3, 1.0, 40.0]))
+    values = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=6))
+    stretches = draw(st.lists(st.tuples(st.integers(0, len(values) - 1),
+                                        st.integers(1, 8)),
+                              min_size=1, max_size=30))
+    pairs = np.array(draw(st.lists(st.integers(-40, 40), max_size=6)),
+                     dtype=float)
+    x = np.concatenate((np.repeat([values[i] for i, _ in stretches],
+                                  [run for _, run in stretches]),
+                        pairs, pairs + 1e-3)) * spacing
+    x = np.resize(x, max(x.size, 20))
+    if draw(st.booleans()):
+        x = x[np.random.default_rng(draw(st.integers(0, 99))).permutation(
+            x.size)]
+    return x
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(x=_tied_series(), seed=st.integers(0, 2**32 - 1),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+@example(x=_ALL_SKIPPED, seed=0, bad=np.nan)
+def test_select_bandwidth_matches_a_pass_per_candidate(x, seed, bad):
+    # the grid's designs, built once and shared by both searches and the h1
+    # fit, give the bits of a fresh engine pass per candidate
+    y = np.random.default_rng(seed).standard_normal(x.size)
+    try:
+        want = _select_bandwidth_per_candidate(x, y)[0]
+    except DegenerateSeriesError:
+        with pytest.raises(DegenerateSeriesError):
+            select_bandwidth(x, y)
+        return
+    drift, h = select_bandwidth(x, y)
+    assert (drift.h, h, drift.table.tobytes()) == want
+    x = x.copy()
+    x[seed % x.size] = bad
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="state levels must be finite"):
+            _select_bandwidth_per_candidate(x, y)
+        with pytest.raises(ValueError, match="state levels must be finite"):
+            select_bandwidth(x, y)
+
+
+def test_all_skipped_grid_falls_back_to_the_rule_of_thumb():
+    y = np.random.default_rng(0).standard_normal(_ALL_SKIPPED.size)
+    want, skipped = _select_bandwidth_per_candidate(_ALL_SKIPPED, y)
+    assert skipped == len(CV_GRID)
+    drift, h = select_bandwidth(_ALL_SKIPPED, y)
+    assert drift.h == rule_of_thumb_bandwidth(_ALL_SKIPPED)
+    assert (drift.h, h, drift.table.tobytes()) == want
 
 
 def test_cv_improves_over_worst_candidate_on_rough_signal():
