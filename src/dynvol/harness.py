@@ -437,24 +437,34 @@ class StudyResult:
 
 def _score(tracks: dict[str, np.ndarray], y_out: np.ndarray,
            quantiles: dict[str, float], truth: np.ndarray | None = None
-           ) -> tuple[np.ndarray, dict[str, dict[str, float]]]:
+           ) -> tuple[np.ndarray, dict[str, list[float]]]:
     """Measures of every estimator over the steps where all forecasts are
-    finite: the step mask and estimator -> measure -> value. imade is
-    computed only when the true variance is given."""
+    finite: the step mask and measure -> one value per estimator, in the
+    order of tracks. imade is computed only when the true variance is
+    given."""
     mask = np.ones(y_out.size, dtype=bool)
     for track in tracks.values():
         mask &= np.isfinite(track)
     if not mask.any():
         raise DynvolError("no usable out-of-sample steps")
     y_m = y_out[mask]
-    vals = {}
-    for e, track in tracks.items():
-        tr = track[mask]
-        v = {} if truth is None else {"imade": imade(truth[mask], tr)}
-        v.update(made=made(y_m, tr), pe=pe(y_m, tr), rade=rade(y_m, tr),
-                 er=exceedance_ratio(y_m, tr, quantiles[e]))
-        vals[e] = v
+    tr = [track[mask] for track in tracks.values()]
+    vals = {} if truth is None else {"imade": [imade(truth[mask], t)
+                                               for t in tr]}
+    for k, measure in (("made", made), ("pe", pe), ("rade", rade)):
+        vals[k] = [measure(y_m, t) for t in tr]
+    vals["er"] = [exceedance_ratio(y_m, t, quantiles[e])
+                  for e, t in zip(tracks, tr)]
     return mask, vals
+
+
+def _report(per_rep: dict[str, np.ndarray], ests: tuple[str, ...],
+            trim_upper: float, excluded: int, failed: int) -> MeasureReport:
+    """The report of per_rep (measure -> reps x estimators) against Integ,
+    or the first estimator without it; pe is not reported."""
+    ref = "Integ" if "Integ" in ests else ests[0]
+    return build_report({k: v for k, v in per_rep.items() if k != "pe"},
+                        ests, ref, trim_upper, excluded, failed)
 
 
 def run_simulation_study(cfg: StudyConfig) -> StudyResult:
@@ -510,7 +520,7 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
         excluded += n_bad
         excluded_per_rep.append(n_bad)
         for k in rows:
-            rows[k].append([vals[e][k] for e in ests])
+            rows[k].append(vals[k])
         err = np.abs(np.column_stack([tracks[e] for e in ests]) - truth[:, None])
         curve_sum[mask] += err[mask]
         curve_cnt[mask] += 1.0
@@ -520,9 +530,7 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
         rep, reason = next(iter(failed.items()))
         raise DynvolError(f"every replication failed (rep {rep}: {reason})")
     per_rep = {k: np.asarray(v) for k, v in rows.items()}
-    ref = "Integ" if "Integ" in ests else ests[0]
-    report = build_report({k: per_rep[k] for k in ("imade", "made", "rade", "er")},
-                          ests, ref, cfg.trim_upper, excluded, len(failed))
+    report = _report(per_rep, ests, cfg.trim_upper, excluded, len(failed))
     with np.errstate(invalid="ignore"):
         curve = np.where(curve_cnt[:, None] > 0,
                          curve_sum / np.maximum(curve_cnt, 1.0)[:, None], np.nan)
@@ -663,7 +671,7 @@ class BacktestResult:
     cfg: StudyConfig
     data: BacktestDataset
     report: MeasureReport
-    per_est: dict[str, dict[str, float]]
+    per_rep: dict[str, np.ndarray]
     quantiles: dict[str, float]
     diagnostics: dict
 
@@ -705,13 +713,11 @@ def run_backtest(data: BacktestDataset, cfg: StudyConfig) -> BacktestResult:
         res = y[first_warm:first_warm + qwin] / np.sqrt(warm)
         quantiles[e] = empirical_quantile(res, bcfg.alpha, qwin)
 
-    mask, per_est = _score({e: tracks[e][qwin:] for e in ests},
-                           y[in_len - 1:], quantiles)
-    ref = "Integ" if "Integ" in ests else ests[0]
-    report = build_report({k: np.asarray([[per_est[e][k] for e in ests]])
-                           for k in ("made", "rade", "er")},
-                          ests, ref, 0.0, int(m - mask.sum()), 0)
-    return BacktestResult(bcfg, data, report, per_est, quantiles, counters)
+    mask, vals = _score({e: tracks[e][qwin:] for e in ests},
+                        y[in_len - 1:], quantiles)
+    per_rep = {k: np.asarray([v]) for k, v in vals.items()}
+    report = _report(per_rep, ests, 0.0, int(m - mask.sum()), 0)
+    return BacktestResult(bcfg, data, report, per_rep, quantiles, counters)
 
 
 # ---------------------------------------------------------------------------
@@ -755,8 +761,5 @@ def write_study_outputs(result: StudyResult, outdir) -> None:
 
 def write_backtest_outputs(result: BacktestResult, outdir) -> None:
     """Write report.csv, report.txt, per_rep.csv (single replication)."""
-    ests = result.cfg.estimators
-    per_rep = {k: np.asarray([[result.per_est[e][k] for e in ests]])
-               for k in ("made", "pe", "rade", "er")}
-    _write_reports(outdir, result.report, per_rep,
+    _write_reports(outdir, result.report, result.per_rep,
                    [(0, result.report.excluded_steps)])

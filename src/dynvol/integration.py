@@ -59,7 +59,7 @@ def combine_estimates(time_est, var_time, state_est, var_state):
     w = dynamic_weight(var_time, var_state)
     te = np.asarray(time_est, dtype=float)
     se = np.asarray(state_est, dtype=float)
-    if np.any(te < 0) or np.any(se < 0):
+    if not (np.all(te >= 0) and np.all(se >= 0)):
         raise ValueError("estimates must be nonnegative")
     return _per_origin(w * te + (1.0 - w) * se)
 
@@ -94,7 +94,7 @@ def bayes_es(es_est, prior_mean, lam: float, n: int, a: float):
         raise ValueError("a must exceed 1")
     es = np.asarray(es_est, dtype=float)
     prior = np.asarray(prior_mean, dtype=float)
-    if np.any(es < 0) or np.any(prior < 0):
+    if not (np.all(es >= 0) and np.all(prior >= 0)):
         raise ValueError("estimates must be nonnegative")
     kv = 2.0 * (a - 1.0) * v
     return _per_origin((u * es + kv * prior) / (u + kv))

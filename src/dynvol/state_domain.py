@@ -12,13 +12,13 @@ reproduces the intercept as sum_i xi_i * response_i and satisfies
 sum xi_i = 1 and sum xi_i (x_i - x0) = 0 exactly. The estimate's sampling
 variance is 2 sigma2_hat^2 sum_i xi_i^2, from the sums the query returns.
 
-Two routes compute the intercept, both on the design sorted by level. The
-windowed query evaluates the kernel only on the window that searchsorted
-finds, in O(log N + window): _window_xi at one point (xi_weights), and
-_window_estimates at the origins of one refit block of the walk-forward,
-whose windows are laid end to end and each reduced on its own with
-np.add.reduceat, so that an origin's estimate reads its own window only
-and has the same bits in any block. The fit at every design point at once
+Three routes compute the intercept, all on the design sorted by level.
+The windowed query (_window_weights) evaluates the kernel only on the
+window that searchsorted finds, in O(log N + window), at the origins of
+one refit block of the walk-forward (_window_estimates) or at one level
+(xi_weights); the windows are laid end to end and each reduced on its own
+with np.add.reduceat, so that an origin's estimate reads its own window
+only and has the same bits in any block. The fit at every design point at once
 (the first drift fit and leave-one-out bandwidth cross-validation) runs in
 O(N log N) on sorted prefix sums, after
 Fan & Marron (1994) and Seifert, Brockmann, Engel & Gasser (1994): the
@@ -87,80 +87,47 @@ def _epanechnikov(u: np.ndarray) -> np.ndarray:
 NU0 = 0.6
 
 
-def _window_xi(xs: np.ndarray, x0: float, h: float):
-    """Equivalent local-linear weights at x0 on the sorted design xs.
+def _window_sums(v: np.ndarray, starts: np.ndarray,
+                 some: np.ndarray) -> np.ndarray:
+    """The sum of v over each window laid end to end, one entry per query:
+    np.add.reduceat from the starts of the nonempty windows (some), and 0
+    for an empty one."""
+    out = np.zeros(some.size)
+    if starts.size:
+        out[some] = np.add.reduceat(v, starts)
+    return out
 
-    Returns (lo, xi, singular): xi holds the weights of xs[lo:lo + xi.size].
-    That window is found by searchsorted on x0 -/+ h padded by a few ulps,
-    so it holds every point the kernel gives positive weight; the kernel
-    itself zeroes the points the padding lets in. A zero-spread window
-    (V2 = 0, all weighted points at x0) gives the normalized kernel weights,
-    and so does a design with det = V0 V2 - V1^2 below DET_RTOL h^2 V0^2,
-    which is flagged singular.
 
-    Raises ValueError for a non-positive bandwidth and NoCoverageError when
-    x0 lies outside the data or gets no kernel mass.
+def _window_weights(xs: np.ndarray, x0: np.ndarray, h: float):
+    """Equivalent local-linear weights of the windowed query at each query
+    level of the 1-d array x0 on the sorted design xs.
+
+    Returns (windows, seg, xi, covered, singular). A query's window, its
+    slice of xs in windows, is found by searchsorted on x0 -/+ h padded by
+    a few ulps, so it holds every point the kernel gives positive weight;
+    the kernel itself zeroes the points the padding lets in, and a query
+    outside the data, or NaN, gets an empty window. The windows are laid
+    end to end: xi holds their weights and seg the (starts, some) of
+    _window_sums, which reduces each window on its own, so a query's values
+    read its own window only and do not depend on the other queries.
+    covered marks the queries with kernel mass. A zero-spread window
+    (V2 = 0, all weighted points at the query) gives the normalized kernel
+    weights, and so does a design with det = V0 V2 - V1^2 below
+    DET_RTOL h^2 V0^2, which is flagged singular.
     """
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
-    if xs.size == 0 or x0 < xs[0] or x0 > xs[-1]:
-        raise NoCoverageError(f"query {x0} outside historical range")
-    pad = PAD * (abs(x0) + h)
-    lo = int(np.searchsorted(xs, x0 - h - pad, "left"))
-    hi = int(np.searchsorted(xs, x0 + h + pad, "right"))
-    d = xs[lo:hi] - x0
-    w = _epanechnikov(d / h)
-    v0 = float(w.sum())
-    if v0 <= 0.0:
-        raise NoCoverageError(f"no kernel mass at {x0}")
-    wd = w * d
-    v1 = float(wd.sum())
-    v2 = float((wd * d).sum())
-    if v2 == 0.0:
-        return lo, w / v0, False
-    det = v0 * v2 - v1 * v1
-    if det < DET_RTOL * h * h * v0 * v0:
-        return lo, w / v0, True
-    return lo, w * (v2 - d * v1) / det, False
-
-
-def _window_estimates(xs: np.ndarray, resp: np.ndarray, x0: np.ndarray,
-                      h: float):
-    """Local-linear intercept and sum of squared equivalent weights at each
-    query level of the 1-d array x0, on the sorted design xs with responses
-    resp: the windowed query of _window_xi for many queries at once.
-
-    Returns (est, xi_sq, singular), one entry per query; est and xi_sq are
-    NaN where the query has no coverage. Each query's window is found as
-    _window_xi finds it, the windows are laid end to end, and each moment
-    and sum reduces its own segment with np.add.reduceat, so a query's
-    values read its own window only and do not depend on the other queries.
-    """
-    x0 = np.asarray(x0, dtype=float)
     pad = PAD * (np.abs(x0) + h)
     lo = np.searchsorted(xs, x0 - h - pad, "left")
     hi = np.searchsorted(xs, x0 + h + pad, "right")
     if xs.size:
-        # a query outside the data, or NaN, gets an empty window
         hi = np.where((x0 >= xs[0]) & (x0 <= xs[-1]), hi, lo)
     size = hi - lo
     some = size > 0
-    starts = (np.cumsum(size) - size)[some]
+    seg = ((np.cumsum(size) - size)[some], some)
     windows = [slice(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
-
-    def per_window(v):
-        out = np.zeros(x0.size)
-        if starts.size:
-            out[some] = np.add.reduceat(v, starts)
-        return out
-
-    def spread(v):
-        return np.repeat(v, size)
-
-    d = np.concatenate([xs[s] for s in windows]) - spread(x0)
+    d = np.concatenate([xs[s] for s in windows]) - np.repeat(x0, size)
     w = _epanechnikov(d / h)
     wd = w * d
-    v0, v1, v2 = per_window(w), per_window(wd), per_window(wd * d)
+    v0, v1, v2 = (_window_sums(v, *seg) for v in (w, wd, wd * d))
     covered = v0 > 0.0
     det = v0 * v2 - v1 * v1
     singular = covered & (v2 != 0.0) & (det < DET_RTOL * h * h * v0 * v0)
@@ -168,31 +135,55 @@ def _window_estimates(xs: np.ndarray, resp: np.ndarray, x0: np.ndarray,
     # normalized kernel weights, as w (1 - d 0) / v0 gives them exactly
     const = (v2 == 0.0) | singular
     with np.errstate(divide="ignore", invalid="ignore"):
-        xi = (w * (spread(np.where(const, 1.0, v2))
-                   - d * spread(np.where(const, 0.0, v1)))
-              / spread(np.where(const, v0, det)))
-    est = per_window(xi * np.concatenate([resp[s] for s in windows]))
-    xi_sq = per_window(xi * xi)
+        xi = (w * (np.repeat(np.where(const, 1.0, v2), size)
+                   - d * np.repeat(np.where(const, 0.0, v1), size))
+              / np.repeat(np.where(const, v0, det), size))
+    return windows, seg, xi, covered, singular
+
+
+def _window_estimates(xs: np.ndarray, resp: np.ndarray, x0: np.ndarray,
+                      h: float):
+    """Local-linear intercept and sum of squared equivalent weights at each
+    query level of the 1-d array x0, on the sorted design xs with responses
+    resp, from the weights of _window_weights.
+
+    Returns (est, xi_sq, singular), one entry per query; est and xi_sq are
+    NaN where the query has no coverage.
+    """
+    windows, seg, xi, covered, singular = _window_weights(
+        xs, np.asarray(x0, dtype=float), h)
+    est = _window_sums(xi * np.concatenate([resp[s] for s in windows]), *seg)
+    xi_sq = _window_sums(xi * xi, *seg)
     est[~covered] = np.nan
     xi_sq[~covered] = np.nan
     return est, xi_sq, singular
 
 
 def xi_weights(x: np.ndarray, x0: float, h: float) -> np.ndarray:
-    """Equivalent local-linear weights at x0, one per design point of x.
+    """Equivalent local-linear weights at x0, one per design point of x:
+    the windowed query of _window_weights at one level.
 
     dot(xi, resp) equals the local-linear intercept; sum(xi) == 1 and
     sum(xi * (x - x0)) == 0. A zero-spread neighborhood returns the
-    normalized kernel weights (both identities still hold); an
-    ill-conditioned design raises SingularDesignError.
+    normalized kernel weights (both identities still hold). Raises
+    ValueError for a level that is not finite or a bandwidth that is not
+    finite and positive, NoCoverageError when x0 gets no kernel mass, and
+    SingularDesignError for an ill-conditioned design.
     """
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("state levels must be finite")
+    if not 0.0 < h < math.inf:
+        raise ValueError("bandwidth must be finite and positive")
     order = np.argsort(x, kind="stable")
-    lo, xi, singular = _window_xi(x[order], x0, h)
-    if singular:
+    [window], _, xi, covered, singular = _window_weights(
+        x[order], np.array([x0], dtype=float), h)
+    if not covered[0]:
+        raise NoCoverageError(f"no kernel mass at {x0}")
+    if singular[0]:
         raise SingularDesignError(f"local design singular at {x0}")
     out = np.zeros(x.size)
-    out[order[lo:lo + xi.size]] = xi
+    out[order[window]] = xi
     return out
 
 
@@ -445,25 +436,6 @@ def _moments(d: _Design, rs: np.ndarray, loo: bool):
     return mom, (distinct == 1) & (own > 0), distinct >= 2
 
 
-def _intercepts_at_data(x: np.ndarray, resp: np.ndarray, h: float,
-                        loo: bool) -> np.ndarray:
-    """Local-linear intercept at every design point in O(N log N).
-
-    With loo=True the point's own observation is excluded (used by
-    cross-validation). Points whose design is empty or singular get NaN; a
-    window whose only level is the point's own degrades to the locally
-    constant fit. The design is sorted once and the one-bandwidth case of
-    _design and _moments.
-    """
-    out = np.full(x.size, np.nan)
-    if x.size == 0:
-        return out
-    order = np.argsort(x, kind="stable")
-    d = _design(_levels(x[order]), h)
-    out[order] = _solve_intercepts(*_moments(d, resp[order], loo))
-    return out
-
-
 def _resid2(y: np.ndarray, drift: np.ndarray) -> np.ndarray:
     # (y - drift)^2; a pair without a drift fit keeps its raw square
     r = y - np.where(np.isfinite(drift), drift, 0.0)
@@ -498,14 +470,14 @@ class DriftFit:
     All of them are rows of one float table (other holds integers, exact in
     a float), so that extend splices them together; count is their length.
 
-    from_scratch fits with the prefix-sum engine, and from_design on a
-    design already built (bandwidth CV's). extend adds the k pairs of a
-    later origin, which arrive after every pair held, with one copy of the
-    table and O(k window) arithmetic: each new pair's kernel weights on
-    the window around it, taken directly, go into the moments of every pair
-    it weighs and make its own moments. Only the span of pairs they touched
-    is solved again. The result agrees with a from-scratch fit on the same
-    pairs within the engine's bound and with the same NaN pattern.
+    from_design fits on a design of the prefix-sum engine (bandwidth
+    CV's). extend adds the k pairs of a later origin, which arrive after
+    every pair held, with one copy of the table and O(k window) arithmetic:
+    each new pair's kernel weights on the window around it, taken directly,
+    go into the moments of every pair it weighs and make its own moments.
+    Only the span of pairs they touched is solved again. The result agrees
+    with a from-scratch fit on the same pairs within the engine's bound and
+    with the same NaN pattern.
     """
 
     h: float
@@ -518,11 +490,6 @@ class DriftFit:
     resid2 = property(lambda self: self.table[8])
     other = property(lambda self: self.table[9])
     count = property(lambda self: self.table.shape[1])
-
-    @classmethod
-    def from_scratch(cls, x: np.ndarray, y: np.ndarray, h: float) -> DriftFit:
-        order = np.argsort(x, kind="stable")
-        return cls.from_design(_design(_levels(x[order]), h), y[order])
 
     @classmethod
     def from_design(cls, d: _Design, ys: np.ndarray) -> DriftFit:
@@ -629,6 +596,8 @@ def select_bandwidth(x: np.ndarray, y: np.ndarray) -> tuple[DriftFit, float]:
         raise TooFewPointsError("need at least 20 pairs")
     if x.shape != y.shape:
         raise ValueError("x and y must have equal shapes")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("responses must be finite")
     order = np.argsort(x, kind="stable")
     lv = _levels(x[order])
     rot = rule_of_thumb_bandwidth(x)

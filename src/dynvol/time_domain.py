@@ -61,16 +61,11 @@ class TimeVarianceEstimate:
             raise ValueError("estimates must be nonnegative")
 
 
-def _values(y) -> np.ndarray:
-    arr = y.y if hasattr(y, "y") else y
-    return np.asarray(arr, dtype=float)
-
-
 def _window_rows(y, t, n: int) -> np.ndarray:
     """Squared returns of the n-window before each origin: row j is
     y[t_j-n:t_j]**2, one row for an int t. A contiguous copy, so a row
     reduces exactly as the 1-d window would."""
-    arr = _values(y)
+    arr = np.asarray(y, dtype=float)
     if n < 1:
         raise ValueError("n must be >= 1")
     o = np.atleast_1d(t)
@@ -161,7 +156,7 @@ def autocorr_sq(y, upto_t, max_lag: int = 30) -> np.ndarray:
     DegenerateSeriesError
         For an int origin, if the squared series is constant.
     """
-    arr = _values(y)
+    arr = np.asarray(y, dtype=float)
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
     t = np.atleast_1d(upto_t)
@@ -238,7 +233,7 @@ def es_variance(sigma2_hat, cfg: EsConfig,
     `clamped`.
     """
     s = np.atleast_1d(np.asarray(sigma2_hat, dtype=float))
-    if np.any(s < 0):
+    if not np.all(s >= 0):
         raise ValueError("sigma2_hat must be nonnegative")
     kmax = 0 if rho is None else min(cfg.n - 1, np.shape(rho)[-1])
     c_iid, coef = _c_coef(cfg.lam, cfg.n, kmax)

@@ -2,6 +2,7 @@
 that dynvol is checked against, and the test series they are checked on."""
 
 import math
+import operator
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -10,10 +11,11 @@ import numpy as np
 from hypothesis import strategies as st
 
 from dynvol.errors import (DegenerateCaseWarning, DegenerateSeriesError,
-                           InsufficientHistoryError)
+                           InsufficientHistoryError, NoCoverageError)
 from dynvol.integration import MATCHED_SHAPE, _window_mass, bayes_es
 from dynvol.sde import POSITIVITY_FLOOR, SvParams
-from dynvol.state_domain import NU0, _epanechnikov, rule_of_thumb_bandwidth
+from dynvol.state_domain import (DET_RTOL, NU0, _epanechnikov,
+                                 rule_of_thumb_bandwidth)
 
 # unit roundoff of float64
 UNIT_ROUNDOFF = 2.0**-53
@@ -32,7 +34,10 @@ ORACLE_TOL = 1e-11
 def acf_direct(y, t: int, max_lag: int, shift: float):
     """Autocorrelation of y[:t]**2 at lags 1..max_lag by its definition:
     the squares centred on their mean, one lagged dot product per lag, over
-    the biased denominator.
+    the biased denominator, in exact arithmetic on the rounded squares and
+    rounded once at the end. A float mean carries an error of u times the
+    mean square, which the centred squares amplify without bound when they
+    are tiny beside it, so the reference is not computed in floats.
 
     Also returns the tolerance autocorr_sq states for a table built on the
     squares minus `shift`: 16 t u kappa with kappa = sum (z - shift)^2 /
@@ -44,13 +49,19 @@ def acf_direct(y, t: int, max_lag: int, shift: float):
     z = y[:t] ** 2
     if z.max() == z.min():
         raise DegenerateSeriesError("squared returns are constant")
-    zc = z - z.mean()
-    denom = float(np.dot(zc, zc))
-    rho = np.empty(max_lag)
-    for k in range(1, max_lag + 1):
-        rho[k - 1] = float(np.dot(zc[:-k], zc[k:])) / denom
-    zs = z - shift
-    kappa = float(np.dot(zs, zs)) / denom
+    # every float is an integer over a power of two: scale all of them to
+    # integers over the largest denominator, so every sum below is exact
+    ratios = [v.as_integer_ratio() for v in z.tolist() + [float(shift)]]
+    den = max(d for _, d in ratios)
+    ints = [n * (den // d) for n, d in ratios]
+    zi, c = ints[:-1], ints[-1]
+    total = sum(zi)
+    # t (z_j - mean), scaled: the common factor cancels in every ratio
+    zc = [t * v - total for v in zi]
+    denom = sum(v * v for v in zc)
+    rho = np.array([sum(map(operator.mul, zc[:-k], zc[k:])) / denom
+                    for k in range(1, max_lag + 1)])
+    kappa = t * t * sum((v - c) ** 2 for v in zi) / denom
     return rho, 16.0 * t * UNIT_ROUNDOFF * kappa
 
 
@@ -83,6 +94,31 @@ def kernel_density(x: np.ndarray, x0: float, h: float | None = None) -> float:
     if h is None:
         h = rule_of_thumb_bandwidth(x)
     return float(_epanechnikov((x - x0) / h).sum() / (x.size * h))
+
+
+def dense_xi(x: np.ndarray, x0: float, h: float):
+    """Equivalent local-linear weights at x0 by their definition, with the
+    kernel evaluated at every point of x: (xi, cond, singular), cond being
+    the design's condition h^2 V0^2 / det (1 when V2 = 0). Where det falls
+    below DET_RTOL h^2 V0^2 the design is singular, and xi is the engine's
+    fallback there, the normalized kernel weights, with cond infinite.
+    Raises NoCoverageError when x0 lies outside the data or gets no kernel
+    mass."""
+    if x.size == 0 or x0 < x.min() or x0 > x.max():
+        raise NoCoverageError(f"query {x0} outside historical range")
+    d = x - x0
+    w = _epanechnikov(d / h)
+    v0 = float(w.sum())
+    if v0 <= 0.0:
+        raise NoCoverageError(f"no kernel mass at {x0}")
+    wd = w * d
+    v1, v2 = float(wd.sum()), float((wd * d).sum())
+    if v2 == 0.0:
+        return w / v0, 1.0, False
+    det = v0 * v2 - v1 * v1
+    if det < DET_RTOL * h * h * v0 * v0:
+        return w / v0, math.inf, True
+    return w * (v2 - d * v1) / det, h * h * v0 * v0 / det, False
 
 
 @dataclass(frozen=True)

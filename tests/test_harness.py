@@ -28,11 +28,11 @@ from dynvol.harness import (DEFAULT_SEMI_GRID, ESTIMATORS, MIN_STATE_PAIRS,
 from dynvol.integration import (MATCHED_SHAPE, bayes_es, combine_estimates,
                                 dynamic_weight)
 from dynvol.sde import RngStream, SvParams, simulate_gbm
-from dynvol.state_domain import (DriftFit, _epanechnikov, _intercepts_at_data,
-                                 _window_xi)
+from dynvol.state_domain import DriftFit, _design, _epanechnikov, _levels
 from dynvol.time_domain import (EsConfig, es_variance, exp_smooth,
                                 moving_average)
-from oracles import ORACLE_TOL, SEGMENT, acf_direct, segmented_series
+from oracles import (ORACLE_TOL, SEGMENT, acf_direct, dense_xi,
+                     segmented_series)
 
 SMALL = study_preset("cir", series_len=300, in_sample_len=260, n_reps=3,
                      seed=777)
@@ -333,20 +333,20 @@ def test_tracks_do_not_depend_on_roster():
         assert np.array_equal(tracks[e], solo, equal_nan=True)
 
 
-# The walk below and _rolling add each window's kernel sums in different
-# orders (one window at a time against np.add.reduceat over a refit block),
-# so the state estimate and its sum of squared weights agree within the
-# engine's tolerance, ORACLE_TOL relative. NonBay is a convex combination
-# of the smoother and the state estimate, and Integ one whose weight moves
-# with the state estimate squared times its sum of squared weights: each
-# moves by at most four times that relative, TRACK_RTOL.
+# The walk below evaluates the kernel at every pair and sums over the whole
+# design, _rolling over each window with np.add.reduceat, so the state
+# estimate and its sum of squared weights agree within the engine's
+# tolerance, ORACLE_TOL relative. NonBay is a convex combination of the
+# smoother and the state estimate, and Integ one whose weight moves with
+# the state estimate squared times its sum of squared weights: each moves
+# by at most four times that relative, TRACK_RTOL.
 TRACK_RTOL = 4.0 * ORACLE_TOL
 
 
 def test_rolling_matches_direct_estimator_calls():
     # the differential oracle of the refit-block loop: every estimator and
     # counter of _rolling against a walk over the origins one at a time,
-    # with the windowed point query _window_xi, the state estimate's
+    # with the dense equivalent weights dense_xi, the state estimate's
     # sampling variance 2 s^2 sum(xi^2) computed here, the float forms of
     # es_variance, dynamic_weight, combine_estimates and bayes_es, and
     # Integ's autocorrelations by their definition (acf_direct); the 39
@@ -379,12 +379,12 @@ def _walk_matches_rolling(every: int) -> None:
         sig2 = None
         if fit is not None:
             try:
-                lo, xi, singular = _window_xi(fit.pairs.x, levels[i], fit.h)
+                xi, _, singular = dense_xi(fit.pairs.x, levels[i], fit.h)
             except NoCoverageError:
                 direct["state_nocov"] += 1
             else:
                 direct["state_singular"] += singular
-                sig2 = float(xi @ fit.pairs.resid2[lo:lo + xi.size])
+                sig2 = float(xi @ fit.pairs.resid2)
                 if sig2 < fit.eps_var:
                     direct["state_floor"] += 1
                     sig2 = fit.eps_var
@@ -493,6 +493,13 @@ def test_eval_state_block_mixes_every_kind_of_query():
     assert (sig2[1], xi_sq[1]) == (2.0, 1.0)
 
 
+def _drift_fit(x, y, h):
+    """The h drift fit of the pairs from scratch, on one design of the
+    prefix-sum engine, as select_bandwidth fits h1."""
+    order = np.argsort(x, kind="stable")
+    return DriftFit.from_design(_design(_levels(x[order]), h), y[order])
+
+
 # A grown drift fit and a fit from scratch on the same pairs are each
 # within the engine's bound of the exact fit, so within twice it of each
 # other.
@@ -529,7 +536,7 @@ def test_drift_refit_walk_forward_matches_a_fit_from_scratch(
         h = hmul * spacing
         frozen = mock.patch.object(
             harness, "select_bandwidth",
-            lambda x, yy: (DriftFit.from_scratch(x, yy, h), h))
+            lambda x, yy: (_drift_fit(x, yy, h), h))
     fit = None
     counters = _new_counters()
     for origin in range(first, y.size + 1, cfg.state_refit_every):
@@ -539,7 +546,7 @@ def test_drift_refit_walk_forward_matches_a_fit_from_scratch(
         x, yy = build_state_pairs(levels, y, origin, cfg.es.n)
         order = np.argsort(x, kind="stable")
         xs, ys = x[order], yy[order]
-        want = _intercepts_at_data(xs, ys, fit.pairs.h, loo=False)
+        want = _drift_fit(xs, ys, fit.pairs.h).drift
         got = fit.pairs.drift
         bad = ~np.isfinite(want)
         assert np.array_equal(fit.pairs.x, xs)
@@ -994,14 +1001,16 @@ def test_backtest_smoke(gbm_csv):
     assert res.report.n_reps == 1
     for e in ESTIMATORS:
         assert "imade" not in res.report.stats[e]
-        for k in ("made", "pe", "rade", "er"):
-            assert np.isfinite(res.per_est[e][k])
         assert res.quantiles[e] < 0.0  # lower-tail quantile
-        assert 0.0 <= res.per_est[e]["er"] <= 1.0
+    assert set(res.per_rep) == {"made", "pe", "rade", "er"}
+    for v in res.per_rep.values():
+        assert v.shape == (1, len(ESTIMATORS)) and np.all(np.isfinite(v))
+    assert np.all((0.0 <= res.per_rep["er"]) & (res.per_rep["er"] <= 1.0))
     assert res.report.excluded_steps == 0
     # no randomness anywhere: a second run is identical
     res2 = run_backtest(data, cfg)
-    assert res2.per_est == res.per_est
+    assert all(np.array_equal(res2.per_rep[k], v)
+               for k, v in res.per_rep.items())
 
 
 def test_backtest_er_uses_empirical_residual_quantiles(gbm_csv, monkeypatch):
@@ -1025,10 +1034,10 @@ def test_backtest_er_uses_empirical_residual_quantiles(gbm_csv, monkeypatch):
     y = np.diff(np.log(data.values)) / math.sqrt(data.delta)
     split, qwin = data.in_sample_end - 1, cfg.er_window
     k = math.ceil(cfg.alpha * qwin) - 1
-    for e in ESTIMATORS:
+    for j, e in enumerate(ESTIMATORS):
         resid = y[split - qwin:split] / np.sqrt(tracks[e][:qwin])
         assert res.quantiles[e] == np.sort(resid)[k]
-        assert res.per_est[e]["er"] == float(np.mean(
+        assert res.per_rep["er"][0, j] == float(np.mean(
             y[split:] < res.quantiles[e] * np.sqrt(tracks[e][qwin:])))
 
 

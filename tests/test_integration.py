@@ -130,6 +130,24 @@ def test_blend_array_forms_reject_a_bad_entry_anywhere():
         bayes_es(bad, good, 0.94, 52, MATCHED_SHAPE)
 
 
+@pytest.mark.parametrize("nan", [np.nan, np.array([0.1, np.nan, 0.3])],
+                         ids=["float", "array"])
+def test_blend_inputs_reject_a_nan_estimate(nan):
+    # "must be nonnegative" is tested as >= 0, which NaN fails, as
+    # dynamic_weight already rejects a NaN variance
+    one = np.ones(np.shape(nan))
+    with pytest.raises(ValueError, match="nonnegative"):
+        combine_estimates(nan, one, one, one)
+    with pytest.raises(ValueError, match="nonnegative"):
+        combine_estimates(one, one, nan, one)
+    with pytest.raises(ValueError, match="nonnegative"):
+        bayes_es(nan, one, 0.94, 52, MATCHED_SHAPE)
+    with pytest.raises(ValueError, match="nonnegative"):
+        bayes_es(one, nan, 0.94, 52, MATCHED_SHAPE)
+    with pytest.raises(ValueError, match="nonnegative"):
+        es_variance(nan, EsConfig(lam=0.94, n=52))
+
+
 def test_ig_prior_validation_and_moments():
     p = IgPrior(2.5, 0.015)
     assert p.mean == pytest.approx(0.01, rel=1e-13)

@@ -11,16 +11,26 @@ from scipy import integrate as spi
 from dynvol.errors import (DegenerateSeriesError, NoCoverageError,
                            SingularDesignError, TooFewPointsError)
 from dynvol.harness import build_state_pairs, simulate_series, study_preset
-from dynvol.state_domain import (CV_GRID, DET_RTOL, NU0, DriftFit,
-                                 _epanechnikov, _intercepts_at_data,
-                                 _window_xi,
+from dynvol.state_domain import (CV_GRID, DET_RTOL, NU0, DriftFit, _design,
+                                 _epanechnikov, _levels, _moments,
+                                 _solve_intercepts, _window_weights,
                                  rule_of_thumb_bandwidth, select_bandwidth,
                                  xi_weights)
-from oracles import ORACLE_TOL, kernel_density, s2_squared
+from oracles import ORACLE_TOL, dense_xi, kernel_density, s2_squared
 
 
 def _intercept(x, resp, x0, h):
     return float(xi_weights(x, x0, h) @ resp)
+
+
+def _intercepts(x, resp, h, loo):
+    """The prefix-sum engine's intercept at every design point, one design
+    of bandwidth h built on the sorted levels, as bandwidth CV builds it."""
+    order = np.argsort(x, kind="stable")
+    out = np.empty(x.size)
+    out[order] = _solve_intercepts(*_moments(_design(_levels(x[order]), h),
+                                             resp[order], loo))
+    return out
 
 
 def test_kernel_shape_and_nu0():
@@ -96,6 +106,21 @@ def test_no_coverage_raises():
         xi_weights(x, 5.0, 0.2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_xi_weights_rejects_levels_that_are_not_finite(bad):
+    # a NaN level would otherwise get weight 0 and the rest renormalize
+    x = np.linspace(0.0, 1.0, 10)
+    x[5] = bad
+    with pytest.raises(ValueError, match="state levels must be finite"):
+        xi_weights(x, 0.5, 0.3)
+
+
+@pytest.mark.parametrize("h", [np.inf, np.nan, 0.0, -0.3])
+def test_xi_weights_rejects_a_bandwidth_that_is_not_finite_and_positive(h):
+    with pytest.raises(ValueError, match="bandwidth must be finite"):
+        xi_weights(np.linspace(0.0, 1.0, 10), 0.5, h)
+
+
 def test_singular_design_raises():
     # two clusters, query window covering only points at distinct x but with
     # one effective point after weighting cannot happen for epanechnikov with
@@ -163,6 +188,17 @@ def test_select_bandwidth_needs_points():
         select_bandwidth(np.arange(10.0), np.arange(10.0))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_select_bandwidth_rejects_a_response_that_is_not_finite(bad):
+    # without the check a NaN response gives NaN drifts and resid2, and a
+    # bandwidth is chosen anyway
+    x = np.random.default_rng(3).uniform(0.0, 1.0, 40)
+    y = np.sin(6.0 * x)
+    y[17] = bad
+    with pytest.raises(ValueError, match="responses must be finite"):
+        select_bandwidth(x, y)
+
+
 def _select_bandwidth_per_candidate(x, y):
     """select_bandwidth with a fresh engine pass for every candidate of both
     searches and the h1 fit from scratch: (h1, h, table bytes) and the
@@ -172,7 +208,7 @@ def _select_bandwidth_per_candidate(x, y):
     def cv(resp):
         best_h, best_loss, skipped = rot, math.inf, 0
         for f in CV_GRID:
-            pred = _intercepts_at_data(x, resp, rot * f, loo=True)
+            pred = _intercepts(x, resp, rot * f, loo=True)
             ok = np.isfinite(pred)
             if ok.sum() < 0.8 * x.size:
                 skipped += 1
@@ -183,9 +219,10 @@ def _select_bandwidth_per_candidate(x, y):
         return best_h, skipped
 
     h1, skipped = cv(y)
-    drift = DriftFit.from_scratch(x, y, h1)
+    order = np.argsort(x, kind="stable")
+    drift = DriftFit.from_design(_design(_levels(x[order]), h1), y[order])
     resid2 = np.empty_like(y)
-    resid2[np.argsort(x, kind="stable")] = drift.resid2
+    resid2[order] = drift.resid2
     return (h1, cv(resid2)[0], drift.table.tobytes()), skipped
 
 
@@ -315,34 +352,12 @@ def _dense_intercepts(x, resp, h, loo, chunk=256):
     return out, cond
 
 
-def _dense_xi(x, x0, h):
-    """Direct equivalent weights at x0 with the kernel evaluated on every
-    pair, and the design's condition h^2 V0^2 / det (1 when V2 = 0)."""
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
-    if x.size == 0 or x0 < x.min() or x0 > x.max():
-        raise NoCoverageError(f"query {x0} outside historical range")
-    d = x - x0
-    w = _epanechnikov(d / h)
-    v0 = float(w.sum())
-    if v0 <= 0.0:
-        raise NoCoverageError(f"no kernel mass at {x0}")
-    wd = w * d
-    v1, v2 = float(wd.sum()), float((wd * d).sum())
-    if v2 == 0.0:
-        return w / v0, 1.0
-    det = v0 * v2 - v1 * v1
-    if det < DET_RTOL * h * h * v0 * v0:
-        raise SingularDesignError(f"local design singular at {x0}")
-    return w * (v2 - d * v1) / det, h * h * v0 * v0 / det
-
-
 # The prefix-sum engine gives the oracle's NaN pattern exactly, and its
 # values within ORACLE_TOL (tests/oracles.py) * max|resp| * max(1, cond).
 
 
 def _assert_matches_oracle(x, resp, h, loo):
-    got = _intercepts_at_data(x, resp, h, loo)
+    got = _intercepts(x, resp, h, loo)
     want, cond = _dense_intercepts(x, resp, h, loo)
     assert np.array_equal(np.isnan(got), np.isnan(want))
     ok = ~np.isnan(want)
@@ -437,12 +452,12 @@ def test_prefix_engine_keeps_weights_of_a_few_ulps_at_the_edge():
             _assert_matches_oracle(x, resp, spacing, loo)
 
 
-_levels = st.lists(st.integers(0, 40), min_size=1, max_size=60)
+_lattice = st.lists(st.integers(0, 40), min_size=1, max_size=60)
 
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(levels=_levels,
+@given(levels=_lattice,
        spacing=st.sampled_from([1e-3, 0.05, 0.3, 1.0, 40.0]),
        offset=st.sampled_from([0.0, -7.5, 2.0, 1e4]),
        hmul=st.sampled_from([0.4, 0.5, 0.75, 1.0, 1.3, 2.5, 6.0, 30.0]),
@@ -462,14 +477,14 @@ def test_prefix_engine_rejects_non_finite_levels():
     for bad in (np.nan, np.inf, -np.inf):
         x = np.array([0.1, bad, 0.3, 0.2])
         with pytest.raises(ValueError, match="finite"):
-            _intercepts_at_data(x, np.ones(4), 0.2, True)
+            _intercepts(x, np.ones(4), 0.2, True)
 
 
 # windowed point query against the dense oracle
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(levels=_levels,
+@given(levels=_lattice,
        spacing=st.sampled_from([1e-3, 0.05, 0.3, 1.0, 40.0]),
        offset=st.sampled_from([0.0, -7.5, 2.0, 1e4]),
        hmul=st.sampled_from([0.4, 0.5, 0.75, 1.0, 1.3, 2.5, 6.0, 30.0]),
@@ -488,14 +503,17 @@ def test_point_query_matches_dense_oracle(levels, spacing, offset, hmul,
                 "above": xj + h,
                 "between": xs[0] + frac * (xs[-1] - xs[0])}[where])
     try:
-        want, cond = _dense_xi(x, x0, h)
-    except (NoCoverageError, SingularDesignError) as exc:
-        with pytest.raises(type(exc)):
+        want, cond, singular = dense_xi(x, x0, h)
+    except NoCoverageError:
+        with pytest.raises(NoCoverageError):
+            xi_weights(x, x0, h)
+        return
+    if singular:
+        with pytest.raises(SingularDesignError):
             xi_weights(x, x0, h)
         return
     got = xi_weights(x, x0, h)
     assert np.all(np.abs(got - want) <= ORACLE_TOL * max(1.0, cond))
-    lo, xi, singular = _window_xi(xs, x0, h)
-    assert not singular
+    [window], *_ = _window_weights(xs, np.array([x0]), h)
     pos = np.flatnonzero(_epanechnikov((xs - x0) / h) > 0.0)
-    assert lo <= pos[0] and pos[-1] < lo + xi.size
+    assert window.start <= pos[0] and pos[-1] < window.stop
