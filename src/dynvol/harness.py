@@ -52,14 +52,12 @@ from .integration import MATCHED_SHAPE, bayes_es, combine_estimates
 from .sde import (CirParams, GbmParams, ReturnSeries, RngStream, SvParams,
                   levels_from_returns, simulate_cir, simulate_gbm, simulate_sv,
                   to_returns)
-from .state_domain import DriftFit, _window_estimates, select_bandwidth
+from .state_domain import (MIN_STATE_PAIRS, DriftFit, _window_estimates,
+                           select_bandwidth)
 from .time_domain import (EsConfig, autocorr_sq, es_variance, exp_smooth,
                           moving_average)
 
 log = logging.getLogger("dynvol")
-
-# fewest pairs the state-domain fit is made from
-MIN_STATE_PAIRS = 20
 
 
 class _Role(NamedTuple):
@@ -286,25 +284,14 @@ class _StateFit(NamedTuple):
     eps_var: float
 
 
-def build_state_pairs(levels: np.ndarray, y: np.ndarray, origin: int,
-                      n: int) -> tuple[np.ndarray, np.ndarray]:
-    """History for the state fit at `origin`, excluding the n most recent
-    returns (those belong to the time-domain window)."""
-    keep = origin - n
-    if keep < 1:
-        raise InsufficientHistoryError("no pairs left after exclusion")
-    return levels[:keep], y[:keep]
-
-
 def _fit_state(levels, y, origin, cfg: StudyConfig, prev: _StateFit | None,
-               counters) -> _StateFit | None:
-    """State-domain fit at `origin`. With prev None the bandwidths are
-    selected and the drift fitted from scratch; otherwise prev is the fit at
-    an earlier origin of the same series, whose bandwidths stay and whose
-    drift fit takes in the pairs added since."""
-    x, yy = build_state_pairs(levels, y, origin, cfg.es.n)
-    if x.size < MIN_STATE_PAIRS:
-        return None
+               counters) -> _StateFit:
+    """State-domain fit at `origin` on the pairs before the time-domain
+    window, that is all but the cfg.es.n most recent returns. With prev None
+    the bandwidths are selected and the drift fitted from scratch; otherwise
+    prev is the fit at an earlier origin of the same series, whose
+    bandwidths stay and whose drift fit takes in the pairs added since."""
+    x, yy = levels[:origin - cfg.es.n], y[:origin - cfg.es.n]
     if prev is None:
         drift, h = select_bandwidth(x, yy)
     else:
@@ -384,9 +371,8 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
     for start in range(0, n_steps, cfg.state_refit_every):
         block = slice(start, start + cfg.state_refit_every)
         fit = _fit_state(levels, y, first + start, cfg, fit, counters=counters)
-        if fit is not None:
-            sig2[block], xi_sq[block] = _eval_state(
-                fit, levels[origins[block]], counters=counters)
+        sig2[block], xi_sq[block] = _eval_state(
+            fit, levels[origins[block]], counters=counters)
     covered = ~np.isnan(sig2)
     if "NonBay" in ests:
         counters["nonbay_es_only"] += int(n_steps - covered.sum())

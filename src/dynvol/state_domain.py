@@ -12,24 +12,27 @@ reproduces the intercept as sum_i xi_i * response_i and satisfies
 sum xi_i = 1 and sum xi_i (x_i - x0) = 0 exactly. The estimate's sampling
 variance is 2 sigma2_hat^2 sum_i xi_i^2, from the sums the query returns.
 
-Three routes compute the intercept, all on the design sorted by level.
-The windowed query (_window_weights) evaluates the kernel only on the
-window that searchsorted finds, in O(log N + window), at the origins of
-one refit block of the walk-forward (_window_estimates) or at one level
-(xi_weights); the windows are laid end to end and each reduced on its own
-with np.add.reduceat, so that an origin's estimate reads its own window
-only and has the same bits in any block. The fit at every design point at once
-(the first drift fit and leave-one-out bandwidth cross-validation) runs in
-O(N log N) on sorted prefix sums, after
-Fan & Marron (1994) and Seifert, Brockmann, Engel & Gasser (1994): the
-Epanechnikov weight is quadratic on its support, so each moment sum over a
-window is a difference of prefix sums of powers of the centred level. The
-window is the exact positive support of the kernel; weights in a thin band
-at its edge and on the point's own level are taken directly; empty,
-own-level-only and single-level windows are told apart by exact counts. The
-engine runs in two steps: a design (_design) holds all that depends only on
-the sorted levels and h (the support, the edge bands, the level moments),
-and a moment step (_moments) applies it to one response. Bandwidth
+Three routes compute the intercept, all on the design sorted by level,
+and one rule decides what a window holds: _reach finds its range by a
+padded searchsorted, and _kernel, the one kernel formula, weighs every
+point in it, 0 for those the padding lets in. The windowed query
+(_window_weights) evaluates the kernel only on the window, in
+O(log N + window), at the origins of one refit block of the walk-forward
+(_window_estimates) or at one level (xi_weights); the windows are laid end
+to end and each reduced on its own with np.add.reduceat, so that an
+origin's estimate reads its own window only and has the same bits in any
+block. The fit at every design point at once (the first drift fit and
+leave-one-out bandwidth cross-validation) runs in O(N log N) on sorted
+prefix sums, after Fan & Marron (1994) and Seifert, Brockmann, Engel &
+Gasser (1994): the Epanechnikov weight is quadratic on its support, so each
+moment sum over a window is a difference of prefix sums of powers of the
+centred level. Weights in a thin band at the window's edge and on the
+point's own level are taken directly; empty, own-level-only and
+single-level windows are told apart by exact counts of the points of
+positive weight. The engine runs in two steps: a design (_design) holds
+all that depends only on the sorted levels and h (the windows, the edge
+bands, the level moments), and a moment step (_moments) applies it to one
+response. Bandwidth
 selection sorts the levels once and builds the designs of the CV grid once
 per series; the drift search, the h1 fit and the variance search all share
 them. Its tests check the engine against the direct O(N^2) evaluation: the
@@ -65,6 +68,9 @@ from .errors import (DegenerateSeriesError, NoCoverageError,
 # relative determinant tolerance for declaring a local design singular
 DET_RTOL = 1e-12
 
+# fewest pairs select_bandwidth, and so the state-domain fit, is made from
+MIN_STATE_PAIRS = 20
+
 # multiplicative grid of bandwidth candidates around the rule of thumb
 CV_GRID = (0.5, 1.0 / math.sqrt(2.0), 1.0, math.sqrt(2.0), 2.0)
 
@@ -73,14 +79,37 @@ CV_GRID = (0.5, 1.0 / math.sqrt(2.0), 1.0, math.sqrt(2.0), 2.0)
 BLOCK_SPAN = 4.0
 # points with |u| >= 1 - EDGE_BAND take their kernel weight directly
 EDGE_BAND = 1e-4
-# searchsorted on x -/+ h pads h by this times |x| + h, a few ulps, so that
-# rounding in x -/+ h never drops a point the kernel weighs
+# _reach pads h by this times |x| + h, a few ulps, so that rounding in
+# x -/+ h never drops a point the kernel weighs
 PAD = 8.0 * np.finfo(float).eps
 
 
+def _kernel(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The Epanechnikov weight in units of 0.75, the package's one kernel:
+    1 - u^2 rounds negative exactly where |u| > 1; fmax also maps NaN to
+    0."""
+    return np.fmax(1.0 - u * u, 0.0, out=out)
+
+
 def _epanechnikov(u: np.ndarray) -> np.ndarray:
-    # 1 - u^2 rounds negative exactly where |u| > 1; fmax also maps NaN to 0
-    return np.fmax(0.75 * (1.0 - u * u), 0.0)
+    return 0.75 * _kernel(u)
+
+
+def _reach(xs: np.ndarray, x0, h: float):
+    """Index range [lo, hi) of the sorted xs that holds every point the
+    kernel weighs at each level x0: searchsorted on x0 -/+ h, padded by a
+    few ulps. The padding may let in points of weight 0, which the kernel
+    itself zeroes."""
+    pad = PAD * (np.abs(x0) + h)
+    return (np.searchsorted(xs, x0 - h - pad, "left"),
+            np.searchsorted(xs, x0 + h + pad, "right"))
+
+
+def _runs(start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The indices start[i], ..., start[i] + size[i] - 1 of each run, the
+    runs laid end to end."""
+    return (np.repeat(start - np.cumsum(size) + size, size)
+            + np.arange(int(size.sum())))
 
 
 # int W(u)^2 du of the Epanechnikov kernel
@@ -103,21 +132,17 @@ def _window_weights(xs: np.ndarray, x0: np.ndarray, h: float):
     level of the 1-d array x0 on the sorted design xs.
 
     Returns (windows, seg, xi, covered, singular). A query's window, its
-    slice of xs in windows, is found by searchsorted on x0 -/+ h padded by
-    a few ulps, so it holds every point the kernel gives positive weight;
-    the kernel itself zeroes the points the padding lets in, and a query
-    outside the data, or NaN, gets an empty window. The windows are laid
-    end to end: xi holds their weights and seg the (starts, some) of
-    _window_sums, which reduces each window on its own, so a query's values
-    read its own window only and do not depend on the other queries.
+    slice of xs in windows, is _reach's range; a query outside the data,
+    or NaN, gets an empty one. The windows are laid end to end: xi holds
+    their weights and seg the (starts, some) of _window_sums, which reduces
+    each window on its own, so a query's values read its own window only
+    and do not depend on the other queries.
     covered marks the queries with kernel mass. A zero-spread window
     (V2 = 0, all weighted points at the query) gives the normalized kernel
     weights, and so does a design with det = V0 V2 - V1^2 below
     DET_RTOL h^2 V0^2, which is flagged singular.
     """
-    pad = PAD * (np.abs(x0) + h)
-    lo = np.searchsorted(xs, x0 - h - pad, "left")
-    hi = np.searchsorted(xs, x0 + h + pad, "right")
+    lo, hi = _reach(xs, x0, h)
     if xs.size:
         hi = np.where((x0 >= xs[0]) & (x0 <= xs[-1]), hi, lo)
     size = hi - lo
@@ -222,42 +247,6 @@ def _levels(xs: np.ndarray) -> _Levels:
                    bounds[level + 1])
 
 
-def _support(xs: np.ndarray, h: float, own_lo: np.ndarray,
-             own_hi: np.ndarray):
-    """Index range [lo, hi) of the sorted design xs with positive kernel
-    weight at each xs[i], decided by the floating-point weight the kernel
-    itself gives each point, so a point on the edge of the support is in or
-    out exactly as in a direct evaluation.
-
-    searchsorted on xs -/+ h can be wrong only for points within a few ulps
-    of the edge; those are settled by bisection on the weight, which is
-    monotone in the sorted index on either side of the query.
-    """
-    pad = PAD * (np.abs(xs) + h)
-
-    def positive(j):
-        return _epanechnikov((xs[j] - xs) / h) > 0.0
-
-    # first index with positive weight; it lies in [a, b]
-    a = np.searchsorted(xs, xs - h - pad, "left")
-    b = np.minimum(np.searchsorted(xs, xs - h + pad, "left"), own_lo)
-    while np.any(act := a < b):
-        mid = (a + b) // 2
-        pos = positive(mid)
-        b = np.where(act & pos, mid, b)
-        a = np.where(act & ~pos, mid + 1, a)
-    lo = a
-    # first index past the query with zero weight; it lies in [a, b]
-    a = np.maximum(np.searchsorted(xs, xs + h - pad, "right"), own_hi)
-    b = np.searchsorted(xs, xs + h + pad, "right")
-    while np.any(act := a < b):
-        mid = (a + b) // 2
-        zero = ~positive(np.minimum(mid, xs.size - 1))
-        b = np.where(act & zero, mid, b)
-        a = np.where(act & ~zero, mid + 1, a)
-    return lo, a
-
-
 def _band_sums(xs: np.ndarray, h: float, blocks, at: np.ndarray,
                rs: np.ndarray | None) -> np.ndarray:
     """Sums of t^k (k <= 4), or with rs given of rs*t^k (k <= 3), over the
@@ -273,7 +262,7 @@ def _band_sums(xs: np.ndarray, h: float, blocks, at: np.ndarray,
     """
     top, lens, left, c = blocks
     cols = 5 if rs is None else 4
-    src = np.arange(int(lens.sum())) + np.repeat(left - 1 - top, lens)
+    src = _runs(left - 1, lens)
     t = (xs[src] - np.repeat(c, lens)) / h
     pw = np.empty((src.size, cols))
     pw[:, 0] = 1.0
@@ -316,25 +305,25 @@ def _design(lv: _Levels, h: float) -> _Design:
     """The response-free part of the fit at every point of the sorted
     design lv.xs with bandwidth h, in O(N log N).
 
-    Each window [lo, hi) is the exact positive support of the kernel at the
-    point (_support). Its moments come from prefix sums (_band_sums) over
-    the points with |u| < 1 - EDGE_BAND, and from the kernel weights
-    themselves over the thin band next to the edge of the support, where a
-    weight of a few ulps would otherwise be lost in the rounding of the
-    prefix sums. With t = (x - c)/h and s the query's t, the weight
-    1 - (t - s)^2 makes each moment a binomial combination of band sums of
-    t^k; c is the midpoint of a block of queries spanning at most
-    BLOCK_SPAN bandwidths. The design keeps the blocks, the prefix-sum rows
-    of the bands (at) and s for the response sums, the level moments (v0
-    without the own level, v1, v2) in units of 0.75 h^k, the edge weights
-    (edge: query, level, w, u), the count of levels in each window and the
-    exact count of points of other levels in it.
+    Each window [lo, hi) is _reach's range at the point. Its moments come
+    from prefix sums (_band_sums) over the points with |u| < 1 - EDGE_BAND,
+    and from the kernel weights themselves (_kernel) over the thin band
+    next to the edge of the window, where a weight of a few ulps would
+    otherwise be lost in the rounding of the prefix sums. With
+    t = (x - c)/h and s the query's t, the weight 1 - (t - s)^2 makes each
+    moment a binomial combination of band sums of t^k; c is the midpoint of
+    a block of queries spanning at most BLOCK_SPAN bandwidths. The design
+    keeps the blocks, the prefix-sum rows of the bands (at) and s for the
+    response sums, the level moments (v0 without the own level, v1, v2) in
+    units of 0.75 h^k, the edge weights (edge: query, level, w, u), the
+    count of levels in each window and the exact count of points of other
+    levels in it, both without the edge levels of weight 0.
     """
     xs, n = lv.xs, lv.xs.size
-    lo, hi = _support(xs, h, lv.own_lo, lv.own_hi)
+    lo, hi = _reach(xs, xs, h)
     inner = (1.0 - EDGE_BAND) * h
-    lo_in = np.maximum(np.searchsorted(xs, xs - inner, "left"), lo)
-    hi_in = np.minimum(np.searchsorted(xs, xs + inner, "right"), hi)
+    lo_in = np.searchsorted(xs, xs - inner, "left")
+    hi_in = np.searchsorted(xs, xs + inner, "right")
     starts = [0]
     while (stop := int(np.searchsorted(xs, xs[starts[-1]] + BLOCK_SPAN * h,
                                        "right"))) < n:
@@ -361,23 +350,25 @@ def _design(lv: _Levels, h: float) -> _Design:
     e4 = (t4 - 4.0 * s * t3 + 6.0 * s2 * t2 - 4.0 * s2 * s * t1
           + s2 * s2 * t0)
 
-    # the edge bands hold whole levels; each level's weight 1 - u^2 comes
-    # from u = (x_j - x_i)/h computed as the kernel computes it, and its
-    # count stands for its tied points
+    # the edge bands hold whole levels; each level's weight comes from
+    # u = (x_j - x_i)/h, and its count stands for its tied points
     lev = np.append(lv.level, lv.level[-1] + 1)
     a = np.concatenate((lev[lo], lev[hi_in]))
     k = np.concatenate((lev[lo_in], lev[hi])) - a
     query = np.repeat(np.tile(np.arange(n), 2), k)
-    ids = np.repeat(a - np.cumsum(k) + k, k) + np.arange(int(k.sum()))
+    ids = _runs(a, k)
     u = (xs[lv.first][ids] - xs[query]) / h
-    w = 1.0 - u * u
+    w = _kernel(u)
     wc = w * lv.count[ids]
     mom = np.stack((t0 - e2 + np.bincount(query, wc, n),
                     e1 - e3 + np.bincount(query, wc * u, n),
                     e2 - e4 + np.bincount(query, wc * u * u, n)))
+    zero = w == 0.0
     return _Design(h, lv, blocks, at, s, mom, (query, ids, w, u),
-                   lv.level[hi - 1] - lv.level[lo] + 1,
-                   (hi - lo) - (lv.own_hi - lv.own_lo))
+                   lv.level[hi - 1] - lv.level[lo] + 1
+                   - np.bincount(query[zero], minlength=n),
+                   (hi - lo) - (lv.own_hi - lv.own_lo)
+                   - np.bincount(query[zero], lv.count[ids[zero]], n))
 
 
 def _solve_intercepts(mom: np.ndarray, flat: np.ndarray,
@@ -516,10 +507,8 @@ class DriftFit:
         x[new] = xn
         y[new] = yn
 
-        # [a, b) holds every pair a new level weighs; u as _support has it
-        a = int(np.searchsorted(x, xn[0] - h - PAD * (abs(xn[0]) + h), "left"))
-        b = int(np.searchsorted(x, xn[-1] + h + PAD * (abs(xn[-1]) + h),
-                                "right"))
+        # [a, b) holds every pair a new level weighs
+        (a, _), (_, b) = _reach(x, xn[[0, -1]], h)
         xw, yw = x[a:b], y[a:b]
         k, width = xn.size, b - a
         # kern[i] holds w, w u and w u^2 for new pair i at each pair j of
@@ -528,7 +517,7 @@ class DriftFit:
         # has the other sign, exactly, since x_j - x_i rounds to -(x_i - x_j)
         u = (xn[:, None] - xw) / h
         kern = np.empty((k, 3, width))
-        np.fmax(1.0 - u * u, 0.0, out=kern[:, 0])
+        _kernel(u, out=kern[:, 0])
         np.multiply(kern[:, 0], u, out=kern[:, 1])
         np.multiply(kern[:, 1], u, out=kern[:, 2])
         apart = (kern[:, 0] > 0.0) & (xw != xn[:, None])
@@ -588,12 +577,12 @@ def select_bandwidth(x: np.ndarray, y: np.ndarray) -> tuple[DriftFit, float]:
     the h1 fit. Both searches run on the same levels, so the grid's designs
     are built once and shared by the two searches and the h1 fit.
 
-    Requires at least 20 pairs.
+    Requires at least MIN_STATE_PAIRS pairs.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.size < 20:
-        raise TooFewPointsError("need at least 20 pairs")
+    if x.size < MIN_STATE_PAIRS:
+        raise TooFewPointsError(f"need at least {MIN_STATE_PAIRS} pairs")
     if x.shape != y.shape:
         raise ValueError("x and y must have equal shapes")
     if not np.all(np.isfinite(y)):

@@ -56,8 +56,8 @@ class TimeVarianceEstimate:
     clamped: int = 0
 
     def __post_init__(self):
-        if (np.any(self.sigma2_hat < 0) or np.any(self.var_hat < 0)
-                or np.any(self.c_t < 0)):
+        if not all(np.all(v >= 0)
+                   for v in (self.sigma2_hat, self.var_hat, self.c_t)):
             raise ValueError("estimates must be nonnegative")
 
 
@@ -220,7 +220,8 @@ def es_variance(sigma2_hat, cfg: EsConfig,
     rho : array or None
         Autocorrelations at lags 1, 2, ...; lags beyond the array are
         treated as zero. None means iid. With an array sigma2_hat, one row
-        per origin, as autocorr_sq gives them.
+        per origin, as autocorr_sq gives them. A lag that is used and not
+        finite raises ValueError.
 
     The array form returns arrays, and each entry has the bits of the float
     form at that origin: c_t adds coef * rho with np.add.reduce along each
@@ -243,6 +244,8 @@ def es_variance(sigma2_hat, cfg: EsConfig,
         rows = np.atleast_2d(rho)[:, :kmax]
         if rows.shape[0] != s.size:
             raise ValueError("rho must have one row per estimate")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("rho must be finite at the lags used")
         c = c_iid + np.add.reduce(rows * coef, axis=1)
     low = c < 1e-2 * c_iid
     c[low] = c_iid

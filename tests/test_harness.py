@@ -18,8 +18,7 @@ from dynvol.errors import (DegenerateSeriesError, DynvolError, IngestionError,
 from dynvol import harness
 from dynvol.harness import (DEFAULT_SEMI_GRID, ESTIMATORS, MIN_STATE_PAIRS,
                             SEMI_FALLBACK_LAM, BacktestDataset, StudyConfig,
-                            _eval_state, build_state_pairs,
-                            _fit_state, _new_counters, _rolling,
+                            _eval_state, _fit_state, _new_counters, _rolling,
                             _SemiSelector, _StateFit,
                             ingest_csv, run_backtest,
                             run_simulation_study, simulate_series,
@@ -377,18 +376,17 @@ def _walk_matches_rolling(every: int) -> None:
         if step % every == 0:
             fit = _fit_state(levels, y, i, cfg, fit, direct)
         sig2 = None
-        if fit is not None:
-            try:
-                xi, _, singular = dense_xi(fit.pairs.x, levels[i], fit.h)
-            except NoCoverageError:
-                direct["state_nocov"] += 1
-            else:
-                direct["state_singular"] += singular
-                sig2 = float(xi @ fit.pairs.resid2)
-                if sig2 < fit.eps_var:
-                    direct["state_floor"] += 1
-                    sig2 = fit.eps_var
-                var_state = 2.0 * sig2**2 * float(xi @ xi)
+        try:
+            xi, _, singular = dense_xi(fit.pairs.x, levels[i], fit.h)
+        except NoCoverageError:
+            direct["state_nocov"] += 1
+        else:
+            direct["state_singular"] += singular
+            sig2 = float(xi @ fit.pairs.resid2)
+            if sig2 < fit.eps_var:
+                direct["state_floor"] += 1
+                sig2 = fit.eps_var
+            var_state = 2.0 * sig2**2 * float(xi @ xi)
         if sig2 is None:
             direct["nonbay_es_only"] += 1
             assert tracks["NonBay"][step] == es_val
@@ -543,7 +541,7 @@ def test_drift_refit_walk_forward_matches_a_fit_from_scratch(
         before = counters["drift_fallback"]
         with frozen:
             fit = _fit_state(levels, y, origin, cfg, fit, counters=counters)
-        x, yy = build_state_pairs(levels, y, origin, cfg.es.n)
+        x, yy = levels[:origin - cfg.es.n], y[:origin - cfg.es.n]
         order = np.argsort(x, kind="stable")
         xs, ys = x[order], yy[order]
         want = _drift_fit(xs, ys, fit.pairs.h).drift

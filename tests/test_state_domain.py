@@ -10,7 +10,7 @@ from scipy import integrate as spi
 
 from dynvol.errors import (DegenerateSeriesError, NoCoverageError,
                            SingularDesignError, TooFewPointsError)
-from dynvol.harness import build_state_pairs, simulate_series, study_preset
+from dynvol.harness import simulate_series, study_preset
 from dynvol.state_domain import (CV_GRID, DET_RTOL, NU0, DriftFit, _design,
                                  _epanechnikov, _levels, _moments,
                                  _solve_intercepts, _window_weights,
@@ -372,7 +372,7 @@ def test_prefix_engine_matches_oracle_on_rate_paths(factor):
     cfg = study_preset("cir")
     for rep in range(2):
         [sim] = simulate_series(cfg, [rep])
-        x, y = build_state_pairs(sim.levels, sim.returns.y, 1150, 52)
+        x, y = sim.levels[:1150 - 52], sim.returns.y[:1150 - 52]
         h = rule_of_thumb_bandwidth(x) * factor
         for loo in (True, False):
             _assert_matches_oracle(x, y, h, loo)

@@ -8,9 +8,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dynvol.errors import DegenerateSeriesError, InsufficientHistoryError
-from dynvol.time_domain import (EsConfig, _es_weights_rev, autocorr_sq,
-                                es_variance, es_weights, exp_smooth,
-                                moving_average)
+from dynvol.time_domain import (EsConfig, TimeVarianceEstimate,
+                                _es_weights_rev, autocorr_sq, es_variance,
+                                es_weights, exp_smooth, moving_average)
 from oracles import SEGMENT, acf_direct, s1_squared, segmented_series
 
 
@@ -302,6 +302,22 @@ def test_es_variance_array_form_validates_every_entry():
         es_variance(np.array([0.1, -1e-300, 0.2]), cfg)
     with pytest.raises(ValueError):
         es_variance(np.array([0.1, 0.2]), cfg, np.zeros((3, 30)))
+
+
+def test_es_variance_rejects_a_rho_that_is_not_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            es_variance(1.0, EsConfig(0.94, 52), rho=np.array([bad, 0.1]))
+        rows = np.zeros((2, 30))
+        rows[1, 29] = bad
+        with pytest.raises(ValueError, match="finite"):
+            es_variance(np.array([0.1, 0.2]), EsConfig(0.94, 52), rows)
+        # a lag past the window (n - 1 = 2 lags used) is never read
+        got = es_variance(1.0, EsConfig(0.94, 3), np.array([0.1, 0.1, bad]))
+        assert got.var_hat == es_variance(1.0, EsConfig(0.94, 3),
+                                          np.array([0.1, 0.1])).var_hat
+    with pytest.raises(ValueError, match="nonnegative"):
+        TimeVarianceEstimate(1.0, np.nan, 1.0)
 
 
 def test_s1_squared_limits_and_value():
