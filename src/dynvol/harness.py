@@ -402,8 +402,8 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
 # ---------------------------------------------------------------------------
 # simulation study
 
-# most SV replications one simulate_series call runs in lockstep; a
-# lockstep substep has a fixed cost that pays off from about 15 of them.
+# most SV replications one simulate_series call runs in lockstep; a group
+# pays off from about 4, as a lockstep substep costs about 4 scalar steps.
 # CIR and GBM simulate path by path, one replication per call.
 SV_GROUP = 64
 

@@ -8,14 +8,13 @@ geometric Brownian motion sampled from its exact log-normal transition law.
 `simulate_cir` is a scalar recursion per path on Python floats: it iterates
 a memoryview of the contiguous draws and appends to an `array.array`, which
 is several times faster than indexing numpy scalars. The stochastic-variance
-scheme runs 30 substeps per observation, so `simulate_sv` advances a group
-of replications in lockstep instead: `sv_inner_path` takes one column per
-replication and makes one numpy step per substep for the whole group. Each
-element still goes through the IEEE operations of the scalar formula in the
-same order, only side by side, so a replication has the same bits alone or
-in any group. The output bits are pinned by SHA-256 digests in
-`tests/test_sde.py`, so a rewrite of either kernel has to reproduce them
-exactly.
+step is affine in the variance, v' = a_k v + kappa theta d, so `simulate_sv`
+steps a group of replications in lockstep: `sv_inner_path` computes every
+slope a_k at once, then makes one multiply and one add per substep. Each
+operation is elementwise, so a replication has the same bits alone or in
+any group. The scalar loop of the scheme (`tests/oracles.py`) rounds in
+another order and agrees within a tolerance stated in `tests/test_sde.py`,
+which pins the output bits of every simulator by SHA-256 digests.
 """
 
 from __future__ import annotations
@@ -27,8 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# post-step floor keeping square-root diffusions strictly positive
+# post-step floor keeping the rate model positive (CIR only: its step has
+# sqrt(r); the affine SV step keeps v > 0 without one)
 POSITIVITY_FLOOR = 1e-12
+
+# room _sv_slopes leaves below 1: near the least slope its terms are of
+# order 1, so rounding moves the slope by a few ulps of 1, not more
+AFFINE_ROOM = 32 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -196,6 +200,20 @@ def simulate_cir(params: CirParams, delta: float, n_obs: int, rng: RngStream,
     return SamplePath(np.frombuffer(out), delta)
 
 
+def _sv_slopes(params: SvParams, eps: np.ndarray, dstar: float) -> np.ndarray:
+    """The slope a = 1 - kappa d + alpha sqrt(d) e + (alpha2 d / 2)(e^2 - 1)
+    of the Milstein step v' = a v + kappa theta d at each draw e of eps, with
+    d = dstar. As a quadratic in e, a >= (1 - (2 kappa + alpha2) d) / 2, so
+    v stays positive; raises ValueError unless (2 kappa + alpha2) d < 1."""
+    s = (2.0 * params.kappa + params.alpha2) * dstar
+    if not s < 1.0 - AFFINE_ROOM:
+        raise ValueError(f"the SV step needs (2 kappa + alpha2) delta / "
+                         f"substeps below 1, got {s:.6g}: raise substeps")
+    half_a2 = 0.5 * params.alpha2 * dstar
+    return ((half_a2 * eps + math.sqrt(params.alpha2 * dstar)) * eps
+            + (1.0 - params.kappa * dstar - half_a2))
+
+
 def sv_inner_path(params: SvParams, v0, eps: np.ndarray,
                   dstar: float) -> np.ndarray:
     """Advance the latent-variance scheme through len(eps) substeps of size
@@ -203,53 +221,26 @@ def sv_inner_path(params: SvParams, v0, eps: np.ndarray,
 
     v0 has shape (R,) and eps (N, R); returns the (N + 1, R) values including
     v0. A float v0 and a 1-d eps are the one-column case and return N + 1
-    values. Each column has the bits of the scalar step, evaluated left to
-    right: v <- max(v + kappa (theta - v) d + alpha v sqrt(d) e
-    + (alpha2 d / 2) v (e^2 - 1), floor), with d = dstar.
+    values. Each substep is v <- a v + kappa theta d, a from _sv_slopes.
     """
     v0 = np.asarray(v0, dtype=float)
     eps = np.asarray(eps, dtype=float)
     if not (np.all(v0 > 0) and dstar > 0):
         raise ValueError("v0 and dstar must be positive")
-    one_path = eps.ndim == 1
-    if one_path:
-        eps = eps[:, None]
-    n, r = eps.shape
-    alpha = math.sqrt(params.alpha2)
-    half_a2 = 0.5 * params.alpha2 * dstar
-    # Per substep, w holds the four terms that are added left to right:
-    #   w = (t - v) * k  -> [v, kappa (theta - v), alpha v, half_a2 v]
-    #   w[1:3] *= [d, sqrt(d)];  w[2:4] *= [e, e^2 - 1]
-    # Negating v and its factors is exact, so one subtraction and one
-    # product start all four, and np.add.reduce sums four rows in order.
-    # The constants are full (rows, R) arrays: a same-shape ufunc is faster
-    # than a broadcast one at these sizes.
-    t = np.repeat([[0.0], [params.theta], [0.0], [0.0]], r, axis=1)
-    k = np.repeat([[-1.0], [params.kappa], [-alpha], [-half_a2]], r, axis=1)
-    d = np.repeat([[dstar], [math.sqrt(dstar)]], r, axis=1)
-    floor = np.full(r, POSITIVITY_FLOOR)
-    eq = np.empty((n, 2, r))
-    eq[:, 0] = eps
-    np.multiply(eps, eps, out=eq[:, 1])  # in place: no (N, R) temporaries
-    np.subtract(eq[:, 1], 1.0, out=eq[:, 1])
-    out = np.empty((n + 1, r))
+    if eps.ndim != v0.ndim + 1 or eps.shape[1:] != v0.shape:
+        raise ValueError("eps must hold one column per entry of v0")
+    a = _sv_slopes(params, eps, dstar)
+    out = np.empty((eps.shape[0] + 1,) + v0.shape)
     out[0] = v0
-    w = np.empty((4, r))
-    w12, w23 = w[1:3], w[2:4]
-    total = np.empty(r)
-    sub, mul, add_rows, maximum = (np.subtract, np.multiply, np.add.reduce,
-                                   np.maximum)
-    v = out[0]
-    # row views made one at a time: a list of them all costs memory
-    for v_next, e in zip(out[1:], eq):
-        sub(t, v, out=w)
-        mul(w, k, out=w)
-        mul(w12, d, out=w12)
-        mul(w23, e, out=w23)
-        add_rows(w, axis=0, out=total)
-        maximum(total, floor, out=v_next)
-        v = v_next
-    return out[:, 0] if one_path else out
+    # rows of one entry in the one-column case, so each row is a view
+    rows = out.reshape(out.shape[0], -1)
+    # a full row: a same-shape add is faster than a broadcast one here
+    c = np.full(rows.shape[1], params.kappa * params.theta * dstar)
+    mul, add = np.multiply, np.add
+    for v, ak, nxt in zip(rows, a.reshape(a.shape[0], -1), rows[1:]):
+        mul(ak, v, out=nxt)
+        add(nxt, c, out=nxt)
+    return out
 
 
 # observations per sv_inner_path call in simulate_sv: bounds the working

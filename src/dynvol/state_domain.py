@@ -86,9 +86,13 @@ PAD = 8.0 * np.finfo(float).eps
 
 def _kernel(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The Epanechnikov weight in units of 0.75, the package's one kernel:
-    1 - u^2 rounds negative exactly where |u| > 1; fmax also maps NaN to
-    0."""
-    return np.fmax(1.0 - u * u, 0.0, out=out)
+    1 - u^2, and 0 where that is at most 2 PAD (|u| within about PAD of 1,
+    where the rounding of u puts a point lying h away), past the edge and
+    at NaN. |u| < 1 - EDGE_BAND always gets 1 - u^2. A product by the mask
+    costs less than a masked store, which is slow when the mask is dense."""
+    w = np.fmax(1.0 - u * u, 0.0, out=out)
+    w *= w > 2.0 * PAD
+    return w
 
 
 def _epanechnikov(u: np.ndarray) -> np.ndarray:

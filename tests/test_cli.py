@@ -125,6 +125,22 @@ def test_simulate_end_to_end(tmp_path):
     assert len(per) == 1 + 2 * 5  # 2 reps x 5 estimators
 
 
+def test_sv_step_that_would_need_a_floor_is_one_error_line(tmp_path, capsys):
+    # (2 kappa + alpha2) delta / substeps = (10 + 4) / 12 >= 1
+    assert main(["config", "--dump", "--model", "sv"]) == 0
+    cfg = tmp_path / "sv.cfg"
+    cfg.write_text(capsys.readouterr().out
+                   .replace("param_kappa = 3.0", "param_kappa = 5")
+                   .replace("param_substeps = 30", "param_substeps = 1"))
+    out = tmp_path / "res"
+    assert main(["simulate", "--model", "sv", "--config", str(cfg),
+                 "--reps", "1", "--quiet", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "substeps" in err[0]
+    assert not (out / "report.csv").exists()
+
+
 def test_simulate_estimator_subset_and_trim(tmp_path):
     out = tmp_path / "res"
     rc = main(SIM_ARGS + ["--estimators", "Hist,RiskM,Integ", "--trim", "0.05",

@@ -6,15 +6,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from dynvol.sde import (POSITIVITY_FLOOR, CirParams, GbmParams, ReturnSeries,
-                        RngStream, SamplePath, SvParams, levels_from_returns,
-                        simulate_cir, simulate_gbm, simulate_sv,
-                        sv_inner_path, to_returns)
-from oracles import sv_inner_path_scalar
+from dynvol.sde import (AFFINE_ROOM, POSITIVITY_FLOOR, CirParams, GbmParams,
+                        ReturnSeries, RngStream, SamplePath, SvParams,
+                        _sv_slopes, levels_from_returns, simulate_cir,
+                        simulate_gbm, simulate_sv, sv_inner_path, to_returns)
+from oracles import UNIT_ROUNDOFF, sv_inner_path_scalar
 
 WEEKLY = 1.0 / 52.0
 MONTHLY = 1.0 / 12.0
@@ -154,15 +154,14 @@ def test_return_series_length_contract():
         ReturnSeries(np.array([1.0, 2.0]), WEEKLY, 2)
 
 
-# SHA-256 of the little-endian float64 bytes of each output, recorded from
-# the numpy-scalar loops these kernels replaced. A rewrite of a simulator
-# has to reproduce them bit for bit.
-FLOOR_SV = SvParams(kappa=50.0, theta=0.009, alpha2=40.0, substeps=7)
+# SHA-256 of the little-endian float64 bytes of each output. The CIR and
+# GBM digests were recorded from the numpy-scalar loops these kernels
+# replaced, so those rewrites reproduce them bit for bit; the SV digests
+# pin the affine kernel, which is checked against the scalar loop within
+# _sv_rtol below.
 GOLDEN = {
-    "sv_default": "659687d338f58d2d58fe809bfa3095eb136d8fa375380207ef85dc052e9c5f4f",
-    "sv_floor": "4c31aa8f63543b2b4ea988ad12c23925b01d18c32ad614f197d430c30c072b52",
-    "sv_one_substep": "39fa3f20252ae890d7e18d3d51bfdc25f406562360bfb0c880b5ff1389862f08",
-    "sv_inner_floor": "048eb928b06421854d584e36fa914ba5e3c5ef974470e7e565b145da5a356511",
+    "sv_default": "0b48fdc68486f1fbe35022cbd3c0e555661bc3acafa31631af74f478aa191c34",
+    "sv_one_substep": "5bb295d62ecb19d29551e4f60279dea2ac67af7673ce7c19df1b7a22a705fef4",
     "cir": "64f6859d972b048e347180608ba1938fb89f0eead679c2723339ba13920582e3",
     "cir_r0": "1bb44e17a6c578c486179e7343d0471e42c0b91b45f9ac78588c36b9dba660cd",
     "cir_floor": "c661e1b895fc6978579fb5b28c95fee94bef821c0ab31fbaaed9bb8d27af1e06",
@@ -183,20 +182,14 @@ def _sv(params, n_obs, rng):
 
 
 def test_simulators_reproduce_their_golden_bits():
-    floor_eps = np.random.default_rng(11).standard_normal(2000)
-    inner = sv_inner_path(FLOOR_SV, 0.009, floor_eps, MONTHLY / 7)
-    # the floor case must actually clamp, or it pins nothing
-    assert np.count_nonzero(inner == POSITIVITY_FLOOR) > 0
     # r0 below the floor: the first step starts from the unclamped level
     tiny = simulate_cir(CirParams(0.5, 0.01, 0.09), WEEKLY, 800,
                         RngStream(3, 3), r0=1e-13).values
     assert tiny[0] == POSITIVITY_FLOOR
     got = {
         "sv_default": _sv(SV, 999, RngStream(2007, 0)),
-        "sv_floor": _sv(FLOOR_SV, 400, RngStream(5, 1)),
         "sv_one_substep": _sv(SvParams(3.0, 0.009, 4.0, substeps=1), 500,
                               RngStream(5, 2)),
-        "sv_inner_floor": _digest(inner),
         "cir": _digest(simulate_cir(CIR, WEEKLY, 1200, RngStream(3, 0)).values),
         "cir_r0": _digest(simulate_cir(CIR, WEEKLY, 1200, RngStream(3, 1),
                                        r0=0.05).values),
@@ -206,26 +199,41 @@ def test_simulators_reproduce_their_golden_bits():
     assert got == GOLDEN
 
 
+def _sv_rtol(params, dstar, n):
+    """Relative tolerance of sv_inner_path against the scalar loop after n
+    substeps of size dstar.
+
+    With s = (2 kappa + alpha2) dstar every slope is at least (1 - s) / 2,
+    so the terms of one step add up to at most 8 / (1 - s) times its
+    result. Each loop rounds fewer than 16 values no larger than that sum,
+    so one step of the two differs by at most 256 u / (1 - s) relative, u
+    the unit roundoff. A relative difference in v reaches the next value
+    scaled by a v / (a v + kappa theta dstar) < 1, so those of n steps add
+    up at most linearly.
+    """
+    s = (2.0 * params.kappa + params.alpha2) * dstar
+    return 256.0 * n * UNIT_ROUNDOFF / (1.0 - s)
+
+
 def test_sv_path_is_one_inner_path_over_all_substeps():
     # vbar_i averages the variance at the m substep starts of interval i
+    params = replace(SV, substeps=7)
     gen = RngStream(5, 1).generator()
-    v0 = 1.0 / float(gen.gamma(FLOOR_SV.shape_a, 1.0 / FLOOR_SV.rate_b))
+    v0 = 1.0 / float(gen.gamma(params.shape_a, 1.0 / params.rate_b))
     eps = gen.standard_normal((400, 7))
-    path = sv_inner_path(FLOOR_SV, v0, eps.ravel(), MONTHLY / 7)
-    assert np.count_nonzero(path == POSITIVITY_FLOOR) > 0
-    [(_, vbar)] = simulate_sv(FLOOR_SV, MONTHLY, 400, [RngStream(5, 1)])
+    path = sv_inner_path(params, v0, eps.ravel(), MONTHLY / 7)
+    [(_, vbar)] = simulate_sv(params, MONTHLY, 400, [RngStream(5, 1)])
     assert np.array_equal(vbar, path[:-1].reshape(400, 7).mean(axis=1))
 
 
 @settings(max_examples=60, deadline=None)
-@given(floor_case=st.booleans(), substeps=st.sampled_from([1, 7]),
-       n=st.integers(1, 300), r=st.integers(1, 70),
-       seed=st.integers(0, 2**32 - 1))
-def test_sv_inner_path_columns_are_the_scalar_recursion(floor_case, substeps,
-                                                        n, r, seed):
-    # the differential oracle of the lockstep kernel: every column has the
-    # bytes of the scalar loop on that column alone
-    params = replace(FLOOR_SV if floor_case else SV, substeps=substeps)
+@given(substeps=st.sampled_from([1, 7]), n=st.integers(1, 300),
+       r=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
+def test_sv_inner_path_columns_are_the_scalar_recursion(substeps, n, r, seed):
+    # the differential oracle of the lockstep kernel: every column is the
+    # scalar loop on that column alone within _sv_rtol, and has the bytes
+    # of the kernel run on that column alone
+    params = replace(SV, substeps=substeps)
     dstar = MONTHLY / substeps
     gen = np.random.default_rng(seed)
     v0 = 1.0 / gen.gamma(params.shape_a, 1.0 / params.rate_b, r)
@@ -234,25 +242,53 @@ def test_sv_inner_path_columns_are_the_scalar_recursion(floor_case, substeps,
     assert got.shape == (n + 1, r)
     want = np.column_stack([sv_inner_path_scalar(params, v0[j], eps[:, j],
                                                  dstar) for j in range(r)])
-    assert got.tobytes() == want.tobytes()
-    if np.any(want == POSITIVITY_FLOOR):
-        event("floor hit")
+    assert np.all(np.abs(got - want) <= _sv_rtol(params, dstar, n) * want)
+    for j in range(r):
+        # a float v0 and a 1-d eps are the one-column case
+        alone = sv_inner_path(params, v0[j], eps[:, j], dstar)
+        assert alone.shape == (n + 1,)
+        assert alone.tobytes() == got[:, j].tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha2=st.floats(1e-3, 40.0), ratio=st.floats(0.51, 20.0),
+       frac=st.floats(1e-6, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+@example(alpha2=40.0, ratio=0.51, frac=1.0, seed=0)
+@example(alpha2=1e-3, ratio=20.0, frac=1.0, seed=0)
+def test_sv_slopes_and_path_stay_positive_up_to_the_bound(alpha2, ratio, frac,
+                                                          seed):
+    # dstar from 1e-6 of the bound up to it; far below, the draw of the
+    # least slope lies past any normal draw
+    params = SvParams(kappa=ratio * alpha2, theta=0.009, alpha2=alpha2)
+    rate = 2.0 * params.kappa + alpha2
+    dstar = frac * (1.0 - AFFINE_ROOM) / rate
+    while not rate * dstar < 1.0 - AFFINE_ROOM:
+        dstar = np.nextafter(dstar, 0.0)
+    # the draw of the least slope and its neighbours, then normals
+    least = -1.0 / math.sqrt(alpha2 * dstar)
+    eps = np.concatenate((np.nextafter(least, [-np.inf, 0.0]), [least],
+                          np.random.default_rng(seed).standard_normal(300)))
+    assert np.all(_sv_slopes(params, eps, dstar) > 0.0)
+    assert np.all(sv_inner_path(params, params.theta, eps, dstar) > 0.0)
+
+
+# parameters whose step would need a floor: (2 kappa + alpha2) d = 140/84
+# at 7 substeps a month
+FLOOR_SV = SvParams(kappa=50.0, theta=0.009, alpha2=40.0, substeps=7)
 
 
 @pytest.mark.parametrize("substeps", [1, 7])
-def test_sv_inner_path_matches_the_scalar_recursion_at_the_floor(substeps):
+def test_sv_step_that_would_need_a_floor_is_rejected(substeps):
     params = replace(FLOOR_SV, substeps=substeps)
-    dstar = MONTHLY / substeps
-    gen = np.random.default_rng(substeps)
-    v0 = 1.0 / gen.gamma(params.shape_a, 1.0 / params.rate_b, 70)
-    eps = gen.standard_normal((300, 70))
-    got = sv_inner_path(params, v0, eps, dstar)
-    want = np.column_stack([sv_inner_path_scalar(params, v0[j], eps[:, j],
-                                                 dstar) for j in range(70)])
-    # the clamp must fire, in most columns, or this pins nothing
-    assert np.count_nonzero((want == POSITIVITY_FLOOR).any(axis=0)) > 35
-    assert got.tobytes() == want.tobytes()
-    # a 1-d input is the one-column case
-    one = sv_inner_path(params, v0[3], eps[:, 3], dstar)
-    assert one.shape == (301,)
-    assert one.tobytes() == want[:, 3].tobytes()
+    with pytest.raises(ValueError, match="substeps"):
+        sv_inner_path(params, 0.009, np.zeros(10), MONTHLY / substeps)
+    with pytest.raises(ValueError, match="substeps"):
+        simulate_sv(params, MONTHLY, 10, [RngStream(5, 1)])
+
+
+def test_sv_inner_path_rejects_eps_whose_columns_do_not_match_v0():
+    for v0, eps in ((np.full(3, 0.009), np.zeros(5)),
+                    (0.009, np.zeros((5, 3))), (0.009, 0.0)):
+        with pytest.raises(ValueError, match="column"):
+            sv_inner_path(SV, v0, eps, MONTHLY / 30)

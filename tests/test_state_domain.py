@@ -11,9 +11,9 @@ from scipy import integrate as spi
 from dynvol.errors import (DegenerateSeriesError, NoCoverageError,
                            SingularDesignError, TooFewPointsError)
 from dynvol.harness import simulate_series, study_preset
-from dynvol.state_domain import (CV_GRID, DET_RTOL, NU0, DriftFit, _design,
-                                 _epanechnikov, _levels, _moments,
-                                 _solve_intercepts, _window_weights,
+from dynvol.state_domain import (CV_GRID, DET_RTOL, EDGE_BAND, NU0, DriftFit,
+                                 _design, _epanechnikov, _kernel, _levels,
+                                 _moments, _solve_intercepts, _window_weights,
                                  rule_of_thumb_bandwidth, select_bandwidth,
                                  xi_weights)
 from oracles import ORACLE_TOL, dense_xi, kernel_density, s2_squared
@@ -440,10 +440,22 @@ def test_prefix_engine_matches_oracle_on_a_long_design_with_wide_windows():
         _assert_matches_oracle(x, y * y, h, loo)
 
 
-def test_prefix_engine_keeps_weights_of_a_few_ulps_at_the_edge():
+def test_prefix_engine_drops_weights_of_a_few_ulps_at_the_edge():
+    # 0.3 * [7, 8, 9] are exactly h = 0.3 apart in decimal, but u rounds to
+    # 1 - 7e-16, where 1 - u^2 is 5 ulps: the kernel weighs them 0, so at
+    # 2.4 the other levels give no coverage, on every route
+    x = 0.3 * np.array([7.0, 7.0, 8.0, 9.0])
+    assert 0.0 < 1.0 - ((x[3] - x[2]) / 0.3) ** 2 < 1e-14
+    got = _assert_matches_oracle(x, np.array([1.0, 2.0, 3.0, 4.0]), 0.3, True)
+    assert np.isnan(got[2])
+    with pytest.raises(NoCoverageError):
+        xi_weights(x[[0, 1, 3]], x[2], 0.3)
+    # inside the edge band the weight is 1 - u^2, as the prefix sums take it
+    u = np.linspace(EDGE_BAND - 1.0, 1.0 - EDGE_BAND, 2001)[1:-1]
+    assert np.array_equal(_kernel(u), 1.0 - u * u)
     # with h equal to the lattice spacing, a neighbour gets weight 0 or a
-    # few ulps depending on how x_j - x_i rounds; under leave-one-out such
-    # weights alone make the design, as in the direct evaluation
+    # few ulps before that rule depending on how x_j - x_i rounds; every
+    # route gives the direct evaluation's answer
     rng = np.random.default_rng(8)
     for spacing in (0.05, 0.1, 0.3, 0.7, 1.1, 2.9):
         x = spacing * np.concatenate((np.arange(40.0), [7.0, 7.0, 21.0]))
