@@ -403,7 +403,8 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
 # simulation study
 
 # most SV replications one simulate_series call runs in lockstep; a group
-# pays off from about 4, as a lockstep substep costs about 4 scalar steps.
+# pays off from 2, as each column past the first adds about an eighth of
+# what one column alone costs.
 # CIR and GBM simulate path by path, one replication per call.
 SV_GROUP = 64
 

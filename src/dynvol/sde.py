@@ -9,12 +9,16 @@ geometric Brownian motion sampled from its exact log-normal transition law.
 a memoryview of the contiguous draws and appends to an `array.array`, which
 is several times faster than indexing numpy scalars. The stochastic-variance
 step is affine in the variance, v' = a_k v + kappa theta d, so `simulate_sv`
-steps a group of replications in lockstep: `sv_inner_path` computes every
-slope a_k at once, then makes one multiply and one add per substep. Each
-operation is elementwise, so a replication has the same bits alone or in
-any group. The scalar loop of the scheme (`tests/oracles.py`) rounds in
-another order and agrees within a tolerance stated in `tests/test_sde.py`,
-which pins the output bits of every simulator by SHA-256 digests.
+steps a group of replications in lockstep and `sv_inner_path` runs the
+substeps as a scan of composed affine maps: one map per observation
+interval, one pass over the intervals, then one multiply-add for every
+substep. Its Python-level loops run over the substeps of one interval and
+over the intervals, not over every substep, so one column costs about what
+a scalar loop does and a group costs little more. Each operation is
+elementwise, so a replication has the same bits alone or in any group. The
+scalar loop of the scheme (`tests/oracles.py`) rounds in another order and
+agrees within a tolerance stated in `tests/test_sde.py`, which pins the
+output bits of every simulator by SHA-256 digests.
 """
 
 from __future__ import annotations
@@ -222,6 +226,16 @@ def sv_inner_path(params: SvParams, v0, eps: np.ndarray,
     v0 has shape (R,) and eps (N, R); returns the (N + 1, R) values including
     v0. A float v0 and a 1-d eps are the one-column case and return N + 1
     values. Each substep is v <- a v + kappa theta d, a from _sv_slopes.
+
+    The substeps run as a two-level scan over chunks of `params.substeps`,
+    which are the observation intervals when simulate_sv calls it. Within a
+    chunk, substep j maps the chunk's start v_s to A_j v_s + B_j, with A_j
+    the running product of the chunk's slopes and B_j the image of 0. One
+    pass over the chunk starts carries v from chunk to chunk, then one
+    multiply and one add give every substep. A slope of 1 pads a partial
+    last chunk, whose extra rows are dropped. Every operation is elementwise
+    across columns, there is no division, and with one substep per chunk
+    the scan is the plain recursion, bit for bit.
     """
     v0 = np.asarray(v0, dtype=float)
     eps = np.asarray(eps, dtype=float)
@@ -229,18 +243,36 @@ def sv_inner_path(params: SvParams, v0, eps: np.ndarray,
         raise ValueError("v0 and dstar must be positive")
     if eps.ndim != v0.ndim + 1 or eps.shape[1:] != v0.shape:
         raise ValueError("eps must hold one column per entry of v0")
-    a = _sv_slopes(params, eps, dstar)
-    out = np.empty((eps.shape[0] + 1,) + v0.shape)
-    out[0] = v0
-    # rows of one entry in the one-column case, so each row is a view
-    rows = out.reshape(out.shape[0], -1)
-    # a full row: a same-shape add is faster than a broadcast one here
-    c = np.full(rows.shape[1], params.kappa * params.theta * dstar)
+    n, m, cols = eps.shape[0], params.substeps, v0.size
+    chunks = -(-n // m)
+    a = np.ones((chunks * m, cols))
+    a[:n] = _sv_slopes(params, eps.reshape(n, cols), dstar)
+    # a[j, k] is substep j of chunk k, so each step of the loops below is
+    # one contiguous (chunks, cols) block
+    a = a.reshape(chunks, m, cols).swapaxes(0, 1).copy()
+    # b[j] = B_j = a[j] B_{j-1} + kappa theta d from B_0 = kappa theta d (a
+    # full block: a same-shape add is faster than a broadcast one here),
+    # then a[j] becomes A_j = a[0] ... a[j] in place (np.cumprod along this
+    # axis measured twice as slow)
+    b = np.empty_like(a)
+    b[0] = params.kappa * params.theta * dstar
     mul, add = np.multiply, np.add
-    for v, ak, nxt in zip(rows, a.reshape(a.shape[0], -1), rows[1:]):
+    for a0, a1, b0, b1 in zip(a, a[1:], b, b[1:]):
+        mul(a1, b0, out=b1)
+        add(b1, b[0], out=b1)
+        mul(a1, a0, out=a1)
+    starts = np.empty((chunks + 1, cols))
+    starts[0] = v0
+    for ak, bk, v, nxt in zip(a[-1], b[-1], starts, starts[1:]):
         mul(ak, v, out=nxt)
-        add(nxt, c, out=nxt)
-    return out
+        add(nxt, bk, out=nxt)
+    out = np.empty((chunks * m + 1, cols))
+    out[0] = v0
+    # substep j of chunk k is A_j v_k + B_j, v_k the chunk's start
+    mul(a, starts[:-1], out=a)
+    add(a.swapaxes(0, 1), b.swapaxes(0, 1),
+        out=out[1:].reshape(chunks, m, cols))
+    return out[:n + 1].reshape((n + 1,) + v0.shape)
 
 
 # observations per sv_inner_path call in simulate_sv: bounds the working
@@ -283,16 +315,23 @@ def simulate_sv(params: SvParams, delta: float, n_obs: int,
     v = np.array([1.0 / float(gen.gamma(params.shape_a, 1.0 / params.rate_b))
                   for gen in gens])
     vbar = np.empty((len(gens), n_obs))
+    # one row of substep normals per stream
+    eps = np.empty((len(gens), SV_BLOCK * m))
     for lo in range(0, n_obs, SV_BLOCK):
         nb = min(SV_BLOCK, n_obs - lo)
-        eps = np.column_stack([gen.standard_normal(nb * m) for gen in gens])
-        path = sv_inner_path(params, v, eps, dstar)
-        v = path[-1]
+        draws = eps[:, :nb * m]
+        for gen, row in zip(gens, draws):
+            gen.standard_normal(out=row)
+        path = sv_inner_path(params, v, draws.T, dstar)
         # interval i spans substep starts i*m .. i*m + m - 1; the mean runs
         # over C-contiguous rows, as on a single path (a strided view sums
         # in another order)
-        starts = np.ascontiguousarray(path[:-1].T)
-        vbar[:, lo:lo + nb] = starts.reshape(-1, nb, m).mean(axis=2)
+        vbar[:, lo:lo + nb] = (np.ascontiguousarray(path[:-1].T)
+                               .reshape(-1, nb, m).mean(axis=2))
+        # only the last row carries over: the block's path is freed before
+        # the next block's is made, which bounds the peak memory
+        v = path[-1].copy()
+        del path
     return [(ReturnSeries(np.sqrt(vb) * gen.standard_normal(n_obs), delta,
                           n_obs + 1), vb)
             for gen, vb in zip(gens, vbar)]

@@ -160,7 +160,7 @@ def test_return_series_length_contract():
 # pin the affine kernel, which is checked against the scalar loop within
 # _sv_rtol below.
 GOLDEN = {
-    "sv_default": "0b48fdc68486f1fbe35022cbd3c0e555661bc3acafa31631af74f478aa191c34",
+    "sv_default": "fcf660c25e6cb131f093dd260819c246f79ceb4bf1d3c862baf5105dc8bc35ed",
     "sv_one_substep": "5bb295d62ecb19d29551e4f60279dea2ac67af7673ce7c19df1b7a22a705fef4",
     "cir": "64f6859d972b048e347180608ba1938fb89f0eead679c2723339ba13920582e3",
     "cir_r0": "1bb44e17a6c578c486179e7343d0471e42c0b91b45f9ac78588c36b9dba660cd",
@@ -204,35 +204,48 @@ def _sv_rtol(params, dstar, n):
     substeps of size dstar.
 
     With s = (2 kappa + alpha2) dstar every slope is at least (1 - s) / 2,
-    so the terms of one step add up to at most 8 / (1 - s) times its
-    result. Each loop rounds fewer than 16 values no larger than that sum,
-    so one step of the two differs by at most 256 u / (1 - s) relative, u
-    the unit roundoff. A relative difference in v reaches the next value
-    scaled by a v / (a v + kappa theta dstar) < 1, so those of n steps add
-    up at most linearly.
+    so the terms of one step of the scalar loop add up to at most
+    8 / (1 - s) times its result, and those of one slope to at most
+    8 / (1 - s) times the slope. The loop's step rounds fewer than 16 such
+    values and the slope's Horner form, with its three constants, 10, so
+    per substep the loop is off by at most 128 u / (1 - s) relative and
+    each slope by 80 u / (1 - s), u the unit roundoff.
+
+    The scan computes each value as A v_s + B from the start v_s of its
+    chunk. A is a product of at most m slopes, and B a sum of positive
+    terms, each kappa theta dstar times a product of at most m slopes, so
+    each is off by its slopes' errors plus at most 2 roundings per slope;
+    the positive sum A v_s + B adds 2 more. An error carried in v_s reaches
+    the value scaled by A v_s / (A v_s + B) < 1, as one in v does through a
+    step of the loop. So both drift at most linearly, and after n substeps
+    they differ by less than n (128 + 83) u / (1 - s) + 2 u, below
+    256 n u / (1 - s). An A that underflows drops a term A v_s that is
+    negligible next to B >= kappa theta dstar.
     """
     s = (2.0 * params.kappa + params.alpha2) * dstar
     return 256.0 * n * UNIT_ROUNDOFF / (1.0 - s)
 
 
 def test_sv_path_is_one_inner_path_over_all_substeps():
-    # vbar_i averages the variance at the m substep starts of interval i
+    # vbar_i averages the variance at the m substep starts of interval i;
+    # 401 observations end in a partial block of one
     params = replace(SV, substeps=7)
     gen = RngStream(5, 1).generator()
     v0 = 1.0 / float(gen.gamma(params.shape_a, 1.0 / params.rate_b))
-    eps = gen.standard_normal((400, 7))
+    eps = gen.standard_normal((401, 7))
     path = sv_inner_path(params, v0, eps.ravel(), MONTHLY / 7)
-    [(_, vbar)] = simulate_sv(params, MONTHLY, 400, [RngStream(5, 1)])
-    assert np.array_equal(vbar, path[:-1].reshape(400, 7).mean(axis=1))
+    [(_, vbar)] = simulate_sv(params, MONTHLY, 401, [RngStream(5, 1)])
+    assert np.array_equal(vbar, path[:-1].reshape(401, 7).mean(axis=1))
 
 
 @settings(max_examples=60, deadline=None)
-@given(substeps=st.sampled_from([1, 7]), n=st.integers(1, 300),
+@given(substeps=st.sampled_from([1, 7, 30]), n=st.integers(1, 300),
        r=st.integers(1, 70), seed=st.integers(0, 2**32 - 1))
 def test_sv_inner_path_columns_are_the_scalar_recursion(substeps, n, r, seed):
     # the differential oracle of the lockstep kernel: every column is the
     # scalar loop on that column alone within _sv_rtol, and has the bytes
-    # of the kernel run on that column alone
+    # of the kernel run on that column alone; at 30 substeps n may end in a
+    # partial chunk or fall short of one
     params = replace(SV, substeps=substeps)
     dstar = MONTHLY / substeps
     gen = np.random.default_rng(seed)
@@ -271,6 +284,27 @@ def test_sv_slopes_and_path_stay_positive_up_to_the_bound(alpha2, ratio, frac,
                           np.random.default_rng(seed).standard_normal(300)))
     assert np.all(_sv_slopes(params, eps, dstar) > 0.0)
     assert np.all(sv_inner_path(params, params.theta, eps, dstar) > 0.0)
+
+
+@pytest.mark.parametrize("frac", [0.7, 0.9, 0.999, 1.0])
+def test_sv_inner_path_survives_a_chunk_product_that_underflows(frac):
+    # every draw at the least slope (1 - s) / 2 near the bound s < 1: the
+    # running product of a 400-substep chunk's slopes underflows to 0, so
+    # late substeps of each chunk are the image of 0 alone; 1000 substeps
+    # end in a partial chunk
+    params = SvParams(kappa=3.0, theta=0.009, alpha2=4.0, substeps=400)
+    rate = 2.0 * params.kappa + params.alpha2
+    dstar = frac * (1.0 - AFFINE_ROOM) / rate
+    while not rate * dstar < 1.0 - AFFINE_ROOM:
+        dstar = np.nextafter(dstar, 0.0)
+    eps = np.full(1000, -1.0 / math.sqrt(params.alpha2 * dstar))
+    assert np.prod(_sv_slopes(params, eps[:400], dstar)) == 0.0
+    for v0 in (params.theta, 1e3):
+        got = sv_inner_path(params, v0, eps, dstar)
+        want = sv_inner_path_scalar(params, v0, eps, dstar)
+        assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+        assert np.all(np.abs(got - want)
+                      <= _sv_rtol(params, dstar, eps.size) * want)
 
 
 # parameters whose step would need a floor: (2 kappa + alpha2) d = 140/84
