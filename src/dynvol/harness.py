@@ -37,7 +37,7 @@ import logging
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Callable, NamedTuple
 
@@ -105,10 +105,9 @@ class StudyConfig:
     er_window: int = 250
 
     def __post_init__(self):
-        if self.model not in ("CIR", "SV", "GBM", "External"):
+        if self.model not in _PRESETS:
             raise ValueError(f"unknown model {self.model!r}")
-        preset = _PRESETS.get(self.model)  # none for an external series
-        kind = type(preset["model_params"]) if preset else object
+        kind = type(_PRESETS[self.model]["model_params"])
         if not isinstance(self.model_params, (kind, type(None))):
             raise ValueError(f"model_params must be {kind.__name__}, not "
                              f"{type(self.model_params).__name__}")
@@ -118,6 +117,8 @@ class StudyConfig:
             raise ValueError("in_sample_len must be >= 2")
         if self.n_reps < 1:
             raise ValueError("n_reps must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.state_refit_every < 1:
             raise ValueError("state_refit_every must be >= 1")
         if not (0.0 < self.alpha < 1.0):
@@ -195,9 +196,8 @@ def simulate_series(cfg: StudyConfig, reps: Sequence[int]
                     ) -> list[SimulatedSeries]:
     """One replication of the configured model per rep in reps, rep r on
     stream r. SV replications run in lockstep; a replication has the same
-    bits in any group."""
-    if cfg.model not in _PRESETS:
-        raise ValueError(f"cannot simulate model {cfg.model!r}")
+    bits in any group. The simulators raise only ValueError, which stops a
+    study."""
     p = cfg.params()
     rngs = [RngStream(cfg.seed, rep) for rep in reps]
     if cfg.model == "SV":
@@ -461,14 +461,17 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
 
     Steps where any estimator's forecast is not finite are excluded from
     every estimator's measures, keeping the comparison fair; the count is
-    reported. The exceedance ratio uses the normal alpha-quantile. A
-    replication that fails outright, or has no usable step, is skipped;
-    diagnostics["failed_reasons"] maps it to "<ExceptionClass>: <message>".
-    A model with no simulator (an external series) raises ValueError from
-    the first simulation, before any replication runs.
+    reported. The exceedance ratio uses the normal alpha-quantile. An
+    in-sample stretch too short for the roster raises
+    InsufficientHistoryError before anything is simulated. A replication
+    whose walk-forward raises DynvolError, or has no usable step, is
+    skipped; diagnostics["failed_reasons"] maps it to
+    "<ExceptionClass>: <message>". SV replications are simulated in groups
+    of SV_GROUP, the others one at a time.
     """
     ests = cfg.estimators
     first = cfg.in_sample_len - 1
+    _check_history(cfg, first)
     m = cfg.series_len - cfg.in_sample_len
     quantiles = dict.fromkeys(ests, NormalDist().inv_cdf(cfg.alpha))
     rows: dict[str, list] = {k: [] for k in _MEASURES}
@@ -479,39 +482,32 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
     failed: dict[int, str] = {}
     excluded_per_rep: list[int] = []
     group = SV_GROUP if cfg.model == "SV" else 1
-    sims: dict[int, SimulatedSeries] = {}
 
-    for rep in range(cfg.n_reps):
-        try:
-            if not sims:
-                reps = range(rep, min(rep + group, cfg.n_reps))
-                try:
-                    sims = dict(zip(reps, simulate_series(cfg, reps)))
-                except DynvolError:
-                    if len(reps) == 1:
-                        raise
-                    # charge the failure to its replication: this one alone,
-                    # then a group from the next one
-                    sims = dict(zip([rep], simulate_series(cfg, [rep])))
-            sim = sims.pop(rep)
-            tracks, counters = _rolling(sim.levels, sim.returns.y, cfg, first, m)
-            truth = sim.true_var[first:first + m]
-            mask, vals = _score(tracks, sim.returns.y[first:first + m],
-                                quantiles, truth)
-        except DynvolError as exc:
-            failed[rep] = f"{type(exc).__name__}: {exc}"
-            continue
-        for k, v in counters.items():
-            totals[k] += v
-        n_bad = int(m - mask.sum())
-        excluded += n_bad
-        excluded_per_rep.append(n_bad)
-        for k in rows:
-            rows[k].append(vals[k])
-        err = np.abs(np.column_stack([tracks[e] for e in ests]) - truth[:, None])
-        curve_sum[mask] += err[mask]
-        curve_cnt[mask] += 1.0
-        log.info("rep %d/%d done", rep + 1, cfg.n_reps)
+    for lo in range(0, cfg.n_reps, group):
+        reps = range(lo, min(lo + group, cfg.n_reps))
+        sims = simulate_series(cfg, reps)
+        for rep in reps:
+            sim = sims.pop(0)
+            try:
+                tracks, counters = _rolling(sim.levels, sim.returns.y, cfg,
+                                            first, m)
+                truth = sim.true_var[first:first + m]
+                mask, vals = _score(tracks, sim.returns.y[first:first + m],
+                                    quantiles, truth)
+            except DynvolError as exc:
+                failed[rep] = f"{type(exc).__name__}: {exc}"
+                continue
+            for k, v in counters.items():
+                totals[k] += v
+            n_bad = int(m - mask.sum())
+            excluded += n_bad
+            excluded_per_rep.append(n_bad)
+            for k in rows:
+                rows[k].append(vals[k])
+            err = np.abs(np.column_stack([tracks[e] - truth for e in ests]))
+            curve_sum[mask] += err[mask]
+            curve_cnt[mask] += 1.0
+            log.info("rep %d/%d done", rep + 1, cfg.n_reps)
 
     if not rows["made"]:
         rep, reason = next(iter(failed.items()))
@@ -566,7 +562,8 @@ def ingest_csv(path, name: str | None = None, frequency: str = "weekly",
                in_sample_end: int | str | None = None,
                return_mode: str = "log", forward_fill: bool = False,
                delta: float | None = None) -> BacktestDataset:
-    """Read a `date,value` CSV (ISO dates, strictly increasing).
+    """Read a UTF-8 `date,value` CSV (ISO dates, strictly increasing); a
+    leading byte order mark, as spreadsheets write, is skipped.
 
     Empty or unparsable values are rejected with their row numbers unless
     forward_fill is set, in which case they take the previous value and the
@@ -574,7 +571,7 @@ def ingest_csv(path, name: str | None = None, frequency: str = "weekly",
     with their row numbers. in_sample_end may be a row count or an ISO date
     (split after that date).
     """
-    with open(path, "r", newline="") as fh:
+    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
         rowiter = list(csv.reader(fh))
     if not rowiter or [c.strip().lower() for c in rowiter[0][:2]] != ["date", "value"]:
         raise IngestionError("expected header 'date,value'")
@@ -671,7 +668,8 @@ def run_backtest(data: BacktestDataset, cfg: StudyConfig) -> BacktestResult:
     differences are taken from. The exceedance quantile is the empirical
     lower alpha-quantile of each estimator's own standardized in-sample
     residuals over the trailing er_window steps before the split. The true
-    variance is unknown, so no imade is computed.
+    variance is unknown, so no imade is computed. The result's cfg is cfg
+    as given, so its `config --dump` replays the run.
     """
     if data.return_mode == "log":
         if np.any(data.values <= 0):
@@ -687,10 +685,8 @@ def run_backtest(data: BacktestDataset, cfg: StudyConfig) -> BacktestResult:
         raise InsufficientHistoryError(
             f"need {qwin} in-sample residual steps before the split")
     m = y.size - (in_len - 1)
-    bcfg = replace(cfg, model="External", series_len=levels.size,
-                   in_sample_len=in_len)
-    tracks, counters = _rolling(levels, y, bcfg, first_warm, qwin + m)
-    ests = bcfg.estimators
+    tracks, counters = _rolling(levels, y, cfg, first_warm, qwin + m)
+    ests = cfg.estimators
 
     quantiles = {}
     for e in ests:
@@ -698,13 +694,13 @@ def run_backtest(data: BacktestDataset, cfg: StudyConfig) -> BacktestResult:
         if not np.all(np.isfinite(warm)):
             raise DynvolError(f"non-finite warmup forecasts for {e}")
         res = y[first_warm:first_warm + qwin] / np.sqrt(warm)
-        quantiles[e] = empirical_quantile(res, bcfg.alpha, qwin)
+        quantiles[e] = empirical_quantile(res, cfg.alpha, qwin)
 
     mask, vals = _score({e: tracks[e][qwin:] for e in ests},
                         y[in_len - 1:], quantiles)
     per_rep = {k: np.asarray([v]) for k, v in vals.items()}
     report = _report(per_rep, ests, 0.0, int(m - mask.sum()), 0)
-    return BacktestResult(bcfg, data, report, per_rep, quantiles, counters)
+    return BacktestResult(cfg, data, report, per_rep, quantiles, counters)
 
 
 # ---------------------------------------------------------------------------

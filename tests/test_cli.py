@@ -14,7 +14,8 @@ from dynvol.cli import (_BACKTEST_READS, _MODEL, _SETTINGS, _apply_overrides,
                         _build_parser, _dump_config, _read_config_file,
                         _reject_unread, _resolve, _values, main)
 from dynvol.errors import DynvolError
-from dynvol.harness import study_preset
+from dynvol.harness import (ingest_csv, run_backtest, study_preset,
+                            write_backtest_outputs)
 from dynvol.sde import RngStream, simulate_gbm
 
 # a value for every config key but model that differs from the CIR preset
@@ -219,6 +220,23 @@ def test_progress_and_summaries_are_logged_unless_quiet(tmp_path, levels_csv,
     assert (tmp_path / "b" / "report.csv").is_file()
     # main leaves the library's logger as it found it
     assert not logging.getLogger("dynvol").handlers
+
+
+def test_backtest_config_dump_replays_the_run(tmp_path, levels_csv):
+    # the config a backtest ran with, every key it reads changed, dumped
+    # and passed back as --config, writes the same bytes again
+    cfg = _apply_overrides(study_preset("cir"),
+                           {k: CHANGED[k] for k in _BACKTEST_READS})
+    res = run_backtest(ingest_csv(levels_csv, in_sample_end=220), cfg)
+    write_backtest_outputs(res, tmp_path / "lib")
+    f = tmp_path / "run.cfg"
+    f.write_text(_dump_config(res.cfg))
+    assert main(["backtest", "--data", str(levels_csv), "--in-sample-end",
+                 "220", "--config", str(f), "--out", str(tmp_path / "cli"),
+                 "--quiet"]) == 0
+    for name in ("report.csv", "per_rep.csv"):
+        assert ((tmp_path / "cli" / name).read_bytes()
+                == (tmp_path / "lib" / name).read_bytes())
 
 
 def test_backtest_missing_file_is_clean_error(tmp_path, capsys):

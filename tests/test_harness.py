@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
-from dynvol.errors import (DegenerateSeriesError, DynvolError, IngestionError,
+from dynvol.errors import (DegenerateSeriesError, IngestionError,
                            InsufficientHistoryError, NoCoverageError)
 from dynvol import harness
 from dynvol.harness import (DEFAULT_SEMI_GRID, ESTIMATORS, MIN_STATE_PAIRS,
@@ -109,6 +109,10 @@ def test_config_validation():
         study_preset("cir", estimators=("Hist", "Bogus"))
     with pytest.raises(ValueError):
         study_preset("cir", trim_upper=1.0)
+    # a model with no preset has no simulator, and a backtest runs under
+    # the cir preset, so there is no external model to name
+    with pytest.raises(ValueError, match="unknown model 'External'"):
+        StudyConfig(model="External")
 
 
 @pytest.mark.parametrize("field, value", [
@@ -121,6 +125,7 @@ def test_config_validation():
     ("delta", 0.0),
     ("delta", -1.0 / 52.0),
     ("er_window", 49),
+    ("seed", -1),
 ])
 def test_config_rejects_values_that_would_fail_late(field, value):
     # a run would fail inside its first replication, ignore the setting, or
@@ -136,8 +141,7 @@ def test_config_rejects_parameters_of_another_model():
         StudyConfig(model="SV", model_params=cir)
     with pytest.raises(ValueError, match="CirParams"):
         study_preset("cir", model_params=sv)
-    # an external series takes the parameters of any model
-    assert StudyConfig(model="External", model_params=sv).params() is sv
+    assert StudyConfig(model="SV", model_params=sv).params() is sv
 
 
 def test_simulate_series_truth_definitions():
@@ -523,7 +527,7 @@ def test_drift_refit_walk_forward_matches_a_fit_from_scratch(
     k[int(jump_at * k.size):] += jump
     levels = offset + spacing * k.astype(float)
     y = np.diff(levels)
-    cfg = StudyConfig(model="External", series_len=levels.size,
+    cfg = StudyConfig(series_len=levels.size,
                       in_sample_len=levels.size - 1, es=EsConfig(0.94, 4),
                       state_refit_every=every)
     first = cfg.es.n + MIN_STATE_PAIRS
@@ -592,7 +596,7 @@ def test_out_of_range_state_falls_back_to_smoother():
     levels[:262] = np.cumsum(rng.standard_normal(262) * 0.01)
     levels[262:] = 100.0 + np.cumsum(rng.standard_normal(38) * 0.01)
     y = np.diff(levels) / math.sqrt(1.0 / 52.0)
-    cfg = StudyConfig(model="External", series_len=300, in_sample_len=262,
+    cfg = StudyConfig(series_len=300, in_sample_len=262,
                       estimators=("RiskM", "NonBay", "Integ"))
     tracks, counters = _rolling(levels, y, cfg, 261, n_steps)
     assert counters["nonbay_es_only"] == n_steps
@@ -620,14 +624,20 @@ def test_singular_state_design_falls_back_to_kernel_weighted_mean():
     assert xi_sq[0] == pytest.approx(0.5, rel=1e-15)
 
 
-def test_insufficient_history_is_rejected_up_front():
+def test_insufficient_history_is_rejected_up_front(monkeypatch):
     # 99 < 2n for SemiProxy
     cfg = study_preset("cir", series_len=120, in_sample_len=100)
     [sim] = simulate_series(cfg, [0])
     with pytest.raises(InsufficientHistoryError):
         rolling_forecast(sim, cfg, "SemiProxy")
-    with pytest.raises(DynvolError):
+    # the study stops before it simulates a single replication
+    calls = []
+    monkeypatch.setattr(harness, "simulate_series",
+                        lambda *a: calls.append(a))
+    with pytest.raises(InsufficientHistoryError,
+                       match="first origin 99 < required history 104"):
         run_simulation_study(cfg)
+    assert calls == []
 
 
 def test_study_end_to_end_small(small_result):
@@ -682,28 +692,41 @@ def test_study_er_uses_the_normal_quantile(small_result):
                 np.mean(y_out < z * np.sqrt(track)))
 
 
-def test_failed_replications_keep_their_reason(monkeypatch):
-    # rep 1 raises while simulating; rep 2 leaves no finite step
-    import dynvol.harness as hz
-    cfg = study_preset("cir", series_len=300, in_sample_len=260, n_reps=4,
-                       seed=777, estimators=("Hist", "RiskM"))
-    real_sim, real_rolling = hz.simulate_series, hz._rolling
-    current = []
+def patch_rolling(monkeypatch, cfg, edit):
+    """Make the study's _rolling call edit(rep, tracks) after the real walk,
+    rep being the id of the replication whose series it walks; edit may
+    raise, as a replication's walk-forward can."""
+    series = [s.levels for s in simulate_series(cfg, range(cfg.n_reps))]
+    real = harness._rolling
 
-    def sim(cfg, reps):
-        current.extend(reps)
-        if 1 in reps:
-            raise DegenerateSeriesError("boom")
-        return real_sim(cfg, reps)
-
-    def rolling(*args):
-        tracks, counters = real_rolling(*args)
-        if current[-1] == 2:
-            tracks["Hist"][:] = np.nan
+    def rolling(levels, *args):
+        tracks, counters = real(levels, *args)
+        [rep] = [r for r, s in enumerate(series) if np.array_equal(s, levels)]
+        edit(rep, tracks)
         return tracks, counters
 
-    monkeypatch.setattr(hz, "simulate_series", sim)
-    monkeypatch.setattr(hz, "_rolling", rolling)
+    monkeypatch.setattr(harness, "_rolling", rolling)
+
+
+def boom_at(failing):
+    def edit(rep, tracks):
+        if rep == failing:
+            raise DegenerateSeriesError("boom")
+    return edit
+
+
+def test_failed_replications_keep_their_reason(monkeypatch):
+    # rep 1 raises in its walk-forward; rep 2 leaves no finite step
+    cfg = study_preset("cir", series_len=300, in_sample_len=260, n_reps=4,
+                       seed=777, estimators=("Hist", "RiskM"))
+
+    def edit(rep, tracks):
+        if rep == 1:
+            raise DegenerateSeriesError("boom")
+        if rep == 2:
+            tracks["Hist"][:] = np.nan
+
+    patch_rolling(monkeypatch, cfg, edit)
     res = run_simulation_study(cfg)
     assert res.failed_reps == (1, 2)
     assert res.diagnostics["failed_reasons"] == {
@@ -717,21 +740,13 @@ def test_failed_replications_keep_their_reason(monkeypatch):
 
 
 def test_failed_sv_replication_is_charged_alone(monkeypatch):
-    # SV replications are simulated as a group; when the group's simulation
-    # raises, only the replication that fails alone is skipped
-    import dynvol.harness as hz
+    # SV replications are simulated as a group; when one of them fails in
+    # its walk-forward, only that replication is skipped
     cfg = study_preset("sv", series_len=120, in_sample_len=100, n_reps=5,
                        seed=3, estimators=("Hist", "RiskM"),
                        model_params=SvParams(3.0, 0.009, 4.0, substeps=3))
     clean = run_simulation_study(cfg)
-    real_sim = hz.simulate_series
-
-    def sim(cfg, reps):
-        if 2 in reps:
-            raise DegenerateSeriesError("boom")
-        return real_sim(cfg, reps)
-
-    monkeypatch.setattr(hz, "simulate_series", sim)
+    patch_rolling(monkeypatch, cfg, boom_at(2))
     res = run_simulation_study(cfg)
     assert res.failed_reps == (2,)
     assert res.diagnostics["failed_reasons"] == {
@@ -741,19 +756,27 @@ def test_failed_sv_replication_is_charged_alone(monkeypatch):
         assert np.array_equal(res.per_rep[k], clean.per_rep[k][[0, 1, 3, 4]])
 
 
+@pytest.mark.parametrize("group", [1, 3, 64])
+def test_sv_study_bytes_do_not_depend_on_the_group_size(monkeypatch, tmp_path,
+                                                        group):
+    # 7 reps: seven groups of one, two full groups of 3 and a partial one,
+    # or one partial group of 64
+    cfg = study_preset("sv", series_len=120, in_sample_len=100, n_reps=7,
+                       seed=5, estimators=("Hist", "RiskM"),
+                       model_params=SvParams(3.0, 0.009, 4.0, substeps=3))
+    write_study_outputs(run_simulation_study(cfg), tmp_path / "ref")
+    monkeypatch.setattr(harness, "SV_GROUP", group)
+    write_study_outputs(run_simulation_study(cfg), tmp_path / "got")
+    for name in ("report.csv", "per_rep.csv", "fig2_curve.csv"):
+        assert ((tmp_path / "got" / name).read_bytes()
+                == (tmp_path / "ref" / name).read_bytes())
+
+
 def test_per_rep_rows_carry_the_replication_id(monkeypatch, tmp_path):
     # with rep 1 of 3 failing, the rows of reps 0 and 2 keep their ids
-    import dynvol.harness as hz
     cfg = study_preset("cir", series_len=300, in_sample_len=260, n_reps=3,
                        seed=777, estimators=("Hist", "RiskM"))
-    real_sim = hz.simulate_series
-
-    def sim(cfg, reps):
-        if 1 in reps:
-            raise DegenerateSeriesError("boom")
-        return real_sim(cfg, reps)
-
-    monkeypatch.setattr(hz, "simulate_series", sim)
+    patch_rolling(monkeypatch, cfg, boom_at(1))
     res = run_simulation_study(cfg)
     assert res.failed_reps == (1,)
     write_study_outputs(res, tmp_path)
@@ -763,21 +786,6 @@ def test_per_rep_rows_carry_the_replication_id(monkeypatch, tmp_path):
         ("0", "Hist"), ("0", "RiskM"), ("2", "Hist"), ("2", "RiskM")]
     # each row carries the measures of its own replication
     assert float(rows[2]["made"]) == res.per_rep["made"][1, 0]
-
-
-def test_study_rejects_a_model_it_cannot_simulate(monkeypatch):
-    # an external series has no simulator: the study says so before any
-    # replication runs, and the config a backtest builds stays valid
-    cfg = StudyConfig(model="External", series_len=300, in_sample_len=200,
-                      n_reps=2)
-    calls = []
-    monkeypatch.setattr(harness, "_rolling",
-                        lambda *a, **k: calls.append(a))
-    with pytest.raises(ValueError, match="cannot simulate model 'External'"):
-        run_simulation_study(cfg)
-    with pytest.raises(ValueError, match="cannot simulate model 'External'"):
-        simulate_series(cfg, [0])
-    assert calls == []
 
 
 def test_study_is_deterministic(small_result):
@@ -865,6 +873,17 @@ def test_ingest_happy_path(tmp_path):
     assert d.delta == pytest.approx(1.0 / 52.0)
     assert d.dates[0] == "2020-01-03"
     assert d.filled_rows == ()
+
+
+def test_ingest_reads_a_header_after_a_utf8_bom(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with a byte order mark
+    rows = ["2020-01-03,1.0", "2020-01-10,1.1", "2020-01-17,1.2"]
+    plain = _write_csv(tmp_path, rows)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    got, want = ingest_csv(bom), ingest_csv(plain)
+    assert got.values.tolist() == want.values.tolist() == [1.0, 1.1, 1.2]
+    assert got.dates == want.dates
 
 
 def test_ingest_rejects_bad_rows_with_numbers(tmp_path):
