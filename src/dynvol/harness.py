@@ -19,7 +19,10 @@ origins makes one state-domain fit and one windowed query of all its
 origins' levels. Everything else takes the whole series at once: the
 time-domain tracks and autocorrelations, Integ's time-domain variance, the
 dynamic blend and NonBay's shrinkage, each one call on arrays with one
-entry per origin, and so do the fallback counters.
+entry per origin, and so do the fallback counters. A study computes the
+time-domain tracks (Hist, the smoother, SemiProxy) of up to TIME_ROWS
+replications at once, one row per series, and each row has the bits of
+its series alone.
 
 Studies and backtests score through one path: steps where any estimator's
 forecast is not finite are dropped for every estimator, and the exceedance
@@ -31,8 +34,10 @@ estimator is the reference for relative losses unless Integ is present.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime as _dt
+import io
 import logging
 import math
 import os
@@ -54,8 +59,8 @@ from .sde import (CirParams, GbmParams, ReturnSeries, RngStream, SvParams,
                   to_returns)
 from .state_domain import (MIN_STATE_PAIRS, DriftFit, _window_estimates,
                            select_bandwidth)
-from .time_domain import (EsConfig, autocorr_sq, es_variance, exp_smooth,
-                          moving_average)
+from .time_domain import (EsConfig, _per_origin, autocorr_sq, es_variance,
+                          exp_smooth, moving_average)
 
 log = logging.getLogger("dynvol")
 
@@ -229,10 +234,13 @@ class _SemiSelector:
     falls back to SEMI_FALLBACK_LAM and counts it in
     counters["semi_fallback"].
 
-    value takes an int origin or a 1-d int array of origins. Each candidate's
-    forecasts over every scored window come from one exp_smooth call, the
-    smoother RiskM reads, and each loss is np.add.reduce of its window of
-    squared errors, so an origin's value does not depend on the others.
+    value takes an int origin or a 1-d int array of origins, and y is one
+    series or a 2-d array of them, one per row, as exp_smooth takes them.
+    Each candidate's forecasts over every scored window come from one
+    exp_smooth call, the smoother RiskM reads, and each loss is
+    np.add.reduce of its window of squared errors, so an origin's value
+    does not depend on the other origins or rows. A running minimum and
+    maximum over the candidates keeps the winner.
     """
 
     def __init__(self, y: np.ndarray, n: int, grid: tuple[float, ...]):
@@ -240,38 +248,80 @@ class _SemiSelector:
         self.n = n
         self.grid = grid
 
-    def value(self, t, counters: dict):
+    def value(self, t, counters: dict, per_row: np.ndarray | None = None):
+        """SemiProxy at origin(s) t, shaped as exp_smooth(self.y, t, ...).
+        The fallbacks are added to counters["semi_fallback"] and, for a 2-d
+        y, row by row to per_row when it is given."""
         n, o = self.n, np.atleast_1d(t)
         lo = o.min() - n
         if lo < n:
             raise InsufficientHistoryError(
                 f"need {2 * n} observations before origin {lo + n}")
-        # forecasts at origins lo .. max(o), scored against the squared
-        # returns they forecast; row j of a window view holds the n squared
-        # errors before origin o[j]
-        span = np.arange(lo, o.max() + 1)
-        y2 = self.y[span[:-1]] ** 2
-        preds, losses = [], []
+        shape = self.y.shape[:-1] + o.shape
+        out = np.empty(shape)
+        lowest, highest = np.full(shape, np.inf), np.full(shape, -np.inf)
         for lam in self.grid:
-            pred = exp_smooth(self.y, span, EsConfig(lam, n))
-            err = y2 - pred[:-1]
-            windows = np.lib.stride_tricks.sliding_window_view(err * err, n)
-            preds.append(pred)
-            losses.append(np.add.reduce(windows[o - lo - n], axis=1))
-        preds, losses = np.array(preds), np.column_stack(losses)
-        finite = np.isfinite(losses)
-        best = np.where(finite, losses, np.inf)
-        lowest = best.min(axis=1)
+            pred, loss = self._scored(lam, lo, o - lo)
+            won = loss < lowest
+            out[won], lowest[won] = pred[won], loss[won]
+            higher = np.isfinite(loss) & (loss > highest)
+            highest[higher] = loss[higher]
         # no finite loss, or every finite loss the same
         fallback = lowest == np.inf
         if len(self.grid) > 1:
-            fallback |= lowest == np.where(finite, losses, -np.inf).max(axis=1)
-        out = preds[best.argmin(axis=1), o - lo]
+            fallback |= lowest == highest
         if fallback.any():
             counters["semi_fallback"] += int(fallback.sum())
-            out[fallback] = exp_smooth(self.y, o[fallback],
-                                       EsConfig(SEMI_FALLBACK_LAM, n))
-        return float(out[0]) if np.ndim(t) == 0 else out
+            if per_row is not None:
+                per_row += np.count_nonzero(fallback, axis=-1)
+            out[fallback] = exp_smooth(self.y, o, EsConfig(
+                SEMI_FALLBACK_LAM, n))[fallback]
+        return _per_origin(t, out)
+
+    def _scored(self, lam: float, lo: int, at: np.ndarray):
+        """Decay lam's forecasts at the origins lo + at, and the squared
+        errors of its one-step forecasts of the squared returns over the n
+        origins before each, summed; lo is the first origin scored."""
+        n, hi = self.n, lo + at.max()
+        pred = exp_smooth(self.y, np.arange(lo, hi + 1), EsConfig(lam, n))
+        err = self.y[..., lo:hi] ** 2 - pred[..., :-1]
+        err *= err
+        # window j holds the errors at origins lo + j .. lo + j + n - 1
+        windows = np.lib.stride_tricks.sliding_window_view(err, n, axis=-1)
+        return pred[..., at], np.add.reduce(windows, axis=-1)[..., at - n]
+
+
+class _TimeTracks(NamedTuple):
+    """One series' time-domain tracks over the origins of its walk-forward,
+    None where the roster reads none: Hist, the smoother that RiskM, NonBay
+    and Integ read, and SemiProxy with its fallback count."""
+
+    hist: np.ndarray | None
+    smooth: np.ndarray | None
+    semi: np.ndarray | None
+    semi_fallback: int
+
+
+def _time_tracks(ys: np.ndarray, cfg: StudyConfig, origins: np.ndarray
+                 ) -> list[_TimeTracks]:
+    """The time-domain tracks of each series of ys, one per row, at origins:
+    one exp_smooth or moving_average call per track and one SemiProxy
+    search for all rows. Each row has the bits of a one-row call."""
+    ests = cfg.estimators
+    hist = smooth = semi = None
+    # each replication takes its own row's fallback count, so that a failed
+    # one adds none to the study's total
+    fallback = np.zeros(len(ys), dtype=int)
+    if "SemiProxy" in ests:
+        semi = _SemiSelector(ys, cfg.es.n, cfg.semi_grid).value(
+            origins, _new_counters(), per_row=fallback)
+    if "Hist" in ests:
+        hist = moving_average(ys, origins, cfg.hist_window)
+    if any(_ROSTER[e].smoother for e in ests):
+        smooth = exp_smooth(ys, origins, cfg.es)
+    return [_TimeTracks(*(None if a is None else a[i]
+                          for a in (hist, smooth, semi)), int(fallback[i]))
+            for i in range(len(ys))]
 
 
 class _StateFit(NamedTuple):
@@ -333,8 +383,12 @@ def _check_history(cfg: StudyConfig, first: int) -> None:
 
 
 def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
-             first: int, n_steps: int) -> tuple[dict, dict]:
-    """Run all configured estimators over origins [first, first + n_steps)."""
+             first: int, n_steps: int, time: _TimeTracks | None = None
+             ) -> tuple[dict, dict]:
+    """Run all configured estimators over origins [first, first + n_steps).
+    time holds the series' time-domain tracks over those origins when its
+    replication group computed them already; otherwise they are computed
+    here, as a group of one."""
     _check_history(cfg, first)
     if first + n_steps > y.size:
         raise InsufficientHistoryError("evaluation stretch exceeds data")
@@ -344,20 +398,20 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
 
     ests = cfg.estimators
     need_state = any(_ROSTER[e].state for e in ests)
-    need_es = any(_ROSTER[e].smoother for e in ests)
     counters = _new_counters()
     tracks = {e: np.full(n_steps, np.nan) for e in ests}
-    # _check_history and the stretch check above keep every window in range;
-    # the time-domain tracks take every origin in one call each
+    # _check_history and the stretch check above keep every window in range
     origins = np.arange(first, first + n_steps)
+    if time is None:
+        [time] = _time_tracks(y[None], cfg, origins)
+    es_track = time.smooth
     if "Hist" in ests:
-        tracks["Hist"] = moving_average(y, origins, cfg.hist_window)
-    es_track = exp_smooth(y, origins, cfg.es) if need_es else None
+        tracks["Hist"] = time.hist
     if "RiskM" in ests:
         tracks["RiskM"] = es_track
     if "SemiProxy" in ests:
-        tracks["SemiProxy"] = _SemiSelector(
-            y, cfg.es.n, cfg.semi_grid).value(origins, counters)
+        tracks["SemiProxy"] = time.semi
+        counters["semi_fallback"] += time.semi_fallback
     if not need_state:
         return tracks, counters
 
@@ -407,6 +461,13 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
 # what one column alone costs.
 # CIR and GBM simulate path by path, one replication per call.
 SV_GROUP = 64
+# most replications of a simulated group whose time-domain tracks one
+# _time_tracks call computes. Its temporaries are a few arrays of
+# TIME_ROWS x origins, about 30 kB a row at the SV preset, live while
+# the whole group's series are. A 40-rep SV study took about a fifth
+# longer a row at a time than 4 at a time; 8 at a time took about 4% less
+# than 4 but raised the peak resident memory by about 0.1 MB.
+TIME_ROWS = 4
 
 # per-replication measures, in per_rep.csv column order
 _MEASURES = ("imade", "made", "pe", "rade", "er")
@@ -454,6 +515,22 @@ def _report(per_rep: dict[str, np.ndarray], ests: tuple[str, ...],
                         ests, ref, trim_upper, excluded, failed)
 
 
+def _replications(cfg: StudyConfig, origins: np.ndarray):
+    """Each replication's id, simulated series and time-domain tracks at
+    origins, in order. SV replications are simulated SV_GROUP at a time,
+    the others one at a time, and the tracks of a group are computed
+    TIME_ROWS replications at a time."""
+    group = SV_GROUP if cfg.model == "SV" else 1
+    for lo in range(0, cfg.n_reps, group):
+        reps = range(lo, min(lo + group, cfg.n_reps))
+        sims = simulate_series(cfg, reps)
+        for at in range(0, len(sims), TIME_ROWS):
+            part = sims[at:at + TIME_ROWS]
+            time = _time_tracks(np.stack([s.returns.y for s in part]), cfg,
+                                origins)
+            yield from zip(reps[at:at + TIME_ROWS], part, time)
+
+
 def run_simulation_study(cfg: StudyConfig) -> StudyResult:
     """Monte Carlo study: per-replication measures, scores, and the per-step
     mean absolute error curve. Each finished replication is logged at INFO
@@ -466,8 +543,9 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
     InsufficientHistoryError before anything is simulated. A replication
     whose walk-forward raises DynvolError, or has no usable step, is
     skipped; diagnostics["failed_reasons"] maps it to
-    "<ExceptionClass>: <message>". SV replications are simulated in groups
-    of SV_GROUP, the others one at a time.
+    "<ExceptionClass>: <message>". Replications come from _replications:
+    SV ones are simulated in groups of SV_GROUP, and each replication's
+    time-domain tracks are computed with up to TIME_ROWS of its group.
     """
     ests = cfg.estimators
     first = cfg.in_sample_len - 1
@@ -481,33 +559,28 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
     excluded = 0
     failed: dict[int, str] = {}
     excluded_per_rep: list[int] = []
-    group = SV_GROUP if cfg.model == "SV" else 1
 
-    for lo in range(0, cfg.n_reps, group):
-        reps = range(lo, min(lo + group, cfg.n_reps))
-        sims = simulate_series(cfg, reps)
-        for rep in reps:
-            sim = sims.pop(0)
-            try:
-                tracks, counters = _rolling(sim.levels, sim.returns.y, cfg,
-                                            first, m)
-                truth = sim.true_var[first:first + m]
-                mask, vals = _score(tracks, sim.returns.y[first:first + m],
-                                    quantiles, truth)
-            except DynvolError as exc:
-                failed[rep] = f"{type(exc).__name__}: {exc}"
-                continue
-            for k, v in counters.items():
-                totals[k] += v
-            n_bad = int(m - mask.sum())
-            excluded += n_bad
-            excluded_per_rep.append(n_bad)
-            for k in rows:
-                rows[k].append(vals[k])
-            err = np.abs(np.column_stack([tracks[e] - truth for e in ests]))
-            curve_sum[mask] += err[mask]
-            curve_cnt[mask] += 1.0
-            log.info("rep %d/%d done", rep + 1, cfg.n_reps)
+    for rep, sim, time in _replications(cfg, np.arange(first, first + m)):
+        try:
+            tracks, counters = _rolling(sim.levels, sim.returns.y, cfg,
+                                        first, m, time=time)
+            truth = sim.true_var[first:first + m]
+            mask, vals = _score(tracks, sim.returns.y[first:first + m],
+                                quantiles, truth)
+        except DynvolError as exc:
+            failed[rep] = f"{type(exc).__name__}: {exc}"
+            continue
+        for k, v in counters.items():
+            totals[k] += v
+        n_bad = int(m - mask.sum())
+        excluded += n_bad
+        excluded_per_rep.append(n_bad)
+        for k in rows:
+            rows[k].append(vals[k])
+        err = np.abs(np.column_stack([tracks[e] - truth for e in ests]))
+        curve_sum[mask] += err[mask]
+        curve_cnt[mask] += 1.0
+        log.info("rep %d/%d done", rep + 1, cfg.n_reps)
 
     if not rows["made"]:
         rep, reason = next(iter(failed.items()))
@@ -569,10 +642,21 @@ def ingest_csv(path, name: str | None = None, frequency: str = "weekly",
     forward_fill is set, in which case they take the previous value and the
     rows are recorded on the dataset. Infinite values are always rejected
     with their row numbers. in_sample_end may be a row count or an ISO date
-    (split after that date).
+    (split after that date). A byte that is not UTF-8 is rejected with its
+    row number.
     """
-    with open(path, "r", newline="", encoding="utf-8-sig") as fh:
-        rowiter = list(csv.reader(fh))
+    with open(path, "rb") as fh:
+        raw = fh.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines end in \n, \r\n or \r, as the csv reader splits them
+        head = raw[:exc.start]
+        row = (head.count(b"\n") + head.count(b"\r")
+               - head.count(b"\r\n") + 1)
+        raise IngestionError(f"row {row} is not UTF-8: byte "
+                             f"0x{raw[exc.start]:02x}") from None
+    rowiter = list(csv.reader(io.StringIO(text, newline="")))
     if not rowiter or [c.strip().lower() for c in rowiter[0][:2]] != ["date", "value"]:
         raise IngestionError("expected header 'date,value'")
     dates: list[_dt.date] = []

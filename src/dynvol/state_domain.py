@@ -99,14 +99,21 @@ def _epanechnikov(u: np.ndarray) -> np.ndarray:
     return 0.75 * _kernel(u)
 
 
+def _padded(x0, h: float):
+    """x0 -/+ h, each padded outward by PAD (|x0| + h): the levels _reach
+    searches for."""
+    pad = PAD * (abs(x0) + h)
+    return x0 - h - pad, x0 + h + pad
+
+
 def _reach(xs: np.ndarray, x0, h: float):
     """Index range [lo, hi) of the sorted xs that holds every point the
     kernel weighs at each level x0: searchsorted on x0 -/+ h, padded by a
     few ulps. The padding may let in points of weight 0, which the kernel
     itself zeroes."""
-    pad = PAD * (np.abs(x0) + h)
-    return (np.searchsorted(xs, x0 - h - pad, "left"),
-            np.searchsorted(xs, x0 + h + pad, "right"))
+    below, above = _padded(x0, h)
+    return (np.searchsorted(xs, below, "left"),
+            np.searchsorted(xs, above, "right"))
 
 
 def _runs(start: np.ndarray, size: np.ndarray) -> np.ndarray:
@@ -511,8 +518,10 @@ class DriftFit:
         x[new] = xn
         y[new] = yn
 
-        # [a, b) holds every pair a new level weighs
-        (a, _), (_, b) = _reach(x, xn[[0, -1]], h)
+        # [a, b) holds every pair a new level weighs: _reach's range from
+        # the lowest new level to the highest, as two scalar searches
+        a = int(x.searchsorted(_padded(xn[0], h)[0], "left"))
+        b = int(x.searchsorted(_padded(xn[-1], h)[1], "right"))
         xw, yw = x[a:b], y[a:b]
         k, width = xn.size, b - a
         # kern[i] holds w, w u and w u^2 for new pair i at each pair j of

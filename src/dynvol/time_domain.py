@@ -8,10 +8,13 @@ identical summation so the reduction is exact.
 
 Both window estimators, like autocorr_sq, take one origin or a 1-d int array
 of origins, and the array form gives each origin the bits of the int form:
-a whole series of forecasts is one call. Their order of addition is fixed
-by numpy's elementwise ops, not by a BLAS kernel. es_variance likewise
-takes one estimate or an array of them, with one row of autocorrelations
-per origin.
+a whole series of forecasts is one call. The window estimators also take a
+2-d array of series, one per row, and give one row of values per series:
+the replications of a study run in lockstep, and each row has the bits of
+the call on that series alone. Their order of addition is fixed by numpy's
+elementwise ops on views of the squared series, not by a BLAS kernel or
+the number of rows. es_variance likewise takes one estimate or an array of
+them, with one row of autocorrelations per origin.
 """
 
 from __future__ import annotations
@@ -61,36 +64,45 @@ class TimeVarianceEstimate:
             raise ValueError("estimates must be nonnegative")
 
 
-def _window_rows(y, t, n: int) -> np.ndarray:
-    """Squared returns of the n-window before each origin: row j is
-    y[t_j-n:t_j]**2, one row for an int t. A contiguous copy, so a row
-    reduces exactly as the 1-d window would."""
+def _squares(y, t, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(z2, j): the squared returns that the n-windows before the origins t
+    read, y[..., min(t)-n:max(t)]**2, and the index into the windows of z2
+    of each origin, t - min(t), as a 1-d array. y is one series or a 2-d
+    array of them, one per row."""
     arr = np.asarray(y, dtype=float)
+    if arr.ndim not in (1, 2):
+        raise ValueError("y must be a series or a 2-d array of series")
     if n < 1:
         raise ValueError("n must be >= 1")
     o = np.atleast_1d(t)
     if o.ndim != 1 or o.size == 0 or o.dtype.kind not in "iu":
         raise ValueError("t must be an int or a non-empty 1-d int array")
     o = o.astype(np.intp)
-    bad = o[(o < n) | (o > arr.size)]
+    bad = o[(o < n) | (o > arr.shape[-1])]
     if bad.size:
         raise InsufficientHistoryError(
             f"window [{bad[0] - n}, {bad[0]}) out of range")
-    z2 = arr[:o.max()] ** 2
-    return np.lib.stride_tricks.sliding_window_view(z2, n)[o - n]
+    return arr[..., o.min() - n:o.max()] ** 2, o - o.min()
 
 
 def _per_origin(t, vals: np.ndarray):
-    """vals as a float for an int origin, else the array itself."""
-    return float(vals[0]) if np.ndim(t) == 0 else vals
+    """vals, one entry per origin along the last axis, shaped as t: a float
+    for one series and an int origin, one entry per series for several."""
+    vals = vals.reshape(vals.shape[:-1] + np.shape(t))
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def moving_average(y, t, n: int):
     """Mean of the n squared returns before origin t: uses y[t-n:t].
 
     t is an int, or a 1-d int array of origins for one value per origin;
-    both run the same summation (numpy's pairwise sum of each window)."""
-    return _per_origin(t, np.add.reduce(_window_rows(y, t, n), axis=1) / n)
+    y is one series, or a 2-d array with one series per row for one row of
+    values per series. Every form runs the same summation, numpy's pairwise
+    sum of each window, on a view of the squared series: no window is
+    copied."""
+    z2, j = _squares(y, t, n)
+    windows = np.lib.stride_tricks.sliding_window_view(z2, n, axis=-1)
+    return _per_origin(t, np.add.reduce(windows, axis=-1)[..., j] / n)
 
 
 def es_weights(lam: float, n: int) -> np.ndarray:
@@ -119,16 +131,23 @@ def exp_smooth(y, t, cfg: EsConfig):
     Weight on y[t-i]^2 is lam^(i-1)(1-lam)/(1-lam^n) for i = 1..n. The value
     is the sum over k of w[k] * y[t-n+k]^2, w = _es_weights_rev(lam, n),
     added one term at a time in window order (oldest first), so it does not
-    depend on a BLAS kernel's order of addition. t is an int, or a 1-d int
-    array of origins for one value per origin; both run the same sum. At
-    lam = 1 this dispatches to moving_average so the limit is exact.
+    depend on a BLAS kernel's order of addition. t and y take the forms
+    moving_average takes, and every form runs the same sum: n multiply-adds
+    of the squared series shifted by one step each, over the origins from
+    min(t) to max(t). At lam = 1 this dispatches to moving_average so the
+    limit is exact.
     """
     if cfg.lam == 1.0:
         return moving_average(y, t, cfg.n)
-    terms = _window_rows(y, t, cfg.n)
-    terms *= _es_weights_rev(cfg.lam, cfg.n)
-    np.add.accumulate(terms, axis=1, out=terms)
-    return _per_origin(t, terms[:, -1].copy())
+    n = cfg.n
+    z2, j = _squares(y, t, n)
+    w = _es_weights_rev(cfg.lam, n)
+    width = z2.shape[-1] - n + 1
+    acc = z2[..., :width] * w[0]
+    term = np.empty_like(acc)
+    for k in range(1, n):
+        acc += np.multiply(z2[..., k:k + width], w[k], out=term)
+    return _per_origin(t, acc[..., j])
 
 
 def autocorr_sq(y, upto_t, max_lag: int = 30) -> np.ndarray:

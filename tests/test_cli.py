@@ -287,6 +287,15 @@ def test_backtest_cli_names_infinite_row(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_backtest_cli_names_the_row_that_is_not_utf8(tmp_path, capsys):
+    p = tmp_path / "levels.csv"
+    p.write_bytes(b"date,value\n2010-01-04,5.0\n2010-01-05,5.1\xe9\n")
+    rc = main(["backtest", "--data", str(p), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: row 3 is not UTF-8: byte 0xe9\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_rejects_unknown_keys_by_name(tmp_path, capsys):
     f = tmp_path / "typo.cfg"
     f.write_text("lamda = 0.5\nparam_kappa = 99\n")

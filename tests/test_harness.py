@@ -1,6 +1,7 @@
 """Rolling forecaster, simulation studies, ingestion, backtests."""
 
 import csv
+import itertools
 import math
 import os
 from contextlib import nullcontext
@@ -699,8 +700,8 @@ def patch_rolling(monkeypatch, cfg, edit):
     series = [s.levels for s in simulate_series(cfg, range(cfg.n_reps))]
     real = harness._rolling
 
-    def rolling(levels, *args):
-        tracks, counters = real(levels, *args)
+    def rolling(levels, *args, **kwargs):
+        tracks, counters = real(levels, *args, **kwargs)
         [rep] = [r for r, s in enumerate(series) if np.array_equal(s, levels)]
         edit(rep, tracks)
         return tracks, counters
@@ -760,16 +761,34 @@ def test_failed_sv_replication_is_charged_alone(monkeypatch):
 def test_sv_study_bytes_do_not_depend_on_the_group_size(monkeypatch, tmp_path,
                                                         group):
     # 7 reps: seven groups of one, two full groups of 3 and a partial one,
-    # or one partial group of 64
-    cfg = study_preset("sv", series_len=120, in_sample_len=100, n_reps=7,
-                       seed=5, estimators=("Hist", "RiskM"),
-                       model_params=SvParams(3.0, 0.009, 4.0, substeps=3))
-    write_study_outputs(run_simulation_study(cfg), tmp_path / "ref")
-    monkeypatch.setattr(harness, "SV_GROUP", group)
-    write_study_outputs(run_simulation_study(cfg), tmp_path / "got")
-    for name in ("report.csv", "per_rep.csv", "fig2_curve.csv"):
-        assert ((tmp_path / "got" / name).read_bytes()
-                == (tmp_path / "ref" / name).read_bytes())
+    # or one partial group of 64, whose time-domain tracks are computed
+    # harness.TIME_ROWS at a time. The full roster, with rep 1 failing or
+    # not, on the default grid and on a tied one where every SemiProxy
+    # origin falls back: a failed replication's fallbacks are not counted
+    m = 20
+    for grid, failing in itertools.product(
+            (DEFAULT_SEMI_GRID, (0.94, 0.94)), (None, 1)):
+        cfg = study_preset("sv", series_len=100 + m, in_sample_len=100,
+                           n_reps=7, seed=5, semi_grid=grid,
+                           model_params=SvParams(3.0, 0.009, 4.0, substeps=3))
+        out = tmp_path / f"{len(grid)}-{failing}"
+        with monkeypatch.context() as mp:
+            if failing is not None:
+                patch_rolling(mp, cfg, boom_at(failing))
+            ref = run_simulation_study(cfg)
+            mp.setattr(harness, "SV_GROUP", group)
+            got = run_simulation_study(cfg)
+        write_study_outputs(ref, out / "ref")
+        write_study_outputs(got, out / "got")
+        for name in ("report.csv", "per_rep.csv", "fig2_curve.csv"):
+            assert ((out / "got" / name).read_bytes()
+                    == (out / "ref" / name).read_bytes())
+        for key in ("semi_fallback", "failed_reasons"):
+            assert got.diagnostics[key] == ref.diagnostics[key]
+        assert got.failed_reps == ((failing,) if failing else ())
+        if grid == (0.94, 0.94):
+            assert got.diagnostics["semi_fallback"] == m * (
+                cfg.n_reps - len(got.failed_reps))
 
 
 def test_per_rep_rows_carry_the_replication_id(monkeypatch, tmp_path):
@@ -806,9 +825,10 @@ def test_nan_step_exclusion_is_shared(monkeypatch):
     real = moving_average
 
     def patched(y, t, n):
-        # the loop asks for every origin at once; NaN at bad_origin only
+        # the study asks for every origin of a group of series at once, one
+        # row per series; NaN at bad_origin only
         out = real(y, t, n)
-        out[np.asarray(t) == bad_origin] = np.nan
+        out[..., np.asarray(t) == bad_origin] = np.nan
         return out
 
     monkeypatch.setattr(hz, "moving_average", patched)
@@ -884,6 +904,21 @@ def test_ingest_reads_a_header_after_a_utf8_bom(tmp_path):
     got, want = ingest_csv(bom), ingest_csv(plain)
     assert got.values.tolist() == want.values.tolist() == [1.0, 1.1, 1.2]
     assert got.dates == want.dates
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+@pytest.mark.parametrize("eol", [b"\n", b"\r\n", b"\r"],
+                         ids=["lf", "crlf", "cr"])
+def test_ingest_names_the_row_of_a_byte_that_is_not_utf8(tmp_path, bom, eol):
+    # a Latin-1 export: the third line ends in 0xe9; the error is an
+    # IngestionError naming that row, as for any other bad row
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(bom + eol.join([b"date,value", b"2020-01-03,1.0",
+                                  b"2020-01-10,1.1 caf\xe9",
+                                  b"2020-01-17,1.2", b""]))
+    with pytest.raises(IngestionError,
+                       match=r"^row 3 is not UTF-8: byte 0xe9$"):
+        ingest_csv(p)
 
 
 def test_ingest_rejects_bad_rows_with_numbers(tmp_path):
