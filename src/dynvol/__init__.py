@@ -5,9 +5,9 @@ estimated sampling variances."""
 from .errors import (DegenerateCaseWarning, DegenerateSeriesError, DynvolError,
                      IngestionError, InsufficientHistoryError, NoCoverageError,
                      SingularDesignError, TooFewPointsError)
-from .harness import (StudyConfig, ingest_csv, run_backtest,
-                      run_simulation_study, study_preset,
-                      write_backtest_outputs, write_study_outputs)
+from .harness import (StudyConfig, run_backtest, run_simulation_study,
+                      study_preset, write_backtest_outputs, write_study_outputs)
+from .ingest import ingest_csv
 from .integration import combine_estimates
 from .sde import GbmParams, RngStream, simulate_gbm
 from .state_domain import select_bandwidth, xi_weights

@@ -21,9 +21,10 @@ from dataclasses import replace
 from operator import attrgetter
 
 from .errors import DynvolError
-from .harness import (_PRESETS, FREQUENCY_DELTA, StudyConfig, ingest_csv,
-                      run_backtest, run_simulation_study, study_preset,
+from .harness import (_PRESETS, StudyConfig, run_backtest,
+                      run_simulation_study, study_preset,
                       write_backtest_outputs, write_study_outputs)
+from .ingest import FREQUENCY_DELTA, RETURN_MODES, ingest_csv
 
 FULL_SCALE_REPS = 600
 
@@ -64,7 +65,7 @@ def _values(cfg: StudyConfig) -> dict:
     """Every config key's value in cfg; `param_<name>` keys hold the
     model's parameters."""
     out = {k.key: attrgetter(k.attr)(cfg) for k in _SETTINGS}
-    out.update((_PARAM + name, v) for name, v in vars(cfg.params()).items())
+    out.update((_PARAM + name, v) for name, v in vars(cfg.model_params).items())
     return out
 
 
@@ -124,10 +125,9 @@ def _apply_overrides(cfg: StudyConfig, opts: dict) -> StudyConfig:
             if k != _MODEL.key}
     if _WINDOW.key in vals:
         vals.setdefault(_HIST_WINDOW.key, vals[_WINDOW.key])
-    params = replace(cfg.params(), **{k[len(_PARAM):]: vals.pop(k)
-                                      for k in list(vals)
-                                      if k.startswith(_PARAM)})
-    fields = {"model_params": params} if params != cfg.params() else {}
+    fields = {"model_params": replace(
+        cfg.model_params, **{k[len(_PARAM):]: vals.pop(k) for k in list(vals)
+                             if k.startswith(_PARAM)})}
     for key, value in vals.items():
         owner, _, name = _ATTRS[key].partition(".")
         if name:
@@ -177,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bt.add_argument("--in-sample-end", dest="in_sample_end", default=None,
                     help="row count or ISO date for the split")
     bt.add_argument("--return-mode", dest="return_mode", default="log",
-                    choices=["log", "diff"])
+                    choices=RETURN_MODES)
     bt.add_argument("--forward-fill", action="store_true")
 
     for run in (sim, bt):
@@ -217,11 +217,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "backtest":
             cfg = _resolve(study_preset("cir"), args)
             _reject_unread(cfg)
-            split = args.in_sample_end
-            if split is not None and split.isdigit():
-                split = int(split)
             data = ingest_csv(args.data, frequency=args.frequency,
-                              in_sample_end=split,
+                              in_sample_end=args.in_sample_end,
                               return_mode=args.return_mode,
                               forward_fill=args.forward_fill)
             result = run_backtest(data, cfg)
@@ -234,7 +231,6 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         log.removeHandler(handler)
         log.setLevel(level)
-    return 2
 
 
 if __name__ == "__main__":

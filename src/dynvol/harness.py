@@ -34,10 +34,7 @@ estimator is the reference for relative losses unless Integ is present.
 
 from __future__ import annotations
 
-import codecs
 import csv
-import datetime as _dt
-import io
 import logging
 import math
 import os
@@ -48,11 +45,12 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (DegenerateSeriesError, DynvolError, IngestionError,
+from .errors import (DegenerateSeriesError, DynvolError,
                      InsufficientHistoryError)
 from .evaluation import (MeasureReport, build_report, empirical_quantile,
                          exceedance_ratio, imade, made, pe, rade,
                          report_to_csv, report_to_text)
+from .ingest import BacktestDataset
 from .integration import MATCHED_SHAPE, bayes_es, combine_estimates
 from .sde import (CirParams, GbmParams, ReturnSeries, RngStream, SvParams,
                   levels_from_returns, simulate_cir, simulate_gbm, simulate_sv,
@@ -90,7 +88,8 @@ SEMI_FALLBACK_LAM = 0.94
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Everything needed to reproduce a simulation study run."""
+    """Everything needed to reproduce a simulation study run; model_params
+    left None takes the model's preset parameters."""
 
     model: str = "CIR"
     model_params: CirParams | SvParams | GbmParams | None = None
@@ -112,10 +111,12 @@ class StudyConfig:
     def __post_init__(self):
         if self.model not in _PRESETS:
             raise ValueError(f"unknown model {self.model!r}")
-        kind = type(_PRESETS[self.model]["model_params"])
-        if not isinstance(self.model_params, (kind, type(None))):
-            raise ValueError(f"model_params must be {kind.__name__}, not "
-                             f"{type(self.model_params).__name__}")
+        preset = _PRESETS[self.model]["model_params"]
+        if self.model_params is None:
+            object.__setattr__(self, "model_params", preset)
+        if not isinstance(self.model_params, type(preset)):
+            raise ValueError(f"model_params must be {type(preset).__name__}, "
+                             f"not {type(self.model_params).__name__}")
         if self.in_sample_len >= self.series_len:
             raise ValueError("in_sample_len must be < series_len")
         if self.in_sample_len < 2:
@@ -151,12 +152,6 @@ class StudyConfig:
             raise ValueError("max_lag must be >= 1")
         if self.er_window < 50:
             raise ValueError("er_window must be >= 50")
-
-    def params(self) -> CirParams | SvParams | GbmParams:
-        """model_params, or the model's default parameters when None."""
-        if self.model_params is not None:
-            return self.model_params
-        return _PRESETS[self.model]["model_params"]
 
 
 # Each preset's model parameters and the fields that differ from the
@@ -203,7 +198,7 @@ def simulate_series(cfg: StudyConfig, reps: Sequence[int]
     stream r. SV replications run in lockstep; a replication has the same
     bits in any group. The simulators raise only ValueError, which stops a
     study."""
-    p = cfg.params()
+    p = cfg.model_params
     rngs = [RngStream(cfg.seed, rep) for rep in reps]
     if cfg.model == "SV":
         return [SimulatedSeries(levels_from_returns(rs), rs, vbar)
@@ -254,9 +249,6 @@ class _SemiSelector:
         y, row by row to per_row when it is given."""
         n, o = self.n, np.atleast_1d(t)
         lo = o.min() - n
-        if lo < n:
-            raise InsufficientHistoryError(
-                f"need {2 * n} observations before origin {lo + n}")
         shape = self.y.shape[:-1] + o.shape
         out = np.empty(shape)
         lowest, highest = np.full(shape, np.inf), np.full(shape, -np.inf)
@@ -372,7 +364,7 @@ def _eval_state(fit: _StateFit, x0: np.ndarray, counters):
 def _new_counters() -> dict:
     return {"state_nocov": 0, "state_singular": 0, "state_floor": 0,
             "drift_fallback": 0, "semi_fallback": 0, "c_clamped": 0,
-            "nonbay_es_only": 0, "integ_time_only": 0, "nan_steps": 0}
+            "integ_time_only": 0, "nan_steps": 0}
 
 
 def _check_history(cfg: StudyConfig, first: int) -> None:
@@ -429,7 +421,6 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
             fit, levels[origins[block]], counters=counters)
     covered = ~np.isnan(sig2)
     if "NonBay" in ests:
-        counters["nonbay_es_only"] += int(n_steps - covered.sum())
         tracks["NonBay"] = es_track.copy()
         tracks["NonBay"][covered] = bayes_es(es_track[covered], sig2[covered],
                                              cfg.es.lam, cfg.es.n,
@@ -598,142 +589,6 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
 # ---------------------------------------------------------------------------
 # real-data backtest
 
-FREQUENCY_DELTA = {"daily": 1.0 / 252.0, "weekly": 1.0 / 52.0,
-                   "monthly": 1.0 / 12.0}
-
-
-@dataclass(frozen=True)
-class BacktestDataset:
-    """Ingested level series with a declared in-sample split."""
-
-    name: str
-    values: np.ndarray
-    dates: tuple[str, ...] | None
-    delta: float
-    in_sample_end: int
-    frequency: str = "weekly"
-    return_mode: str = "log"
-    filled_rows: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values.ndim != 1:
-            raise ValueError("values must be a 1-d array of levels")
-        bad = np.flatnonzero(~np.isfinite(self.values))
-        if bad.size:
-            raise ValueError(f"values must be finite; values[{bad[0]}] is "
-                             f"{self.values[bad[0]]}")
-        if self.return_mode not in ("log", "diff"):
-            raise ValueError("return_mode must be 'log' or 'diff'")
-        if not 2 <= self.in_sample_end < self.values.size:
-            raise ValueError("in_sample_end must split the series")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
-
-
-def ingest_csv(path, name: str | None = None, frequency: str = "weekly",
-               in_sample_end: int | str | None = None,
-               return_mode: str = "log", forward_fill: bool = False,
-               delta: float | None = None) -> BacktestDataset:
-    """Read a UTF-8 `date,value` CSV (ISO dates, strictly increasing); a
-    leading byte order mark, as spreadsheets write, is skipped.
-
-    Empty or unparsable values are rejected with their row numbers unless
-    forward_fill is set, in which case they take the previous value and the
-    rows are recorded on the dataset. Infinite values are always rejected
-    with their row numbers. in_sample_end may be a row count or an ISO date
-    (split after that date). A byte that is not UTF-8 is rejected with its
-    row number.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read().removeprefix(codecs.BOM_UTF8)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # lines end in \n, \r\n or \r, as the csv reader splits them
-        head = raw[:exc.start]
-        row = (head.count(b"\n") + head.count(b"\r")
-               - head.count(b"\r\n") + 1)
-        raise IngestionError(f"row {row} is not UTF-8: byte "
-                             f"0x{raw[exc.start]:02x}") from None
-    rowiter = list(csv.reader(io.StringIO(text, newline="")))
-    if not rowiter or [c.strip().lower() for c in rowiter[0][:2]] != ["date", "value"]:
-        raise IngestionError("expected header 'date,value'")
-    dates: list[_dt.date] = []
-    values: list[float] = []
-    bad_rows: list[int] = []
-    filled: list[int] = []
-    order_bad: list[int] = []
-    infinite: list[int] = []
-    for num, row in enumerate(rowiter[1:], start=2):
-        if len(row) < 2:
-            bad_rows.append(num)
-            continue
-        try:
-            d = _dt.date.fromisoformat(row[0].strip())
-        except ValueError:
-            bad_rows.append(num)
-            continue
-        raw = row[1].strip()
-        if raw == "":
-            v = math.nan
-        else:
-            try:
-                v = float(raw)
-            except ValueError:
-                v = math.nan
-        if math.isinf(v):
-            infinite.append(num)
-        elif math.isnan(v):
-            if forward_fill and values:
-                v = values[-1]
-                filled.append(num)
-            else:
-                bad_rows.append(num)
-                continue
-        if dates and d <= dates[-1]:
-            order_bad.append(num)
-        dates.append(d)
-        values.append(v)
-    if bad_rows:
-        raise IngestionError(f"invalid rows: {_row_list(bad_rows)}")
-    if infinite:
-        raise IngestionError(f"non-finite values at rows: {_row_list(infinite)}")
-    if order_bad:
-        raise IngestionError("dates not strictly increasing at rows: "
-                             f"{_row_list(order_bad)}")
-    if len(values) < 3:
-        raise IngestionError("need at least 3 observations")
-    if in_sample_end is None:
-        split = int(round(len(values) * 2 / 3))
-    elif isinstance(in_sample_end, str):
-        cutoff = _dt.date.fromisoformat(in_sample_end)
-        split = sum(1 for d in dates if d <= cutoff)
-        if split < 2:
-            raise IngestionError(f"in-sample split {in_sample_end} too early")
-    else:
-        split = int(in_sample_end)
-    if delta is None:
-        if frequency not in FREQUENCY_DELTA:
-            raise IngestionError(f"unknown frequency {frequency!r}; "
-                                 "pass delta explicitly")
-        delta = FREQUENCY_DELTA[frequency]
-    return BacktestDataset(
-        name=name or os.path.splitext(os.path.basename(str(path)))[0],
-        values=np.asarray(values), dates=tuple(d.isoformat() for d in dates),
-        delta=delta, in_sample_end=split, frequency=frequency,
-        return_mode=return_mode, filled_rows=tuple(filled))
-
-
-def _row_list(rows: list[int]) -> str:
-    """Row numbers for an error message; past ten, the first ten and the
-    total count."""
-    if len(rows) <= 10:
-        return str(rows)
-    head = ", ".join(str(r) for r in rows[:10])
-    return f"[{head}, ...] ({len(rows)} rows)"
-
-
 @dataclass
 class BacktestResult:
     cfg: StudyConfig
@@ -747,21 +602,14 @@ class BacktestResult:
 def run_backtest(data: BacktestDataset, cfg: StudyConfig) -> BacktestResult:
     """Out-of-sample backtest on ingested levels.
 
-    Returns are log or scaled plain differences of the levels per the
-    dataset's return_mode, and the state variable is the series those
-    differences are taken from. The exceedance quantile is the empirical
+    Returns are the scaled differences of the dataset's levels, which are
+    also the state variable. The exceedance quantile is the empirical
     lower alpha-quantile of each estimator's own standardized in-sample
     residuals over the trailing er_window steps before the split. The true
     variance is unknown, so no imade is computed. The result's cfg is cfg
     as given, so its `config --dump` replays the run.
     """
-    if data.return_mode == "log":
-        if np.any(data.values <= 0):
-            raise IngestionError("log returns need strictly positive levels")
-        levels = np.log(data.values)
-    else:
-        levels = data.values.copy()
-    y = np.diff(levels) / math.sqrt(data.delta)
+    y = np.diff(data.levels) / math.sqrt(data.delta)
     in_len = data.in_sample_end
     qwin = cfg.er_window
     first_warm = in_len - 1 - qwin
@@ -769,7 +617,7 @@ def run_backtest(data: BacktestDataset, cfg: StudyConfig) -> BacktestResult:
         raise InsufficientHistoryError(
             f"need {qwin} in-sample residual steps before the split")
     m = y.size - (in_len - 1)
-    tracks, counters = _rolling(levels, y, cfg, first_warm, qwin + m)
+    tracks, counters = _rolling(data.levels, y, cfg, first_warm, qwin + m)
     ests = cfg.estimators
 
     quantiles = {}

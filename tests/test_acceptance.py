@@ -26,7 +26,7 @@ from dynvol.time_domain import (EsConfig, es_variance, es_weights, exp_smooth,
                                 moving_average)
 from oracles import bayes_ma, kernel_density, s1_squared, s2_squared
 
-DEFAULT_CIR = study_preset("cir").params()
+DEFAULT_CIR = study_preset("cir").model_params
 
 
 def _intercept(x, resp, x0, h):

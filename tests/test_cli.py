@@ -14,8 +14,8 @@ from dynvol.cli import (_BACKTEST_READS, _MODEL, _SETTINGS, _apply_overrides,
                         _build_parser, _dump_config, _read_config_file,
                         _reject_unread, _resolve, _values, main)
 from dynvol.errors import DynvolError
-from dynvol.harness import (ingest_csv, run_backtest, study_preset,
-                            write_backtest_outputs)
+from dynvol.harness import run_backtest, study_preset, write_backtest_outputs
+from dynvol.ingest import ingest_csv
 from dynvol.sde import RngStream, simulate_gbm
 
 # a value for every config key but model that differs from the CIR preset
@@ -180,7 +180,7 @@ def test_cli_determinism(tmp_path):
 
 @pytest.fixture(scope="module")
 def levels_csv(tmp_path_factory):
-    path = simulate_gbm(study_preset("gbm").params(), 1.0 / 52.0, 340,
+    path = simulate_gbm(study_preset("gbm").model_params, 1.0 / 52.0, 340,
                         RngStream(7, 1))
     d0 = dt.date(2016, 1, 8)
     rows = ["date,value"]
@@ -244,6 +244,19 @@ def test_backtest_missing_file_is_clean_error(tmp_path, capsys):
                "--out", str(tmp_path / "r")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("split", ["foo", "99999", "2016-13-01"])
+def test_backtest_names_a_bad_split_flag(tmp_path, levels_csv, capsys, split):
+    # the flag's text goes to ingest_csv as given; the one error line names
+    # the key and the value
+    rc = main(["backtest", "--data", str(levels_csv), "--in-sample-end",
+               split, "--out", str(tmp_path / "res")])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: in_sample_end")
+    assert split in err[0]
+    assert not (tmp_path / "res").exists()
 
 
 def test_backtest_date_split(tmp_path, levels_csv):
@@ -322,10 +335,10 @@ def test_config_model_key_must_match_the_preset(tmp_path, capsys):
 def test_config_param_keys_take_effect(tmp_path):
     base = study_preset("cir")
     cfg = _apply_overrides(base, {"param_kappa": "0.5", "param_sigma":
-                                  repr(base.params().sigma)})
-    assert cfg.params() == replace(base.params(), kappa=0.5)
+                                  repr(base.model_params.sigma)})
+    assert cfg.model_params == replace(base.model_params, kappa=0.5)
     sv = _apply_overrides(study_preset("sv"), {"param_substeps": "10"})
-    assert sv.params().substeps == 10
+    assert sv.model_params.substeps == 10
     f = tmp_path / "k.cfg"
     f.write_text("param_kappa = 0.5\n")
     a, b = tmp_path / "a", tmp_path / "b"

@@ -1,6 +1,7 @@
 """Rolling forecaster, simulation studies, ingestion, backtests."""
 
 import csv
+import datetime as dt
 import itertools
 import math
 import os
@@ -20,11 +21,11 @@ from dynvol import harness
 from dynvol.harness import (DEFAULT_SEMI_GRID, ESTIMATORS, MIN_STATE_PAIRS,
                             SEMI_FALLBACK_LAM, BacktestDataset, StudyConfig,
                             _eval_state, _fit_state, _new_counters, _rolling,
-                            _SemiSelector, _StateFit,
-                            ingest_csv, run_backtest,
+                            _SemiSelector, _StateFit, run_backtest,
                             run_simulation_study, simulate_series,
                             study_preset, write_backtest_outputs,
                             write_study_outputs)
+from dynvol.ingest import ingest_csv
 from dynvol.integration import (MATCHED_SHAPE, bayes_es, combine_estimates,
                                 dynamic_weight)
 from dynvol.sde import RngStream, SvParams, simulate_gbm
@@ -137,25 +138,36 @@ def test_config_rejects_values_that_would_fail_late(field, value):
 
 def test_config_rejects_parameters_of_another_model():
     # a run would fail late, with an AttributeError no replication catches
-    cir, sv = study_preset("cir").params(), study_preset("sv").params()
+    cir, sv = study_preset("cir").model_params, study_preset("sv").model_params
     with pytest.raises(ValueError, match="SvParams"):
         StudyConfig(model="SV", model_params=cir)
     with pytest.raises(ValueError, match="CirParams"):
         study_preset("cir", model_params=sv)
-    assert StudyConfig(model="SV", model_params=sv).params() is sv
+    assert StudyConfig(model="SV", model_params=sv).model_params is sv
+
+
+def test_a_config_has_one_form():
+    # model_params left None is the preset's, so the two spellings of the
+    # default study are one config, and overriding a parameter with its own
+    # value changes nothing
+    cir = study_preset("cir")
+    assert StudyConfig() == cir
+    assert StudyConfig().model_params is cir.model_params
+    same = replace(cir, model_params=replace(cir.model_params))
+    assert same == cir and hash(same) == hash(cir)
 
 
 def test_simulate_series_truth_definitions():
     cfg = study_preset("cir", series_len=200, in_sample_len=150)
     [sim] = simulate_series(cfg, [0])
-    p = cfg.params()
+    p = cfg.model_params
     assert np.allclose(sim.true_var, p.sigma**2 * sim.levels[:-1], rtol=1e-14)
     assert np.allclose(np.diff(sim.levels) / math.sqrt(cfg.delta),
                        sim.returns.y, atol=1e-12)
 
     gcfg = study_preset("gbm", series_len=200, in_sample_len=150)
     [gsim] = simulate_series(gcfg, [0])
-    gp = gcfg.params()
+    gp = gcfg.model_params
     assert np.allclose(gsim.true_var, gp.sigma**2 * gsim.levels[:-1] ** 2,
                        rtol=1e-14)
 
@@ -223,6 +235,21 @@ def test_semi_proxy_needs_two_windows():
     with pytest.raises(InsufficientHistoryError):
         sel.value(103, _new_counters())
     assert sel.value(104, _new_counters()) == pytest.approx(1.0, rel=1e-14)
+
+
+def test_semi_selector_takes_the_first_of_tied_decays(monkeypatch):
+    # the squared returns are 1 and each decay forecasts a constant: 0.90
+    # misses by -0.5 and 0.92 by +0.5, so their summed squared errors are
+    # equal to the last bit while their forecasts differ; 0.94 misses by 2,
+    # so not every candidate ties and there is no fallback
+    forecast = {0.90: 1.5, 0.92: 0.5, 0.94: 3.0}
+    monkeypatch.setattr(harness, "exp_smooth", lambda y, t, cfg: np.full(
+        np.shape(y)[:-1] + np.shape(t), forecast[cfg.lam]))
+    sel = _SemiSelector(np.ones(40), 5, (0.90, 0.92, 0.94))
+    counters = _new_counters()
+    assert sel.value(20, counters) == 1.5
+    assert sel.value(np.arange(10, 40), counters).tolist() == [1.5] * 30
+    assert counters["semi_fallback"] == 0
 
 
 @pytest.mark.parametrize("grid", [DEFAULT_SEMI_GRID, (0.90, 0.96)],
@@ -393,7 +420,6 @@ def _walk_matches_rolling(every: int) -> None:
                 sig2 = fit.eps_var
             var_state = 2.0 * sig2**2 * float(xi @ xi)
         if sig2 is None:
-            direct["nonbay_es_only"] += 1
             assert tracks["NonBay"][step] == es_val
         else:
             want = bayes_es(es_val, sig2, cfg.es.lam, cfg.es.n,
@@ -421,7 +447,7 @@ def _walk_matches_rolling(every: int) -> None:
                  + TRACK_RTOL * blend)
         assert abs(tracks["Integ"][step] - blend) <= bound
     assert counters == direct
-    assert counters["nonbay_es_only"] < m
+    assert counters["state_nocov"] < m
 
 
 def _hand_fit(x, resp, h):
@@ -600,7 +626,7 @@ def test_out_of_range_state_falls_back_to_smoother():
     cfg = StudyConfig(series_len=300, in_sample_len=262,
                       estimators=("RiskM", "NonBay", "Integ"))
     tracks, counters = _rolling(levels, y, cfg, 261, n_steps)
-    assert counters["nonbay_es_only"] == n_steps
+    assert counters["state_nocov"] == n_steps
     assert counters["integ_time_only"] == n_steps
     assert np.array_equal(tracks["NonBay"], tracks["RiskM"])
     assert np.array_equal(tracks["Integ"], tracks["RiskM"])
@@ -1019,6 +1045,72 @@ def test_dataset_validation():
         BacktestDataset("x", np.ones((2, 3)), None, 1 / 52, 1)
 
 
+def _weekly_csv(tmp_path, n, name="weekly.csv"):
+    d0 = dt.date(2020, 1, 3)
+    return _write_csv(tmp_path, [
+        f"{(d0 + dt.timedelta(days=7 * i)).isoformat()},{1.0 + 0.01 * i!r}"
+        for i in range(n)], name=name)
+
+
+def test_ingest_reads_a_row_count_as_int_or_digits(tmp_path):
+    p = _weekly_csv(tmp_path, 400)
+    a, b = ingest_csv(p, in_sample_end=300), ingest_csv(p, in_sample_end="300")
+    assert a.in_sample_end == b.in_sample_end == 300
+    assert a.dates == b.dates
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.levels.tobytes() == b.levels.tobytes()
+
+
+def test_ingest_splits_after_an_iso_date(tmp_path):
+    # 2020-01-20 falls between the rows of 2020-01-17 and 2020-01-24
+    d = ingest_csv(_weekly_csv(tmp_path, 10), in_sample_end="2020-01-20")
+    assert d.in_sample_end == 3
+    assert d.dates[2] == "2020-01-17" and d.dates[3] == "2020-01-24"
+
+
+@pytest.mark.parametrize("split, detail", [
+    ("foo", "is neither a row count nor an ISO date"),
+    ("-5", "is neither a row count nor an ISO date"),
+    ("300.5", "is neither a row count nor an ISO date"),
+    ("2020-13-01", "is neither a row count nor an ISO date"),
+    ("400", "leaves 400 of 400 rows in sample; it must leave 2 to 399"),
+    (99999, "leaves 99999 of 400 rows in sample; it must leave 2 to 399"),
+    (-5, "leaves -5 of 400 rows in sample; it must leave 2 to 399"),
+    ("1", "leaves 1 of 400 rows in sample; it must leave 2 to 399"),
+    ("2020-01-05", "leaves 1 of 400 rows in sample; it must leave 2 to 399"),
+    ("2030-01-01", "leaves 400 of 400 rows in sample; it must leave 2 to 399"),
+], ids=["word", "minus", "decimal", "bad-date", "count-at-end", "count-past-end",
+        "negative-count", "count-1", "early-date", "late-date"])
+def test_ingest_rejects_a_split_naming_in_sample_end(tmp_path, split, detail):
+    with pytest.raises(IngestionError) as info:
+        ingest_csv(_weekly_csv(tmp_path, 400), in_sample_end=split)
+    shown = repr(split) if "neither" in detail else split
+    assert str(info.value) == f"in_sample_end {shown} {detail}"
+
+
+def test_dataset_rejects_a_zero_level_in_log_mode():
+    # at construction, before any backtest runs
+    values = np.array([1.0, 2.0, 0.0, 3.0, 4.0])
+    with pytest.raises(IngestionError, match="strictly positive"):
+        BacktestDataset("x", values, None, 1 / 52, 3)
+    d = BacktestDataset("x", values, None, 1 / 52, 3, return_mode="diff")
+    assert d.levels.tolist() == values.tolist()
+    assert d.levels is not d.values
+    ok = BacktestDataset("x", values + 1.0, None, 1 / 52, 3)
+    assert ok.levels.tobytes() == np.log(values + 1.0).tobytes()
+
+
+def test_ingest_reports_invalid_rows_before_other_row_errors(tmp_path):
+    # row 3 is invalid, row 4 infinite and row 5 out of order: only the
+    # first kind of error, invalid rows, is reported
+    p = _write_csv(tmp_path, ["2020-01-03,1.0", "2020-01-10,oops",
+                              "2020-01-17,inf", "2020-01-01,1.2",
+                              "2020-01-24,1.3"])
+    with pytest.raises(IngestionError) as info:
+        ingest_csv(p)
+    assert str(info.value) == "invalid rows: [3]"
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_dataset_rejects_levels_that_are_not_finite(bad):
     # built directly, not through ingest_csv; the run would otherwise fail
@@ -1035,7 +1127,7 @@ def test_dataset_rejects_levels_that_are_not_finite(bad):
 @pytest.fixture(scope="module")
 def gbm_csv(tmp_path_factory):
     import datetime as dt
-    path = simulate_gbm(study_preset("gbm").params(), 1.0 / 52.0, 360,
+    path = simulate_gbm(study_preset("gbm").model_params, 1.0 / 52.0, 360,
                                      RngStream(99, 0))
     d0 = dt.date(2015, 1, 2)
     rows = ["date,value"]
