@@ -150,35 +150,28 @@ def build_report(per_rep: dict[str, np.ndarray], estimators: tuple[str, ...],
         raise ValueError(f"reference {ref!r} not among estimators")
     ref_i = estimators.index(ref)
     n_reps = 0
-    report = MeasureReport(tuple(estimators), ref, 0, {},
-                           excluded_steps, failed_reps)
-    for est in estimators:
-        report.stats[est] = {}
+    stats = {est: {} for est in estimators}
     for meas, mat in per_rep.items():
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[1] != len(estimators):
             raise ValueError(f"matrix for {meas} must be reps x estimators")
         n_reps = mat.shape[0]
-        means = mat.mean(axis=0)
-        stds = mat.std(axis=0, ddof=1) if n_reps > 1 else np.zeros(len(estimators))
-        sc = score(mat) if meas in SCORED else None
-        rl = relative_loss(means, ref_i) if meas in SCORED else None
+        cols = {"mean": mat.mean(axis=0),
+                "std": (mat.std(axis=0, ddof=1) if n_reps > 1
+                        else np.zeros(len(estimators)))}
         if trim_upper > 0.0:
-            tmeans = np.array([trimmed_mean(mat[:, j], trim_upper)
-                               for j in range(len(estimators))])
-            trl = relative_loss(tmeans, ref_i) if meas in SCORED else None
-        for j, est in enumerate(estimators):
-            d = {"mean": float(means[j]), "std": float(stds[j])}
-            if sc is not None:
-                d["score"] = float(sc[j])
-                d["rel_loss"] = float(rl[j])
+            cols["trimmed_mean"] = np.array([trimmed_mean(col, trim_upper)
+                                             for col in mat.T])
+        if meas in SCORED:
+            cols["score"] = score(mat)
+            cols["rel_loss"] = relative_loss(cols["mean"], ref_i)
             if trim_upper > 0.0:
-                d["trimmed_mean"] = float(tmeans[j])
-                if meas in SCORED:
-                    d["trimmed_rel_loss"] = float(trl[j])
-            report.stats[est][meas] = d
-    report.n_reps = n_reps
-    return report
+                cols["trimmed_rel_loss"] = relative_loss(cols["trimmed_mean"],
+                                                         ref_i)
+        for j, est in enumerate(estimators):
+            stats[est][meas] = {k: float(v[j]) for k, v in cols.items()}
+    return MeasureReport(tuple(estimators), ref, n_reps, stats,
+                         excluded_steps, failed_reps)
 
 
 _STAT_ORDER = ("score", "mean", "std", "rel_loss", "trimmed_mean",

@@ -234,8 +234,8 @@ class _SemiSelector:
     Each candidate's forecasts over every scored window come from one
     exp_smooth call, the smoother RiskM reads, and each loss is
     np.add.reduce of its window of squared errors, so an origin's value
-    does not depend on the other origins or rows. A running minimum and
-    maximum over the candidates keeps the winner.
+    does not depend on the other origins or rows. The winner is the argmin
+    of the stacked losses, each non-finite one set to +inf so it never wins.
     """
 
     def __init__(self, y: np.ndarray, n: int, grid: tuple[float, ...]):
@@ -249,19 +249,15 @@ class _SemiSelector:
         y, row by row to per_row when it is given."""
         n, o = self.n, np.atleast_1d(t)
         lo = o.min() - n
-        shape = self.y.shape[:-1] + o.shape
-        out = np.empty(shape)
-        lowest, highest = np.full(shape, np.inf), np.full(shape, -np.inf)
-        for lam in self.grid:
-            pred, loss = self._scored(lam, lo, o - lo)
-            won = loss < lowest
-            out[won], lowest[won] = pred[won], loss[won]
-            higher = np.isfinite(loss) & (loss > highest)
-            highest[higher] = loss[higher]
-        # no finite loss, or every finite loss the same
-        fallback = lowest == np.inf
-        if len(self.grid) > 1:
-            fallback |= lowest == highest
+        pred, loss = map(np.stack, zip(*(self._scored(lam, lo, o - lo)
+                                         for lam in self.grid)))
+        finite = np.isfinite(loss)
+        loss[~finite] = np.inf
+        out = np.take_along_axis(pred, loss.argmin(axis=0)[None], axis=0)[0]
+        # several decays fall back when every finite loss is the same, and so
+        # when none is finite; a single decay when its loss is not finite
+        fallback = ((loss == loss.min(axis=0)).all(axis=0, where=finite)
+                    if len(self.grid) > 1 else ~finite[0])
         if fallback.any():
             counters["semi_fallback"] += int(fallback.sum())
             if per_row is not None:
@@ -379,8 +375,8 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
              ) -> tuple[dict, dict]:
     """Run all configured estimators over origins [first, first + n_steps).
     time holds the series' time-domain tracks over those origins when its
-    replication group computed them already; otherwise they are computed
-    here, as a group of one."""
+    study's replication group computed them already; a backtest passes
+    none, and they are computed here, as a group of one."""
     _check_history(cfg, first)
     if first + n_steps > y.size:
         raise InsufficientHistoryError("evaluation stretch exceeds data")
@@ -447,11 +443,10 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
 # ---------------------------------------------------------------------------
 # simulation study
 
-# most SV replications one simulate_series call runs in lockstep; a group
+# most replications one simulate_series call runs: SV in lockstep, which
 # pays off from 2, as each column past the first adds about an eighth of
-# what one column alone costs.
-# CIR and GBM simulate path by path, one replication per call.
-SV_GROUP = 64
+# what one column alone costs, and CIR and GBM path by path.
+SIM_GROUP = 64
 # most replications of a simulated group whose time-domain tracks one
 # _time_tracks call computes. Its temporaries are a few arrays of
 # TIME_ROWS x origins, about 30 kB a row at the SV preset, live while
@@ -508,12 +503,10 @@ def _report(per_rep: dict[str, np.ndarray], ests: tuple[str, ...],
 
 def _replications(cfg: StudyConfig, origins: np.ndarray):
     """Each replication's id, simulated series and time-domain tracks at
-    origins, in order. SV replications are simulated SV_GROUP at a time,
-    the others one at a time, and the tracks of a group are computed
-    TIME_ROWS replications at a time."""
-    group = SV_GROUP if cfg.model == "SV" else 1
-    for lo in range(0, cfg.n_reps, group):
-        reps = range(lo, min(lo + group, cfg.n_reps))
+    origins, in order. Replications are simulated SIM_GROUP at a time, and
+    the tracks of a group are computed TIME_ROWS replications at a time."""
+    for lo in range(0, cfg.n_reps, SIM_GROUP):
+        reps = range(lo, min(lo + SIM_GROUP, cfg.n_reps))
         sims = simulate_series(cfg, reps)
         for at in range(0, len(sims), TIME_ROWS):
             part = sims[at:at + TIME_ROWS]
@@ -535,7 +528,7 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
     whose walk-forward raises DynvolError, or has no usable step, is
     skipped; diagnostics["failed_reasons"] maps it to
     "<ExceptionClass>: <message>". Replications come from _replications:
-    SV ones are simulated in groups of SV_GROUP, and each replication's
+    they are simulated in groups of SIM_GROUP, and each replication's
     time-domain tracks are computed with up to TIME_ROWS of its group.
     """
     ests = cfg.estimators

@@ -7,6 +7,7 @@ import csv
 import datetime as _dt
 import io
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -70,9 +71,9 @@ def ingest_csv(path, name: str | None = None, frequency: str = "weekly",
     forward_fill is set, in which case they take the previous value and the
     rows are recorded on the dataset. Infinite values are always rejected
     with their row numbers. A byte that is not UTF-8 is rejected with its
-    row number. in_sample_end is a row count (an int or digits) or an ISO
-    date to split after, leaving 2 to all but one row in sample; by default
-    two thirds."""
+    row number. in_sample_end is a row count (an int or digits; a float is
+    rejected) or an ISO date to split after, leaving 2 to all but one row
+    in sample; by default two thirds."""
     with open(path, "rb") as fh:
         raw = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
@@ -126,15 +127,18 @@ def ingest_csv(path, name: str | None = None, frequency: str = "weekly",
         raise IngestionError("need at least 3 observations")
     if in_sample_end is None:
         split = int(round(len(values) * 2 / 3))
-    elif not isinstance(in_sample_end, str) or in_sample_end.isdecimal():
+    elif isinstance(in_sample_end, str) and in_sample_end.isdecimal():
         split = int(in_sample_end)
     else:
         try:
-            cutoff = _dt.date.fromisoformat(in_sample_end)
-        except ValueError:
+            if isinstance(in_sample_end, str):
+                cutoff = _dt.date.fromisoformat(in_sample_end)
+                split = sum(1 for d in dates if d <= cutoff)
+            else:
+                split = operator.index(in_sample_end)
+        except (TypeError, ValueError):
             raise IngestionError(f"in_sample_end {in_sample_end!r} is neither "
                                  "a row count nor an ISO date") from None
-        split = sum(1 for d in dates if d <= cutoff)
     if not 2 <= split < len(values):
         raise IngestionError(f"in_sample_end {in_sample_end} leaves {split} "
                              f"of {len(values)} rows in sample; it must "

@@ -19,7 +19,6 @@ them, with one row of autocorrelations per origin.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,21 +114,11 @@ def es_weights(lam: float, n: int) -> np.ndarray:
     return w / w.sum()
 
 
-@functools.lru_cache(maxsize=64)
-def _es_weights_rev(lam: float, n: int) -> np.ndarray:
-    """Read-only es_weights(lam, n) in window order: entry k weights
-    y[t-n+k]. Cached per (lam, n) and read-only, so no caller can change
-    another's weights."""
-    w = es_weights(lam, n)
-    w.flags.writeable = False
-    return w[::-1]
-
-
 def exp_smooth(y, t, cfg: EsConfig):
     """Exponentially weighted mean of squared returns before origin t.
 
     Weight on y[t-i]^2 is lam^(i-1)(1-lam)/(1-lam^n) for i = 1..n. The value
-    is the sum over k of w[k] * y[t-n+k]^2, w = _es_weights_rev(lam, n),
+    is the sum over k of w[k] * y[t-n+k]^2, w = es_weights(lam, n)[::-1],
     added one term at a time in window order (oldest first), so it does not
     depend on a BLAS kernel's order of addition. t and y take the forms
     moving_average takes, and every form runs the same sum: n multiply-adds
@@ -141,7 +130,7 @@ def exp_smooth(y, t, cfg: EsConfig):
         return moving_average(y, t, cfg.n)
     n = cfg.n
     z2, j = _squares(y, t, n)
-    w = _es_weights_rev(cfg.lam, n)
+    w = es_weights(cfg.lam, n)[::-1]
     width = z2.shape[-1] - n + 1
     acc = z2[..., :width] * w[0]
     term = np.empty_like(acc)
@@ -208,12 +197,10 @@ def autocorr_sq(y, upto_t, max_lag: int = 30) -> np.ndarray:
     return rho
 
 
-@functools.lru_cache(maxsize=64)
 def _c_coef(lam: float, n: int, kmax: int) -> tuple[float, np.ndarray]:
     """(c_iid, coef): c_t = sum_{i,j} w_i w_j rho(|i-j|) = c_iid + coef @ rho
     for the normalized smoothing weights and rho at lags 1..kmax (zero
-    beyond). lam = 1 is the algebraic limit with equal weights 1/n. Cached
-    per (lam, n, kmax) and read-only, like _es_weights_rev."""
+    beyond). lam = 1 is the algebraic limit with equal weights 1/n."""
     k = np.arange(1, kmax + 1)
     if lam == 1.0:
         c_iid, coef = 1.0 / n, 2.0 * (n - k) / (n * n)
@@ -221,7 +208,6 @@ def _c_coef(lam: float, n: int, kmax: int) -> tuple[float, np.ndarray]:
         scale = (1.0 - lam) ** 2 / ((1.0 - lam**n) ** 2 * (1.0 - lam * lam))
         c_iid = scale * (1.0 - lam ** (2 * n))
         coef = 2.0 * scale * lam**k * (1.0 - lam ** (2 * (n - k)))
-    coef.flags.writeable = False
     return c_iid, coef
 
 

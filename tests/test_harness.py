@@ -252,6 +252,37 @@ def test_semi_selector_takes_the_first_of_tied_decays(monkeypatch):
     assert counters["semi_fallback"] == 0
 
 
+@pytest.mark.parametrize("forecast, want, fallbacks", [
+    ({0.90: np.nan, 0.92: 0.5, 0.96: 3.0}, 0.5, 0),
+    ({0.90: 3.0, 0.92: np.nan, 0.96: 0.5}, 0.5, 0),
+    ({0.90: 0.5, 0.92: 3.0, 0.96: np.nan}, 0.5, 0),
+    ({0.90: np.nan, 0.92: np.nan}, 7.0, 1),
+    ({0.90: np.nan}, 7.0, 1),
+    ({0.90: np.nan, 0.92: 0.5}, 7.0, 1),
+], ids=["nan-first", "nan-middle", "nan-last", "all-nan", "one-nan-decay",
+        "one-finite-of-two"])
+def test_semi_selector_never_picks_a_non_finite_loss(monkeypatch, forecast,
+                                                     want, fallbacks):
+    # the squared returns are 1 and each decay forecasts a constant, so a
+    # NaN forecast has a NaN loss; the fallback decay forecasts 7. Of two
+    # distinct finite losses the lower wins wherever a NaN one sits in the
+    # grid. With no finite loss, or a lone finite one among several decays
+    # (every finite loss the same), the search falls back
+    grid = tuple(forecast)
+    forecast = {**forecast, SEMI_FALLBACK_LAM: 7.0}
+    monkeypatch.setattr(harness, "exp_smooth", lambda y, t, cfg: np.full(
+        np.shape(y)[:-1] + np.shape(t), forecast[cfg.lam]))
+    counters = _new_counters()
+    assert _SemiSelector(np.ones(40), 5, grid).value(20, counters) == want
+    assert counters["semi_fallback"] == fallbacks
+    per_row = np.zeros(2, dtype=int)
+    got = _SemiSelector(np.ones((2, 40)), 5, grid).value(
+        np.arange(10, 40), counters, per_row=per_row)
+    assert got.tolist() == [[want] * 30] * 2
+    assert counters["semi_fallback"] == 61 * fallbacks
+    assert per_row.tolist() == [30 * fallbacks] * 2
+
+
 @pytest.mark.parametrize("grid", [DEFAULT_SEMI_GRID, (0.90, 0.96)],
                          ids=["fallback-in-grid", "fallback-off-grid"])
 def test_semi_selector_falls_back_on_tied_losses(grid):
@@ -783,9 +814,7 @@ def test_failed_sv_replication_is_charged_alone(monkeypatch):
         assert np.array_equal(res.per_rep[k], clean.per_rep[k][[0, 1, 3, 4]])
 
 
-@pytest.mark.parametrize("group", [1, 3, 64])
-def test_sv_study_bytes_do_not_depend_on_the_group_size(monkeypatch, tmp_path,
-                                                        group):
+def _check_group_size(monkeypatch, tmp_path, group, model, **design):
     # 7 reps: seven groups of one, two full groups of 3 and a partial one,
     # or one partial group of 64, whose time-domain tracks are computed
     # harness.TIME_ROWS at a time. The full roster, with rep 1 failing or
@@ -794,15 +823,14 @@ def test_sv_study_bytes_do_not_depend_on_the_group_size(monkeypatch, tmp_path,
     m = 20
     for grid, failing in itertools.product(
             (DEFAULT_SEMI_GRID, (0.94, 0.94)), (None, 1)):
-        cfg = study_preset("sv", series_len=100 + m, in_sample_len=100,
-                           n_reps=7, seed=5, semi_grid=grid,
-                           model_params=SvParams(3.0, 0.009, 4.0, substeps=3))
+        cfg = study_preset(model, series_len=design["in_sample_len"] + m,
+                           n_reps=7, seed=5, semi_grid=grid, **design)
         out = tmp_path / f"{len(grid)}-{failing}"
         with monkeypatch.context() as mp:
             if failing is not None:
                 patch_rolling(mp, cfg, boom_at(failing))
             ref = run_simulation_study(cfg)
-            mp.setattr(harness, "SV_GROUP", group)
+            mp.setattr(harness, "SIM_GROUP", group)
             got = run_simulation_study(cfg)
         write_study_outputs(ref, out / "ref")
         write_study_outputs(got, out / "got")
@@ -815,6 +843,21 @@ def test_sv_study_bytes_do_not_depend_on_the_group_size(monkeypatch, tmp_path,
         if grid == (0.94, 0.94):
             assert got.diagnostics["semi_fallback"] == m * (
                 cfg.n_reps - len(got.failed_reps))
+
+
+@pytest.mark.parametrize("group", [1, 3, 64])
+def test_sv_study_bytes_do_not_depend_on_the_group_size(monkeypatch, tmp_path,
+                                                        group):
+    _check_group_size(monkeypatch, tmp_path, group, "sv", in_sample_len=100,
+                      model_params=SvParams(3.0, 0.009, 4.0, substeps=3))
+
+
+@pytest.mark.parametrize("group", [1, 3, 64])
+@pytest.mark.parametrize("model", ["cir", "gbm"])
+def test_cir_and_gbm_study_bytes_do_not_depend_on_the_group_size(
+        monkeypatch, tmp_path, model, group):
+    # the roster's first origin needs es.n + MIN_STATE_PAIRS = 104 returns
+    _check_group_size(monkeypatch, tmp_path, group, model, in_sample_len=105)
 
 
 def test_per_rep_rows_carry_the_replication_id(monkeypatch, tmp_path):
@@ -1059,6 +1102,18 @@ def test_ingest_reads_a_row_count_as_int_or_digits(tmp_path):
     assert a.dates == b.dates
     assert a.values.tobytes() == b.values.tobytes()
     assert a.levels.tobytes() == b.levels.tobytes()
+
+
+def test_ingest_reads_an_integer_row_count_and_rejects_a_float(tmp_path):
+    p = _weekly_csv(tmp_path, 400)
+    for split in (300, np.int64(300), "300"):
+        assert ingest_csv(p, in_sample_end=split).in_sample_end == 300
+    # a float is neither truncated nor rounded to a row count
+    for split in (300.5, 2.9, 300.0, np.float64(300.0)):
+        with pytest.raises(IngestionError) as info:
+            ingest_csv(p, in_sample_end=split)
+        assert str(info.value) == (f"in_sample_end {split!r} is neither a "
+                                   "row count nor an ISO date")
 
 
 def test_ingest_splits_after_an_iso_date(tmp_path):
