@@ -208,11 +208,14 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "simulate":
             cfg = _resolve(study_preset(args.model), args)
-            t0 = time.time()
+            t0 = time.perf_counter()
             result = run_simulation_study(cfg)
             write_study_outputs(result, args.out)
-            log.info("%d replications in %.1fs; outputs in %s", cfg.n_reps,
-                     time.time() - t0, args.out)
+            n = result.processes
+            log.info("%d replications, %d failed, walked on %d process%s in "
+                     "%.1fs; outputs in %s", cfg.n_reps,
+                     len(result.failed_reps), n, "" if n == 1 else "es",
+                     time.perf_counter() - t0, args.out)
             return 0
         if args.command == "backtest":
             cfg = _resolve(study_preset("cir"), args)

@@ -22,7 +22,8 @@ dynamic blend and NonBay's shrinkage, each one call on arrays with one
 entry per origin, and so do the fallback counters. A study computes the
 time-domain tracks (Hist, the smoother, SemiProxy) of up to TIME_ROWS
 replications at once, one row per series, and each row has the bits of
-its series alone.
+its series alone. It walks each simulated group's replications on up to
+one forked process per CPU, and folds the results in replication order.
 
 Studies and backtests score through one path: steps where any estimator's
 forecast is not finite are dropped for every estimator, and the exceedance
@@ -38,8 +39,11 @@ import csv
 import logging
 import math
 import os
+import pickle
+import signal
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import starmap
 from statistics import NormalDist
 from typing import Callable, NamedTuple
 
@@ -467,6 +471,8 @@ class StudyResult:
     curve: np.ndarray
     diagnostics: dict
     failed_reps: tuple[int, ...] = ()
+    # most processes that walked the replications of one simulated group
+    processes: int = 1
 
 
 def _score(tracks: dict[str, np.ndarray], y_out: np.ndarray,
@@ -501,18 +507,111 @@ def _report(per_rep: dict[str, np.ndarray], ests: tuple[str, ...],
                         ests, ref, trim_upper, excluded, failed)
 
 
-def _replications(cfg: StudyConfig, origins: np.ndarray):
-    """Each replication's id, simulated series and time-domain tracks at
-    origins, in order. Replications are simulated SIM_GROUP at a time, and
-    the tracks of a group are computed TIME_ROWS replications at a time."""
+def _cpus() -> int:
+    """CPUs this process may run on; 1 where the platform does not say
+    (macOS and Windows have no sched_getaffinity)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return 1 if affinity is None else len(affinity(0))
+
+
+def _walkers(cfg: StudyConfig, n: int) -> int:
+    """Processes that walk a simulated group of n replications: one per CPU,
+    at most n. A roster without a state-domain estimator walks in one, as
+    its walks are too short to pay for a fork."""
+    return (min(_cpus(), n) if any(_ROSTER[e].state for e in cfg.estimators)
+            else 1)
+
+
+def _walk_child(walk, jobs, fd: int):
+    """The forked child's whole life: write (True, [walk(*job) for each
+    job]), or (False, exception) when a walk raises, to fd as one pickle,
+    and end with os._exit, 0 once the pickle is written, else 1."""
+    status = 1
+    try:
+        try:
+            msg = (True, list(starmap(walk, jobs)))
+        except Exception as exc:
+            msg = (False, exc)
+        with open(fd, "wb") as sink:
+            pickle.dump(msg, sink, pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _walk_forked(walk, jobs: list, reps: range, n_proc: int) -> list:
+    """[walk(*job) for job in jobs], the jobs cut into n_proc contiguous
+    chunks: this process walks the first while a forked child walks each
+    other one, and the results are read back in order. A walk's exception
+    in a child is raised here; a child that ends without sending its results
+    raises DynvolError. No child outlives the call.
+
+    Fork, not spawn: the children share the group's series and tracks
+    copy-on-write, run numpy and pickle alone, and never return."""
+    cuts = [len(jobs) * k // n_proc for k in range(n_proc + 1)]
+    children = []  # (pid, read end, replications) of each child not reaped
+    try:
+        for a, b in zip(cuts[1:-1], cuts[2:]):
+            r, w = os.pipe()
+            source = open(r, "rb")
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _walk_child(walk, jobs[a:b], w)
+            except BaseException:
+                source.close()
+                raise
+            finally:
+                os.close(w)
+            children.append((pid, source, reps[a:b]))
+        out = list(starmap(walk, jobs[:cuts[1]]))
+        while children:
+            pid, source, span = children[0]
+            with source:
+                data = source.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if code or not data:
+                which = (f"replication {span[0]}" if len(span) == 1
+                         else f"replications {span[0]}-{span[-1]}")
+                how = (f"exited with status {code}" if code >= 0
+                       else f"was killed by signal {-code}")
+                raise DynvolError(f"the process walking {which} {how} before "
+                                  f"it sent the results")
+            ok, payload = pickle.loads(data)
+            if not ok:
+                raise payload
+            out += payload
+        return out
+    finally:
+        for pid, source, _ in children:
+            source.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _tracked(cfg: StudyConfig, sims: list[SimulatedSeries],
+             origins: np.ndarray):
+    """Each of sims with its time-domain tracks at origins, in order, the
+    tracks computed TIME_ROWS series at a time."""
+    for at in range(0, len(sims), TIME_ROWS):
+        part = sims[at:at + TIME_ROWS]
+        yield from zip(part, _time_tracks(np.stack([s.returns.y for s in part]),
+                                          cfg, origins))
+
+
+def _replications(cfg: StudyConfig, origins: np.ndarray, walk):
+    """Each replication's id and walk(sim, time), in replication order, sim
+    being its simulated series and time its time-domain tracks at origins.
+    Replications are simulated SIM_GROUP at a time. The walks of a group
+    run on _walkers(cfg, group size) processes; with more than one, the
+    group's results come when all of its walks are done."""
     for lo in range(0, cfg.n_reps, SIM_GROUP):
         reps = range(lo, min(lo + SIM_GROUP, cfg.n_reps))
-        sims = simulate_series(cfg, reps)
-        for at in range(0, len(sims), TIME_ROWS):
-            part = sims[at:at + TIME_ROWS]
-            time = _time_tracks(np.stack([s.returns.y for s in part]), cfg,
-                                origins)
-            yield from zip(reps[at:at + TIME_ROWS], part, time)
+        jobs = _tracked(cfg, simulate_series(cfg, reps), origins)
+        n_proc = _walkers(cfg, len(reps))
+        yield from zip(reps, starmap(walk, jobs) if n_proc == 1
+                       else _walk_forked(walk, list(jobs), reps, n_proc))
 
 
 def run_simulation_study(cfg: StudyConfig) -> StudyResult:
@@ -528,8 +627,10 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
     whose walk-forward raises DynvolError, or has no usable step, is
     skipped; diagnostics["failed_reasons"] maps it to
     "<ExceptionClass>: <message>". Replications come from _replications:
-    they are simulated in groups of SIM_GROUP, and each replication's
-    time-domain tracks are computed with up to TIME_ROWS of its group.
+    they are simulated in groups of SIM_GROUP, each replication's
+    time-domain tracks are computed with up to TIME_ROWS of its group, and
+    a group's walks may run in forked processes. Every result is folded in
+    replication order, so the outputs do not depend on the process count.
     """
     ests = cfg.estimators
     first = cfg.in_sample_len - 1
@@ -544,7 +645,9 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
     failed: dict[int, str] = {}
     excluded_per_rep: list[int] = []
 
-    for rep, sim, time in _replications(cfg, np.arange(first, first + m)):
+    def walk(sim: SimulatedSeries, time: _TimeTracks):
+        """The replication's counters, step mask, measures and |forecast -
+        truth| per step and estimator, or why it failed."""
         try:
             tracks, counters = _rolling(sim.levels, sim.returns.y, cfg,
                                         first, m, time=time)
@@ -552,8 +655,15 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
             mask, vals = _score(tracks, sim.returns.y[first:first + m],
                                 quantiles, truth)
         except DynvolError as exc:
-            failed[rep] = f"{type(exc).__name__}: {exc}"
+            return f"{type(exc).__name__}: {exc}"
+        err = np.abs(np.column_stack([tracks[e] - truth for e in ests]))
+        return counters, mask, vals, err
+
+    for rep, out in _replications(cfg, np.arange(first, first + m), walk):
+        if isinstance(out, str):
+            failed[rep] = out
             continue
+        counters, mask, vals, err = out
         for k, v in counters.items():
             totals[k] += v
         n_bad = int(m - mask.sum())
@@ -561,7 +671,6 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
         excluded_per_rep.append(n_bad)
         for k in rows:
             rows[k].append(vals[k])
-        err = np.abs(np.column_stack([tracks[e] - truth for e in ests]))
         curve_sum[mask] += err[mask]
         curve_cnt[mask] += 1.0
         log.info("rep %d/%d done", rep + 1, cfg.n_reps)
@@ -576,7 +685,8 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
                          curve_sum / np.maximum(curve_cnt, 1.0)[:, None], np.nan)
     totals["excluded_per_rep"] = tuple(excluded_per_rep)
     totals["failed_reasons"] = failed
-    return StudyResult(cfg, report, per_rep, curve, totals, tuple(failed))
+    return StudyResult(cfg, report, per_rep, curve, totals, tuple(failed),
+                       _walkers(cfg, min(SIM_GROUP, cfg.n_reps)))
 
 
 # ---------------------------------------------------------------------------

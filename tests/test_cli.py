@@ -3,6 +3,7 @@
 import datetime as dt
 import logging
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,6 +14,7 @@ import pytest
 from dynvol.cli import (_BACKTEST_READS, _MODEL, _SETTINGS, _apply_overrides,
                         _build_parser, _dump_config, _read_config_file,
                         _reject_unread, _resolve, _values, main)
+from dynvol import harness
 from dynvol.errors import DynvolError
 from dynvol.harness import run_backtest, study_preset, write_backtest_outputs
 from dynvol.ingest import ingest_csv
@@ -205,12 +207,22 @@ def test_backtest_end_to_end(tmp_path, levels_csv, capsys):
 
 
 def test_progress_and_summaries_are_logged_unless_quiet(tmp_path, levels_csv,
-                                                        capsys):
+                                                        capsys, monkeypatch):
+    # the summary names the failed replications and the processes that
+    # walked them
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
     loud = [a for a in SIM_ARGS if a != "--quiet"]
-    assert main(loud + ["--out", str(tmp_path / "s")]) == 0
+    out = tmp_path / "s"
+    assert main(loud + ["--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[:2] == ["rep 1/2 done", "rep 2/2 done"]
-    assert "outputs in" in lines[2]
+    assert re.fullmatch(r"2 replications, 0 failed, walked on 2 processes in "
+                        rf"\d+\.\ds; outputs in {re.escape(str(out))}",
+                        lines[2])
+    monkeypatch.setattr(harness, "_cpus", lambda: 1)
+    main(loud + ["--out", str(out)])
+    assert "2 replications, 0 failed, walked on 1 process in" in (
+        capsys.readouterr().out)
     f = tmp_path / "bt.cfg"
     f.write_text("er_window = 60\n")
     assert main(["backtest", "--data", str(levels_csv), "--in-sample-end",

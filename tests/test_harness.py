@@ -15,8 +15,9 @@ import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
-from dynvol.errors import (DegenerateSeriesError, IngestionError,
-                           InsufficientHistoryError, NoCoverageError)
+from dynvol.errors import (DegenerateSeriesError, DynvolError,
+                           IngestionError, InsufficientHistoryError,
+                           NoCoverageError)
 from dynvol import harness
 from dynvol.harness import (DEFAULT_SEMI_GRID, ESTIMATORS, MIN_STATE_PAIRS,
                             SEMI_FALLBACK_LAM, BacktestDataset, StudyConfig,
@@ -817,9 +818,11 @@ def test_failed_sv_replication_is_charged_alone(monkeypatch):
 def _check_group_size(monkeypatch, tmp_path, group, model, **design):
     # 7 reps: seven groups of one, two full groups of 3 and a partial one,
     # or one partial group of 64, whose time-domain tracks are computed
-    # harness.TIME_ROWS at a time. The full roster, with rep 1 failing or
-    # not, on the default grid and on a tied one where every SemiProxy
-    # origin falls back: a failed replication's fallbacks are not counted
+    # harness.TIME_ROWS at a time and whose walks run on 1, 2 or 3
+    # processes, against one serial group. The full roster, with rep 1
+    # failing or not, on the default grid and on a tied one where every
+    # SemiProxy origin falls back: a failed replication's fallbacks are not
+    # counted
     m = 20
     for grid, failing in itertools.product(
             (DEFAULT_SEMI_GRID, (0.94, 0.94)), (None, 1)):
@@ -829,17 +832,21 @@ def _check_group_size(monkeypatch, tmp_path, group, model, **design):
         with monkeypatch.context() as mp:
             if failing is not None:
                 patch_rolling(mp, cfg, boom_at(failing))
+            mp.setattr(harness, "_cpus", lambda: 1)
             ref = run_simulation_study(cfg)
+            write_study_outputs(ref, out / "ref")
             mp.setattr(harness, "SIM_GROUP", group)
-            got = run_simulation_study(cfg)
-        write_study_outputs(ref, out / "ref")
-        write_study_outputs(got, out / "got")
-        for name in ("report.csv", "per_rep.csv", "fig2_curve.csv"):
-            assert ((out / "got" / name).read_bytes()
-                    == (out / "ref" / name).read_bytes())
-        for key in ("semi_fallback", "failed_reasons"):
-            assert got.diagnostics[key] == ref.diagnostics[key]
-        assert got.failed_reps == ((failing,) if failing else ())
+            for cpus in (1, 2, 3):
+                mp.setattr(harness, "_cpus", lambda: cpus)
+                got = run_simulation_study(cfg)
+                assert got.processes == min(cpus, group)
+                write_study_outputs(got, out / f"got{cpus}")
+                for name in ("report.csv", "per_rep.csv", "fig2_curve.csv"):
+                    assert ((out / f"got{cpus}" / name).read_bytes()
+                            == (out / "ref" / name).read_bytes())
+                # every counter, excluded_per_rep and failed_reasons
+                assert got.diagnostics == ref.diagnostics
+                assert got.failed_reps == ((failing,) if failing else ())
         if grid == (0.94, 0.94):
             assert got.diagnostics["semi_fallback"] == m * (
                 cfg.n_reps - len(got.failed_reps))
@@ -858,6 +865,63 @@ def test_cir_and_gbm_study_bytes_do_not_depend_on_the_group_size(
         monkeypatch, tmp_path, model, group):
     # the roster's first origin needs es.n + MIN_STATE_PAIRS = 104 returns
     _check_group_size(monkeypatch, tmp_path, group, model, in_sample_len=105)
+
+
+def _walk_breaks_at(monkeypatch, failing, exc_or_status):
+    """Study of 4 replications on 2 processes, the parent walking reps 0-1
+    and a child reps 2-3, whose walk of rep failing raises exc_or_status or,
+    an int, ends its process with that status."""
+    cfg = study_preset("cir", series_len=300, in_sample_len=260, n_reps=4,
+                       seed=777)
+    parent = os.getpid()
+
+    def edit(rep, tracks):
+        if rep != failing:
+            return
+        if isinstance(exc_or_status, int):
+            assert os.getpid() != parent
+            os._exit(exc_or_status)
+        raise exc_or_status
+
+    monkeypatch.setattr(harness, "_cpus", lambda: 2)
+    patch_rolling(monkeypatch, cfg, edit)
+    return cfg
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failing", [3, 0])
+def test_a_walk_that_raises_stops_the_study_in_any_process(monkeypatch,
+                                                           failing):
+    # rep 3 raises in the child, rep 0 in the parent while the child walks
+    cfg = _walk_breaks_at(monkeypatch, failing, ValueError("walk broke"))
+    with pytest.raises(ValueError, match="^walk broke$"):
+        run_simulation_study(cfg)
+    assert_no_child_left()
+
+
+def test_a_child_that_dies_is_named_with_its_replications(monkeypatch):
+    cfg = _walk_breaks_at(monkeypatch, 3, 3)
+    with pytest.raises(DynvolError, match="^the process walking replications "
+                       "2-3 exited with status 3 before it sent the results$"):
+        run_simulation_study(cfg)
+    assert_no_child_left()
+
+
+def test_simulate_reports_a_dead_child_on_one_error_line(monkeypatch,
+                                                         tmp_path, capsys):
+    from dynvol.cli import main
+    _walk_breaks_at(monkeypatch, 3, 3)
+    assert main(["simulate", "--reps", "4", "--series-len", "300",
+                 "--in-sample", "260", "--seed", "777", "--quiet",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: the process walking replications 2-3 exited with "
+                   "status 3 before it sent the results"]
+    assert_no_child_left()
 
 
 def test_per_rep_rows_carry_the_replication_id(monkeypatch, tmp_path):
