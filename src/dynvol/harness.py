@@ -38,9 +38,13 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import multiprocessing
 import os
 import pickle
-import signal
+import sys
+import threading
+import traceback
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import starmap
@@ -85,6 +89,12 @@ _ROSTER = {
                    True, True),
 }
 ESTIMATORS = tuple(_ROSTER)
+
+
+def _walks_state(ests: Sequence[str]) -> bool:
+    """Whether a roster needs the per-step state-domain walk."""
+    return any(_ROSTER[e].state for e in ests)
+
 
 DEFAULT_SEMI_GRID = (0.90, 0.92, 0.94, 0.96, 0.98)
 SEMI_FALLBACK_LAM = 0.94
@@ -389,7 +399,7 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
         raise DegenerateSeriesError("constant in-sample squared returns")
 
     ests = cfg.estimators
-    need_state = any(_ROSTER[e].state for e in ests)
+    need_state = _walks_state(ests)
     counters = _new_counters()
     tracks = {e: np.full(n_steps, np.nan) for e in ests}
     # _check_history and the stretch check above keep every window in range
@@ -508,86 +518,130 @@ def _report(per_rep: dict[str, np.ndarray], ests: tuple[str, ...],
 
 
 def _cpus() -> int:
-    """CPUs this process may run on; 1 where the platform does not say
-    (macOS and Windows have no sched_getaffinity)."""
+    """CPUs a study may walk its replications on: those this process may
+    run on, or 1 where the platform does not say (macOS and Windows have
+    no sched_getaffinity), where the process runs more than one thread, or
+    where it is a daemonic multiprocessing worker, which may not start
+    processes. A fork copies only the thread that calls it, so a lock
+    another thread holds stays held in the child for good, and Python 3.12
+    warns of it. numpy's OpenBLAS starts a thread per CPU unless
+    OPENBLAS_NUM_THREADS is 1."""
     affinity = getattr(os, "sched_getaffinity", None)
-    return 1 if affinity is None else len(affinity(0))
+    if (affinity is None or _threads() > 1
+            or multiprocessing.current_process().daemon):
+        return 1
+    return len(affinity(0))
 
 
-def _walkers(cfg: StudyConfig, n: int) -> int:
-    """Processes that walk a simulated group of n replications: one per CPU,
-    at most n. A roster without a state-domain estimator walks in one, as
-    its walks are too short to pay for a fork."""
-    return (min(_cpus(), n) if any(_ROSTER[e].state for e in cfg.estimators)
-            else 1)
-
-
-def _walk_child(walk, jobs, fd: int):
-    """The forked child's whole life: write (True, [walk(*job) for each
-    job]), or (False, exception) when a walk raises, to fd as one pickle,
-    and end with os._exit, 0 once the pickle is written, else 1."""
-    status = 1
+def _threads() -> int:
+    """Threads of this process, native ones included where /proc lists
+    them, else the Python threads."""
     try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
+
+
+class _ChildTraceback(Exception):
+    """The traceback, as text, of an exception raised in a forked walk."""
+
+
+def _walk_child(walk, jobs, sink):
+    """Target of a forked walker: send [results, None, warnings] through
+    sink, results being [walk(*job) for each job], or, when a walk raises,
+    [None, (exception, "<ExceptionClass>: <message>", traceback text),
+    warnings], the exception None when it cannot cross a pickle. warnings
+    are (message, filename, lineno) of each warning the walks issued."""
+    with warnings.catch_warnings(record=True) as caught:
         try:
-            msg = (True, list(starmap(walk, jobs)))
+            msg = [list(starmap(walk, jobs)), None]
         except Exception as exc:
-            msg = (False, exc)
-        with open(fd, "wb") as sink:
-            pickle.dump(msg, sink, pickle.HIGHEST_PROTOCOL)
-        status = 0
-    finally:
-        os._exit(status)
+            error = f"{type(exc).__name__}: {exc}"
+            tb = traceback.format_exc()
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = None
+            msg = [None, (exc, error, tb)]
+    sink.send(msg + [[(w.message, w.filename, w.lineno) for w in caught]])
+
+
+def _rewarn(caught) -> None:
+    """Issue warnings a forked walk recorded as if they were issued here,
+    against the registry of the module they point at, so that one shown
+    once per place is shown once per study however many processes walked."""
+    files = {getattr(m, "__file__", None): m
+             for m in list(sys.modules.values())}
+    for message, filename, lineno in caught:
+        mod = files.get(filename)
+        warnings.warn_explicit(
+            message, type(message), filename, lineno,
+            module=getattr(mod, "__name__", None),
+            registry=(None if mod is None
+                      else vars(mod).setdefault("__warningregistry__", {})))
+
+
+def _named(span: range) -> str:
+    """"replication i" or "replications i-j", naming span in messages."""
+    return (f"replication {span[0]}" if len(span) == 1
+            else f"replications {span[0]}-{span[-1]}")
 
 
 def _walk_forked(walk, jobs: list, reps: range, n_proc: int) -> list:
     """[walk(*job) for job in jobs], the jobs cut into n_proc contiguous
     chunks: this process walks the first while a forked child walks each
-    other one, and the results are read back in order. A walk's exception
-    in a child is raised here; a child that ends without sending its results
-    raises DynvolError. No child outlives the call.
+    other one, and the results are read back in order, with the warnings
+    each child recorded. An exception a child's walk raises is raised
+    here, its cause the child's traceback; a child that ends without
+    sending its results raises DynvolError. No child outlives the call.
 
-    Fork, not spawn: the children share the group's series and tracks
-    copy-on-write, run numpy and pickle alone, and never return."""
+    Fork, not spawn: the children inherit walk and share the group's
+    series and tracks copy-on-write, where a spawned one would import
+    dynvol afresh, 65 ms on a 2-core Xeon VM, longer than the walks of a
+    4-replication CIR study on one process. Not a ProcessPoolExecutor, whose
+    manager and queue threads would make the next group's fork one from a
+    threaded process, and whose broken pool fails every pending chunk
+    without naming the one whose process died or how."""
     cuts = [len(jobs) * k // n_proc for k in range(n_proc + 1)]
-    children = []  # (pid, read end, replications) of each child not reaped
+    children = []  # (process, read end, replications) of each child
     try:
         for a, b in zip(cuts[1:-1], cuts[2:]):
-            r, w = os.pipe()
-            source = open(r, "rb")
+            # only here: Windows, where n_proc is 1, has no fork context
+            fork = multiprocessing.get_context("fork")
+            source, sink = fork.Pipe(duplex=False)
+            child = fork.Process(target=_walk_child, daemon=True,
+                                 args=(walk, jobs[a:b], sink))
+            children.append((child, source, reps[a:b]))
             try:
-                pid = os.fork()
-                if pid == 0:
-                    _walk_child(walk, jobs[a:b], w)
-            except BaseException:
-                source.close()
-                raise
+                child.start()
             finally:
-                os.close(w)
-            children.append((pid, source, reps[a:b]))
+                sink.close()
         out = list(starmap(walk, jobs[:cuts[1]]))
-        while children:
-            pid, source, span = children[0]
-            with source:
-                data = source.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[0]
-            if code or not data:
-                which = (f"replication {span[0]}" if len(span) == 1
-                         else f"replications {span[0]}-{span[-1]}")
+        for child, source, span in children:
+            try:
+                results, error, caught = source.recv()
+            except EOFError:
+                child.join()
+                code = child.exitcode
                 how = (f"exited with status {code}" if code >= 0
                        else f"was killed by signal {-code}")
-                raise DynvolError(f"the process walking {which} {how} before "
-                                  f"it sent the results")
-            ok, payload = pickle.loads(data)
-            if not ok:
-                raise payload
-            out += payload
+                raise DynvolError(f"the process walking {_named(span)} {how} "
+                                  f"before it sent the results") from None
+            _rewarn(caught)
+            if error is not None:
+                exc, text, tb = error
+                if exc is None:
+                    exc = RuntimeError(f"the walk of {_named(span)} raised "
+                                       f"{text}, which cannot be pickled")
+                raise exc from _ChildTraceback(tb)
+            out += results
         return out
     finally:
-        for pid, source, _ in children:
+        for child, source, _ in children:
             source.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            if child.pid is not None:
+                child.kill()
+                child.join()
 
 
 def _tracked(cfg: StudyConfig, sims: list[SimulatedSeries],
@@ -601,17 +655,22 @@ def _tracked(cfg: StudyConfig, sims: list[SimulatedSeries],
 
 
 def _replications(cfg: StudyConfig, origins: np.ndarray, walk):
-    """Each replication's id and walk(sim, time), in replication order, sim
-    being its simulated series and time its time-domain tracks at origins.
-    Replications are simulated SIM_GROUP at a time. The walks of a group
-    run on _walkers(cfg, group size) processes; with more than one, the
-    group's results come when all of its walks are done."""
+    """Each replication's id, the processes that walked its group and
+    walk(sim, time), in replication order, sim being its simulated series
+    and time its time-domain tracks at origins. Replications are simulated
+    SIM_GROUP at a time, and a group's walks run on one process per CPU,
+    at most one per walk, its results coming when all of them are done. A
+    roster without a state-domain estimator walks on this process alone:
+    its walks score tracks the group computed already, and forking them
+    cost the SV time-only study 6% more wall time and 14% more CPU time
+    per op, for nothing."""
+    fan_out = _walks_state(cfg.estimators)
     for lo in range(0, cfg.n_reps, SIM_GROUP):
         reps = range(lo, min(lo + SIM_GROUP, cfg.n_reps))
-        jobs = _tracked(cfg, simulate_series(cfg, reps), origins)
-        n_proc = _walkers(cfg, len(reps))
-        yield from zip(reps, starmap(walk, jobs) if n_proc == 1
-                       else _walk_forked(walk, list(jobs), reps, n_proc))
+        jobs = list(_tracked(cfg, simulate_series(cfg, reps), origins))
+        n_proc = min(_cpus(), len(reps)) if fan_out else 1
+        for rep, out in zip(reps, _walk_forked(walk, jobs, reps, n_proc)):
+            yield rep, n_proc, out
 
 
 def run_simulation_study(cfg: StudyConfig) -> StudyResult:
@@ -659,7 +718,10 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
         err = np.abs(np.column_stack([tracks[e] - truth for e in ests]))
         return counters, mask, vals, err
 
-    for rep, out in _replications(cfg, np.arange(first, first + m), walk):
+    processes = 1
+    for rep, n_proc, out in _replications(cfg, np.arange(first, first + m),
+                                          walk):
+        processes = max(processes, n_proc)
         if isinstance(out, str):
             failed[rep] = out
             continue
@@ -686,7 +748,7 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
     totals["excluded_per_rep"] = tuple(excluded_per_rep)
     totals["failed_reasons"] = failed
     return StudyResult(cfg, report, per_rep, curve, totals, tuple(failed),
-                       _walkers(cfg, min(SIM_GROUP, cfg.n_reps)))
+                       processes)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ import csv
 import datetime as dt
 import itertools
 import math
+import multiprocessing
 import os
+import threading
+import warnings
 from contextlib import nullcontext
 from dataclasses import replace
 from statistics import NormalDist
@@ -898,9 +901,81 @@ def test_a_walk_that_raises_stops_the_study_in_any_process(monkeypatch,
                                                            failing):
     # rep 3 raises in the child, rep 0 in the parent while the child walks
     cfg = _walk_breaks_at(monkeypatch, failing, ValueError("walk broke"))
-    with pytest.raises(ValueError, match="^walk broke$"):
+    with pytest.raises(ValueError, match="^walk broke$") as info:
         run_simulation_study(cfg)
+    if failing == 3:  # the child's traceback comes along as the cause
+        cause = str(info.value.__cause__)
+        assert "Traceback" in cause and "in edit" in cause
     assert_no_child_left()
+
+
+class TwoArgError(Exception):
+    """Pickled fine, but not rebuilt: unpickling calls it with one arg."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+@pytest.mark.parametrize("local", [True, False])
+def test_a_walk_error_that_cannot_be_pickled_keeps_its_name(monkeypatch,
+                                                            local):
+    class LocalError(Exception):
+        pass
+
+    exc = LocalError("walk broke") if local else TwoArgError("walk", "broke")
+    cfg = _walk_breaks_at(monkeypatch, 3, exc)
+    text = ("LocalError: walk broke" if local
+            else "TwoArgError: walk at broke")
+    with pytest.raises(RuntimeError, match=f"^the walk of replications 2-3 "
+                       f"raised {text}, which cannot be pickled$") as info:
+        run_simulation_study(cfg)
+    assert "in edit" in str(info.value.__cause__)
+    assert_no_child_left()
+
+
+def test_warnings_of_forked_walks_reach_the_caller_in_order(monkeypatch):
+    # 4 reps on 2 processes, each walk warning once: every warning in
+    # replication order where each is shown, and the first alone where a
+    # place's warning is shown once, as in a serial walk
+    cfg = study_preset("cir", series_len=300, in_sample_len=260, n_reps=4,
+                       seed=777, estimators=("Hist", "RiskM", "NonBay"))
+    shown = {"always": ["rep 0", "rep 1", "rep 2", "rep 3"],
+             "default": ["a walk warned"]}
+
+    def edit(rep, tracks):
+        warnings.warn(f"rep {rep}" if action == "always" else "a walk warned")
+
+    patch_rolling(monkeypatch, cfg, edit)
+    for cpus, action in itertools.product((1, 2), shown):
+        monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            run_simulation_study(cfg)
+        assert [str(w.message) for w in caught
+                if w.filename == __file__] == shown[action]
+    assert_no_child_left()
+
+
+def test_a_process_with_another_thread_walks_alone():
+    # a fork from a threaded process could inherit a lock held for good
+    before = harness._threads()
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert harness._threads() == before + 1
+        assert harness._cpus() == 1
+    finally:
+        stop.set()
+        other.join()
+
+
+def test_a_daemonic_process_walks_alone(monkeypatch):
+    # a multiprocessing pool's worker may not start processes
+    monkeypatch.setattr(harness, "_threads", lambda: 1)
+    assert harness._cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+    assert harness._cpus() == 1
 
 
 def test_a_child_that_dies_is_named_with_its_replications(monkeypatch):
