@@ -1,4 +1,21 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the check
+that stores the integer fields of its frozen configuration classes."""
+
+import operator
+
+
+def store_ints(obj, *names: str) -> None:
+    """Store each named field of the frozen dataclass obj as the int that
+    operator.index gives, so that a numpy integer becomes a Python int;
+    raise ValueError naming the field for a value that is not an integer,
+    a float such as 2.0 included."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            object.__setattr__(obj, name, operator.index(value))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}"
+                             ) from None
 
 
 class DynvolError(Exception):

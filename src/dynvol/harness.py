@@ -54,7 +54,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import (DegenerateSeriesError, DynvolError,
-                     InsufficientHistoryError)
+                     InsufficientHistoryError, store_ints)
 from .evaluation import (MeasureReport, build_report, empirical_quantile,
                          exceedance_ratio, imade, made, pe, rade,
                          report_to_csv, report_to_text)
@@ -123,6 +123,9 @@ class StudyConfig:
     er_window: int = 250
 
     def __post_init__(self):
+        store_ints(self, "series_len", "in_sample_len", "n_reps",
+                   "hist_window", "state_refit_every", "seed", "max_lag",
+                   "er_window")
         if self.model not in _PRESETS:
             raise ValueError(f"unknown model {self.model!r}")
         preset = _PRESETS[self.model]["model_params"]
@@ -663,12 +666,15 @@ def _replications(cfg: StudyConfig, origins: np.ndarray, walk):
     roster without a state-domain estimator walks on this process alone:
     its walks score tracks the group computed already, and forking them
     cost the SV time-only study 6% more wall time and 14% more CPU time
-    per op, for nothing."""
-    fan_out = _walks_state(cfg.estimators)
+    per op, for nothing. The CPUs are counted once, before anything is
+    simulated: the SV simulator's producer thread, though joined, may
+    still be listed among this process's threads just after the simulator
+    returns, which would make _cpus() read 1."""
+    cpus = _cpus() if _walks_state(cfg.estimators) else 1
     for lo in range(0, cfg.n_reps, SIM_GROUP):
         reps = range(lo, min(lo + SIM_GROUP, cfg.n_reps))
         jobs = list(_tracked(cfg, simulate_series(cfg, reps), origins))
-        n_proc = min(_cpus(), len(reps)) if fan_out else 1
+        n_proc = min(cpus, len(reps))
         for rep, out in zip(reps, _walk_forked(walk, jobs, reps, n_proc)):
             yield rep, n_proc, out
 

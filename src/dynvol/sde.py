@@ -9,13 +9,15 @@ geometric Brownian motion sampled from its exact log-normal transition law.
 a memoryview of the contiguous draws and appends to an `array.array`, which
 is several times faster than indexing numpy scalars. The stochastic-variance
 step is affine in the variance, v' = a_k v + kappa theta d, so `simulate_sv`
-steps a group of replications in lockstep and `sv_inner_path` runs the
-substeps as a scan of composed affine maps: one map per observation
-interval, one pass over the intervals, then one multiply-add for every
-substep. Its Python-level loops run over the substeps of one interval and
-over the intervals, not over every substep, so one column costs about what
-a scalar loop does and a group costs little more. Each operation is
-elementwise, so a replication has the same bits alone or in any group. The
+steps a group of replications in lockstep and runs the substeps as a scan
+of composed affine maps (`_sv_scan`, which `sv_inner_path` runs on one
+array of normals): one map per observation interval, one pass over the
+intervals, then one multiply-add for every substep. Its Python-level loops
+run over the substeps of one interval and over the intervals, not over
+every substep, so one column costs about what a scalar loop does and a
+group costs little more. A producer thread draws the next block's normals
+while the scan runs. Each operation is elementwise, so a replication has
+the same bits alone or in any group. The
 scalar loop of the scheme (`tests/oracles.py`) rounds in another order and
 agrees within a tolerance stated in `tests/test_sde.py`, which pins the
 output bits of every simulator by SHA-256 digests.
@@ -24,11 +26,15 @@ output bits of every simulator by SHA-256 digests.
 from __future__ import annotations
 
 import math
+import threading
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import cycle
 
 import numpy as np
+
+from .errors import store_ints
 
 # post-step floor keeping the rate model positive (CIR only: its step has
 # sqrt(r); the affine SV step keeps v > 0 without one)
@@ -126,6 +132,7 @@ class SvParams:
     def __post_init__(self):
         if not (self.kappa > 0 and self.theta > 0 and self.alpha2 > 0):
             raise ValueError("kappa, theta, alpha2 must all be positive")
+        store_ints(self, "substeps")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
         if self.shape_a <= 2.0:
@@ -204,18 +211,53 @@ def simulate_cir(params: CirParams, delta: float, n_obs: int, rng: RngStream,
     return SamplePath(np.frombuffer(out), delta)
 
 
-def _sv_slopes(params: SvParams, eps: np.ndarray, dstar: float) -> np.ndarray:
-    """The slope a = 1 - kappa d + alpha sqrt(d) e + (alpha2 d / 2)(e^2 - 1)
-    of the Milstein step v' = a v + kappa theta d at each draw e of eps, with
-    d = dstar. As a quadratic in e, a >= (1 - (2 kappa + alpha2) d) / 2, so
-    v stays positive; raises ValueError unless (2 kappa + alpha2) d < 1."""
+def _check_sv_step(params: SvParams, dstar: float) -> None:
+    """Raise ValueError unless (2 kappa + alpha2) d < 1 with d = dstar, the
+    bound below which every slope of _sv_slopes is positive."""
     s = (2.0 * params.kappa + params.alpha2) * dstar
     if not s < 1.0 - AFFINE_ROOM:
         raise ValueError(f"the SV step needs (2 kappa + alpha2) delta / "
                          f"substeps below 1, got {s:.6g}: raise substeps")
+
+
+def _sv_slopes(params: SvParams, eps: np.ndarray, dstar: float,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """The slope a = 1 - kappa d + alpha sqrt(d) e + (alpha2 d / 2)(e^2 - 1)
+    of the Milstein step v' = a v + kappa theta d at each draw e of eps, with
+    d = dstar, in out (an array other than eps) or a new array. As a
+    quadratic in e, a >= (1 - (2 kappa + alpha2) d) / 2, so v stays
+    positive; raises ValueError unless (2 kappa + alpha2) d < 1."""
+    _check_sv_step(params, dstar)
     half_a2 = 0.5 * params.alpha2 * dstar
-    return ((half_a2 * eps + math.sqrt(params.alpha2 * dstar)) * eps
-            + (1.0 - params.kappa * dstar - half_a2))
+    # (half_a2 e + sqrt(alpha2 d)) e + (1 - kappa d - half_a2), in this order
+    out = np.multiply(eps, half_a2, out=out)
+    out += math.sqrt(params.alpha2 * dstar)
+    out *= eps
+    out += 1.0 - params.kappa * dstar - half_a2
+    return out
+
+
+def _sv_scan(params: SvParams, dstar: float, a: np.ndarray, b: np.ndarray,
+             starts: np.ndarray) -> None:
+    """The two-level scan of sv_inner_path, in place. a holds the slopes as
+    (m, chunks, cols), a[j, k] being substep j of chunk k, so each step of
+    the loops below is one contiguous (chunks, cols) block; b has a's shape
+    and starts is (chunks + 1, cols) with the start v0 in starts[0]. Leaves
+    A_j in a[j], B_j in b[j] and the start of chunk k in starts[k], the end
+    of the last chunk in starts[chunks]."""
+    # b[j] = B_j = a[j] B_{j-1} + kappa theta d from B_0 = kappa theta d (a
+    # full block: a same-shape add is faster than a broadcast one here),
+    # then a[j] becomes A_j = a[0] ... a[j] in place (np.cumprod along this
+    # axis measured twice as slow)
+    b[0] = params.kappa * params.theta * dstar
+    mul, add = np.multiply, np.add
+    for a0, a1, b0, b1 in zip(a, a[1:], b, b[1:]):
+        mul(a1, b0, out=b1)
+        add(b1, b[0], out=b1)
+        mul(a1, a0, out=a1)
+    for ak, bk, v, nxt in zip(a[-1], b[-1], starts, starts[1:]):
+        mul(ak, v, out=nxt)
+        add(nxt, bk, out=nxt)
 
 
 def sv_inner_path(params: SvParams, v0, eps: np.ndarray,
@@ -227,12 +269,12 @@ def sv_inner_path(params: SvParams, v0, eps: np.ndarray,
     v0. A float v0 and a 1-d eps are the one-column case and return N + 1
     values. Each substep is v <- a v + kappa theta d, a from _sv_slopes.
 
-    The substeps run as a two-level scan over chunks of `params.substeps`,
-    which are the observation intervals when simulate_sv calls it. Within a
-    chunk, substep j maps the chunk's start v_s to A_j v_s + B_j, with A_j
-    the running product of the chunk's slopes and B_j the image of 0. One
-    pass over the chunk starts carries v from chunk to chunk, then one
-    multiply and one add give every substep. A slope of 1 pads a partial
+    The substeps run as a two-level scan (_sv_scan) over chunks of
+    `params.substeps`, which are the observation intervals in simulate_sv.
+    Within a chunk, substep j maps the chunk's start v_s to A_j v_s + B_j,
+    with A_j the running product of the chunk's slopes and B_j the image of
+    0. One pass over the chunk starts carries v from chunk to chunk, then
+    one multiply and one add give every substep. A slope of 1 pads a partial
     last chunk, whose extra rows are dropped. Every operation is elementwise
     across columns, there is no division, and with one substep per chunk
     the scan is the plain recursion, bit for bit.
@@ -246,38 +288,54 @@ def sv_inner_path(params: SvParams, v0, eps: np.ndarray,
     n, m, cols = eps.shape[0], params.substeps, v0.size
     chunks = -(-n // m)
     a = np.ones((chunks * m, cols))
-    a[:n] = _sv_slopes(params, eps.reshape(n, cols), dstar)
-    # a[j, k] is substep j of chunk k, so each step of the loops below is
-    # one contiguous (chunks, cols) block
+    _sv_slopes(params, eps.reshape(n, cols), dstar, out=a[:n])
     a = a.reshape(chunks, m, cols).swapaxes(0, 1).copy()
-    # b[j] = B_j = a[j] B_{j-1} + kappa theta d from B_0 = kappa theta d (a
-    # full block: a same-shape add is faster than a broadcast one here),
-    # then a[j] becomes A_j = a[0] ... a[j] in place (np.cumprod along this
-    # axis measured twice as slow)
     b = np.empty_like(a)
-    b[0] = params.kappa * params.theta * dstar
-    mul, add = np.multiply, np.add
-    for a0, a1, b0, b1 in zip(a, a[1:], b, b[1:]):
-        mul(a1, b0, out=b1)
-        add(b1, b[0], out=b1)
-        mul(a1, a0, out=a1)
     starts = np.empty((chunks + 1, cols))
     starts[0] = v0
-    for ak, bk, v, nxt in zip(a[-1], b[-1], starts, starts[1:]):
-        mul(ak, v, out=nxt)
-        add(nxt, bk, out=nxt)
+    _sv_scan(params, dstar, a, b, starts)
     out = np.empty((chunks * m + 1, cols))
     out[0] = v0
     # substep j of chunk k is A_j v_k + B_j, v_k the chunk's start
-    mul(a, starts[:-1], out=a)
-    add(a.swapaxes(0, 1), b.swapaxes(0, 1),
-        out=out[1:].reshape(chunks, m, cols))
+    np.multiply(a, starts[:-1], out=a)
+    np.add(a.swapaxes(0, 1), b.swapaxes(0, 1),
+           out=out[1:].reshape(chunks, m, cols))
     return out[:n + 1].reshape((n + 1,) + v0.shape)
 
 
-# observations per sv_inner_path call in simulate_sv: bounds the working
-# memory of a group to a few hundred substeps per replication
-SV_BLOCK = 16
+# observations per block of simulate_sv. Its four work buffers hold
+# SV_BLOCK * substeps values per stream each, 0.46 MB at 40 streams and 30
+# substeps, whatever the series length. A 40-stream call at the SV preset
+# took 24.6 ms (35.7 ms of CPU) at 16, as the threads trade the GIL more
+# often, 16.9 ms at 32, and 15.4 ms at both 48 and 96, on a 2-core Xeon VM
+SV_BLOCK = 48
+
+
+def _sv_block(params: SvParams, dstar: float, eps: np.ndarray,
+              a: np.ndarray, b: np.ndarray, starts: np.ndarray,
+              sums: np.ndarray) -> None:
+    """One block of simulate_sv, in place. eps is (C, nb, m): stream c's
+    normals for the substeps of nb intervals, m per interval. a and b are
+    (m, nb, C) work arrays and starts (nb + 1, C) holds each stream's
+    variance at the block's start in starts[0]. Leaves the variance at the
+    block's end in starts[nb] and the sum of each interval's m substep
+    starts in sums (C, nb); eps is overwritten."""
+    nb = a.shape[1]
+    # the slopes read a contiguous copy of eps in b: a third faster than
+    # reading eps across its strides twice
+    np.copyto(b, eps.transpose(2, 1, 0))
+    _sv_slopes(params, b, dstar, out=a)
+    _sv_scan(params, dstar, a, b, starts)
+    # eps takes each stream's variance at every substep start, interval by
+    # interval: the start v_i of interval i, then A_j v_i + B_j for j < m -
+    # 1 (the last, A_{m-1} v_i + B_{m-1}, is the next start, to the bit).
+    # The sums run over contiguous rows of m, as on a single path (a
+    # strided view sums in another order).
+    path = eps.transpose(2, 1, 0)
+    path[0] = starts[:nb]
+    np.multiply(a[:-1], starts[:nb], out=a[:-1])
+    np.add(a[:-1], b[:-1], out=path[1:])
+    np.add.reduce(eps, axis=2, out=sums)
 
 
 def simulate_sv(params: SvParams, delta: float, n_obs: int,
@@ -292,9 +350,14 @@ def simulate_sv(params: SvParams, delta: float, n_obs: int,
     variance is drawn from the stationary inverse-gamma law.
 
     Each stream draws the start, then the substep normals, then the return
-    normals, so a stream gives the same result in any group. The normals are
-    drawn SV_BLOCK observations at a time, which gives the same numbers as
-    one draw of all of them.
+    normals, so a stream gives the same result in any group. The substep
+    normals are drawn SV_BLOCK observations at a time, which gives the same
+    numbers as one draw of all of them, on a producer thread that runs one
+    block ahead: numpy fills a buffer with the GIL released, so the draws of
+    one block overlap the scan of the one before. The two threads hand two
+    buffers back and forth, and each stream is used by one thread at a
+    time. An exception in the producer is raised here; on any exit the
+    producer is stopped and joined, so no thread outlives the call.
 
     Returns
     -------
@@ -306,32 +369,60 @@ def simulate_sv(params: SvParams, delta: float, n_obs: int,
         raise ValueError("n_obs must be >= 1")
     if not delta > 0:
         raise ValueError("delta must be positive")
+    m = params.substeps
+    dstar = delta / m
+    _check_sv_step(params, dstar)
     gens = [rng.generator() for rng in rngs]
     if not gens:
         return []
-    m = params.substeps
-    dstar = delta / m
-    # stationary draw: V = 1/G with G ~ Gamma(shape=a, rate=b)
-    v = np.array([1.0 / float(gen.gamma(params.shape_a, 1.0 / params.rate_b))
-                  for gen in gens])
-    vbar = np.empty((len(gens), n_obs))
-    # one row of substep normals per stream
-    eps = np.empty((len(gens), SV_BLOCK * m))
-    for lo in range(0, n_obs, SV_BLOCK):
-        nb = min(SV_BLOCK, n_obs - lo)
-        draws = eps[:, :nb * m]
-        for gen, row in zip(gens, draws):
-            gen.standard_normal(out=row)
-        path = sv_inner_path(params, v, draws.T, dstar)
-        # interval i spans substep starts i*m .. i*m + m - 1; the mean runs
-        # over C-contiguous rows, as on a single path (a strided view sums
-        # in another order)
-        vbar[:, lo:lo + nb] = (np.ascontiguousarray(path[:-1].T)
-                               .reshape(-1, nb, m).mean(axis=2))
-        # only the last row carries over: the block's path is freed before
-        # the next block's is made, which bounds the peak memory
-        v = path[-1].copy()
-        del path
+    n = len(gens)
+    # block k's normals go to bufs[k % 2], which then holds its path; a, b
+    # and starts are the work arrays of every block, starts[0] the variance
+    # at the block's start, first the stationary draw V = 1/G with
+    # G ~ Gamma(shape=a, rate=b)
+    bufs = np.empty((2, n, SV_BLOCK * m))
+    a = np.empty((m, SV_BLOCK, n))
+    b = np.empty_like(a)
+    starts = np.empty((SV_BLOCK + 1, n))
+    starts[0] = [1.0 / float(gen.gamma(params.shape_a, 1.0 / params.rate_b))
+                 for gen in gens]
+    vbar = np.empty((n, n_obs))
+    blocks = [(lo, min(SV_BLOCK, n_obs - lo))
+              for lo in range(0, n_obs, SV_BLOCK)]
+    free, full = threading.Semaphore(len(bufs)), threading.Semaphore(0)
+    stop, failed = threading.Event(), []
+
+    def draw():
+        try:
+            for (_, nb), buf in zip(blocks, cycle(bufs)):
+                free.acquire()
+                if stop.is_set():
+                    return
+                for gen, row in zip(gens, buf[:, :nb * m]):
+                    gen.standard_normal(out=row)
+                full.release()
+        except BaseException as exc:  # raised again by the calling thread
+            failed.append(exc)
+            full.release()
+
+    producer = threading.Thread(target=draw, name="dynvol-sv-normals",
+                                daemon=True)
+    producer.start()
+    try:
+        for (lo, nb), buf in zip(blocks, cycle(bufs)):
+            full.acquire()
+            if failed:
+                raise failed[0]
+            _sv_block(params, dstar, buf[:, :nb * m].reshape(n, nb, m),
+                      a[:, :nb], b[:, :nb], starts[:nb + 1],
+                      vbar[:, lo:lo + nb])
+            starts[0] = starts[nb]
+            free.release()
+    finally:
+        stop.set()
+        free.release()
+        producer.join()
+    vbar /= m
     return [(ReturnSeries(np.sqrt(vb) * gen.standard_normal(n_obs), delta,
                           n_obs + 1), vb)
             for gen, vb in zip(gens, vbar)]

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, InsufficientHistoryError
+from .errors import (DegenerateSeriesError, InsufficientHistoryError,
+                     store_ints)
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,7 @@ class EsConfig:
     def __post_init__(self):
         if not (0.0 < self.lam <= 1.0):
             raise ValueError("lam must lie in (0, 1]")
+        store_ints(self, "n")
         if self.n < 1:
             raise ValueError("n must be >= 1")
 

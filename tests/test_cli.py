@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -117,6 +118,33 @@ def test_dump_config_covers_model_params():
     text = _dump_config(study_preset("gbm"))
     assert "param_mu = 0.03" in text
     assert "param_sigma = 0.26" in text
+
+
+def _with(obj, attr, value):
+    """obj with the (dotted) attribute attr replaced by value."""
+    head, _, rest = attr.partition(".")
+    return replace(obj, **{head: _with(getattr(obj, head), rest, value)
+                           if rest else value})
+
+
+@pytest.mark.parametrize("model, attr", [
+    *(("cir", name) for name in ("series_len", "in_sample_len", "n_reps",
+                                 "hist_window", "state_refit_every", "seed",
+                                 "max_lag", "er_window", "es.n")),
+    ("sv", "model_params.substeps")])
+def test_a_count_must_be_an_integer_and_is_kept_as_an_int(model, attr):
+    # a float count fails where it is set, not in a range() later; a numpy
+    # integer is kept as the int it equals, so the dump replays
+    cfg = study_preset(model)
+    value = attrgetter(attr)(cfg)
+    name = attr.rpartition(".")[2]
+    for bad in (float(value), np.float64(value), str(value)):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be an integer, got "):
+            _with(cfg, attr, bad)
+    got = _with(cfg, attr, np.int64(value))
+    assert type(attrgetter(attr)(got)) is int
+    assert _dump_config(got) == _dump_config(cfg)
 
 
 def test_simulate_end_to_end(tmp_path):

@@ -15,7 +15,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, event, given, settings
+from hypothesis import (HealthCheck, assume, event, example, given,
+                        settings)
 from hypothesis import strategies as st
 
 from dynvol.errors import (DegenerateSeriesError, DynvolError,
@@ -196,14 +197,16 @@ def test_simulate_series_stream_determinism():
 
 @settings(max_examples=25, deadline=None)
 @given(lo=st.integers(0, 80), size=st.integers(1, 20),
-       series_len=st.integers(3, 60), substeps=st.sampled_from([3, 9]),
+       series_len=st.integers(3, 120), substeps=st.sampled_from([3, 9]),
        seed=st.integers(0, 2**31))
+@example(lo=0, size=3, series_len=120, substeps=9, seed=1)
 def test_sv_group_gives_each_replication_its_own_bytes(lo, size, series_len,
                                                        substeps, seed):
     # replications run in lockstep have the bytes they have alone, at any
     # group offset and size and any length, whole blocks of
-    # sde.SV_BLOCK observations or not; vbar sums 9 substeps pairwise, as
-    # numpy sums 8 or more contiguous terms
+    # sde.SV_BLOCK (48) observations or not, up to two block boundaries;
+    # vbar sums 9 substeps pairwise, as numpy sums 8 or more contiguous
+    # terms
     cfg = study_preset("sv", series_len=series_len, in_sample_len=2, seed=seed,
                        model_params=SvParams(3.0, 0.009, 4.0,
                                              substeps=substeps))
@@ -968,6 +971,30 @@ def test_a_process_with_another_thread_walks_alone():
     finally:
         stop.set()
         other.join()
+
+
+def test_the_cpus_are_counted_once_per_study_before_it_simulates(
+        monkeypatch):
+    # 7 replications in groups of 3: one count, before the first group; the
+    # SV simulator's thread may still be listed just after it returns
+    calls = []
+    simulate = harness.simulate_series
+
+    def cpus():
+        calls.append("cpus")
+        return 2
+
+    def simulated(cfg, reps):
+        calls.append("simulate")
+        return simulate(cfg, reps)
+
+    monkeypatch.setattr(harness, "_cpus", cpus)
+    monkeypatch.setattr(harness, "simulate_series", simulated)
+    monkeypatch.setattr(harness, "SIM_GROUP", 3)
+    cfg = study_preset("sv", series_len=120, in_sample_len=100, n_reps=7,
+                       model_params=SvParams(3.0, 0.009, 4.0, substeps=3))
+    assert run_simulation_study(cfg).processes == 2
+    assert calls == ["cpus"] + ["simulate"] * 3
 
 
 def test_a_daemonic_process_walks_alone(monkeypatch):
