@@ -1,6 +1,7 @@
-"""Exception and warning types shared across the package, and the check
-that stores the integer fields of its frozen configuration classes."""
+"""Exception and warning types shared across the package, and the checks
+of the integer and real fields of its frozen configuration classes."""
 
+import math
 import operator
 
 
@@ -16,6 +17,16 @@ def store_ints(obj, *names: str) -> None:
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value!r}"
                              ) from None
+
+
+def check_finite(obj, *names: str, positive: bool = False) -> None:
+    """Raise ValueError naming the first named field of obj whose value is
+    inf, -inf or nan, or, if positive is set, not above 0."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (math.isfinite(value) and (value > 0 or not positive)):
+            need = "positive and finite" if positive else "finite"
+            raise ValueError(f"{name} must be {need}, got {value!r}")
 
 
 class DynvolError(Exception):

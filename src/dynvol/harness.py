@@ -54,7 +54,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import (DegenerateSeriesError, DynvolError,
-                     InsufficientHistoryError, store_ints)
+                     InsufficientHistoryError, check_finite, store_ints)
 from .evaluation import (MeasureReport, build_report, empirical_quantile,
                          exceedance_ratio, imade, made, pe, rade,
                          report_to_csv, report_to_text)
@@ -148,21 +148,21 @@ class StudyConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if not (0.0 <= self.trim_upper < 1.0):
             raise ValueError("trim_upper must lie in [0, 1)")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        check_finite(self, "delta", positive=True)
         if not self.estimators:
             raise ValueError("estimators must name at least one estimator")
         bad = [e for e in self.estimators if e not in ESTIMATORS]
         if bad:
             raise ValueError(f"unknown estimators {bad}")
-        dup = sorted({e for e in self.estimators
-                      if self.estimators.count(e) > 1})
-        if dup:
-            raise ValueError(f"estimators lists {dup} more than once")
         if not self.semi_grid:
             raise ValueError("semi_grid must hold at least one decay")
         if not all(0.0 < lam <= 1.0 for lam in self.semi_grid):
             raise ValueError("semi_grid decays must lie in (0, 1]")
+        for name in ("estimators", "semi_grid"):
+            items = getattr(self, name)
+            dup = sorted({x for x in items if items.count(x) > 1})
+            if dup:
+                raise ValueError(f"{name} lists {dup} more than once")
         if self.hist_window < 1:
             raise ValueError("hist_window must be >= 1")
         if self.max_lag < 1:

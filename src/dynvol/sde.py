@@ -9,15 +9,14 @@ geometric Brownian motion sampled from its exact log-normal transition law.
 a memoryview of the contiguous draws and appends to an `array.array`, which
 is several times faster than indexing numpy scalars. The stochastic-variance
 step is affine in the variance, v' = a_k v + kappa theta d, so `simulate_sv`
-steps a group of replications in lockstep and runs the substeps as a scan
-of composed affine maps (`_sv_scan`, which `sv_inner_path` runs on one
-array of normals): one map per observation interval, one pass over the
-intervals, then one multiply-add for every substep. Its Python-level loops
-run over the substeps of one interval and over the intervals, not over
-every substep, so one column costs about what a scalar loop does and a
-group costs little more. A producer thread draws the next block's normals
-while the scan runs. Each operation is elementwise, so a replication has
-the same bits alone or in any group. The
+steps a group of replications in lockstep and runs the substeps as a scan of
+composed affine maps (`_sv_block`, which `sv_inner_path` also runs): one map
+per observation interval, one pass over the intervals, then one multiply-add
+for every substep. Its Python-level loops run over the substeps of one
+interval and over the intervals, not over every substep, so one column costs
+about what a scalar loop does and a group costs little more. A producer
+thread draws the next block's normals while the scan runs. Each operation is
+elementwise, so a replication has the same bits alone or in any group. The
 scalar loop of the scheme (`tests/oracles.py`) rounds in another order and
 agrees within a tolerance stated in `tests/test_sde.py`, which pins the
 output bits of every simulator by SHA-256 digests.
@@ -34,7 +33,7 @@ from itertools import cycle
 
 import numpy as np
 
-from .errors import store_ints
+from .errors import check_finite, store_ints
 
 # post-step floor keeping the rate model positive (CIR only: its step has
 # sqrt(r); the affine SV step keeps v > 0 without one)
@@ -108,8 +107,7 @@ class CirParams:
     sigma: float
 
     def __post_init__(self):
-        if not (self.kappa > 0 and self.theta > 0 and self.sigma > 0):
-            raise ValueError("kappa, theta, sigma must all be positive")
+        check_finite(self, "kappa", "theta", "sigma", positive=True)
         # keeps the process strictly positive (boundary unattainable)
         if 2.0 * self.kappa * self.theta < self.sigma**2:
             raise ValueError("requires 2*kappa*theta >= sigma^2")
@@ -130,8 +128,7 @@ class SvParams:
     substeps: int = 30
 
     def __post_init__(self):
-        if not (self.kappa > 0 and self.theta > 0 and self.alpha2 > 0):
-            raise ValueError("kappa, theta, alpha2 must all be positive")
+        check_finite(self, "kappa", "theta", "alpha2", positive=True)
         store_ints(self, "substeps")
         if self.substeps < 1:
             raise ValueError("substeps must be >= 1")
@@ -155,8 +152,8 @@ class GbmParams:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        check_finite(self, "mu")
+        check_finite(self, "sigma", positive=True)
 
 
 def simulate_cir(params: CirParams, delta: float, n_obs: int, rng: RngStream,
@@ -226,8 +223,7 @@ def _sv_slopes(params: SvParams, eps: np.ndarray, dstar: float,
     of the Milstein step v' = a v + kappa theta d at each draw e of eps, with
     d = dstar, in out (an array other than eps) or a new array. As a
     quadratic in e, a >= (1 - (2 kappa + alpha2) d) / 2, so v stays
-    positive; raises ValueError unless (2 kappa + alpha2) d < 1."""
-    _check_sv_step(params, dstar)
+    positive under the bound of _check_sv_step, which the caller checks."""
     half_a2 = 0.5 * params.alpha2 * dstar
     # (half_a2 e + sqrt(alpha2 d)) e + (1 - kappa d - half_a2), in this order
     out = np.multiply(eps, half_a2, out=out)
@@ -237,18 +233,29 @@ def _sv_slopes(params: SvParams, eps: np.ndarray, dstar: float,
     return out
 
 
-def _sv_scan(params: SvParams, dstar: float, a: np.ndarray, b: np.ndarray,
-             starts: np.ndarray) -> None:
-    """The two-level scan of sv_inner_path, in place. a holds the slopes as
-    (m, chunks, cols), a[j, k] being substep j of chunk k, so each step of
-    the loops below is one contiguous (chunks, cols) block; b has a's shape
-    and starts is (chunks + 1, cols) with the start v0 in starts[0]. Leaves
-    A_j in a[j], B_j in b[j] and the start of chunk k in starts[k], the end
-    of the last chunk in starts[chunks]."""
-    # b[j] = B_j = a[j] B_{j-1} + kappa theta d from B_0 = kappa theta d (a
-    # full block: a same-shape add is faster than a broadcast one here),
-    # then a[j] becomes A_j = a[0] ... a[j] in place (np.cumprod along this
-    # axis measured twice as slow)
+def _sv_block(params: SvParams, dstar: float, eps: np.ndarray,
+              a: np.ndarray, b: np.ndarray, starts: np.ndarray,
+              sums: np.ndarray) -> None:
+    """Step C streams' variance through nb intervals of m substeps of size
+    dstar, in place. eps is (C, nb, m): stream c's normals, m per interval.
+    a and b are (m, nb, C) work arrays, and starts (nb + 1, C) holds the
+    first interval's start in starts[0]. Leaves interval k's start in
+    starts[k] and the last one's end in starts[nb], the variance at every
+    substep start in eps, and each interval's sum of them in sums (C, nb).
+
+    Substep j of interval k maps its start v_k to A_j v_k + B_j, with A_j
+    the running product of the interval's slopes and B_j the image of 0.
+    One pass over the intervals carries v from each to the next, then one
+    multiply and one add, with no division, give every substep; at m = 1
+    this is the plain recursion, bit for bit."""
+    # the slopes read a contiguous copy of eps in b: a third faster than
+    # reading eps across its strides twice
+    np.copyto(b, eps.transpose(2, 1, 0))
+    _sv_slopes(params, b, dstar, out=a)
+    # a[j, k] is substep j of interval k, so each loop step is a contiguous
+    # (nb, C) block. b[j] = B_j = a[j] B_{j-1} + b[0] from b[0] = kappa theta
+    # d (a full block: a same-shape add is faster than a broadcast one), then
+    # a[j] = A_j = a[0] ... a[j] in place (np.cumprod measured twice as slow)
     b[0] = params.kappa * params.theta * dstar
     mul, add = np.multiply, np.add
     for a0, a1, b0, b1 in zip(a, a[1:], b, b[1:]):
@@ -258,6 +265,15 @@ def _sv_scan(params: SvParams, dstar: float, a: np.ndarray, b: np.ndarray,
     for ak, bk, v, nxt in zip(a[-1], b[-1], starts, starts[1:]):
         mul(ak, v, out=nxt)
         add(nxt, bk, out=nxt)
+    # eps takes the variance at every substep start: the start v_i of
+    # interval i, then A_j v_i + B_j for j < m - 1 (A_{m-1} v_i + B_{m-1} is
+    # the next start, to the bit). The sums run over contiguous rows of m,
+    # as on a single path (a strided view sums in another order).
+    path = eps.transpose(2, 1, 0)
+    path[0] = starts[:-1]
+    mul(a[:-1], starts[:-1], out=a[:-1])
+    add(a[:-1], b[:-1], out=path[1:])
+    add.reduce(eps, axis=2, out=sums)
 
 
 def sv_inner_path(params: SvParams, v0, eps: np.ndarray,
@@ -267,17 +283,9 @@ def sv_inner_path(params: SvParams, v0, eps: np.ndarray,
 
     v0 has shape (R,) and eps (N, R); returns the (N + 1, R) values including
     v0. A float v0 and a 1-d eps are the one-column case and return N + 1
-    values. Each substep is v <- a v + kappa theta d, a from _sv_slopes.
-
-    The substeps run as a two-level scan (_sv_scan) over chunks of
-    `params.substeps`, which are the observation intervals in simulate_sv.
-    Within a chunk, substep j maps the chunk's start v_s to A_j v_s + B_j,
-    with A_j the running product of the chunk's slopes and B_j the image of
-    0. One pass over the chunk starts carries v from chunk to chunk, then
-    one multiply and one add give every substep. A slope of 1 pads a partial
-    last chunk, whose extra rows are dropped. Every operation is elementwise
-    across columns, there is no division, and with one substep per chunk
-    the scan is the plain recursion, bit for bit.
+    values. The substeps run through _sv_block, every whole interval of
+    `params.substeps` in one call, then the last N % substeps as one more
+    interval. eps is left as it is.
     """
     v0 = np.asarray(v0, dtype=float)
     eps = np.asarray(eps, dtype=float)
@@ -285,22 +293,19 @@ def sv_inner_path(params: SvParams, v0, eps: np.ndarray,
         raise ValueError("v0 and dstar must be positive")
     if eps.ndim != v0.ndim + 1 or eps.shape[1:] != v0.shape:
         raise ValueError("eps must hold one column per entry of v0")
+    _check_sv_step(params, dstar)
     n, m, cols = eps.shape[0], params.substeps, v0.size
-    chunks = -(-n // m)
-    a = np.ones((chunks * m, cols))
-    _sv_slopes(params, eps.reshape(n, cols), dstar, out=a[:n])
-    a = a.reshape(chunks, m, cols).swapaxes(0, 1).copy()
-    b = np.empty_like(a)
-    starts = np.empty((chunks + 1, cols))
+    # column c of eps in row c, a copy that _sv_block overwrites with the path
+    path = eps.reshape(n, cols).T.copy()
+    starts = np.empty((n // m + 2, cols))
     starts[0] = v0
-    _sv_scan(params, dstar, a, b, starts)
-    out = np.empty((chunks * m + 1, cols))
-    out[0] = v0
-    # substep j of chunk k is A_j v_k + B_j, v_k the chunk's start
-    np.multiply(a, starts[:-1], out=a)
-    np.add(a.swapaxes(0, 1), b.swapaxes(0, 1),
-           out=out[1:].reshape(chunks, m, cols))
-    return out[:n + 1].reshape((n + 1,) + v0.shape)
+    for lo, nb, k in ((0, n // m, m), (n - n % m, 1, n % m)):
+        if nb * k:
+            a, b = np.empty((2, k, nb, cols))
+            _sv_block(params, dstar, path[:, lo:lo + nb * k].reshape(
+                cols, nb, k), a, b, starts[:nb + 1], np.empty((cols, nb)))
+            starts[0] = starts[nb]
+    return np.concatenate((path.T, starts[:1])).reshape((n + 1,) + v0.shape)
 
 
 # observations per block of simulate_sv. Its four work buffers hold
@@ -309,33 +314,6 @@ def sv_inner_path(params: SvParams, v0, eps: np.ndarray,
 # took 24.6 ms (35.7 ms of CPU) at 16, as the threads trade the GIL more
 # often, 16.9 ms at 32, and 15.4 ms at both 48 and 96, on a 2-core Xeon VM
 SV_BLOCK = 48
-
-
-def _sv_block(params: SvParams, dstar: float, eps: np.ndarray,
-              a: np.ndarray, b: np.ndarray, starts: np.ndarray,
-              sums: np.ndarray) -> None:
-    """One block of simulate_sv, in place. eps is (C, nb, m): stream c's
-    normals for the substeps of nb intervals, m per interval. a and b are
-    (m, nb, C) work arrays and starts (nb + 1, C) holds each stream's
-    variance at the block's start in starts[0]. Leaves the variance at the
-    block's end in starts[nb] and the sum of each interval's m substep
-    starts in sums (C, nb); eps is overwritten."""
-    nb = a.shape[1]
-    # the slopes read a contiguous copy of eps in b: a third faster than
-    # reading eps across its strides twice
-    np.copyto(b, eps.transpose(2, 1, 0))
-    _sv_slopes(params, b, dstar, out=a)
-    _sv_scan(params, dstar, a, b, starts)
-    # eps takes each stream's variance at every substep start, interval by
-    # interval: the start v_i of interval i, then A_j v_i + B_j for j < m -
-    # 1 (the last, A_{m-1} v_i + B_{m-1}, is the next start, to the bit).
-    # The sums run over contiguous rows of m, as on a single path (a
-    # strided view sums in another order).
-    path = eps.transpose(2, 1, 0)
-    path[0] = starts[:nb]
-    np.multiply(a[:-1], starts[:nb], out=a[:-1])
-    np.add(a[:-1], b[:-1], out=path[1:])
-    np.add.reduce(eps, axis=2, out=sums)
 
 
 def simulate_sv(params: SvParams, delta: float, n_obs: int,

@@ -172,6 +172,43 @@ def test_sv_step_that_would_need_a_floor_is_one_error_line(tmp_path, capsys):
     assert not (out / "report.csv").exists()
 
 
+@pytest.mark.parametrize("model, key, value", [
+    ("sv", "param_theta", "inf"), ("sv", "param_alpha2", "nan"),
+    ("cir", "param_kappa", "inf"), ("cir", "delta", "inf"),
+    ("gbm", "param_mu", "-inf")])
+def test_a_non_finite_value_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                             model, key, value):
+    # an infinite SV theta would reach the start-variance draw as a
+    # ZeroDivisionError traceback, and an infinite CIR kappa or delta would
+    # run until the bandwidth search; the config names the key first
+    monkeypatch.setattr(harness, "simulate_series",
+                        lambda *args: pytest.fail("the study simulated"))
+    assert main(["config", "--dump", "--model", model]) == 0
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}",
+                          capsys.readouterr().out))
+    out = tmp_path / "res"
+    assert main(["simulate", "--model", model, "--config", str(cfg),
+                 "--reps", "1", "--quiet", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    name = key.removeprefix("param_")
+    assert len(err) == 1
+    assert re.match(rf"error: {name} must be (positive and )?finite, got ",
+                    err[0])
+    assert not out.exists()
+
+
+def test_config_file_rejects_a_decay_listed_twice(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("semi_grid = 0.9,0.9\n")
+    out = tmp_path / "res"
+    assert main(["simulate", "--model", "cir", "--config", str(cfg),
+                 "--reps", "1", "--quiet", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: semi_grid lists [0.9] more than once"]
+    assert not out.exists()
+
+
 def test_simulate_estimator_subset_and_trim(tmp_path):
     out = tmp_path / "res"
     rc = main(SIM_ARGS + ["--estimators", "Hist,RiskM,Integ", "--trim", "0.05",

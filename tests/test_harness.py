@@ -129,8 +129,12 @@ def test_config_validation():
     ("semi_grid", (1.5,)),
     ("max_lag", 0),
     ("hist_window", 0),
+    ("semi_grid", (0.9, 0.95, 0.9)),
     ("delta", 0.0),
     ("delta", -1.0 / 52.0),
+    ("delta", math.inf),
+    ("delta", -math.inf),
+    ("delta", math.nan),
     ("er_window", 49),
     ("seed", -1),
 ])
@@ -139,6 +143,14 @@ def test_config_rejects_values_that_would_fail_late(field, value):
     # write every report row twice; the config names the field up front
     with pytest.raises(ValueError, match=field):
         study_preset("cir", **{field: value})
+
+
+def test_config_rejects_a_decay_listed_twice():
+    # a repeated decay ties itself at every origin, so SemiProxy would fall
+    # back to SEMI_FALLBACK_LAM throughout instead of forecasting with it
+    with pytest.raises(ValueError,
+                       match=r"^semi_grid lists \[0.9\] more than once$"):
+        study_preset("cir", semi_grid=(0.9, 0.9))
 
 
 def test_config_rejects_parameters_of_another_model():
@@ -826,15 +838,17 @@ def _check_group_size(monkeypatch, tmp_path, group, model, **design):
     # or one partial group of 64, whose time-domain tracks are computed
     # harness.TIME_ROWS at a time and whose walks run on 1, 2 or 3
     # processes, against one serial group. The full roster, with rep 1
-    # failing or not, on the default grid and on a tied one where every
-    # SemiProxy origin falls back: a failed replication's fallbacks are not
-    # counted
+    # failing or not, on the preset's window and on a window of one return,
+    # where every decay of the grid forecasts the same square, so that every
+    # SemiProxy origin ties and falls back: a failed replication's fallbacks
+    # are not counted
     m = 20
-    for grid, failing in itertools.product(
-            (DEFAULT_SEMI_GRID, (0.94, 0.94)), (None, 1)):
+    for tied, failing in itertools.product((False, True), (None, 1)):
         cfg = study_preset(model, series_len=design["in_sample_len"] + m,
-                           n_reps=7, seed=5, semi_grid=grid, **design)
-        out = tmp_path / f"{len(grid)}-{failing}"
+                           n_reps=7, seed=5, **design)
+        if tied:
+            cfg = replace(cfg, es=EsConfig(cfg.es.lam, 1))
+        out = tmp_path / f"{tied}-{failing}"
         with monkeypatch.context() as mp:
             if failing is not None:
                 patch_rolling(mp, cfg, boom_at(failing))
@@ -853,7 +867,7 @@ def _check_group_size(monkeypatch, tmp_path, group, model, **design):
                 # every counter, excluded_per_rep and failed_reasons
                 assert got.diagnostics == ref.diagnostics
                 assert got.failed_reps == ((failing,) if failing else ())
-        if grid == (0.94, 0.94):
+        if tied:
             assert got.diagnostics["semi_fallback"] == m * (
                 cfg.n_reps - len(got.failed_reps))
 

@@ -38,6 +38,21 @@ def test_param_validation():
     assert SV.rate_b == pytest.approx(0.0135, abs=1e-15)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("params, field", [
+    pytest.param(params, name, id=f"{type(params).__name__}.{name}")
+    for params, names in ((CIR, ("kappa", "theta", "sigma")),
+                          (SV, ("kappa", "theta", "alpha2")),
+                          (GBM, ("mu", "sigma")))
+    for name in names])
+def test_a_model_parameter_must_be_finite(params, field, bad):
+    # an infinite theta would reach simulate_sv's start-variance draw as a
+    # ZeroDivisionError; the constructor names the field instead
+    with pytest.raises(ValueError, match=(rf"^{field} must be (positive and "
+                                          rf")?finite, got {bad!r}$")):
+        replace(params, **{field: bad})
+
+
 def test_to_returns_hand_value():
     p = SamplePath(np.array([0.06, 0.08]), 0.04)
     rs = to_returns(p)
@@ -427,3 +442,54 @@ def test_sv_inner_path_rejects_eps_whose_columns_do_not_match_v0():
                     (0.009, np.zeros((5, 3))), (0.009, 0.0)):
         with pytest.raises(ValueError, match="column"):
             sv_inner_path(SV, v0, eps, MONTHLY / 30)
+
+
+@pytest.mark.parametrize("n, shapes", [
+    (60, [(3, 2, 30)]), (61, [(3, 2, 30), (3, 1, 1)]), (29, [(3, 1, 29)])])
+def test_sv_inner_path_runs_the_block_step_of_simulate_sv(monkeypatch, n,
+                                                          shapes):
+    # every whole interval in one call, then a partial last one in another,
+    # with the bound checked once; the scalar-loop tests above check this
+    # step through sv_inner_path
+    seen, checks = [], []
+    block, check = sde._sv_block, sde._check_sv_step
+
+    def counted(params, dstar, eps, *args):
+        seen.append(eps.shape)
+        block(params, dstar, eps, *args)
+
+    monkeypatch.setattr(sde, "_sv_block", counted)
+    monkeypatch.setattr(sde, "_check_sv_step",
+                        lambda *args: checks.append(args) or check(*args))
+    eps = np.random.default_rng(n).standard_normal((n, 3))
+    sv_inner_path(SV, np.full(3, SV.theta), eps, MONTHLY / 30)
+    assert seen == shapes
+    assert len(checks) == 1
+
+
+def test_simulate_sv_checks_the_step_bound_once(monkeypatch):
+    # before it draws, not again in each of its 21 blocks
+    checks = []
+    check = sde._check_sv_step
+    monkeypatch.setattr(sde, "_check_sv_step",
+                        lambda *args: checks.append(args) or check(*args))
+    assert _sv(SV, 999, RngStream(2007, 0)) == GOLDEN["sv_default"]
+    assert len(checks) == 1
+
+
+@pytest.mark.parametrize("n", [60, 61, 7])
+@pytest.mark.parametrize("cols", [None, 1, 4])
+@pytest.mark.parametrize("transposed", [False, True])
+def test_sv_inner_path_leaves_eps_as_it_is(n, cols, transposed):
+    # _sv_block writes the path over its normals, so sv_inner_path hands it
+    # a copy: an (n, 1) eps, or the transpose of a (cols, n) draw, is laid
+    # out as the block step's (cols, n) already
+    shape = (n,) if cols is None else (n, cols)
+    gen = np.random.default_rng(n)
+    eps = (gen.standard_normal(shape[::-1]).T if transposed
+           else gen.standard_normal(shape))
+    before = eps.copy()
+    v0 = SV.theta if cols is None else np.full(cols, SV.theta)
+    got = sv_inner_path(SV, v0, eps, MONTHLY / 30)
+    assert got.shape == (n + 1,) + shape[1:]
+    assert np.array_equal(eps, before)
