@@ -1,5 +1,6 @@
 """Exception and warning types shared across the package, and the checks
-of the integer and real fields of its frozen configuration classes."""
+of the integer and real fields of its frozen configuration classes and of
+its real arguments."""
 
 import math
 import operator
@@ -23,10 +24,14 @@ def check_finite(obj, *names: str, positive: bool = False) -> None:
     """Raise ValueError naming the first named field of obj whose value is
     inf, -inf or nan, or, if positive is set, not above 0."""
     for name in names:
-        value = getattr(obj, name)
-        if not (math.isfinite(value) and (value > 0 or not positive)):
-            need = "positive and finite" if positive else "finite"
-            raise ValueError(f"{name} must be {need}, got {value!r}")
+        check_value(name, getattr(obj, name), positive)
+
+
+def check_value(name: str, value, positive: bool = False) -> None:
+    """check_finite for the value of an argument called name."""
+    if not (math.isfinite(value) and (value > 0 or not positive)):
+        need = "positive and finite" if positive else "finite"
+        raise ValueError(f"{name} must be {need}, got {value!r}")
 
 
 class DynvolError(Exception):

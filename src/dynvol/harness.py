@@ -22,8 +22,9 @@ dynamic blend and NonBay's shrinkage, each one call on arrays with one
 entry per origin, and so do the fallback counters. A study computes the
 time-domain tracks (Hist, the smoother, SemiProxy) of up to TIME_ROWS
 replications at once, one row per series, and each row has the bits of
-its series alone. It walks each simulated group's replications on up to
-one forked process per CPU, and folds the results in replication order.
+its series alone. It runs its replications on up to one process per CPU,
+forked once per study (dynvol._fanout), and folds the results in
+replication order.
 
 Studies and backtests score through one path: steps where any estimator's
 forecast is not finite are dropped for every estimator, and the exceedance
@@ -38,21 +39,17 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import multiprocessing
 import os
-import pickle
-import sys
-import threading
-import traceback
-import warnings
 from collections.abc import Sequence
+from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import starmap
+from functools import partial
 from statistics import NormalDist
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import _fanout
 from .errors import (DegenerateSeriesError, DynvolError,
                      InsufficientHistoryError, check_finite, store_ints)
 from .evaluation import (MeasureReport, build_report, empirical_quantile,
@@ -484,7 +481,7 @@ class StudyResult:
     curve: np.ndarray
     diagnostics: dict
     failed_reps: tuple[int, ...] = ()
-    # most processes that walked the replications of one simulated group
+    # processes that ran the replications, this one included
     processes: int = 1
 
 
@@ -520,163 +517,18 @@ def _report(per_rep: dict[str, np.ndarray], ests: tuple[str, ...],
                         ests, ref, trim_upper, excluded, failed)
 
 
-def _cpus() -> int:
-    """CPUs a study may walk its replications on: those this process may
-    run on, or 1 where the platform does not say (macOS and Windows have
-    no sched_getaffinity), where the process runs more than one thread, or
-    where it is a daemonic multiprocessing worker, which may not start
-    processes. A fork copies only the thread that calls it, so a lock
-    another thread holds stays held in the child for good, and Python 3.12
-    warns of it. numpy's OpenBLAS starts a thread per CPU unless
-    OPENBLAS_NUM_THREADS is 1."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    if (affinity is None or _threads() > 1
-            or multiprocessing.current_process().daemon):
-        return 1
-    return len(affinity(0))
-
-
-def _threads() -> int:
-    """Threads of this process, native ones included where /proc lists
-    them, else the Python threads."""
-    try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:
-        return threading.active_count()
-
-
-class _ChildTraceback(Exception):
-    """The traceback, as text, of an exception raised in a forked walk."""
-
-
-def _walk_child(walk, jobs, sink):
-    """Target of a forked walker: send [results, None, warnings] through
-    sink, results being [walk(*job) for each job], or, when a walk raises,
-    [None, (exception, "<ExceptionClass>: <message>", traceback text),
-    warnings], the exception None when it cannot cross a pickle. warnings
-    are (message, filename, lineno) of each warning the walks issued."""
-    with warnings.catch_warnings(record=True) as caught:
-        try:
-            msg = [list(starmap(walk, jobs)), None]
-        except Exception as exc:
-            error = f"{type(exc).__name__}: {exc}"
-            tb = traceback.format_exc()
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:
-                exc = None
-            msg = [None, (exc, error, tb)]
-    sink.send(msg + [[(w.message, w.filename, w.lineno) for w in caught]])
-
-
-def _rewarn(caught) -> None:
-    """Issue warnings a forked walk recorded as if they were issued here,
-    against the registry of the module they point at, so that one shown
-    once per place is shown once per study however many processes walked."""
-    files = {getattr(m, "__file__", None): m
-             for m in list(sys.modules.values())}
-    for message, filename, lineno in caught:
-        mod = files.get(filename)
-        warnings.warn_explicit(
-            message, type(message), filename, lineno,
-            module=getattr(mod, "__name__", None),
-            registry=(None if mod is None
-                      else vars(mod).setdefault("__warningregistry__", {})))
-
-
-def _named(span: range) -> str:
-    """"replication i" or "replications i-j", naming span in messages."""
-    return (f"replication {span[0]}" if len(span) == 1
-            else f"replications {span[0]}-{span[-1]}")
-
-
-def _walk_forked(walk, jobs: list, reps: range, n_proc: int) -> list:
-    """[walk(*job) for job in jobs], the jobs cut into n_proc contiguous
-    chunks: this process walks the first while a forked child walks each
-    other one, and the results are read back in order, with the warnings
-    each child recorded. An exception a child's walk raises is raised
-    here, its cause the child's traceback; a child that ends without
-    sending its results raises DynvolError. No child outlives the call.
-
-    Fork, not spawn: the children inherit walk and share the group's
-    series and tracks copy-on-write, where a spawned one would import
-    dynvol afresh, 65 ms on a 2-core Xeon VM, longer than the walks of a
-    4-replication CIR study on one process. Not a ProcessPoolExecutor, whose
-    manager and queue threads would make the next group's fork one from a
-    threaded process, and whose broken pool fails every pending chunk
-    without naming the one whose process died or how."""
-    cuts = [len(jobs) * k // n_proc for k in range(n_proc + 1)]
-    children = []  # (process, read end, replications) of each child
-    try:
-        for a, b in zip(cuts[1:-1], cuts[2:]):
-            # only here: Windows, where n_proc is 1, has no fork context
-            fork = multiprocessing.get_context("fork")
-            source, sink = fork.Pipe(duplex=False)
-            child = fork.Process(target=_walk_child, daemon=True,
-                                 args=(walk, jobs[a:b], sink))
-            children.append((child, source, reps[a:b]))
-            try:
-                child.start()
-            finally:
-                sink.close()
-        out = list(starmap(walk, jobs[:cuts[1]]))
-        for child, source, span in children:
-            try:
-                results, error, caught = source.recv()
-            except EOFError:
-                child.join()
-                code = child.exitcode
-                how = (f"exited with status {code}" if code >= 0
-                       else f"was killed by signal {-code}")
-                raise DynvolError(f"the process walking {_named(span)} {how} "
-                                  f"before it sent the results") from None
-            _rewarn(caught)
-            if error is not None:
-                exc, text, tb = error
-                if exc is None:
-                    exc = RuntimeError(f"the walk of {_named(span)} raised "
-                                       f"{text}, which cannot be pickled")
-                raise exc from _ChildTraceback(tb)
-            out += results
-        return out
-    finally:
-        for child, source, _ in children:
-            source.close()
-            if child.pid is not None:
-                child.kill()
-                child.join()
-
-
-def _tracked(cfg: StudyConfig, sims: list[SimulatedSeries],
-             origins: np.ndarray):
-    """Each of sims with its time-domain tracks at origins, in order, the
-    tracks computed TIME_ROWS series at a time."""
-    for at in range(0, len(sims), TIME_ROWS):
-        part = sims[at:at + TIME_ROWS]
-        yield from zip(part, _time_tracks(np.stack([s.returns.y for s in part]),
-                                          cfg, origins))
-
-
-def _replications(cfg: StudyConfig, origins: np.ndarray, walk):
-    """Each replication's id, the processes that walked its group and
-    walk(sim, time), in replication order, sim being its simulated series
-    and time its time-domain tracks at origins. Replications are simulated
-    SIM_GROUP at a time, and a group's walks run on one process per CPU,
-    at most one per walk, its results coming when all of them are done. A
-    roster without a state-domain estimator walks on this process alone:
-    its walks score tracks the group computed already, and forking them
-    cost the SV time-only study 6% more wall time and 14% more CPU time
-    per op, for nothing. The CPUs are counted once, before anything is
-    simulated: the SV simulator's producer thread, though joined, may
-    still be listed among this process's threads just after the simulator
-    returns, which would make _cpus() read 1."""
-    cpus = _cpus() if _walks_state(cfg.estimators) else 1
-    for lo in range(0, cfg.n_reps, SIM_GROUP):
-        reps = range(lo, min(lo + SIM_GROUP, cfg.n_reps))
-        jobs = list(_tracked(cfg, simulate_series(cfg, reps), origins))
-        n_proc = min(cpus, len(reps))
-        for rep, out in zip(reps, _walk_forked(walk, jobs, reps, n_proc)):
-            yield rep, n_proc, out
+def _replications(cfg: StudyConfig, origins: np.ndarray, walk, span: range):
+    """walk(sim, time) of each replication of span, in order, sim being its
+    simulated series and time its time-domain tracks at origins: the span
+    is simulated SIM_GROUP replications at a time and tracked TIME_ROWS at
+    a time. Each replication has the bits it has alone, so the results do
+    not depend on how the study's replications are cut into spans."""
+    for lo in range(span.start, span.stop, SIM_GROUP):
+        sims = simulate_series(cfg, range(lo, min(lo + SIM_GROUP, span.stop)))
+        for at in range(0, len(sims), TIME_ROWS):
+            part = sims[at:at + TIME_ROWS]
+            yield from map(walk, part, _time_tracks(
+                np.stack([s.returns.y for s in part]), cfg, origins))
 
 
 def run_simulation_study(cfg: StudyConfig) -> StudyResult:
@@ -691,11 +543,11 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
     InsufficientHistoryError before anything is simulated. A replication
     whose walk-forward raises DynvolError, or has no usable step, is
     skipped; diagnostics["failed_reasons"] maps it to
-    "<ExceptionClass>: <message>". Replications come from _replications:
-    they are simulated in groups of SIM_GROUP, each replication's
-    time-domain tracks are computed with up to TIME_ROWS of its group, and
-    a group's walks may run in forked processes. Every result is folded in
-    replication order, so the outputs do not depend on the process count.
+    "<ExceptionClass>: <message>". The replications are cut into one
+    contiguous span per process, forked once before anything is simulated,
+    and each process runs its span through _replications. Every result is
+    folded in replication order, so the outputs do not depend on the
+    process count.
     """
     ests = cfg.estimators
     first = cfg.in_sample_len - 1
@@ -724,24 +576,29 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
         err = np.abs(np.column_stack([tracks[e] - truth for e in ests]))
         return counters, mask, vals, err
 
-    processes = 1
-    for rep, n_proc, out in _replications(cfg, np.arange(first, first + m),
-                                          walk):
-        processes = max(processes, n_proc)
-        if isinstance(out, str):
-            failed[rep] = out
-            continue
-        counters, mask, vals, err = out
-        for k, v in counters.items():
-            totals[k] += v
-        n_bad = int(m - mask.sum())
-        excluded += n_bad
-        excluded_per_rep.append(n_bad)
-        for k in rows:
-            rows[k].append(vals[k])
-        curve_sum[mask] += err[mask]
-        curve_cnt[mask] += 1.0
-        log.info("rep %d/%d done", rep + 1, cfg.n_reps)
+    # a roster without a state-domain estimator stays on this process: its
+    # walks only score tracks, and forking them, with every group simulated
+    # here, cost the SV time-only study 6% more wall time and 14% more CPU
+    # time per op
+    processes = (min(_fanout._cpus(), cfg.n_reps) if _walks_state(ests)
+                 else 1)
+    work = partial(_replications, cfg, np.arange(first, first + m), walk)
+    with closing(_fanout.fan_out(work, cfg.n_reps, processes)) as outs:
+        for rep, out in enumerate(outs):
+            if isinstance(out, str):
+                failed[rep] = out
+                continue
+            counters, mask, vals, err = out
+            for k, v in counters.items():
+                totals[k] += v
+            n_bad = int(m - mask.sum())
+            excluded += n_bad
+            excluded_per_rep.append(n_bad)
+            for k in rows:
+                rows[k].append(vals[k])
+            curve_sum[mask] += err[mask]
+            curve_cnt[mask] += 1.0
+            log.info("rep %d/%d done", rep + 1, cfg.n_reps)
 
     if not rows["made"]:
         rep, reason = next(iter(failed.items()))

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IngestionError
+from .errors import IngestionError, check_finite
 
 FREQUENCY_DELTA = {"daily": 1.0 / 252.0, "weekly": 1.0 / 52.0,
                    "monthly": 1.0 / 12.0}
@@ -49,8 +49,7 @@ class BacktestDataset:
             raise ValueError(f"return_mode must be one of {RETURN_MODES}")
         if not 2 <= self.in_sample_end < self.values.size:
             raise ValueError("in_sample_end must split the series")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        check_finite(self, "delta", positive=True)
         if self.return_mode == "log":
             if np.any(self.values <= 0):
                 raise IngestionError("log returns need strictly positive levels")

@@ -10,16 +10,17 @@ a memoryview of the contiguous draws and appends to an `array.array`, which
 is several times faster than indexing numpy scalars. The stochastic-variance
 step is affine in the variance, v' = a_k v + kappa theta d, so `simulate_sv`
 steps a group of replications in lockstep and runs the substeps as a scan of
-composed affine maps (`_sv_block`, which `sv_inner_path` also runs): one map
-per observation interval, one pass over the intervals, then one multiply-add
-for every substep. Its Python-level loops run over the substeps of one
-interval and over the intervals, not over every substep, so one column costs
-about what a scalar loop does and a group costs little more. A producer
-thread draws the next block's normals while the scan runs. Each operation is
-elementwise, so a replication has the same bits alone or in any group. The
-scalar loop of the scheme (`tests/oracles.py`) rounds in another order and
-agrees within a tolerance stated in `tests/test_sde.py`, which pins the
-output bits of every simulator by SHA-256 digests.
+composed affine maps (`_sv_block`): one map per observation interval, one
+pass over the intervals, then one multiply-add for every substep. Its
+Python-level loops run over the substeps of one interval and over the
+intervals, not over every substep, so one column costs about what a scalar
+loop does and a group costs little more. A producer thread draws the next
+block's normals while the scan runs. Each operation is elementwise, so a
+replication has the same bits alone or in any group. `tests/oracles.py`
+drives `_sv_block` over given normals (`sv_inner_path`) and holds the
+scalar loop of the scheme, which rounds in another order; the two agree
+within a tolerance stated in `tests/test_sde.py`, which pins the output
+bits of every simulator by SHA-256 digests.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from itertools import cycle
 
 import numpy as np
 
-from .errors import check_finite, store_ints
+from .errors import check_finite, check_value, store_ints
 
 # post-step floor keeping the rate model positive (CIR only: its step has
 # sqrt(r); the affine SV step keeps v > 0 without one)
@@ -72,8 +73,7 @@ class SamplePath:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
         if self.values.ndim != 1 or self.values.size < 1:
             raise ValueError("path needs at least one observation")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        check_finite(self, "delta", positive=True)
 
     def __len__(self) -> int:
         return self.values.size
@@ -89,8 +89,7 @@ class ReturnSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        check_finite(self, "delta", positive=True)
         if self.y.size != self.source_len - 1:
             raise ValueError("length of y must be source_len - 1")
 
@@ -108,8 +107,15 @@ class CirParams:
 
     def __post_init__(self):
         check_finite(self, "kappa", "theta", "sigma", positive=True)
+        # the stationary law's shape 2 kappa theta / sigma^2 must be finite:
+        # a sigma whose square underflows to 0 would divide by zero
+        sq = self.sigma * self.sigma
+        if not (sq > 0 and math.isfinite(2.0 * self.kappa * self.theta / sq)):
+            raise ValueError(f"sigma = {self.sigma!r} is too small: the "
+                             f"stationary shape 2*kappa*theta/sigma^2 must "
+                             f"be finite")
         # keeps the process strictly positive (boundary unattainable)
-        if 2.0 * self.kappa * self.theta < self.sigma**2:
+        if 2.0 * self.kappa * self.theta < sq:
             raise ValueError("requires 2*kappa*theta >= sigma^2")
 
 
@@ -179,8 +185,7 @@ def simulate_cir(params: CirParams, delta: float, n_obs: int, rng: RngStream,
     """
     if n_obs < 2:
         raise ValueError("n_obs must be >= 2")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    check_value("delta", delta, positive=True)
     gen = rng.generator()
     k, th, sg = params.kappa, params.theta, params.sigma
     if r0 is None:
@@ -276,38 +281,6 @@ def _sv_block(params: SvParams, dstar: float, eps: np.ndarray,
     add.reduce(eps, axis=2, out=sums)
 
 
-def sv_inner_path(params: SvParams, v0, eps: np.ndarray,
-                  dstar: float) -> np.ndarray:
-    """Advance the latent-variance scheme through len(eps) substeps of size
-    dstar, starting at v0, for every column of eps at once.
-
-    v0 has shape (R,) and eps (N, R); returns the (N + 1, R) values including
-    v0. A float v0 and a 1-d eps are the one-column case and return N + 1
-    values. The substeps run through _sv_block, every whole interval of
-    `params.substeps` in one call, then the last N % substeps as one more
-    interval. eps is left as it is.
-    """
-    v0 = np.asarray(v0, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    if not (np.all(v0 > 0) and dstar > 0):
-        raise ValueError("v0 and dstar must be positive")
-    if eps.ndim != v0.ndim + 1 or eps.shape[1:] != v0.shape:
-        raise ValueError("eps must hold one column per entry of v0")
-    _check_sv_step(params, dstar)
-    n, m, cols = eps.shape[0], params.substeps, v0.size
-    # column c of eps in row c, a copy that _sv_block overwrites with the path
-    path = eps.reshape(n, cols).T.copy()
-    starts = np.empty((n // m + 2, cols))
-    starts[0] = v0
-    for lo, nb, k in ((0, n // m, m), (n - n % m, 1, n % m)):
-        if nb * k:
-            a, b = np.empty((2, k, nb, cols))
-            _sv_block(params, dstar, path[:, lo:lo + nb * k].reshape(
-                cols, nb, k), a, b, starts[:nb + 1], np.empty((cols, nb)))
-            starts[0] = starts[nb]
-    return np.concatenate((path.T, starts[:1])).reshape((n + 1,) + v0.shape)
-
-
 # observations per block of simulate_sv. Its four work buffers hold
 # SV_BLOCK * substeps values per stream each, 0.46 MB at 40 streams and 30
 # substeps, whatever the series length. A 40-stream call at the SV preset
@@ -345,8 +318,7 @@ def simulate_sv(params: SvParams, delta: float, n_obs: int,
     """
     if n_obs < 1:
         raise ValueError("n_obs must be >= 1")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    check_value("delta", delta, positive=True)
     m = params.substeps
     dstar = delta / m
     _check_sv_step(params, dstar)
@@ -414,8 +386,7 @@ def simulate_gbm(params: GbmParams, delta: float, n_obs: int, rng: RngStream,
     """
     if n_obs < 2:
         raise ValueError("n_obs must be >= 2")
-    if not delta > 0:
-        raise ValueError("delta must be positive")
+    check_value("delta", delta, positive=True)
     if not r0 > 0:
         raise ValueError("r0 must be positive")
     gen = rng.generator()

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from dynvol.errors import (DegenerateCaseWarning, DegenerateSeriesError,
                            InsufficientHistoryError, NoCoverageError)
 from dynvol.integration import MATCHED_SHAPE, _window_mass, bayes_es
+from dynvol import sde
 from dynvol.sde import POSITIVITY_FLOOR, SvParams
 from dynvol.state_domain import (DET_RTOL, NU0, _epanechnikov,
                                  rule_of_thumb_bandwidth)
@@ -212,7 +213,7 @@ def segmented_series(segments, seed):
 def sv_inner_path_scalar(params: SvParams, v0: float, eps: np.ndarray,
                          dstar: float) -> np.ndarray:
     """The latent-variance scheme one path at a time on Python floats: the
-    loop sde.sv_inner_path ran before it stepped a group of columns in
+    loop sv_inner_path ran before it stepped a group of columns in
     lockstep. Returns len(eps) + 1 values including v0."""
     if not (v0 > 0 and dstar > 0):
         raise ValueError("v0 and dstar must be positive")
@@ -232,3 +233,37 @@ def sv_inner_path_scalar(params: SvParams, v0: float, eps: np.ndarray,
             v = floor
         append(v)
     return np.frombuffer(out)
+
+
+def sv_inner_path(params: SvParams, v0, eps: np.ndarray,
+                  dstar: float) -> np.ndarray:
+    """Advance the latent-variance scheme through len(eps) substeps of size
+    dstar, starting at v0, for every column of eps at once, by the block
+    step of sde.simulate_sv, so that the scalar loop above can check it on
+    given normals.
+
+    v0 has shape (R,) and eps (N, R); returns the (N + 1, R) values including
+    v0. A float v0 and a 1-d eps are the one-column case and return N + 1
+    values. The substeps run through sde._sv_block, every whole interval of
+    `params.substeps` in one call, then the last N % substeps as one more
+    interval, with the step bound checked once. eps is left as it is.
+    """
+    v0 = np.asarray(v0, dtype=float)
+    eps = np.asarray(eps, dtype=float)
+    if not (np.all(v0 > 0) and dstar > 0):
+        raise ValueError("v0 and dstar must be positive")
+    if eps.ndim != v0.ndim + 1 or eps.shape[1:] != v0.shape:
+        raise ValueError("eps must hold one column per entry of v0")
+    sde._check_sv_step(params, dstar)
+    n, m, cols = eps.shape[0], params.substeps, v0.size
+    # column c of eps in row c, a copy that _sv_block overwrites with the path
+    path = eps.reshape(n, cols).T.copy()
+    starts = np.empty((n // m + 2, cols))
+    starts[0] = v0
+    for lo, nb, k in ((0, n // m, m), (n - n % m, 1, n % m)):
+        if nb * k:
+            a, b = np.empty((2, k, nb, cols))
+            sde._sv_block(params, dstar, path[:, lo:lo + nb * k].reshape(
+                cols, nb, k), a, b, starts[:nb + 1], np.empty((cols, nb)))
+            starts[0] = starts[nb]
+    return np.concatenate((path.T, starts[:1])).reshape((n + 1,) + v0.shape)

@@ -15,7 +15,7 @@ import pytest
 from dynvol.cli import (_BACKTEST_READS, _MODEL, _SETTINGS, _apply_overrides,
                         _build_parser, _dump_config, _read_config_file,
                         _reject_unread, _resolve, _values, main)
-from dynvol import harness
+from dynvol import _fanout, harness
 from dynvol.errors import DynvolError
 from dynvol.harness import run_backtest, study_preset, write_backtest_outputs
 from dynvol.ingest import ingest_csv
@@ -172,6 +172,22 @@ def test_sv_step_that_would_need_a_floor_is_one_error_line(tmp_path, capsys):
     assert not (out / "report.csv").exists()
 
 
+def test_a_cir_sigma_whose_square_underflows_is_one_error_line(
+        tmp_path, capsys):
+    # sigma^2 underflows to 0: simulate_cir divided by it in a traceback
+    assert main(["config", "--dump", "--model", "cir"]) == 0
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(re.sub(r"(?m)^param_sigma = .*$", "param_sigma = 1e-300",
+                          capsys.readouterr().out))
+    out = tmp_path / "res"
+    assert main(["simulate", "--model", "cir", "--config", str(cfg),
+                 "--reps", "1", "--quiet", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: sigma = 1e-300 is too small: the stationary shape "
+                   "2*kappa*theta/sigma^2 must be finite"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model, key, value", [
     ("sv", "param_theta", "inf"), ("sv", "param_alpha2", "nan"),
     ("cir", "param_kappa", "inf"), ("cir", "delta", "inf"),
@@ -275,7 +291,7 @@ def test_progress_and_summaries_are_logged_unless_quiet(tmp_path, levels_csv,
                                                         capsys, monkeypatch):
     # the summary names the failed replications and the processes that
     # walked them
-    monkeypatch.setattr(harness, "_cpus", lambda: 2)
+    monkeypatch.setattr(_fanout, "_cpus", lambda: 2)
     loud = [a for a in SIM_ARGS if a != "--quiet"]
     out = tmp_path / "s"
     assert main(loud + ["--out", str(out)]) == 0
@@ -284,7 +300,7 @@ def test_progress_and_summaries_are_logged_unless_quiet(tmp_path, levels_csv,
     assert re.fullmatch(r"2 replications, 0 failed, walked on 2 processes in "
                         rf"\d+\.\ds; outputs in {re.escape(str(out))}",
                         lines[2])
-    monkeypatch.setattr(harness, "_cpus", lambda: 1)
+    monkeypatch.setattr(_fanout, "_cpus", lambda: 1)
     main(loud + ["--out", str(out)])
     assert "2 replications, 0 failed, walked on 1 process in" in (
         capsys.readouterr().out)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from dynvol.errors import (DegenerateSeriesError, DynvolError,
                            IngestionError, InsufficientHistoryError,
                            NoCoverageError)
-from dynvol import harness
+from dynvol import _fanout, harness
 from dynvol.harness import (DEFAULT_SEMI_GRID, ESTIMATORS, MIN_STATE_PAIRS,
                             SEMI_FALLBACK_LAM, BacktestDataset, StudyConfig,
                             _eval_state, _fit_state, _new_counters, _rolling,
@@ -834,14 +834,14 @@ def test_failed_sv_replication_is_charged_alone(monkeypatch):
 
 
 def _check_group_size(monkeypatch, tmp_path, group, model, **design):
-    # 7 reps: seven groups of one, two full groups of 3 and a partial one,
-    # or one partial group of 64, whose time-domain tracks are computed
-    # harness.TIME_ROWS at a time and whose walks run on 1, 2 or 3
-    # processes, against one serial group. The full roster, with rep 1
-    # failing or not, on the preset's window and on a window of one return,
-    # where every decay of the grid forecasts the same square, so that every
-    # SemiProxy origin ties and falls back: a failed replication's fallbacks
-    # are not counted
+    # 7 reps on 1, 2 or 3 processes, each of which simulates its span in
+    # groups of one, of 3 or of 64 and computes their time-domain tracks
+    # harness.TIME_ROWS at a time, against one serial group. In groups of
+    # 3, one process simulates reps 0-2, 3-5 and 6, and the child of two
+    # processes 3-5 and 6. The full roster, with rep 1 failing or not, on
+    # the preset's window and on a window of one return, where every decay
+    # of the grid forecasts the same square, so that every SemiProxy origin
+    # ties and falls back: a failed replication's fallbacks are not counted
     m = 20
     for tied, failing in itertools.product((False, True), (None, 1)):
         cfg = study_preset(model, series_len=design["in_sample_len"] + m,
@@ -852,14 +852,14 @@ def _check_group_size(monkeypatch, tmp_path, group, model, **design):
         with monkeypatch.context() as mp:
             if failing is not None:
                 patch_rolling(mp, cfg, boom_at(failing))
-            mp.setattr(harness, "_cpus", lambda: 1)
+            mp.setattr(_fanout, "_cpus", lambda: 1)
             ref = run_simulation_study(cfg)
             write_study_outputs(ref, out / "ref")
             mp.setattr(harness, "SIM_GROUP", group)
             for cpus in (1, 2, 3):
-                mp.setattr(harness, "_cpus", lambda: cpus)
+                mp.setattr(_fanout, "_cpus", lambda: cpus)
                 got = run_simulation_study(cfg)
-                assert got.processes == min(cpus, group)
+                assert got.processes == min(cpus, cfg.n_reps)
                 write_study_outputs(got, out / f"got{cpus}")
                 for name in ("report.csv", "per_rep.csv", "fig2_curve.csv"):
                     assert ((out / f"got{cpus}" / name).read_bytes()
@@ -903,7 +903,7 @@ def _walk_breaks_at(monkeypatch, failing, exc_or_status):
             os._exit(exc_or_status)
         raise exc_or_status
 
-    monkeypatch.setattr(harness, "_cpus", lambda: 2)
+    monkeypatch.setattr(_fanout, "_cpus", lambda: 2)
     patch_rolling(monkeypatch, cfg, edit)
     return cfg
 
@@ -964,7 +964,7 @@ def test_warnings_of_forked_walks_reach_the_caller_in_order(monkeypatch):
 
     patch_rolling(monkeypatch, cfg, edit)
     for cpus, action in itertools.product((1, 2), shown):
-        monkeypatch.setattr(harness, "_cpus", lambda: cpus)
+        monkeypatch.setattr(_fanout, "_cpus", lambda: cpus)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter(action)
             run_simulation_study(cfg)
@@ -975,13 +975,13 @@ def test_warnings_of_forked_walks_reach_the_caller_in_order(monkeypatch):
 
 def test_a_process_with_another_thread_walks_alone():
     # a fork from a threaded process could inherit a lock held for good
-    before = harness._threads()
+    before = _fanout._threads()
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
     try:
-        assert harness._threads() == before + 1
-        assert harness._cpus() == 1
+        assert _fanout._threads() == before + 1
+        assert _fanout._cpus() == 1
     finally:
         stop.set()
         other.join()
@@ -989,8 +989,8 @@ def test_a_process_with_another_thread_walks_alone():
 
 def test_the_cpus_are_counted_once_per_study_before_it_simulates(
         monkeypatch):
-    # 7 replications in groups of 3: one count, before the first group; the
-    # SV simulator's thread may still be listed just after it returns
+    # 7 replications on 2 processes: one count, before the parent simulates
+    # its span of 3, one group of SIM_GROUP 3; the child's calls are its own
     calls = []
     simulate = harness.simulate_series
 
@@ -1002,21 +1002,56 @@ def test_the_cpus_are_counted_once_per_study_before_it_simulates(
         calls.append("simulate")
         return simulate(cfg, reps)
 
-    monkeypatch.setattr(harness, "_cpus", cpus)
+    monkeypatch.setattr(_fanout, "_cpus", cpus)
     monkeypatch.setattr(harness, "simulate_series", simulated)
     monkeypatch.setattr(harness, "SIM_GROUP", 3)
     cfg = study_preset("sv", series_len=120, in_sample_len=100, n_reps=7,
                        model_params=SvParams(3.0, 0.009, 4.0, substeps=3))
     assert run_simulation_study(cfg).processes == 2
-    assert calls == ["cpus"] + ["simulate"] * 3
+    assert calls == ["cpus", "simulate"]
+
+
+def test_a_study_forks_once_however_many_groups_it_simulates(monkeypatch):
+    # 7 replications in groups of 3 on 2 CPUs: one child, for reps 3-6
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(_fanout, "_cpus", lambda: 2)
+    monkeypatch.setattr(harness, "SIM_GROUP", 3)
+    cfg = study_preset("cir", series_len=300, in_sample_len=260, n_reps=7,
+                       seed=777)
+    assert run_simulation_study(cfg).processes == 2
+    assert forks == [os.getpid()]
+    assert_no_child_left()
+
+
+def test_no_child_is_left_when_the_fold_raises(monkeypatch):
+    # the first replication's progress line raises while the child runs
+    def broken(*args):
+        raise RuntimeError("fold broke")
+
+    monkeypatch.setattr(_fanout, "_cpus", lambda: 2)
+    monkeypatch.setattr(harness.log, "info", broken)
+    cfg = study_preset("cir", series_len=300, in_sample_len=260, n_reps=4,
+                       seed=777)
+    # info keeps the study's frame alive, and with it the frame's locals
+    with pytest.raises(RuntimeError, match="^fold broke$") as info:
+        run_simulation_study(cfg)
+    assert_no_child_left()
+    assert info.value.__traceback__ is not None
 
 
 def test_a_daemonic_process_walks_alone(monkeypatch):
     # a multiprocessing pool's worker may not start processes
-    monkeypatch.setattr(harness, "_threads", lambda: 1)
-    assert harness._cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(_fanout, "_threads", lambda: 1)
+    assert _fanout._cpus() == len(os.sched_getaffinity(0))
     monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
-    assert harness._cpus() == 1
+    assert _fanout._cpus() == 1
 
 
 def test_a_child_that_dies_is_named_with_its_replications(monkeypatch):
@@ -1266,6 +1301,9 @@ def test_dataset_validation():
                         return_mode="pct")
     with pytest.raises(ValueError, match="1-d"):
         BacktestDataset("x", np.ones((2, 3)), None, 1 / 52, 1)
+    with pytest.raises(ValueError, match="^delta must be positive and "
+                       "finite, got inf$"):
+        BacktestDataset("x", np.arange(4.0) + 1.0, None, math.inf, 2)
 
 
 def _weekly_csv(tmp_path, n, name="weekly.csv"):

@@ -15,8 +15,8 @@ from dynvol import sde
 from dynvol.sde import (AFFINE_ROOM, POSITIVITY_FLOOR, CirParams, GbmParams,
                         ReturnSeries, RngStream, SamplePath, SvParams,
                         _sv_slopes, levels_from_returns, simulate_cir,
-                        simulate_gbm, simulate_sv, sv_inner_path, to_returns)
-from oracles import UNIT_ROUNDOFF, sv_inner_path_scalar
+                        simulate_gbm, simulate_sv, to_returns)
+from oracles import UNIT_ROUNDOFF, sv_inner_path, sv_inner_path_scalar
 
 WEEKLY = 1.0 / 52.0
 MONTHLY = 1.0 / 12.0
@@ -51,6 +51,32 @@ def test_a_model_parameter_must_be_finite(params, field, bad):
     with pytest.raises(ValueError, match=(rf"^{field} must be (positive and "
                                           rf")?finite, got {bad!r}$")):
         replace(params, **{field: bad})
+
+
+@pytest.mark.parametrize("delta", [math.inf, math.nan])
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda d: simulate_gbm(GBM, d, 4, RngStream(1)),
+                 id="simulate_gbm"),
+    pytest.param(lambda d: simulate_cir(CIR, d, 4, RngStream(1)),
+                 id="simulate_cir"),
+    pytest.param(lambda d: simulate_sv(SV, d, 4, [RngStream(1)]),
+                 id="simulate_sv"),
+    pytest.param(lambda d: SamplePath(np.ones(3), d), id="SamplePath"),
+    pytest.param(lambda d: ReturnSeries(np.zeros(2), d, 3),
+                 id="ReturnSeries")])
+def test_a_non_finite_delta_is_rejected_by_name(make, delta):
+    # an infinite delta made NaN paths: simulate_gbm's was [1, 0, nan, nan]
+    with pytest.raises(ValueError, match=rf"^delta must be positive and "
+                       rf"finite, got {delta!r}$"):
+        make(delta)
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 1e-160])
+def test_a_cir_sigma_too_small_for_the_stationary_law_is_rejected(sigma):
+    # sigma^2 underflows to 0, or 2 kappa theta / sigma^2 overflows: the
+    # stationary draw divided by zero, or started the path at inf
+    with pytest.raises(ValueError, match=rf"^sigma = {sigma!r} is too small"):
+        replace(CIR, sigma=sigma)
 
 
 def test_to_returns_hand_value():
