@@ -20,9 +20,9 @@ origins' levels. Everything else takes the whole series at once: the
 time-domain tracks and autocorrelations, Integ's time-domain variance, the
 dynamic blend and NonBay's shrinkage, each one call on arrays with one
 entry per origin, and so do the fallback counters. A study computes the
-time-domain tracks (Hist, the smoother, SemiProxy) of up to TIME_ROWS
-replications at once, one row per series, and each row has the bits of
-its series alone. It runs its replications on up to one process per CPU,
+time-domain tracks (Hist, the smoother, SemiProxy) of each simulated group
+at once, one row per series, and each row has the bits of its series
+alone. It runs its replications on up to one process per CPU,
 forked once per study (dynvol._fanout), and folds the results in
 replication order.
 
@@ -457,17 +457,11 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
 # ---------------------------------------------------------------------------
 # simulation study
 
-# most replications one simulate_series call runs: SV in lockstep, which
-# pays off from 2, as each column past the first adds about an eighth of
-# what one column alone costs, and CIR and GBM path by path.
+# most replications one simulate_series call runs, and one _time_tracks
+# call tracks: SV in lockstep, which pays off from 2, as each column past
+# the first adds about an eighth of what one column alone costs, and CIR
+# and GBM path by path.
 SIM_GROUP = 64
-# most replications of a simulated group whose time-domain tracks one
-# _time_tracks call computes. Its temporaries are a few arrays of
-# TIME_ROWS x origins, about 30 kB a row at the SV preset, live while
-# the whole group's series are. A 40-rep SV study took about a fifth
-# longer a row at a time than 4 at a time; 8 at a time took about 4% less
-# than 4 but raised the peak resident memory by about 0.1 MB.
-TIME_ROWS = 4
 
 # per-replication measures, in per_rep.csv column order
 _MEASURES = ("imade", "made", "pe", "rade", "er")
@@ -520,15 +514,14 @@ def _report(per_rep: dict[str, np.ndarray], ests: tuple[str, ...],
 def _replications(cfg: StudyConfig, origins: np.ndarray, walk, span: range):
     """walk(sim, time) of each replication of span, in order, sim being its
     simulated series and time its time-domain tracks at origins: the span
-    is simulated SIM_GROUP replications at a time and tracked TIME_ROWS at
-    a time. Each replication has the bits it has alone, so the results do
-    not depend on how the study's replications are cut into spans."""
+    is simulated SIM_GROUP replications at a time, and each group is
+    tracked in one _time_tracks call. Each replication has the bits it has
+    alone, so the results do not depend on how the study's replications
+    are cut into spans."""
     for lo in range(span.start, span.stop, SIM_GROUP):
         sims = simulate_series(cfg, range(lo, min(lo + SIM_GROUP, span.stop)))
-        for at in range(0, len(sims), TIME_ROWS):
-            part = sims[at:at + TIME_ROWS]
-            yield from map(walk, part, _time_tracks(
-                np.stack([s.returns.y for s in part]), cfg, origins))
+        yield from map(walk, sims, _time_tracks(
+            np.stack([s.returns.y for s in sims]), cfg, origins))
 
 
 def run_simulation_study(cfg: StudyConfig) -> StudyResult:
@@ -577,9 +570,9 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
         return counters, mask, vals, err
 
     # a roster without a state-domain estimator stays on this process: its
-    # walks only score tracks, and forking them, with every group simulated
-    # here, cost the SV time-only study 6% more wall time and 14% more CPU
-    # time per op
+    # walks only score tracks, and forking them, each process simulating
+    # and tracking its own span, cost the 40-rep SV time-only study 26% more
+    # wall time and 27% more CPU time per op on 2 CPUs
     processes = (min(_fanout._cpus(), cfg.n_reps) if _walks_state(ests)
                  else 1)
     work = partial(_replications, cfg, np.arange(first, first + m), walk)

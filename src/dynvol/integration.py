@@ -87,7 +87,8 @@ def bayes_es(es_est, prior_mean, lam: float, n: int, a: float):
 
     and lam = 1 takes m = n, the moving-average case; the value is
     continuous in lam up to 1. With the moment-matched prior (a = MATCHED_SHAPE, k = 3)
-    this is the NonBay estimator.
+    this is the NonBay estimator. The value is clamped into [min(ES, S),
+    max(ES, S)], which rounding can leave when (1-lam^n) ES is subnormal.
     """
     u, v = _window_mass(lam, n)
     if a <= 1.0:
@@ -97,4 +98,5 @@ def bayes_es(es_est, prior_mean, lam: float, n: int, a: float):
     if not (np.all(es >= 0) and np.all(prior >= 0)):
         raise ValueError("estimates must be nonnegative")
     kv = 2.0 * (a - 1.0) * v
-    return _per_origin((u * es + kv * prior) / (u + kv))
+    return _per_origin(np.clip((u * es + kv * prior) / (u + kv),
+                               np.minimum(es, prior), np.maximum(es, prior)))

@@ -14,9 +14,8 @@ composed affine maps (`_sv_block`): one map per observation interval, one
 pass over the intervals, then one multiply-add for every substep. Its
 Python-level loops run over the substeps of one interval and over the
 intervals, not over every substep, so one column costs about what a scalar
-loop does and a group costs little more. A producer thread draws the next
-block's normals while the scan runs. Each operation is elementwise, so a
-replication has the same bits alone or in any group. `tests/oracles.py`
+loop does and a group costs little more. Each operation is elementwise, so
+a replication has the same bits alone or in any group. `tests/oracles.py`
 drives `_sv_block` over given normals (`sv_inner_path`) and holds the
 scalar loop of the scheme, which rounds in another order; the two agree
 within a tolerance stated in `tests/test_sde.py`, which pins the output
@@ -26,11 +25,9 @@ bits of every simulator by SHA-256 digests.
 from __future__ import annotations
 
 import math
-import threading
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import cycle
 
 import numpy as np
 
@@ -160,6 +157,10 @@ class GbmParams:
     def __post_init__(self):
         check_finite(self, "mu")
         check_finite(self, "sigma", positive=True)
+        # the log drift mu - sigma^2 / 2 needs a finite sigma^2
+        if not math.isfinite(self.sigma * self.sigma):
+            raise ValueError(f"sigma = {self.sigma!r} is too large: sigma^2 "
+                             f"must be finite")
 
 
 def simulate_cir(params: CirParams, delta: float, n_obs: int, rng: RngStream,
@@ -281,11 +282,11 @@ def _sv_block(params: SvParams, dstar: float, eps: np.ndarray,
     add.reduce(eps, axis=2, out=sums)
 
 
-# observations per block of simulate_sv. Its four work buffers hold
+# observations per block of simulate_sv. Its three work buffers hold
 # SV_BLOCK * substeps values per stream each, 0.46 MB at 40 streams and 30
 # substeps, whatever the series length. A 40-stream call at the SV preset
-# took 24.6 ms (35.7 ms of CPU) at 16, as the threads trade the GIL more
-# often, 16.9 ms at 32, and 15.4 ms at both 48 and 96, on a 2-core Xeon VM
+# took 53 ms at 16, 48 ms at 48 and 46-48 ms at 96 (medians of 30 calls on
+# a 2-core Xeon VM), so a larger block buys little time for its memory
 SV_BLOCK = 48
 
 
@@ -302,13 +303,9 @@ def simulate_sv(params: SvParams, delta: float, n_obs: int,
 
     Each stream draws the start, then the substep normals, then the return
     normals, so a stream gives the same result in any group. The substep
-    normals are drawn SV_BLOCK observations at a time, which gives the same
-    numbers as one draw of all of them, on a producer thread that runs one
-    block ahead: numpy fills a buffer with the GIL released, so the draws of
-    one block overlap the scan of the one before. The two threads hand two
-    buffers back and forth, and each stream is used by one thread at a
-    time. An exception in the producer is raised here; on any exit the
-    producer is stopped and joined, so no thread outlives the call.
+    normals are drawn SV_BLOCK observations at a time, stream by stream,
+    into one buffer that the block's scan then overwrites with its path;
+    this gives the same numbers as one draw of all of them.
 
     Returns
     -------
@@ -326,52 +323,25 @@ def simulate_sv(params: SvParams, delta: float, n_obs: int,
     if not gens:
         return []
     n = len(gens)
-    # block k's normals go to bufs[k % 2], which then holds its path; a, b
-    # and starts are the work arrays of every block, starts[0] the variance
-    # at the block's start, first the stationary draw V = 1/G with
+    # buf takes one block's normals, then its variance path; a, b and starts
+    # are the work arrays of every block, starts[0] the variance at the
+    # block's start, first the stationary draw V = 1/G with
     # G ~ Gamma(shape=a, rate=b)
-    bufs = np.empty((2, n, SV_BLOCK * m))
+    buf = np.empty((n, SV_BLOCK * m))
     a = np.empty((m, SV_BLOCK, n))
     b = np.empty_like(a)
     starts = np.empty((SV_BLOCK + 1, n))
     starts[0] = [1.0 / float(gen.gamma(params.shape_a, 1.0 / params.rate_b))
                  for gen in gens]
     vbar = np.empty((n, n_obs))
-    blocks = [(lo, min(SV_BLOCK, n_obs - lo))
-              for lo in range(0, n_obs, SV_BLOCK)]
-    free, full = threading.Semaphore(len(bufs)), threading.Semaphore(0)
-    stop, failed = threading.Event(), []
-
-    def draw():
-        try:
-            for (_, nb), buf in zip(blocks, cycle(bufs)):
-                free.acquire()
-                if stop.is_set():
-                    return
-                for gen, row in zip(gens, buf[:, :nb * m]):
-                    gen.standard_normal(out=row)
-                full.release()
-        except BaseException as exc:  # raised again by the calling thread
-            failed.append(exc)
-            full.release()
-
-    producer = threading.Thread(target=draw, name="dynvol-sv-normals",
-                                daemon=True)
-    producer.start()
-    try:
-        for (lo, nb), buf in zip(blocks, cycle(bufs)):
-            full.acquire()
-            if failed:
-                raise failed[0]
-            _sv_block(params, dstar, buf[:, :nb * m].reshape(n, nb, m),
-                      a[:, :nb], b[:, :nb], starts[:nb + 1],
-                      vbar[:, lo:lo + nb])
-            starts[0] = starts[nb]
-            free.release()
-    finally:
-        stop.set()
-        free.release()
-        producer.join()
+    for lo in range(0, n_obs, SV_BLOCK):
+        nb = min(SV_BLOCK, n_obs - lo)
+        eps = buf[:, :nb * m]
+        for gen, row in zip(gens, eps):
+            gen.standard_normal(out=row)
+        _sv_block(params, dstar, eps.reshape(n, nb, m), a[:, :nb], b[:, :nb],
+                  starts[:nb + 1], vbar[:, lo:lo + nb])
+        starts[0] = starts[nb]
     vbar /= m
     return [(ReturnSeries(np.sqrt(vb) * gen.standard_normal(n_obs), delta,
                           n_obs + 1), vb)

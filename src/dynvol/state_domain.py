@@ -123,10 +123,6 @@ def _runs(start: np.ndarray, size: np.ndarray) -> np.ndarray:
             + np.arange(int(size.sum())))
 
 
-# int W(u)^2 du of the Epanechnikov kernel
-NU0 = 0.6
-
-
 def _window_sums(v: np.ndarray, starts: np.ndarray,
                  some: np.ndarray) -> np.ndarray:
     """The sum of v over each window laid end to end, one entry per query:

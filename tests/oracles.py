@@ -15,11 +15,14 @@ from dynvol.errors import (DegenerateCaseWarning, DegenerateSeriesError,
 from dynvol.integration import MATCHED_SHAPE, _window_mass, bayes_es
 from dynvol import sde
 from dynvol.sde import POSITIVITY_FLOOR, SvParams
-from dynvol.state_domain import (DET_RTOL, NU0, _epanechnikov,
+from dynvol.state_domain import (DET_RTOL, _epanechnikov,
                                  rule_of_thumb_bandwidth)
 
 # unit roundoff of float64
 UNIT_ROUNDOFF = 2.0**-53
+
+# int W(u)^2 du of the Epanechnikov kernel
+NU0 = 0.6
 
 # The state_domain engine's documented bound: intercepts at the design
 # points within ORACLE_TOL * max|resp| * max(1, cond) of the direct O(N^2)

@@ -188,6 +188,22 @@ def test_a_cir_sigma_whose_square_underflows_is_one_error_line(
     assert not out.exists()
 
 
+def test_a_gbm_sigma_whose_square_overflows_is_one_error_line(
+        tmp_path, capsys):
+    # sigma^2 overflows: simulate_gbm raised OverflowError in a traceback
+    assert main(["config", "--dump", "--model", "gbm"]) == 0
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(re.sub(r"(?m)^param_sigma = .*$", "param_sigma = 1e200",
+                          capsys.readouterr().out))
+    out = tmp_path / "res"
+    assert main(["simulate", "--model", "gbm", "--config", str(cfg),
+                 "--reps", "2", "--quiet", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: sigma = 1e+200 is too large: sigma^2 must be "
+                   "finite"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model, key, value", [
     ("sv", "param_theta", "inf"), ("sv", "param_alpha2", "nan"),
     ("cir", "param_kappa", "inf"), ("cir", "delta", "inf"),

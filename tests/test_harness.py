@@ -835,8 +835,8 @@ def test_failed_sv_replication_is_charged_alone(monkeypatch):
 
 def _check_group_size(monkeypatch, tmp_path, group, model, **design):
     # 7 reps on 1, 2 or 3 processes, each of which simulates its span in
-    # groups of one, of 3 or of 64 and computes their time-domain tracks
-    # harness.TIME_ROWS at a time, against one serial group. In groups of
+    # groups of one, of 3 or of 64 and computes each group's time-domain
+    # tracks in one call, against one serial group. In groups of
     # 3, one process simulates reps 0-2, 3-5 and 6, and the child of two
     # processes 3-5 and 6. The full roster, with rep 1 failing or not, on
     # the preset's window and on a window of one return, where every decay

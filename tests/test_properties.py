@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dynvol.errors import NoCoverageError, SingularDesignError
@@ -68,6 +68,8 @@ def test_xi_weight_identities_hold(xs, where, h):
 @settings(max_examples=200)
 @given(_nonneg, _nonneg, _decay, st.integers(1, 500),
        st.floats(1.01, 50.0))
+# (1 - lam) est is subnormal, and the unclamped formula left the interval
+@example(4.689911422602379e-308, 4.689911422602379e-308, 0.9921875, 1, 2.0)
 def test_bayes_es_lies_between_estimate_and_prior_mean(est, prior, lam, n, a):
     got = bayes_es(est, prior, lam, n, a)
     assert _between(got, est, prior)

@@ -385,84 +385,6 @@ def test_sv_bytes_do_not_depend_on_the_block_size(monkeypatch, block):
             == GOLDEN["sv_one_substep"])
 
 
-class _Broken(Exception):
-    pass
-
-
-class _BreaksOnBlock:
-    """A stream whose generator counts the blocks of substep normals asked
-    of it in `blocks` and raises _Broken when asked for block number
-    `block` (never when it is 0)."""
-
-    def __init__(self, rng, block):
-        self.rng, self.block, self.blocks = rng, block, 0
-
-    def generator(self):
-        self.gen = self.rng.generator()
-        return self
-
-    def gamma(self, *args):
-        return self.gen.gamma(*args)
-
-    def standard_normal(self, size=None, out=None):
-        if out is not None:
-            self.blocks += 1
-            if self.blocks == self.block:
-                raise _Broken(f"block {self.block}")
-        return self.gen.standard_normal(size, out=out)
-
-
-def _raised_within(seconds, call):
-    """The exceptions call() raises, run on a thread that must return within
-    seconds: a producer left waiting would hang the call for good."""
-    raised = []
-
-    def run():
-        try:
-            call()
-        except BaseException as exc:
-            raised.append(exc)
-
-    caller = threading.Thread(target=run, daemon=True)
-    caller.start()
-    caller.join(seconds)
-    assert not caller.is_alive(), "simulate_sv did not return"
-    return raised
-
-
-def test_an_error_drawing_the_normals_is_raised_and_ends_the_producer():
-    before = threading.active_count()
-    broken = _BreaksOnBlock(RngStream(5, 1), 3)
-    [exc] = _raised_within(60, lambda: simulate_sv(
-        SV, MONTHLY, 10 * sde.SV_BLOCK,
-        [RngStream(5, 0), broken, RngStream(5, 2)]))
-    assert type(exc) is _Broken and str(exc) == "block 3"
-    assert broken.blocks == 3
-    assert threading.active_count() == before
-
-
-def test_an_interrupt_in_the_calling_thread_stops_the_producer(monkeypatch):
-    # the caller stops in its second block: the producer, at most one
-    # block ahead, has drawn two or three of the ten and draws no more
-    block = sde._sv_block
-    done = []
-
-    def interrupted(*args):
-        done.append(1)
-        if len(done) == 2:
-            raise KeyboardInterrupt
-        block(*args)
-
-    monkeypatch.setattr(sde, "_sv_block", interrupted)
-    before = threading.active_count()
-    counted = _BreaksOnBlock(RngStream(5, 1), 0)
-    [exc] = _raised_within(60, lambda: simulate_sv(
-        SV, MONTHLY, 10 * sde.SV_BLOCK, [counted]))
-    assert type(exc) is KeyboardInterrupt
-    assert threading.active_count() == before
-    assert counted.blocks in (2, 3)
-
-
 def test_sv_inner_path_rejects_eps_whose_columns_do_not_match_v0():
     for v0, eps in ((np.full(3, 0.009), np.zeros(5)),
                     (0.009, np.zeros((5, 3))), (0.009, 0.0)):

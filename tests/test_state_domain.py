@@ -11,12 +11,12 @@ from scipy import integrate as spi
 from dynvol.errors import (DegenerateSeriesError, NoCoverageError,
                            SingularDesignError, TooFewPointsError)
 from dynvol.harness import simulate_series, study_preset
-from dynvol.state_domain import (CV_GRID, DET_RTOL, EDGE_BAND, NU0, DriftFit,
+from dynvol.state_domain import (CV_GRID, DET_RTOL, EDGE_BAND, DriftFit,
                                  _design, _epanechnikov, _kernel, _levels,
                                  _moments, _solve_intercepts, _window_weights,
                                  rule_of_thumb_bandwidth, select_bandwidth,
                                  xi_weights)
-from oracles import ORACLE_TOL, dense_xi, kernel_density, s2_squared
+from oracles import NU0, ORACLE_TOL, dense_xi, kernel_density, s2_squared
 
 
 def _intercept(x, resp, x0, h):
