@@ -97,6 +97,11 @@ DEFAULT_SEMI_GRID = (0.90, 0.92, 0.94, 0.96, 0.98)
 SEMI_FALLBACK_LAM = 0.94
 
 
+# least values of StudyConfig's int fields (series_len: above in_sample_len)
+_INT_MIN = {"in_sample_len": 2, "n_reps": 1, "seed": 0, "state_refit_every": 1,
+            "hist_window": 1, "max_lag": 1, "er_window": 50}
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Everything needed to reproduce a simulation study run; model_params
@@ -120,9 +125,7 @@ class StudyConfig:
     er_window: int = 250
 
     def __post_init__(self):
-        store_ints(self, "series_len", "in_sample_len", "n_reps",
-                   "hist_window", "state_refit_every", "seed", "max_lag",
-                   "er_window")
+        store_ints(self, "series_len", *_INT_MIN)
         if self.model not in _PRESETS:
             raise ValueError(f"unknown model {self.model!r}")
         preset = _PRESETS[self.model]["model_params"]
@@ -133,14 +136,9 @@ class StudyConfig:
                              f"not {type(self.model_params).__name__}")
         if self.in_sample_len >= self.series_len:
             raise ValueError("in_sample_len must be < series_len")
-        if self.in_sample_len < 2:
-            raise ValueError("in_sample_len must be >= 2")
-        if self.n_reps < 1:
-            raise ValueError("n_reps must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.state_refit_every < 1:
-            raise ValueError("state_refit_every must be >= 1")
+        for name, least in _INT_MIN.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
         if not (0.0 <= self.trim_upper < 1.0):
@@ -160,12 +158,6 @@ class StudyConfig:
             dup = sorted({x for x in items if items.count(x) > 1})
             if dup:
                 raise ValueError(f"{name} lists {dup} more than once")
-        if self.hist_window < 1:
-            raise ValueError("hist_window must be >= 1")
-        if self.max_lag < 1:
-            raise ValueError("max_lag must be >= 1")
-        if self.er_window < 50:
-            raise ValueError("er_window must be >= 50")
 
 
 # Each preset's model parameters and the fields that differ from the
@@ -218,15 +210,11 @@ def simulate_series(cfg: StudyConfig, reps: Sequence[int]
         return [SimulatedSeries(levels_from_returns(rs), rs, vbar)
                 for rs, vbar in simulate_sv(p, cfg.delta, cfg.series_len - 1,
                                             rngs)]
-    if cfg.model == "CIR":
-        paths = [simulate_cir(p, cfg.delta, cfg.series_len, rng)
-                 for rng in rngs]
-        return [SimulatedSeries(path.values, to_returns(path),
-                                p.sigma**2 * path.values[:-1])
-                for path in paths]
-    paths = [simulate_gbm(p, cfg.delta, cfg.series_len, rng) for rng in rngs]
+    # the step variance is sigma^2 r^power: r for CIR, r^2 for GBM
+    sim, power = (simulate_cir, 1) if cfg.model == "CIR" else (simulate_gbm, 2)
+    paths = [sim(p, cfg.delta, cfg.series_len, rng) for rng in rngs]
     return [SimulatedSeries(path.values, to_returns(path),
-                            p.sigma**2 * path.values[:-1] ** 2)
+                            p.sigma**2 * path.values[:-1] ** power)
             for path in paths]
 
 
@@ -551,7 +539,6 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
     curve_sum = np.zeros((m, len(ests)))
     curve_cnt = np.zeros(m)
     totals = _new_counters()
-    excluded = 0
     failed: dict[int, str] = {}
     excluded_per_rep: list[int] = []
 
@@ -584,9 +571,7 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
             counters, mask, vals, err = out
             for k, v in counters.items():
                 totals[k] += v
-            n_bad = int(m - mask.sum())
-            excluded += n_bad
-            excluded_per_rep.append(n_bad)
+            excluded_per_rep.append(int(m - mask.sum()))
             for k in rows:
                 rows[k].append(vals[k])
             curve_sum[mask] += err[mask]
@@ -597,7 +582,8 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
         rep, reason = next(iter(failed.items()))
         raise DynvolError(f"every replication failed (rep {rep}: {reason})")
     per_rep = {k: np.asarray(v) for k, v in rows.items()}
-    report = _report(per_rep, ests, cfg.trim_upper, excluded, len(failed))
+    report = _report(per_rep, ests, cfg.trim_upper, sum(excluded_per_rep),
+                     len(failed))
     with np.errstate(invalid="ignore"):
         curve = np.where(curve_cnt[:, None] > 0,
                          curve_sum / np.maximum(curve_cnt, 1.0)[:, None], np.nan)

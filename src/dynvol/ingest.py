@@ -59,10 +59,9 @@ class BacktestDataset:
         object.__setattr__(self, "levels", levels)
 
 
-def ingest_csv(path, name: str | None = None, frequency: str = "weekly",
-               in_sample_end: int | str | None = None,
-               return_mode: str = "log", forward_fill: bool = False,
-               delta: float | None = None) -> BacktestDataset:
+def ingest_csv(path, frequency: str = "weekly",
+               in_sample_end: int | str | None = None, return_mode: str = "log",
+               forward_fill: bool = False) -> BacktestDataset:
     """Read a UTF-8 `date,value` CSV (ISO dates, strictly increasing); a
     leading byte order mark, as spreadsheets write, is skipped.
 
@@ -72,7 +71,9 @@ def ingest_csv(path, name: str | None = None, frequency: str = "weekly",
     with their row numbers. A byte that is not UTF-8 is rejected with its
     row number. in_sample_end is a row count (an int or digits; a float is
     rejected) or an ISO date to split after, leaving 2 to all but one row
-    in sample; by default two thirds."""
+    in sample; by default two thirds. delta is the frequency's."""
+    if frequency not in FREQUENCY_DELTA:
+        raise IngestionError(f"unknown frequency {frequency!r}")
     with open(path, "rb") as fh:
         raw = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
@@ -142,16 +143,12 @@ def ingest_csv(path, name: str | None = None, frequency: str = "weekly",
         raise IngestionError(f"in_sample_end {in_sample_end} leaves {split} "
                              f"of {len(values)} rows in sample; it must "
                              f"leave 2 to {len(values) - 1}")
-    if delta is None:
-        if frequency not in FREQUENCY_DELTA:
-            raise IngestionError(f"unknown frequency {frequency!r}; "
-                                 "pass delta explicitly")
-        delta = FREQUENCY_DELTA[frequency]
     return BacktestDataset(
-        name=name or os.path.splitext(os.path.basename(str(path)))[0],
+        name=os.path.splitext(os.path.basename(str(path)))[0],
         values=np.asarray(values), dates=tuple(d.isoformat() for d in dates),
-        delta=delta, in_sample_end=split, frequency=frequency,
-        return_mode=return_mode, filled_rows=tuple(filled))
+        delta=FREQUENCY_DELTA[frequency], in_sample_end=split,
+        frequency=frequency, return_mode=return_mode,
+        filled_rows=tuple(filled))
 
 
 def _row_list(rows: list[int]) -> str:

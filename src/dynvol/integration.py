@@ -64,18 +64,6 @@ def combine_estimates(time_est, var_time, state_est, var_state):
     return _per_origin(w * te + (1.0 - w) * se)
 
 
-def _window_mass(lam: float, n: int) -> tuple[float, float]:
-    """(u, v) with the smoother's equivalent window size u/v: (1 - lam^n,
-    1 - lam), or (n, 1) at lam = 1."""
-    if not (0.0 < lam <= 1.0):
-        raise ValueError("lam must lie in (0, 1]")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if lam == 1.0:
-        return float(n), 1.0
-    return 1.0 - lam**n, 1.0 - lam
-
-
 def bayes_es(es_est, prior_mean, lam: float, n: int, a: float):
     """Posterior-mean shrinkage of the smoothed estimator toward the prior
     mean, with the smoother's equivalent window size m = (1 - lam^n) /
@@ -90,13 +78,17 @@ def bayes_es(es_est, prior_mean, lam: float, n: int, a: float):
     this is the NonBay estimator. The value is clamped into [min(ES, S),
     max(ES, S)], which rounding can leave when (1-lam^n) ES is subnormal.
     """
-    u, v = _window_mass(lam, n)
+    if not (0.0 < lam <= 1.0):
+        raise ValueError("lam must lie in (0, 1]")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if a <= 1.0:
         raise ValueError("a must exceed 1")
     es = np.asarray(es_est, dtype=float)
     prior = np.asarray(prior_mean, dtype=float)
     if not (np.all(es >= 0) and np.all(prior >= 0)):
         raise ValueError("estimates must be nonnegative")
+    u, v = (float(n), 1.0) if lam == 1.0 else (1.0 - lam**n, 1.0 - lam)
     kv = 2.0 * (a - 1.0) * v
     return _per_origin(np.clip((u * es + kv * prior) / (u + kv),
                                np.minimum(es, prior), np.maximum(es, prior)))

@@ -171,7 +171,7 @@ def simulate_cir(params: CirParams, delta: float, n_obs: int, rng: RngStream,
     ----------
     params : CirParams
     delta : float
-        Time step between observations.
+        Time step between observations; kappa * delta must be below 1.
     n_obs : int
         Number of observations, >= 2.
     rng : RngStream
@@ -187,8 +187,13 @@ def simulate_cir(params: CirParams, delta: float, n_obs: int, rng: RngStream,
     if n_obs < 2:
         raise ValueError("n_obs must be >= 2")
     check_value("delta", delta, positive=True)
-    gen = rng.generator()
     k, th, sg = params.kappa, params.theta, params.sigma
+    # past 1 the drift step (1 - kappa delta) r + kappa theta delta
+    # overshoots theta
+    if not k * delta < 1.0:
+        raise ValueError(f"the CIR step needs kappa delta below 1, got "
+                         f"{k * delta:.6g}: lower delta or kappa")
+    gen = rng.generator()
     if r0 is None:
         shape = 2.0 * k * th / sg**2
         scale = sg**2 / (2.0 * k)

@@ -138,12 +138,12 @@ def _window_weights(xs: np.ndarray, x0: np.ndarray, h: float):
     """Equivalent local-linear weights of the windowed query at each query
     level of the 1-d array x0 on the sorted design xs.
 
-    Returns (windows, seg, xi, covered, singular). A query's window, its
-    slice of xs in windows, is _reach's range; a query outside the data,
-    or NaN, gets an empty one. The windows are laid end to end: xi holds
-    their weights and seg the (starts, some) of _window_sums, which reduces
-    each window on its own, so a query's values read its own window only
-    and do not depend on the other queries.
+    Returns (idx, seg, xi, covered, singular). A query's window is
+    _reach's range; a query outside the data, or NaN, gets an empty one.
+    The windows are laid end to end: idx holds their indices into xs (the
+    rule of _runs), xi their weights and seg the (starts, some) of
+    _window_sums, which reduces each window on its own, so a query's values
+    read its own window only and do not depend on the other queries.
     covered marks the queries with kernel mass. A zero-spread window
     (V2 = 0, all weighted points at the query) gives the normalized kernel
     weights, and so does a design with det = V0 V2 - V1^2 below
@@ -155,8 +155,8 @@ def _window_weights(xs: np.ndarray, x0: np.ndarray, h: float):
     size = hi - lo
     some = size > 0
     seg = ((np.cumsum(size) - size)[some], some)
-    windows = [slice(a, b) for a, b in zip(lo.tolist(), hi.tolist())]
-    d = np.concatenate([xs[s] for s in windows]) - np.repeat(x0, size)
+    idx = _runs(lo, size)
+    d = xs[idx] - np.repeat(x0, size)
     w = _epanechnikov(d / h)
     wd = w * d
     v0, v1, v2 = (_window_sums(v, *seg) for v in (w, wd, wd * d))
@@ -170,7 +170,7 @@ def _window_weights(xs: np.ndarray, x0: np.ndarray, h: float):
         xi = (w * (np.repeat(np.where(const, 1.0, v2), size)
                    - d * np.repeat(np.where(const, 0.0, v1), size))
               / np.repeat(np.where(const, v0, det), size))
-    return windows, seg, xi, covered, singular
+    return idx, seg, xi, covered, singular
 
 
 def _window_estimates(xs: np.ndarray, resp: np.ndarray, x0: np.ndarray,
@@ -182,9 +182,9 @@ def _window_estimates(xs: np.ndarray, resp: np.ndarray, x0: np.ndarray,
     Returns (est, xi_sq, singular), one entry per query; est and xi_sq are
     NaN where the query has no coverage.
     """
-    windows, seg, xi, covered, singular = _window_weights(
+    idx, seg, xi, covered, singular = _window_weights(
         xs, np.asarray(x0, dtype=float), h)
-    est = _window_sums(xi * np.concatenate([resp[s] for s in windows]), *seg)
+    est = _window_sums(xi * resp[idx], *seg)
     xi_sq = _window_sums(xi * xi, *seg)
     est[~covered] = np.nan
     xi_sq[~covered] = np.nan
@@ -208,14 +208,14 @@ def xi_weights(x: np.ndarray, x0: float, h: float) -> np.ndarray:
     if not 0.0 < h < math.inf:
         raise ValueError("bandwidth must be finite and positive")
     order = np.argsort(x, kind="stable")
-    [window], _, xi, covered, singular = _window_weights(
+    idx, _, xi, covered, singular = _window_weights(
         x[order], np.array([x0], dtype=float), h)
     if not covered[0]:
         raise NoCoverageError(f"no kernel mass at {x0}")
     if singular[0]:
         raise SingularDesignError(f"local design singular at {x0}")
     out = np.zeros(x.size)
-    out[order[window]] = xi
+    out[order[idx]] = xi
     return out
 
 

@@ -65,6 +65,14 @@ class TimeVarianceEstimate:
             raise ValueError("estimates must be nonnegative")
 
 
+def _origins(t, name: str) -> np.ndarray:
+    """The origins t as a 1-d intp array; a ValueError names t as name."""
+    o = np.atleast_1d(t)
+    if o.ndim != 1 or o.size == 0 or o.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be an int or a non-empty 1-d int array")
+    return o.astype(np.intp)
+
+
 def _squares(y, t, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(z2, j): the squared returns that the n-windows before the origins t
     read, y[..., min(t)-n:max(t)]**2, and the index into the windows of z2
@@ -75,10 +83,7 @@ def _squares(y, t, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("y must be a series or a 2-d array of series")
     if n < 1:
         raise ValueError("n must be >= 1")
-    o = np.atleast_1d(t)
-    if o.ndim != 1 or o.size == 0 or o.dtype.kind not in "iu":
-        raise ValueError("t must be an int or a non-empty 1-d int array")
-    o = o.astype(np.intp)
+    o = _origins(t, "t")
     bad = o[(o < n) | (o > arr.shape[-1])]
     if bad.size:
         raise InsufficientHistoryError(
@@ -169,9 +174,7 @@ def autocorr_sq(y, upto_t, max_lag: int = 30) -> np.ndarray:
     arr = np.asarray(y, dtype=float)
     if max_lag < 1:
         raise ValueError("max_lag must be >= 1")
-    t = np.atleast_1d(upto_t)
-    if t.ndim != 1 or t.size == 0 or t.dtype.kind not in "iu":
-        raise ValueError("upto_t must be an int or a non-empty 1-d int array")
+    t = _origins(upto_t, "upto_t")
     short = t[(t < max_lag + 2) | (t > arr.size)]
     if short.size:
         raise InsufficientHistoryError(

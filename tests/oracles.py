@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from dynvol.errors import (DegenerateCaseWarning, DegenerateSeriesError,
                            InsufficientHistoryError, NoCoverageError)
-from dynvol.integration import MATCHED_SHAPE, _window_mass, bayes_es
+from dynvol.integration import MATCHED_SHAPE
 from dynvol import sde
 from dynvol.sde import POSITIVITY_FLOOR, SvParams
 from dynvol.state_domain import (DET_RTOL, _epanechnikov,
@@ -156,17 +156,19 @@ def ig_posterior(prior: IgPrior, window: np.ndarray) -> IgPrior:
 
 
 def bayes_ma(ma_est: float, prior_mean: float, n: int, a: float) -> float:
-    """Posterior-mean shrinkage of the moving average toward the prior mean;
-    weights n/(n + 2(a-1)) and 2(a-1)/(n + 2(a-1)). This is bayes_es at
-    lam = 1."""
-    return bayes_es(ma_est, prior_mean, 1.0, n, a)
+    """Posterior-mean shrinkage of the moving average toward the prior mean,
+    (n MA + k S)/(n + k) with k = 2(a-1): the posterior mean of an
+    inverse-gamma prior of shape a and mean S after n observations."""
+    k = 2.0 * (a - 1.0)
+    return (n * ma_est + k * prior_mean) / (n + k)
 
 
 def effective_n(lam: float, n: int) -> float:
     """Equivalent window size of the smoother: (1 - lam^n)/(1 - lam); lam = 1
     gives exactly n."""
-    u, v = _window_mass(lam, n)
-    return u / v
+    if lam == 1.0:
+        return float(n)
+    return (1.0 - lam**n) / (1.0 - lam)
 
 
 def match_hyperparams(state_est: float) -> IgPrior:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from operator import attrgetter
 
@@ -170,6 +171,25 @@ def test_sv_step_that_would_need_a_floor_is_one_error_line(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:")
     assert "substeps" in err[0]
     assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["delta", "param_kappa"])
+def test_a_cir_step_past_theta_is_one_error_line(tmp_path, capsys, key):
+    # kappa delta >= 1: the drift step overshoots theta, and the walk on the
+    # overflowed path printed RuntimeWarnings before its error line
+    assert main(["config", "--dump", "--model", "cir"]) == 0
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = 1e300",
+                          capsys.readouterr().out))
+    out = tmp_path / "res"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--model", "cir", "--config", str(cfg),
+                     "--reps", "2", "--quiet", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: the CIR step needs kappa delta below 1")
+    assert not out.exists()
 
 
 def test_a_cir_sigma_whose_square_underflows_is_one_error_line(

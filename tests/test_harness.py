@@ -137,6 +137,9 @@ def test_config_validation():
     ("delta", math.nan),
     ("er_window", 49),
     ("seed", -1),
+    ("in_sample_len", 1),
+    ("n_reps", 0),
+    ("state_refit_every", 0),
 ])
 def test_config_rejects_values_that_would_fail_late(field, value):
     # a run would fail inside its first replication, ignore the setting, or
@@ -1287,9 +1290,7 @@ def test_ingest_delta_resolution(tmp_path):
     p = _write_csv(tmp_path, ["2020-01-31,1.0", "2020-02-28,1.1",
                               "2020-03-31,1.2", "2020-04-30,1.3"])
     assert ingest_csv(p, frequency="monthly").delta == pytest.approx(1.0 / 12.0)
-    assert ingest_csv(p, frequency="biweekly", delta=1.0 / 26.0).delta == \
-        pytest.approx(1.0 / 26.0)
-    with pytest.raises(IngestionError, match="frequency"):
+    with pytest.raises(IngestionError, match="frequency 'biweekly'"):
         ingest_csv(p, frequency="biweekly")
 
 

@@ -526,6 +526,9 @@ def test_point_query_matches_dense_oracle(levels, spacing, offset, hmul,
         return
     got = xi_weights(x, x0, h)
     assert np.all(np.abs(got - want) <= ORACLE_TOL * max(1.0, cond))
-    [window], *_ = _window_weights(xs, np.array([x0]), h)
+    # the window is one contiguous run of indices holding every point of
+    # positive weight
+    idx, *_ = _window_weights(xs, np.array([x0]), h)
+    assert np.array_equal(idx, np.arange(idx[0], idx[-1] + 1))
     pos = np.flatnonzero(_epanechnikov((xs - x0) / h) > 0.0)
-    assert window.start <= pos[0] and pos[-1] < window.stop
+    assert idx[0] <= pos[0] and pos[-1] <= idx[-1]
