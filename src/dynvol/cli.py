@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 import time
 from collections import namedtuple
@@ -21,10 +22,18 @@ from dataclasses import replace
 from operator import attrgetter
 
 from .errors import DynvolError
-from .harness import (_PRESETS, StudyConfig, run_backtest,
+
+# One BLAS thread, unless the user set another count, before numpy loads: a
+# study forks its walks only from a process with one thread, and BLAS
+# threads gain nothing on this package's small matrices. A host that loaded
+# numpy first keeps its threads, and its studies walk on one process.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from .harness import (_PRESETS, StudyConfig, run_backtest,  # noqa: E402
                       run_simulation_study, study_preset,
                       write_backtest_outputs, write_study_outputs)
-from .ingest import FREQUENCY_DELTA, RETURN_MODES, ingest_csv
+from .ingest import FREQUENCY_DELTA, RETURN_MODES, ingest_csv  # noqa: E402
 
 FULL_SCALE_REPS = 600
 

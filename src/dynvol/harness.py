@@ -57,9 +57,9 @@ from .evaluation import (MeasureReport, build_report, empirical_quantile,
                          report_to_csv, report_to_text)
 from .ingest import BacktestDataset
 from .integration import MATCHED_SHAPE, bayes_es, combine_estimates
-from .sde import (CirParams, GbmParams, ReturnSeries, RngStream, SvParams,
-                  levels_from_returns, simulate_cir, simulate_gbm, simulate_sv,
-                  to_returns)
+from .sde import (LOG_MAX, CirParams, GbmParams, ReturnSeries, RngStream,
+                  SvParams, levels_from_returns, simulate_cir, simulate_gbm,
+                  simulate_sv, to_returns)
 from .state_domain import (MIN_STATE_PAIRS, DriftFit, _window_estimates,
                            select_bandwidth)
 from .time_domain import (EsConfig, _per_origin, autocorr_sq, es_variance,
@@ -144,6 +144,16 @@ class StudyConfig:
         if not (0.0 <= self.trim_upper < 1.0):
             raise ValueError("trim_upper must lie in [0, 1)")
         check_finite(self, "delta", positive=True)
+        if self.model == "GBM":
+            p = self.model_params
+            drift = (abs(p.mu - 0.5 * p.sigma**2) * self.delta
+                     * (self.series_len - 1))
+            if not drift <= LOG_MAX:
+                raise ValueError(
+                    f"mu = {p.mu!r}, sigma = {p.sigma!r} and delta = "
+                    f"{self.delta!r} drift the GBM log path by {drift:.3g} "
+                    f"over series_len = {self.series_len}, past "
+                    f"+-{LOG_MAX:.1f}, outside the float range")
         if not self.estimators:
             raise ValueError("estimators must name at least one estimator")
         bad = [e for e in self.estimators if e not in ESTIMATORS]

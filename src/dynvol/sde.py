@@ -41,6 +41,10 @@ POSITIVITY_FLOOR = 1e-12
 # order 1, so rounding moves the slope by a few ulps of 1, not more
 AFFINE_ROOM = 32 * np.finfo(float).eps
 
+# log of the largest float: a GBM level whose log path passes +-LOG_MAX
+# overflows, or underflows towards 0
+LOG_MAX = math.log(np.finfo(float).max)
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -368,8 +372,13 @@ def simulate_gbm(params: GbmParams, delta: float, n_obs: int, rng: RngStream,
     z = gen.standard_normal(n_obs - 1)
     drift = (params.mu - 0.5 * params.sigma**2) * delta
     vol = params.sigma * math.sqrt(delta)
-    log_incr = drift + vol * z
-    log_path = np.concatenate(([0.0], np.cumsum(log_incr)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_incr = drift + vol * z
+        log_path = np.concatenate(([0.0], np.cumsum(log_incr)))
+    if not np.abs(log_path).max() <= LOG_MAX:
+        raise ValueError(f"mu = {params.mu!r}, sigma = {params.sigma!r} and "
+                         f"delta = {delta!r} drew a GBM log path past "
+                         f"+-{LOG_MAX:.1f}, outside the float range")
     return SamplePath(r0 * np.exp(log_path), delta)
 
 

@@ -224,6 +224,31 @@ def test_a_gbm_sigma_whose_square_overflows_is_one_error_line(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [
+    ("param_mu", "1e300"), ("param_mu", "1e10"), ("delta", "1e6")])
+def test_a_gbm_drift_past_the_float_range_is_one_error_line(
+        tmp_path, capsys, monkeypatch, key, value):
+    # |mu - sigma^2/2| delta (series_len - 1) beyond log(float max): the
+    # levels overflowed, or underflowed to 0, and numpy warned before the
+    # error line; the config is now rejected before anything is simulated
+    monkeypatch.setattr(harness, "simulate_series",
+                        lambda *args: pytest.fail("the study simulated"))
+    assert main(["config", "--dump", "--model", "gbm"]) == 0
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}",
+                          capsys.readouterr().out))
+    out = tmp_path / "res"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--model", "gbm", "--config", str(cfg),
+                     "--reps", "2", "--quiet", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"{key.removeprefix('param_')} = {float(value)!r}" in err[0]
+    assert "outside the float range" in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model, key, value", [
     ("sv", "param_theta", "inf"), ("sv", "param_alpha2", "nan"),
     ("cir", "param_kappa", "inf"), ("cir", "delta", "inf"),
@@ -515,14 +540,71 @@ def test_backtest_accepts_every_key_it_reads():
     _reject_unread(_apply_overrides(preset, read))
 
 
-def test_package_import_loads_no_scipy():
-    # scipy is a test dependency only; the package must not pull it in
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
+
+# every name dynvol exported when its imports were eager
+EXPORTS = ("DegenerateCaseWarning", "DegenerateSeriesError", "DynvolError",
+           "IngestionError", "InsufficientHistoryError", "NoCoverageError",
+           "SingularDesignError", "TooFewPointsError", "StudyConfig",
+           "run_backtest", "run_simulation_study", "study_preset",
+           "write_backtest_outputs", "write_study_outputs", "ingest_csv",
+           "combine_estimates", "GbmParams", "RngStream", "simulate_gbm",
+           "select_bandwidth", "xi_weights", "EsConfig", "autocorr_sq",
+           "es_variance", "exp_smooth", "__version__")
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _python(*args: str, **env: str) -> str:
+    """Standard output of a fresh interpreter run with args, dynvol imported
+    from this checkout, the BLAS thread variables unset and env set."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(
         sys.modules["dynvol"].__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    base["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env={**base, **env},
+                          check=True, capture_output=True, text=True).stdout
+
+
+def test_package_import_loads_no_scipy():
+    # scipy is a test dependency only; the package must not pull it in
     code = ("import sys, dynvol, dynvol.cli, dynvol.harness; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _python("-c", code).strip() == "[]"
+
+
+def test_package_import_loads_no_numpy_and_sets_no_variable():
+    # a library leaves its host's environment alone; each name loads its
+    # module on first use
+    code = ("import os, sys; before = dict(os.environ); import dynvol; "
+            "assert 'numpy' not in sys.modules; "
+            f"from dynvol import {', '.join(EXPORTS)}; "
+            "assert dict(os.environ) == before; assert 'numpy' in sys.modules; "
+            "print(sorted(set(dynvol.__all__) | {'__version__'}))")
+    assert _python("-W", "error", "-c", code).strip() == str(sorted(EXPORTS))
+
+
+def test_the_cli_pins_blas_unless_the_user_set_a_count():
+    code = ("import os, sys, dynvol.cli; "
+            f"print(*(os.environ[v] for v in {BLAS_THREAD_VARS}))")
+    assert _python("-c", code).split() == ["1", "1", "1"]
+    assert _python("-c", code, OMP_NUM_THREADS="2").split() == ["1", "2", "1"]
+
+
+@pytest.mark.skipif(CPUS < 2, reason="one CPU: a study walks alone")
+def test_a_default_cli_study_walks_on_every_cpu(tmp_path):
+    # -W error: on 3.12, a fork from a process with a BLAS thread warns
+    out = _python("-W", "error", "-m", "dynvol.cli", "simulate", "--model",
+                  "cir", "--reps", "4", "--out", str(tmp_path / "s"))
+    assert f"walked on {min(CPUS, 4)} processes in " in out
+
+
+def test_a_host_that_loaded_numpy_first_walks_alone(tmp_path):
+    # numpy's BLAS started its threads before the CLI could pin it
+    code = ("import sys, numpy; from dynvol.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    out = _python("-W", "error", "-c", code, "simulate", "--model", "cir",
+                  "--reps", "4", "--out", str(tmp_path / "s"))
+    assert "walked on 1 process in " in out

@@ -2,7 +2,9 @@
 
 import csv
 import datetime as dt
+import errno
 import itertools
+import logging
 import math
 import multiprocessing
 import os
@@ -1055,6 +1057,102 @@ def test_a_daemonic_process_walks_alone(monkeypatch):
     assert _fanout._cpus() == len(os.sched_getaffinity(0))
     monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
     assert _fanout._cpus() == 1
+
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@pytest.mark.parametrize("mask, parent, n, want", [
+    ({0, 1}, 1, 1, [0]),
+    ({2, 5, 7}, 5, 2, [2, 7]),
+    # more children than other CPUs: round robin, never the parent's
+    ({0, 1, 2}, 1, 5, [0, 2, 0, 2, 0]),
+    ({3}, 3, 2, []),
+    # the parent on a CPU outside the mask
+    ({0, 1}, 4, 3, [0, 1, 0])])
+def test_children_get_the_cpus_but_their_parents_round_robin(mask, parent, n,
+                                                             want):
+    assert _fanout._spread(mask, parent, n) == want
+
+
+@pytest.mark.skipif(CPUS < 2, reason="one CPU")
+def test_a_forked_span_runs_on_another_cpu():
+    def work(span):
+        return [(os.getpid(), _fanout._parent_cpu()) for _ in span]
+
+    (pid, cpu), (child_pid, child_cpu) = _fanout.fan_out(work, 2, 2)
+    assert pid == os.getpid() != child_pid
+    assert cpu != child_cpu
+    assert {cpu, child_cpu} <= os.sched_getaffinity(0)
+    assert_no_child_left()
+
+
+def test_each_forked_span_logs_its_cpu_or_why_it_has_none(monkeypatch,
+                                                         caplog):
+    # the child reports back, as its move's error, the masks it set: its
+    # CPU, then the mask it inherited; this process sets none
+    asked = []
+
+    def setaffinity(pid, cpus):
+        asked.append((pid, sorted(cpus)))
+        if len(asked) == 2:
+            raise OSError(f"asked for {asked}")
+
+    monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    caplog.set_level(logging.DEBUG, logger="dynvol")
+    for here, logged in [
+            (1, ["forked replications 1-2 onto CPU 0",
+                 "forked replications 3-4 onto CPU 2",
+                 "replications 1-2 ran unplaced: OSError: asked for "
+                 "[(0, [0]), (0, [0, 1, 2])]",
+                 "replications 3-4 ran unplaced: OSError: asked for "
+                 "[(0, [2]), (0, [0, 1, 2])]"]),
+            (None, ["forked replications 1-2, unplaced: the CPU this "
+                    "process runs on cannot be read",
+                    "forked replications 3-4, unplaced: the CPU this "
+                    "process runs on cannot be read"])]:
+        monkeypatch.setattr(_fanout, "_parent_cpu", lambda: here)
+        caplog.clear()
+        assert list(_fanout.fan_out(lambda span: list(span), 5, 3)) == [
+            0, 1, 2, 3, 4]
+        assert caplog.messages == logged
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
+    monkeypatch.setattr(_fanout, "_parent_cpu", lambda: 1)
+    caplog.clear()
+    assert list(_fanout.fan_out(lambda span: list(span), 2, 2)) == [0, 1]
+    assert caplog.messages == [
+        "forked replication 1, unplaced: the affinity mask holds only CPU 1"]
+    assert asked == []
+    assert_no_child_left()
+
+
+def test_a_study_that_cannot_place_its_processes_keeps_its_bytes(
+        monkeypatch, tmp_path, caplog):
+    def refuse(pid, cpus):
+        raise OSError(errno.EINVAL, "Invalid argument")
+
+    cfg = study_preset("cir", series_len=300, in_sample_len=260, n_reps=7,
+                       seed=777)
+    monkeypatch.setattr(_fanout, "_cpus", lambda: 1)
+    write_study_outputs(run_simulation_study(cfg), tmp_path / "one")
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    caplog.set_level(logging.DEBUG, logger="dynvol")
+    for cpus in (2, 3):
+        monkeypatch.setattr(_fanout, "_cpus", lambda: cpus)
+        caplog.clear()
+        got = run_simulation_study(cfg)
+        assert got.processes == cpus
+        write_study_outputs(got, tmp_path / str(cpus))
+        for name in ("report.csv", "per_rep.csv", "fig2_curve.csv",
+                     "report.txt"):
+            assert ((tmp_path / str(cpus) / name).read_bytes()
+                    == (tmp_path / "one" / name).read_bytes())
+        if CPUS > 1:
+            assert len([m for m in caplog.messages if m.endswith(
+                " ran unplaced: OSError: [Errno 22] Invalid argument")]
+                ) == cpus - 1
+    assert_no_child_left()
 
 
 def test_a_child_that_dies_is_named_with_its_replications(monkeypatch):

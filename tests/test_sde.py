@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+import re
 import threading
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -142,6 +144,22 @@ def test_gbm_positive_and_starts_at_r0():
     path = simulate_gbm(GBM, WEEKLY, 50, RngStream(9, 2), r0=2.5)
     assert path.values[0] == 2.5
     assert np.all(path.values > 0)
+
+
+@pytest.mark.parametrize("params, delta", [
+    # no drift, steps of sd 100: the walk passes 709.8 within 1000 steps
+    (GbmParams(mu=5000.0, sigma=100.0), 1.0),
+    # no drift, steps past the largest float
+    (GbmParams(mu=5e307, sigma=1e154), 1.7e308)])
+def test_simulate_gbm_rejects_a_drawn_log_path_past_the_float_range(
+        params, delta):
+    # before np.exp, which warned of overflow and returned inf levels
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"mu = {params.mu!r}, sigma = {params.sigma!r} and delta = "
+                f"{delta!r} drew a GBM log path past +-709.8, ")):
+            simulate_gbm(params, delta, 1000, RngStream(1, 0))
 
 
 def test_sv_variance_positive_and_mean_near_theta():
