@@ -9,10 +9,11 @@ warnings and exception cross a pipe, and no child outlives the call.
 A forked child starts on its parent's CPU, and Linux's load balancer may
 leave it there while another CPU idles (Lozi et al., "The Linux Scheduler:
 a Decade of Wasted Cores", EuroSys 2016): a 4-replication CIR study on a
-2-CPU VM ran both spans on one CPU in 6 of 6 studies. So each child moves
-itself to a CPU of the affinity mask other than its parent's, round robin,
-then takes back the mask it inherited, so the scheduler may still move it
-off a busy CPU. The parent's own affinity is never touched.
+2-CPU VM ran both spans on one CPU in 6 of 6 studies. So right after it
+forks each child, the parent moves it to a CPU of the affinity mask other
+than the parent's, round robin, then gives it back the mask it inherited,
+so the scheduler may still move it off a busy CPU. The parent's own
+affinity is never touched.
 """
 
 from __future__ import annotations
@@ -78,21 +79,12 @@ class _ChildTraceback(Exception):
     """The traceback, as text, of an exception raised in a forked process."""
 
 
-def _child(work, span: range, sink, cpu: int | None, mask) -> None:
-    """Target of a forked process: move to cpu, unless it is None, and take
-    back mask; then send [list(work(span)), None, warnings, unplaced]
+def _child(work, span: range, sink) -> None:
+    """Target of a forked process: send [list(work(span)), None, warnings]
     through sink or, when work raises, [None, (exception, "<ExceptionClass>:
-    <message>", traceback text), warnings, unplaced], the exception None
-    when it cannot cross a pickle. warnings are (message, filename, lineno)
-    of each warning work issued; unplaced is "<OSErrorClass>: <message>" of
-    a move that failed, else None."""
-    unplaced = None
-    if cpu is not None:
-        try:
-            os.sched_setaffinity(0, {cpu})
-            os.sched_setaffinity(0, mask)
-        except OSError as exc:
-            unplaced = f"{type(exc).__name__}: {exc}"
+    <message>", traceback text), warnings], the exception None when it
+    cannot cross a pickle. warnings are (message, filename, lineno) of each
+    warning work issued."""
     with warnings.catch_warnings(record=True) as caught:
         try:
             msg = [list(work(span)), None]
@@ -104,8 +96,7 @@ def _child(work, span: range, sink, cpu: int | None, mask) -> None:
             except Exception:
                 exc = None
             msg = [None, (exc, error, tb)]
-    sink.send(msg + [[(w.message, w.filename, w.lineno) for w in caught],
-                     unplaced])
+    sink.send(msg + [[(w.message, w.filename, w.lineno) for w in caught]])
 
 
 def _rewarn(caught) -> None:
@@ -136,7 +127,7 @@ def fan_out(work, n: int, n_proc: int):
     come; then each child's results are read and yielded in turn, with the
     warnings it recorded. work(span) is an iterable of span's results. Each
     child is placed on a CPU other than this process's, as the module says,
-    and each span's CPU, or why it has none, is logged at DEBUG. An
+    and one DEBUG line per child names its CPU, or why it has none. An
     exception a child's work raises is raised here, its cause the child's
     traceback; a child that ends without sending its results raises
     DynvolError. No child outlives the generator, once it is exhausted or
@@ -155,8 +146,8 @@ def fan_out(work, n: int, n_proc: int):
     # /proc is readable, so this is Linux, which has sched_getaffinity
     mask = set() if here is None else os.sched_getaffinity(0)
     cpus = _spread(mask, here, len(spans)) or [None] * len(spans)
-    why = ("the CPU this process runs on cannot be read" if here is None
-           else f"the affinity mask holds only CPU {here}")
+    unplaced = ("the CPU this process runs on cannot be read" if here is None
+                else f"the affinity mask holds only CPU {here}")
     children = []  # (process, read end, span) of each child
     try:
         for span, cpu in zip(spans, cpus):
@@ -164,20 +155,25 @@ def fan_out(work, n: int, n_proc: int):
             fork = multiprocessing.get_context("fork")
             source, sink = fork.Pipe(duplex=False)
             child = fork.Process(target=_child, daemon=True,
-                                 args=(work, span, sink, cpu, mask))
+                                 args=(work, span, sink))
             children.append((child, source, span))
             try:
                 child.start()
             finally:
                 sink.close()
-            if cpu is None:
-                log.debug("forked %s, unplaced: %s", _named(span), why)
-            else:
-                log.debug("forked %s onto CPU %d", _named(span), cpu)
+            where = f", unplaced: {unplaced}"
+            if cpu is not None:
+                try:  # ProcessLookupError when the child has exited already
+                    os.sched_setaffinity(child.pid, {cpu})
+                    os.sched_setaffinity(child.pid, mask)
+                    where = f" onto CPU {cpu}"
+                except OSError as exc:
+                    where = f", unplaced: {type(exc).__name__}: {exc}"
+            log.debug("forked %s%s", _named(span), where)
         yield from work(range(cuts[1]))
         for child, source, span in children:
             try:
-                results, error, caught, unplaced = source.recv()
+                results, error, caught = source.recv()
             except EOFError:
                 child.join()
                 code = child.exitcode
@@ -185,8 +181,6 @@ def fan_out(work, n: int, n_proc: int):
                        else f"was killed by signal {-code}")
                 raise DynvolError(f"the process walking {_named(span)} {how} "
                                   f"before it sent the results") from None
-            if unplaced is not None:
-                log.debug("%s ran unplaced: %s", _named(span), unplaced)
             _rewarn(caught)
             if error is not None:
                 exc, text, tb = error

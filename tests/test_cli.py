@@ -249,6 +249,33 @@ def test_a_gbm_drift_past_the_float_range_is_one_error_line(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model, key, value, reps", [
+    ("sv", "param_theta", "1e300", 1), ("gbm", "param_mu", "10", 2),
+    ("gbm", "param_mu", "20", 2)])
+def test_returns_whose_fourth_powers_overflow_are_one_error_line(
+        tmp_path, capsys, model, key, value, reps):
+    # values in the float range whose returns' squares squared are not:
+    # numpy warned from the SemiProxy search, the bandwidth CV, the
+    # autocorrelation or the scores before the study failed, or, for GBM
+    # mu = 10, exited 0 with an overflowing pe
+    assert main(["config", "--dump", "--model", model]) == 0
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(re.sub(rf"(?m)^{key} = .*$", f"{key} = {value}",
+                          capsys.readouterr().out))
+    out = tmp_path / "res"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--model", model, "--config", str(cfg),
+                     "--reps", str(reps), "--quiet", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"{key.removeprefix('param_')} = {float(value)!r}" in err[0]
+    assert err[0].endswith(" drew returns whose fourth powers sum past the "
+                           "float range")
+    assert "delta = " in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model, key, value", [
     ("sv", "param_theta", "inf"), ("sv", "param_alpha2", "nan"),
     ("cir", "param_kappa", "inf"), ("cir", "delta", "inf"),

@@ -1089,12 +1089,13 @@ def test_a_forked_span_runs_on_another_cpu():
 
 def test_each_forked_span_logs_its_cpu_or_why_it_has_none(monkeypatch,
                                                          caplog):
-    # the child reports back, as its move's error, the masks it set: its
-    # CPU, then the mask it inherited; this process sets none
+    # this process moves each child right after forking it: to its CPU,
+    # then back to the mask it inherited. The first child's second move
+    # fails, which leaves that child alone unplaced
     asked = []
 
     def setaffinity(pid, cpus):
-        asked.append((pid, sorted(cpus)))
+        asked.append(sorted(cpus))
         if len(asked) == 2:
             raise OSError(f"asked for {asked}")
 
@@ -1102,12 +1103,9 @@ def test_each_forked_span_logs_its_cpu_or_why_it_has_none(monkeypatch,
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     caplog.set_level(logging.DEBUG, logger="dynvol")
     for here, logged in [
-            (1, ["forked replications 1-2 onto CPU 0",
-                 "forked replications 3-4 onto CPU 2",
-                 "replications 1-2 ran unplaced: OSError: asked for "
-                 "[(0, [0]), (0, [0, 1, 2])]",
-                 "replications 3-4 ran unplaced: OSError: asked for "
-                 "[(0, [2]), (0, [0, 1, 2])]"]),
+            (1, ["forked replications 1-2, unplaced: OSError: asked for "
+                 "[[0], [0, 1, 2]]",
+                 "forked replications 3-4 onto CPU 2"]),
             (None, ["forked replications 1-2, unplaced: the CPU this "
                     "process runs on cannot be read",
                     "forked replications 3-4, unplaced: the CPU this "
@@ -1117,13 +1115,56 @@ def test_each_forked_span_logs_its_cpu_or_why_it_has_none(monkeypatch,
         assert list(_fanout.fan_out(lambda span: list(span), 5, 3)) == [
             0, 1, 2, 3, 4]
         assert caplog.messages == logged
+    assert asked == [[0], [0, 1, 2], [2], [0, 1, 2]]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
     monkeypatch.setattr(_fanout, "_parent_cpu", lambda: 1)
     caplog.clear()
     assert list(_fanout.fan_out(lambda span: list(span), 2, 2)) == [0, 1]
     assert caplog.messages == [
         "forked replication 1, unplaced: the affinity mask holds only CPU 1"]
-    assert asked == []
+    assert len(asked) == 4
+    assert_no_child_left()
+
+
+def test_only_forked_children_are_moved(monkeypatch):
+    # every move names the pid of a child that walked a span, never 0 and
+    # never this process; a move asked for in a child ends that child
+    parent = os.getpid()
+    asked = []
+
+    def setaffinity(pid, cpus):
+        if os.getpid() != parent:
+            os._exit(3)
+        asked.append((pid, sorted(cpus)))
+
+    monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(_fanout, "_parent_cpu", lambda: 1)
+    pids = list(_fanout.fan_out(lambda span: [os.getpid() for _ in span],
+                                5, 3))
+    assert pids[0] == parent
+    children = [pids[1], pids[3]]
+    assert pids[1:] == [children[0]] * 2 + [children[1]] * 2
+    assert asked == [(children[0], [0]), (children[0], [0, 1, 2]),
+                     (children[1], [2]), (children[1], [0, 1, 2])]
+    assert not {pid for pid, _ in asked} & {0, parent}
+    assert_no_child_left()
+
+
+def test_a_child_gone_before_its_move_still_sends_its_walk(monkeypatch,
+                                                           caplog):
+    def gone(pid, cpus):
+        raise ProcessLookupError(errno.ESRCH, "No such process")
+
+    monkeypatch.setattr(os, "sched_setaffinity", gone)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(_fanout, "_parent_cpu", lambda: 1)
+    caplog.set_level(logging.DEBUG, logger="dynvol")
+    assert list(_fanout.fan_out(lambda span: list(span), 5, 3)) == [
+        0, 1, 2, 3, 4]
+    assert caplog.messages == [
+        f"forked replications {span}, unplaced: ProcessLookupError: "
+        f"[Errno 3] No such process" for span in ("1-2", "3-4")]
     assert_no_child_left()
 
 
@@ -1150,7 +1191,7 @@ def test_a_study_that_cannot_place_its_processes_keeps_its_bytes(
                     == (tmp_path / "one" / name).read_bytes())
         if CPUS > 1:
             assert len([m for m in caplog.messages if m.endswith(
-                " ran unplaced: OSError: [Errno 22] Invalid argument")]
+                ", unplaced: OSError: [Errno 22] Invalid argument")]
                 ) == cpus - 1
     assert_no_child_left()
 
