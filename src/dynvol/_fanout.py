@@ -12,8 +12,11 @@ a Decade of Wasted Cores", EuroSys 2016): a 4-replication CIR study on a
 2-CPU VM ran both spans on one CPU in 6 of 6 studies. So right after it
 forks each child, the parent moves it to a CPU of the affinity mask other
 than the parent's, round robin, then gives it back the mask it inherited,
-so the scheduler may still move it off a busy CPU. The parent's own
-affinity is never touched.
+so the scheduler may still move it off a busy CPU. The child waits until
+the parent closes a pipe, once the moves are made or have failed, before
+it starts its span, so that no span starts unplaced. The parent's own
+affinity is never touched. When the parent reaps a child, it logs the
+child's CPU seconds at DEBUG.
 """
 
 from __future__ import annotations
@@ -79,12 +82,16 @@ class _ChildTraceback(Exception):
     """The traceback, as text, of an exception raised in a forked process."""
 
 
-def _child(work, span: range, sink) -> None:
-    """Target of a forked process: send [list(work(span)), None, warnings]
-    through sink or, when work raises, [None, (exception, "<ExceptionClass>:
-    <message>", traceback text), warnings], the exception None when it
-    cannot cross a pickle. warnings are (message, filename, lineno) of each
-    warning work issued."""
+def _child(work, span: range, sink, wait, go) -> None:
+    """Target of a forked process: once the parent closes go, the write end
+    of the pipe whose read end is wait, send [list(work(span)), None,
+    warnings] through sink or, when work raises,
+    [None, (exception, "<ExceptionClass>: <message>", traceback text),
+    warnings], the exception None when it cannot cross a pickle. warnings
+    are (message, filename, lineno) of each warning work issued."""
+    go.close()  # this process's copy, so that the parent's close is an EOF
+    wait.poll(None)
+    wait.close()
     with warnings.catch_warnings(record=True) as caught:
         try:
             msg = [list(work(span)), None]
@@ -120,18 +127,34 @@ def _named(span: range) -> str:
             else f"replications {span[0]}-{span[-1]}")
 
 
+def _reap(child, span: range, kill: bool = True) -> None:
+    """Wait for child, killed first unless kill is False, and log at DEBUG
+    the CPU seconds it used, which the OS adds to this process's children
+    fields of os.times() when it is reaped."""
+    before = os.times()
+    if kill:
+        child.kill()
+    child.join()
+    after = os.times()
+    cpu = (after.children_user - before.children_user
+           + after.children_system - before.children_system)
+    log.debug("reaped the process that walked %s: %.3f s of CPU",
+              _named(span), cpu)
+
+
 def fan_out(work, n: int, n_proc: int):
     """Generate the results of work(range(n)) in order, range(n) cut into
     n_proc contiguous spans: a child forked up front runs work on each span
     but the first, which this process runs, its results yielded as they
     come; then each child's results are read and yielded in turn, with the
     warnings it recorded. work(span) is an iterable of span's results. Each
-    child is placed on a CPU other than this process's, as the module says,
-    and one DEBUG line per child names its CPU, or why it has none. An
-    exception a child's work raises is raised here, its cause the child's
-    traceback; a child that ends without sending its results raises
-    DynvolError. No child outlives the generator, once it is exhausted or
-    closed.
+    child is placed on a CPU other than this process's before it starts its
+    span, as the module says, and one DEBUG line per child names its CPU,
+    or why it has none; another, when the child is reaped, its CPU
+    seconds. An exception a child's work raises is raised here, its cause
+    the child's traceback; a child that ends without sending its results
+    raises DynvolError. No child outlives the generator, once it is
+    exhausted or closed.
 
     Fork, not spawn: the children inherit work and what it reads, where a
     spawned one would import dynvol afresh, 65 ms on a 2-core Xeon VM,
@@ -149,33 +172,38 @@ def fan_out(work, n: int, n_proc: int):
     unplaced = ("the CPU this process runs on cannot be read" if here is None
                 else f"the affinity mask holds only CPU {here}")
     children = []  # (process, read end, span) of each child
+    reaped = set()
     try:
         for span, cpu in zip(spans, cpus):
             # only here: Windows, where n_proc is 1, has no fork context
             fork = multiprocessing.get_context("fork")
             source, sink = fork.Pipe(duplex=False)
+            wait, go = fork.Pipe(duplex=False)
             child = fork.Process(target=_child, daemon=True,
-                                 args=(work, span, sink))
+                                 args=(work, span, sink, wait, go))
             children.append((child, source, span))
             try:
                 child.start()
+                where = f", unplaced: {unplaced}"
+                if cpu is not None:
+                    try:  # ProcessLookupError when the child has exited
+                        os.sched_setaffinity(child.pid, {cpu})
+                        os.sched_setaffinity(child.pid, mask)
+                        where = f" onto CPU {cpu}"
+                    except OSError as exc:
+                        where = f", unplaced: {type(exc).__name__}: {exc}"
             finally:
-                sink.close()
-            where = f", unplaced: {unplaced}"
-            if cpu is not None:
-                try:  # ProcessLookupError when the child has exited already
-                    os.sched_setaffinity(child.pid, {cpu})
-                    os.sched_setaffinity(child.pid, mask)
-                    where = f" onto CPU {cpu}"
-                except OSError as exc:
-                    where = f", unplaced: {type(exc).__name__}: {exc}"
+                # closing go lets the child start its span
+                for end in (sink, wait, go):
+                    end.close()
             log.debug("forked %s%s", _named(span), where)
         yield from work(range(cuts[1]))
         for child, source, span in children:
             try:
                 results, error, caught = source.recv()
             except EOFError:
-                child.join()
+                _reap(child, span, kill=False)
+                reaped.add(child)
                 code = child.exitcode
                 how = (f"exited with status {code}" if code >= 0
                        else f"was killed by signal {-code}")
@@ -190,8 +218,7 @@ def fan_out(work, n: int, n_proc: int):
                 raise exc from _ChildTraceback(tb)
             yield from results
     finally:
-        for child, source, _ in children:
+        for child, source, span in children:
             source.close()
-            if child.pid is not None:
-                child.kill()
-                child.join()
+            if child.pid is not None and child not in reaped:
+                _reap(child, span)

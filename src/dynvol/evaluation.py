@@ -2,10 +2,19 @@
 
 All measures take an out-of-sample stretch of one-step-ahead variance
 forecasts as an array. Exceedance compares raw returns against a scaled
-lower quantile, which the caller supplies as a number: studies pass the
-normal quantile, backtests each estimator's empirical residual quantile
+lower quantile, which the caller supplies: studies pass the normal
+quantile, backtests each estimator's empirical residual quantile
 (`empirical_quantile`). The absolute/squared deviation measures compare
 squared returns (or the true variance, when known) against the forecasts.
+
+A measure called on 1-d stretches returns a float. Called on arrays, whose
+shapes broadcast, it returns one value per row, reduced along the last
+axis, which holds the steps: a harness scores a replications x estimators
+x steps block in one call per measure, the returns replications x 1 x
+steps and the exceedance quantile, one per estimator, estimators x 1. When
+the forecasts are C-contiguous, each row has the bits of the 1-d call on
+that row; an elementwise result keeps its inputs' layout, and a mean over
+strided rows sums in another order.
 """
 
 from __future__ import annotations
@@ -32,40 +41,47 @@ def empirical_quantile(residuals: np.ndarray, alpha: float, window: int) -> floa
 def _check_lengths(returns_out: np.ndarray, sigma2: np.ndarray):
     r = np.asarray(returns_out, dtype=float)
     s = np.asarray(sigma2, dtype=float)
-    if r.size != s.size:
+    if r.shape[-1:] != s.shape[-1:]:
         raise ValueError("forecasts and values must have equal length")
-    if r.size == 0:
+    if s.size == 0:
         raise ValueError("empty evaluation stretch")
     return r, s
 
 
+def _mean(x: np.ndarray) -> float | np.ndarray:
+    """The mean along the last axis: a float for 1-d x, else an array."""
+    m = np.mean(x, axis=-1)
+    return float(m) if m.ndim == 0 else m
+
+
 def exceedance_ratio(returns_out: np.ndarray, sigma2: np.ndarray,
-                     quantile: float) -> float:
+                     quantile: float | np.ndarray) -> float | np.ndarray:
     """Fraction of steps where the raw return fell below quantile * sigma_hat."""
     r, s = _check_lengths(returns_out, sigma2)
-    return float(np.mean(r < quantile * np.sqrt(s)))
+    return _mean(r < quantile * np.sqrt(s))
 
 
-def made(returns_out: np.ndarray, sigma2: np.ndarray) -> float:
+def made(returns_out: np.ndarray, sigma2: np.ndarray) -> float | np.ndarray:
     """Mean absolute deviation of squared returns from the forecasts."""
     r, s = _check_lengths(returns_out, sigma2)
-    return float(np.mean(np.abs(r * r - s)))
+    return _mean(np.abs(r * r - s))
 
 
-def pe(returns_out: np.ndarray, sigma2: np.ndarray) -> float:
+def pe(returns_out: np.ndarray, sigma2: np.ndarray) -> float | np.ndarray:
     """Mean squared deviation of squared returns from the forecasts."""
     r, s = _check_lengths(returns_out, sigma2)
-    return float(np.mean((r * r - s) ** 2))
+    return _mean((r * r - s) ** 2)
 
 
-def rade(returns_out: np.ndarray, sigma2: np.ndarray) -> float:
+def rade(returns_out: np.ndarray, sigma2: np.ndarray) -> float | np.ndarray:
     """Mean absolute deviation of |return| from its forecast mean
     sqrt(2/pi) * sigma_hat."""
     r, s = _check_lengths(returns_out, sigma2)
-    return float(np.mean(np.abs(np.abs(r) - ROOT_2_OVER_PI * np.sqrt(s))))
+    return _mean(np.abs(np.abs(r) - ROOT_2_OVER_PI * np.sqrt(s)))
 
 
-def imade(true_sigma2: np.ndarray | None, sigma2: np.ndarray) -> float:
+def imade(true_sigma2: np.ndarray | None, sigma2: np.ndarray
+          ) -> float | np.ndarray:
     """Mean absolute deviation of forecasts from the true variance.
 
     Only defined when the true variance is known (simulated data); passing
@@ -74,7 +90,7 @@ def imade(true_sigma2: np.ndarray | None, sigma2: np.ndarray) -> float:
     if true_sigma2 is None:
         raise ValueError("true variance unavailable (real-data mode)")
     t, s = _check_lengths(true_sigma2, sigma2)
-    return float(np.mean(np.abs(s - t)))
+    return _mean(np.abs(s - t))
 
 
 def score(measure_matrix: np.ndarray) -> np.ndarray:

@@ -491,27 +491,35 @@ class StudyResult:
     processes: int = 1
 
 
-def _score(tracks: dict[str, np.ndarray], y_out: np.ndarray,
-           quantiles: dict[str, float], truth: np.ndarray | None = None
-           ) -> tuple[np.ndarray, dict[str, list[float]]]:
-    """Measures of every estimator over the steps where all forecasts are
-    finite: the step mask and measure -> one value per estimator, in the
-    order of tracks. imade is computed only when the true variance is
-    given."""
-    mask = np.ones(y_out.size, dtype=bool)
-    for track in tracks.values():
-        mask &= np.isfinite(track)
+def _score(tracks: np.ndarray, y_out: np.ndarray,
+           quantile: float | np.ndarray, truth: np.ndarray | None = None
+           ) -> dict[str, np.ndarray]:
+    """Measure -> one value per estimator of each replication, one call per
+    measure: tracks is (replications x) estimators x steps, every forecast
+    finite and C-contiguous, y_out and truth (replications x) steps, and
+    quantile the exceedance quantile, or one per estimator as estimators x
+    1. imade is computed only when the true variance is given."""
+    y = y_out[..., None, :]
+    vals = {} if truth is None else {"imade": imade(truth[..., None, :],
+                                                    tracks)}
+    for k, measure in (("made", made), ("pe", pe), ("rade", rade)):
+        vals[k] = measure(y, tracks)
+    vals["er"] = exceedance_ratio(y, tracks, quantile)
+    return vals
+
+
+def _score_alone(tracks: np.ndarray, y_out: np.ndarray,
+                 quantile: float | np.ndarray, truth: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The step mask of one series' tracks (estimators x steps), the steps
+    where every forecast is finite, and _score over those steps."""
+    mask = np.isfinite(tracks).all(axis=0)
     if not mask.any():
         raise DynvolError("no usable out-of-sample steps")
-    y_m = y_out[mask]
-    tr = [track[mask] for track in tracks.values()]
-    vals = {} if truth is None else {"imade": [imade(truth[mask], t)
-                                               for t in tr]}
-    for k, measure in (("made", made), ("pe", pe), ("rade", rade)):
-        vals[k] = [measure(y_m, t) for t in tr]
-    vals["er"] = [exceedance_ratio(y_m, t, quantiles[e])
-                  for e, t in zip(tracks, tr)]
-    return mask, vals
+    # compress, not tracks[:, mask], which is F-ordered: its row means
+    # differ from the 1-d means in the last bit
+    return mask, _score(tracks.compress(mask, axis=-1), y_out[mask],
+                        quantile, None if truth is None else truth[mask])
 
 
 def _report(per_rep: dict[str, np.ndarray], ests: tuple[str, ...],
@@ -524,15 +532,16 @@ def _report(per_rep: dict[str, np.ndarray], ests: tuple[str, ...],
 
 
 def _replications(cfg: StudyConfig, origins: np.ndarray, walk, span: range):
-    """walk(sim, time) of each replication of span, in order, sim being its
-    simulated series and time its time-domain tracks at origins: the span
-    is simulated SIM_GROUP replications at a time, and each group is
-    tracked in one _time_tracks call. Each replication has the bits it has
-    alone, so the results do not depend on how the study's replications
-    are cut into spans."""
+    """The results of each replication of span, in order: the span is
+    simulated SIM_GROUP replications at a time, each group is tracked in
+    one _time_tracks call, and walk(sims, times) gives the result of each
+    replication of the group, sims being their simulated series and times
+    their time-domain tracks at origins. Each replication has the bits it
+    has alone, so the results do not depend on how the study's
+    replications are cut into spans or groups."""
     for lo in range(span.start, span.stop, SIM_GROUP):
         sims = simulate_series(cfg, range(lo, min(lo + SIM_GROUP, span.stop)))
-        yield from map(walk, sims, _time_tracks(
+        yield from walk(sims, _time_tracks(
             np.stack([s.returns.y for s in sims]), cfg, origins))
 
 
@@ -558,32 +567,59 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
     first = cfg.in_sample_len - 1
     _check_history(cfg, first)
     m = cfg.series_len - cfg.in_sample_len
-    quantiles = dict.fromkeys(ests, NormalDist().inv_cdf(cfg.alpha))
+    z = NormalDist().inv_cdf(cfg.alpha)
     rows: dict[str, list] = {k: [] for k in _MEASURES}
-    curve_sum = np.zeros((m, len(ests)))
+    curve_sum = np.zeros((len(ests), m))
     curve_cnt = np.zeros(m)
     totals = _new_counters()
     failed: dict[int, str] = {}
     excluded_per_rep: list[int] = []
 
-    def walk(sim: SimulatedSeries, time: _TimeTracks):
-        """The replication's counters, step mask, measures and |forecast -
-        truth| per step and estimator, or why it failed."""
-        try:
-            tracks, counters = _rolling(sim.levels, sim.returns.y, cfg,
-                                        first, m, time=time)
-            truth = sim.true_var[first:first + m]
-            mask, vals = _score(tracks, sim.returns.y[first:first + m],
-                                quantiles, truth)
-        except DynvolError as exc:
-            return f"{type(exc).__name__}: {exc}"
-        err = np.abs(np.column_stack([tracks[e] - truth for e in ests]))
-        return counters, mask, vals, err
+    def walk(sims: list[SimulatedSeries], times: list[_TimeTracks]):
+        """Each replication's counters, step mask, measures and |forecast -
+        truth| per estimator and step, or why it failed. The group's tracks
+        are stacked as replications x estimators x steps; the replications
+        whose forecasts are all finite are scored in one _score call, and
+        any other alone, over its own step mask."""
+        outs: list = []
+        block = np.full((len(sims), len(ests), m), np.nan)
+        for sim, time, row in zip(sims, times, block):
+            try:
+                tracks, counters = _rolling(sim.levels, sim.returns.y, cfg,
+                                            first, m, time=time)
+            except DynvolError as exc:
+                outs.append(f"{type(exc).__name__}: {exc}")
+                continue
+            row[:] = [tracks[e] for e in ests]
+            outs.append(counters)
+        y_out = np.stack([s.returns.y[first:first + m] for s in sims])
+        truth = np.stack([s.true_var[first:first + m] for s in sims])
+        err = np.abs(block - truth[:, None])
+        walked = [i for i, out in enumerate(outs) if isinstance(out, dict)]
+        finite = np.isfinite(block).all(axis=(1, 2))
+        whole = [i for i in walked if finite[i]]
+        if whole:
+            vals = _score(block[whole], y_out[whole], z, truth[whole])
+            every = np.ones(m, dtype=bool)
+            for k, i in enumerate(whole):
+                outs[i] = (outs[i], every, {key: v[k] for key, v in
+                                            vals.items()}, err[i])
+        for i in walked:
+            if finite[i]:
+                continue
+            try:
+                mask, one = _score_alone(block[i], y_out[i], z, truth[i])
+            except DynvolError as exc:
+                outs[i] = f"{type(exc).__name__}: {exc}"
+                continue
+            outs[i] = (outs[i], mask, one, err[i])
+        return outs
 
     # a roster without a state-domain estimator stays on this process: its
     # walks only score tracks, and forking them, each process simulating
-    # and tracking its own span, cost the 40-rep SV time-only study 51% more
-    # CPU time per op on 2 CPUs for 9% less wall time
+    # and tracking its own span, cost the 40-rep SV time-only study 52% more
+    # CPU time per op on 2 CPUs for 17% less wall time (medians of 10
+    # alternating pairs, each group scored as one block)
     processes = (min(_fanout._cpus(), cfg.n_reps) if _walks_state(ests)
                  else 1)
     work = partial(_replications, cfg, np.arange(first, first + m), walk)
@@ -598,8 +634,8 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
             excluded_per_rep.append(int(m - mask.sum()))
             for k in rows:
                 rows[k].append(vals[k])
-            curve_sum[mask] += err[mask]
-            curve_cnt[mask] += 1.0
+            np.add(curve_sum, err, out=curve_sum, where=mask)
+            curve_cnt += mask
             log.info("rep %d/%d done", rep + 1, cfg.n_reps)
 
     if not rows["made"]:
@@ -609,8 +645,8 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
     report = _report(per_rep, ests, cfg.trim_upper, sum(excluded_per_rep),
                      len(failed))
     with np.errstate(invalid="ignore"):
-        curve = np.where(curve_cnt[:, None] > 0,
-                         curve_sum / np.maximum(curve_cnt, 1.0)[:, None], np.nan)
+        curve = np.where(curve_cnt > 0,
+                         curve_sum / np.maximum(curve_cnt, 1.0), np.nan).T
     totals["excluded_per_rep"] = tuple(excluded_per_rep)
     totals["failed_reasons"] = failed
     return StudyResult(cfg, report, per_rep, curve, totals, tuple(failed),
@@ -659,9 +695,11 @@ def run_backtest(data: BacktestDataset, cfg: StudyConfig) -> BacktestResult:
         res = y[first_warm:first_warm + qwin] / np.sqrt(warm)
         quantiles[e] = empirical_quantile(res, cfg.alpha, qwin)
 
-    mask, vals = _score({e: tracks[e][qwin:] for e in ests},
-                        y[in_len - 1:], quantiles)
-    per_rep = {k: np.asarray([v]) for k, v in vals.items()}
+    # a backtest is scored as a group of one
+    mask, vals = _score_alone(
+        np.stack([tracks[e][qwin:] for e in ests]), y[in_len - 1:],
+        np.array([quantiles[e] for e in ests])[:, None])
+    per_rep = {k: v[None] for k, v in vals.items()}
     report = _report(per_rep, ests, 0.0, int(m - mask.sum()), 0)
     return BacktestResult(cfg, data, report, per_rep, quantiles, counters)
 
@@ -681,15 +719,15 @@ def _write_reports(outdir, report: MeasureReport,
     report_to_csv(report, join(outdir, "report.csv"))
     with open(join(outdir, "report.txt"), "w") as fh:
         fh.write(report_to_text(report))
+    # csv writes a float as its repr, at full precision
+    cols = [per_rep[k].tolist() if k in per_rep else None for k in _MEASURES]
     with open(join(outdir, "per_rep.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["rep", "estimator", *_MEASURES, "excluded_steps"])
         for i, (rep, n_bad) in enumerate(reps):
             for j, e in enumerate(report.estimators):
-                w.writerow([rep, e]
-                           + [repr(float(per_rep[k][i, j]))
-                              if k in per_rep else "" for k in _MEASURES]
-                           + [n_bad])
+                w.writerow([rep, e, *("" if c is None else c[i][j]
+                                      for c in cols), n_bad])
 
 
 def write_study_outputs(result: StudyResult, outdir) -> None:
@@ -701,8 +739,8 @@ def write_study_outputs(result: StudyResult, outdir) -> None:
     with open(os.path.join(outdir, "fig2_curve.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["step"] + list(result.cfg.estimators))
-        for s in range(result.curve.shape[0]):
-            w.writerow([s] + [repr(float(v)) for v in result.curve[s]])
+        for s, row in enumerate(result.curve.tolist()):
+            w.writerow([s, *row])
 
 
 def write_backtest_outputs(result: BacktestResult, outdir) -> None:

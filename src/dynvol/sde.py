@@ -361,7 +361,11 @@ def simulate_gbm(params: GbmParams, delta: float, n_obs: int, rng: RngStream,
                  r0: float = 1.0) -> SamplePath:
     """Simulate geometric Brownian motion by exact log-normal increments.
 
-    Log increments are iid N((mu - sigma^2/2)*delta, sigma^2*delta).
+    Log increments are iid N((mu - sigma^2/2)*delta, sigma^2*delta). Each
+    level is math.exp of its log level, not np.exp of the log path: numpy
+    picks its exp kernel by CPU, and its AVX-512 kernel rounds some levels
+    one ulp apart from its others, where libm's exp gave the same bits
+    with and without AVX-512, AVX2 and FMA.
     """
     if n_obs < 2:
         raise ValueError("n_obs must be >= 2")
@@ -379,7 +383,9 @@ def simulate_gbm(params: GbmParams, delta: float, n_obs: int, rng: RngStream,
         raise ValueError(f"mu = {params.mu!r}, sigma = {params.sigma!r} and "
                          f"delta = {delta!r} drew a GBM log path past "
                          f"+-{LOG_MAX:.1f}, outside the float range")
-    return SamplePath(r0 * np.exp(log_path), delta)
+    levels = np.fromiter(map(math.exp, log_path.tolist()), float,
+                         log_path.size)
+    return SamplePath(r0 * levels, delta)
 
 
 def to_returns(path: SamplePath) -> ReturnSeries:

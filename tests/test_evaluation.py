@@ -48,6 +48,49 @@ def test_measure_length_contract():
         imade(np.array([1.0, 1.0, 1.0]), track)
 
 
+@pytest.mark.parametrize("steps", [7, 250, 1001])
+@pytest.mark.parametrize("masked", [False, True])
+def test_array_form_rows_have_the_bits_of_1d_calls(steps, masked):
+    # a replications x estimators x steps block, the returns and the truth
+    # replications x 1 x steps and the quantiles estimators x 1: row (i, j)
+    # of each measure is the 1-d call on replication i and estimator j. A
+    # masked block is compressed along its steps, as a harness scores a
+    # series with non-finite steps
+    rng = np.random.default_rng(steps)
+    reps, ests = 4, 3
+    y = rng.standard_normal((reps, 1, steps)) * 0.1
+    truth = rng.uniform(0.005, 0.02, (reps, 1, steps))
+    block = truth * rng.uniform(0.5, 1.5, (reps, ests, steps))
+    quantile = np.array([Z_05, -1.5, -2.0])[:, None]
+    if masked:
+        keep = rng.uniform(size=steps) < 0.7
+        y, truth, block = (a.compress(keep, axis=-1)
+                           for a in (y, truth, block))
+    got = {"imade": imade(truth, block), "made": made(y, block),
+           "pe": pe(y, block), "rade": rade(y, block),
+           "er": exceedance_ratio(y, block, quantile)}
+    for i in range(reps):
+        for j in range(ests):
+            want = {"imade": imade(truth[i, 0], block[i, j]),
+                    "made": made(y[i, 0], block[i, j]),
+                    "pe": pe(y[i, 0], block[i, j]),
+                    "rade": rade(y[i, 0], block[i, j]),
+                    "er": exceedance_ratio(y[i, 0], block[i, j],
+                                           float(quantile[j, 0]))}
+            for k, v in want.items():
+                assert type(v) is float
+                assert got[k].shape == (reps, ests)
+                assert got[k][i, j] == v, (k, i, j)
+
+
+def test_array_form_checks_the_step_axis():
+    block = np.ones((2, 3, 5))
+    with pytest.raises(ValueError, match="equal length"):
+        made(np.ones((2, 1, 4)), block)
+    with pytest.raises(ValueError, match="empty"):
+        rade(np.ones((2, 1, 0)), np.ones((2, 3, 0)))
+
+
 def test_score_counts_strict_wins():
     per_rep = np.array([[1.0, 2.0], [2.0, 1.0], [1.0, 2.0]])
     s = score(per_rep)

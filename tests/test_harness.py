@@ -9,6 +9,7 @@ import math
 import multiprocessing
 import os
 import threading
+import time
 import warnings
 from contextlib import nullcontext
 from dataclasses import replace
@@ -25,6 +26,7 @@ from dynvol.errors import (DegenerateSeriesError, DynvolError,
                            IngestionError, InsufficientHistoryError,
                            NoCoverageError)
 from dynvol import _fanout, harness
+from dynvol.evaluation import exceedance_ratio, imade, made, pe, rade
 from dynvol.harness import (DEFAULT_SEMI_GRID, ESTIMATORS, MIN_STATE_PAIRS,
                             SEMI_FALLBACK_LAM, BacktestDataset, StudyConfig,
                             _eval_state, _fit_state, _new_counters, _rolling,
@@ -742,7 +744,6 @@ def test_study_end_to_end_small(small_result):
 
 def test_study_measures_recompute_from_tracks(small_result):
     # with no excluded steps the per-rep imade is a plain mean over the track
-    from dynvol.evaluation import imade
     rep, est = 1, "Integ"
     j = SMALL.estimators.index(est)
     [sim] = simulate_series(SMALL, [rep])
@@ -838,15 +839,65 @@ def test_failed_sv_replication_is_charged_alone(monkeypatch):
         assert np.array_equal(res.per_rep[k], clean.per_rep[k][[0, 1, 3, 4]])
 
 
+@pytest.mark.parametrize("group", [1, 3, 64])
+def test_a_group_scores_each_replication_as_it_would_alone(monkeypatch,
+                                                           group):
+    # a group of 7 holding a replication with non-finite steps (rep 1), one
+    # whose walk raises (rep 3), one with no usable step (rep 4) and one
+    # whose Integ track is not finite at its last step (rep 6): each walked
+    # replication's per_rep row has the bits of the 1-d measures over its
+    # own step mask, and the failures keep their reasons
+    cfg = study_preset("cir", series_len=300, in_sample_len=260, n_reps=7,
+                       seed=777)
+    first, m = cfg.in_sample_len - 1, cfg.series_len - cfg.in_sample_len
+    walked = {}
+
+    def edit(rep, tracks):
+        if rep == 1:
+            tracks["Hist"][2::9] = np.nan
+        if rep == 3:
+            raise DegenerateSeriesError("boom")
+        if rep == 4:
+            tracks["RiskM"][:] = np.inf
+        if rep == 6:
+            tracks["Integ"][-1] = np.nan
+        walked[rep] = {e: t.copy() for e, t in tracks.items()}
+
+    patch_rolling(monkeypatch, cfg, edit)
+    monkeypatch.setattr(_fanout, "_cpus", lambda: 1)
+    monkeypatch.setattr(harness, "SIM_GROUP", group)
+    res = run_simulation_study(cfg)
+    assert res.failed_reps == (3, 4)
+    assert res.diagnostics["failed_reasons"] == {
+        3: "DegenerateSeriesError: boom",
+        4: "DynvolError: no usable out-of-sample steps"}
+    assert res.diagnostics["excluded_per_rep"] == (0, 5, 0, 0, 1)
+    z = NormalDist().inv_cdf(cfg.alpha)
+    for row, rep in enumerate((0, 1, 2, 5, 6)):
+        [sim] = simulate_series(cfg, [rep])
+        mask = np.all([np.isfinite(t) for t in walked[rep].values()], axis=0)
+        y = sim.returns.y[first:first + m][mask]
+        truth = sim.true_var[first:first + m][mask]
+        for j, e in enumerate(cfg.estimators):
+            t = walked[rep][e][mask]
+            want = {"imade": imade(truth, t), "made": made(y, t),
+                    "pe": pe(y, t), "rade": rade(y, t),
+                    "er": exceedance_ratio(y, t, z)}
+            for k, v in want.items():
+                assert res.per_rep[k][row, j] == v, (k, rep, e)
+
+
 def _check_group_size(monkeypatch, tmp_path, group, model, **design):
     # 7 reps on 1, 2 or 3 processes, each of which simulates its span in
-    # groups of one, of 3 or of 64 and computes each group's time-domain
-    # tracks in one call, against one serial group. In groups of
-    # 3, one process simulates reps 0-2, 3-5 and 6, and the child of two
-    # processes 3-5 and 6. The full roster, with rep 1 failing or not, on
-    # the preset's window and on a window of one return, where every decay
-    # of the grid forecasts the same square, so that every SemiProxy origin
-    # ties and falls back: a failed replication's fallbacks are not counted
+    # groups of one, of 3 or of 64, and computes each group's time-domain
+    # tracks in one call and scores it in one call per measure, against
+    # one serial group. In groups of 3, one process simulates reps 0-2, 3-5
+    # and 6, and the child of two processes 3-5 and 6; a time-only roster
+    # walks on one process. The roster of design, the full one by default,
+    # with rep 1 failing or not, on the preset's window and on a window of
+    # one return, where every decay of the grid forecasts the same square,
+    # so that every SemiProxy origin ties and falls back: a failed
+    # replication's fallbacks are not counted
     m = 20
     for tied, failing in itertools.product((False, True), (None, 1)):
         cfg = study_preset(model, series_len=design["in_sample_len"] + m,
@@ -864,7 +915,9 @@ def _check_group_size(monkeypatch, tmp_path, group, model, **design):
             for cpus in (1, 2, 3):
                 mp.setattr(_fanout, "_cpus", lambda: cpus)
                 got = run_simulation_study(cfg)
-                assert got.processes == min(cpus, cfg.n_reps)
+                assert got.processes == (min(cpus, cfg.n_reps)
+                                         if harness._walks_state(
+                                             cfg.estimators) else 1)
                 write_study_outputs(got, out / f"got{cpus}")
                 for name in ("report.csv", "per_rep.csv", "fig2_curve.csv"):
                     assert ((out / f"got{cpus}" / name).read_bytes()
@@ -882,6 +935,14 @@ def test_sv_study_bytes_do_not_depend_on_the_group_size(monkeypatch, tmp_path,
                                                         group):
     _check_group_size(monkeypatch, tmp_path, group, "sv", in_sample_len=100,
                       model_params=SvParams(3.0, 0.009, 4.0, substeps=3))
+
+
+@pytest.mark.parametrize("group", [1, 3, 64])
+def test_time_only_study_bytes_do_not_depend_on_the_group_size(
+        monkeypatch, tmp_path, group):
+    _check_group_size(monkeypatch, tmp_path, group, "sv", in_sample_len=100,
+                      model_params=SvParams(3.0, 0.009, 4.0, substeps=3),
+                      estimators=("Hist", "RiskM", "SemiProxy"))
 
 
 @pytest.mark.parametrize("group", [1, 3, 64])
@@ -1087,6 +1148,11 @@ def test_a_forked_span_runs_on_another_cpu():
     assert_no_child_left()
 
 
+def placements(caplog) -> list[str]:
+    """The DEBUG lines that say where each forked child was placed."""
+    return [m for m in caplog.messages if m.startswith("forked ")]
+
+
 def test_each_forked_span_logs_its_cpu_or_why_it_has_none(monkeypatch,
                                                          caplog):
     # this process moves each child right after forking it: to its CPU,
@@ -1114,15 +1180,66 @@ def test_each_forked_span_logs_its_cpu_or_why_it_has_none(monkeypatch,
         caplog.clear()
         assert list(_fanout.fan_out(lambda span: list(span), 5, 3)) == [
             0, 1, 2, 3, 4]
-        assert caplog.messages == logged
+        assert placements(caplog) == logged
     assert asked == [[0], [0, 1, 2], [2], [0, 1, 2]]
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
     monkeypatch.setattr(_fanout, "_parent_cpu", lambda: 1)
     caplog.clear()
     assert list(_fanout.fan_out(lambda span: list(span), 2, 2)) == [0, 1]
-    assert caplog.messages == [
+    assert placements(caplog) == [
         "forked replication 1, unplaced: the affinity mask holds only CPU 1"]
     assert len(asked) == 4
+    assert_no_child_left()
+
+
+def test_no_span_starts_before_its_child_is_placed(monkeypatch, tmp_path):
+    # each move takes 50 ms; the moves and the start of each child's work
+    # are written to one file, in the order they happen
+    events = tmp_path / "events"
+    parent = os.getpid()
+
+    def note(line):
+        with open(events, "a") as fh:
+            fh.write(line + "\n")
+
+    def setaffinity(pid, cpus):
+        time.sleep(0.05)
+        note(f"placed {pid}")
+
+    def work(span):
+        if os.getpid() != parent:
+            note(f"work {os.getpid()}")
+        return list(span)
+
+    monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(_fanout, "_parent_cpu", lambda: 1)
+    assert list(_fanout.fan_out(work, 5, 3)) == [0, 1, 2, 3, 4]
+    lines = events.read_text().splitlines()
+    children = [line.split()[1] for line in lines if line.startswith("work")]
+    assert len(set(children)) == 2
+    for pid in children:
+        assert lines.count(f"placed {pid}") == 2
+        last_move = max(i for i, line in enumerate(lines)
+                        if line == f"placed {pid}")
+        assert lines.index(f"work {pid}") > last_move
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_each_reaped_child_logs_its_cpu_seconds(monkeypatch, caplog, cpus):
+    monkeypatch.setattr(_fanout, "_cpus", lambda: cpus)
+    caplog.set_level(logging.DEBUG, logger="dynvol")
+    cfg = study_preset("cir", series_len=300, in_sample_len=260, n_reps=4,
+                       seed=777)
+    assert run_simulation_study(cfg).processes == cpus
+    spans = {2: ["replications 2-3"], 3: ["replication 1", "replications 2-3"]}
+    reaped = [m for m in caplog.messages if m.startswith("reaped ")]
+    assert [m.split(": ")[0] for m in reaped] == [
+        f"reaped the process that walked {span}" for span in spans[cpus]]
+    for m in reaped:
+        seconds, unit = m.split(": ")[1].split(" ", 1)
+        assert unit == "s of CPU" and float(seconds) >= 0.0
     assert_no_child_left()
 
 
@@ -1162,7 +1279,7 @@ def test_a_child_gone_before_its_move_still_sends_its_walk(monkeypatch,
     caplog.set_level(logging.DEBUG, logger="dynvol")
     assert list(_fanout.fan_out(lambda span: list(span), 5, 3)) == [
         0, 1, 2, 3, 4]
-    assert caplog.messages == [
+    assert placements(caplog) == [
         f"forked replications {span}, unplaced: ProcessLookupError: "
         f"[Errno 3] No such process" for span in ("1-2", "3-4")]
     assert_no_child_left()
