@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 import os
 from collections.abc import Sequence
 from contextlib import closing
@@ -57,8 +56,8 @@ from .evaluation import (MeasureReport, build_report, empirical_quantile,
                          report_to_csv, report_to_text)
 from .ingest import BacktestDataset
 from .integration import MATCHED_SHAPE, bayes_es, combine_estimates
-from .sde import (LOG_MAX, CirParams, GbmParams, ReturnSeries, RngStream,
-                  SvParams, levels_from_returns, simulate_cir, simulate_gbm,
+from .sde import (LOG_MAX, CirParams, GbmParams, RngStream, SvParams,
+                  levels_from_returns, simulate_cir, simulate_gbm,
                   simulate_sv, to_returns)
 from .state_domain import (MIN_STATE_PAIRS, DriftFit, _window_estimates,
                            select_bandwidth)
@@ -195,51 +194,43 @@ def study_preset(model: str, **overrides) -> StudyConfig:
     return StudyConfig(**{"model": key, **_PRESETS[key], **overrides})
 
 
-@dataclass(frozen=True)
-class SimulatedSeries:
-    """Levels, scaled returns, and the true per-step conditional variance."""
+class SimulatedGroup(NamedTuple):
+    """Simulated replications, one row each: the levels, the scaled returns
+    y and the true conditional variance of each return."""
 
     levels: np.ndarray
-    returns: ReturnSeries
-    true_var: np.ndarray
-
-    def __post_init__(self):
-        if self.true_var.size != len(self.returns):
-            raise ValueError("true_var must align with returns")
+    y: np.ndarray
+    truth: np.ndarray
 
 
-def simulate_series(cfg: StudyConfig, reps: Sequence[int]
-                    ) -> list[SimulatedSeries]:
-    """One replication of the configured model per rep in reps, rep r on
-    stream r. SV replications run in lockstep; a replication has the same
-    bits in any group. The simulators raise only ValueError, which stops a
-    study, and so does a series whose returns' fourth powers sum past the
-    float range: the SemiProxy search, the bandwidth CV, the
+def simulate_series(cfg: StudyConfig, reps: Sequence[int]) -> SimulatedGroup:
+    """One replication of the configured model per rep in reps, row i on
+    stream reps[i]. SV replications run in lockstep; a replication has the
+    same bits in any group. The simulators raise only ValueError, which
+    stops a study, and so does a series whose returns' fourth powers sum
+    past the float range: the SemiProxy search, the bandwidth CV, the
     autocorrelation and the scores square the squared returns."""
     p = cfg.model_params
     rngs = [RngStream(cfg.seed, rep) for rep in reps]
     if cfg.model == "SV":
-        drawn = simulate_sv(p, cfg.delta, cfg.series_len - 1, rngs)
+        y, truth = simulate_sv(p, cfg.delta, cfg.series_len - 1, rngs)
     else:
         sim = simulate_cir if cfg.model == "CIR" else simulate_gbm
-        drawn = [(to_returns(path), path) for path in
-                 (sim(p, cfg.delta, cfg.series_len, rng) for rng in rngs)]
+        levels = np.stack([sim(p, cfg.delta, cfg.series_len, rng)
+                           for rng in rngs])
+        y = to_returns(levels, cfg.delta)
     with np.errstate(over="ignore"):
         # sum y^4 as a dot of the squares: y ** 4 took 30 times as long
-        squares = (rs.y * rs.y for rs, _ in drawn)
-        if not all(np.isfinite(np.dot(y2, y2)) for y2 in squares):
+        if not all(np.isfinite(np.dot(y2, y2)) for y2 in y * y):
             named = ", ".join(f"{k} = {v!r}" for k, v in vars(p).items())
             raise ValueError(f"{named} and delta = {cfg.delta!r} drew "
                              f"returns whose fourth powers sum past the "
                              f"float range")
     if cfg.model == "SV":
-        return [SimulatedSeries(levels_from_returns(rs), rs, vbar)
-                for rs, vbar in drawn]
+        return SimulatedGroup(levels_from_returns(y, cfg.delta), y, truth)
     # the step variance is sigma^2 r^power: r for CIR, r^2 for GBM
     power = 1 if cfg.model == "CIR" else 2
-    return [SimulatedSeries(path.values, rs,
-                            p.sigma**2 * path.values[:-1] ** power)
-            for rs, path in drawn]
+    return SimulatedGroup(levels, y, p.sigma**2 * levels[:, :-1] ** power)
 
 
 # ---------------------------------------------------------------------------
@@ -534,15 +525,13 @@ def _report(per_rep: dict[str, np.ndarray], ests: tuple[str, ...],
 def _replications(cfg: StudyConfig, origins: np.ndarray, walk, span: range):
     """The results of each replication of span, in order: the span is
     simulated SIM_GROUP replications at a time, each group is tracked in
-    one _time_tracks call, and walk(sims, times) gives the result of each
-    replication of the group, sims being their simulated series and times
-    their time-domain tracks at origins. Each replication has the bits it
-    has alone, so the results do not depend on how the study's
-    replications are cut into spans or groups."""
+    one _time_tracks call, and walk(group, times) gives the result of each
+    of its replications from their time-domain tracks at origins. Each
+    replication has the bits it has alone, so the results do not depend on
+    how the study's replications are cut into spans or groups."""
     for lo in range(span.start, span.stop, SIM_GROUP):
-        sims = simulate_series(cfg, range(lo, min(lo + SIM_GROUP, span.stop)))
-        yield from walk(sims, _time_tracks(
-            np.stack([s.returns.y for s in sims]), cfg, origins))
+        group = simulate_series(cfg, range(lo, min(lo + SIM_GROUP, span.stop)))
+        yield from walk(group, _time_tracks(group.y, cfg, origins))
 
 
 def run_simulation_study(cfg: StudyConfig) -> StudyResult:
@@ -575,25 +564,24 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
     failed: dict[int, str] = {}
     excluded_per_rep: list[int] = []
 
-    def walk(sims: list[SimulatedSeries], times: list[_TimeTracks]):
+    def walk(group: SimulatedGroup, times: list[_TimeTracks]):
         """Each replication's counters, step mask, measures and |forecast -
         truth| per estimator and step, or why it failed. The group's tracks
         are stacked as replications x estimators x steps; the replications
         whose forecasts are all finite are scored in one _score call, and
         any other alone, over its own step mask."""
         outs: list = []
-        block = np.full((len(sims), len(ests), m), np.nan)
-        for sim, time, row in zip(sims, times, block):
+        block = np.full((len(times), len(ests), m), np.nan)
+        for levels, y, time, row in zip(group.levels, group.y, times, block):
             try:
-                tracks, counters = _rolling(sim.levels, sim.returns.y, cfg,
-                                            first, m, time=time)
+                tracks, counters = _rolling(levels, y, cfg, first, m, time)
             except DynvolError as exc:
                 outs.append(f"{type(exc).__name__}: {exc}")
                 continue
             row[:] = [tracks[e] for e in ests]
             outs.append(counters)
-        y_out = np.stack([s.returns.y[first:first + m] for s in sims])
-        truth = np.stack([s.true_var[first:first + m] for s in sims])
+        y_out = group.y[:, first:first + m]
+        truth = group.truth[:, first:first + m]
         err = np.abs(block - truth[:, None])
         walked = [i for i, out in enumerate(outs) if isinstance(out, dict)]
         finite = np.isfinite(block).all(axis=(1, 2))
@@ -676,7 +664,7 @@ def run_backtest(data: BacktestDataset, cfg: StudyConfig) -> BacktestResult:
     variance is unknown, so no imade is computed. The result's cfg is cfg
     as given, so its `config --dump` replays the run.
     """
-    y = np.diff(data.levels) / math.sqrt(data.delta)
+    y = to_returns(data.levels, data.delta)
     in_len = data.in_sample_end
     qwin = cfg.er_window
     first_warm = in_len - 1 - qwin

@@ -53,7 +53,9 @@ class BacktestDataset:
         if self.return_mode == "log":
             if np.any(self.values <= 0):
                 raise IngestionError("log returns need strictly positive levels")
-            levels = np.log(self.values)
+            # math.log per level: numpy's log kernel is picked by CPU and
+            # rounds some levels one ulp apart under AVX-512
+            levels = np.fromiter(map(math.log, self.values.tolist()), float)
         else:
             levels = self.values.copy()
         object.__setattr__(self, "levels", levels)

@@ -64,41 +64,6 @@ class RngStream:
 
 
 @dataclass(frozen=True)
-class SamplePath:
-    """Discretely observed path: values at an equally spaced time grid."""
-
-    values: np.ndarray
-    delta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.values.ndim != 1 or self.values.size < 1:
-            raise ValueError("path needs at least one observation")
-        check_finite(self, "delta", positive=True)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Scaled one-step differences y_i = (v_{i+1} - v_i) / sqrt(delta)."""
-
-    y: np.ndarray
-    delta: float
-    source_len: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "y", np.asarray(self.y, dtype=float))
-        check_finite(self, "delta", positive=True)
-        if self.y.size != self.source_len - 1:
-            raise ValueError("length of y must be source_len - 1")
-
-    def __len__(self) -> int:
-        return self.y.size
-
-
-@dataclass(frozen=True)
 class CirParams:
     """Square-root mean-reverting model dr = kappa(theta - r)dt + sigma sqrt(r)dW."""
 
@@ -168,7 +133,7 @@ class GbmParams:
 
 
 def simulate_cir(params: CirParams, delta: float, n_obs: int, rng: RngStream,
-                 r0: float | None = None) -> SamplePath:
+                 r0: float | None = None) -> np.ndarray:
     """Simulate the square-root rate model with a Milstein step.
 
     Parameters
@@ -185,7 +150,7 @@ def simulate_cir(params: CirParams, delta: float, n_obs: int, rng: RngStream,
 
     Returns
     -------
-    SamplePath
+    np.ndarray
         Strictly positive path of length n_obs.
     """
     if n_obs < 2:
@@ -220,7 +185,7 @@ def simulate_cir(params: CirParams, delta: float, n_obs: int, rng: RngStream,
         if r < floor:
             r = floor
         append(r)
-    return SamplePath(np.frombuffer(out), delta)
+    return np.frombuffer(out)
 
 
 def _check_sv_step(params: SvParams, dstar: float) -> None:
@@ -300,8 +265,7 @@ SV_BLOCK = 48
 
 
 def simulate_sv(params: SvParams, delta: float, n_obs: int,
-                rngs: Sequence[RngStream]
-                ) -> list[tuple[ReturnSeries, np.ndarray]]:
+                rngs: Sequence[RngStream]) -> tuple[np.ndarray, np.ndarray]:
     """Simulate n_obs conditionally Gaussian returns and their true variances
     on each stream of rngs, all streams in lockstep.
 
@@ -318,9 +282,9 @@ def simulate_sv(params: SvParams, delta: float, n_obs: int,
 
     Returns
     -------
-    list of (ReturnSeries, np.ndarray)
-        Per stream, the returns and the per-interval averaged variance path
-        (length n_obs).
+    (y, vbar) : tuple of np.ndarray
+        The scaled returns and the per-interval averaged variance, one row
+        of n_obs per stream.
     """
     if n_obs < 1:
         raise ValueError("n_obs must be >= 1")
@@ -329,8 +293,6 @@ def simulate_sv(params: SvParams, delta: float, n_obs: int,
     dstar = delta / m
     _check_sv_step(params, dstar)
     gens = [rng.generator() for rng in rngs]
-    if not gens:
-        return []
     n = len(gens)
     # buf takes one block's normals, then its variance path; a, b and starts
     # are the work arrays of every block, starts[0] the variance at the
@@ -352,13 +314,14 @@ def simulate_sv(params: SvParams, delta: float, n_obs: int,
                   starts[:nb + 1], vbar[:, lo:lo + nb])
         starts[0] = starts[nb]
     vbar /= m
-    return [(ReturnSeries(np.sqrt(vb) * gen.standard_normal(n_obs), delta,
-                          n_obs + 1), vb)
-            for gen, vb in zip(gens, vbar)]
+    y = np.sqrt(vbar)
+    for gen, row in zip(gens, y):
+        row *= gen.standard_normal(n_obs)
+    return y, vbar
 
 
 def simulate_gbm(params: GbmParams, delta: float, n_obs: int, rng: RngStream,
-                 r0: float = 1.0) -> SamplePath:
+                 r0: float = 1.0) -> np.ndarray:
     """Simulate geometric Brownian motion by exact log-normal increments.
 
     Log increments are iid N((mu - sigma^2/2)*delta, sigma^2*delta). Each
@@ -385,19 +348,17 @@ def simulate_gbm(params: GbmParams, delta: float, n_obs: int, rng: RngStream,
                          f"+-{LOG_MAX:.1f}, outside the float range")
     levels = np.fromiter(map(math.exp, log_path.tolist()), float,
                          log_path.size)
-    return SamplePath(r0 * levels, delta)
+    return r0 * levels
 
 
-def to_returns(path: SamplePath) -> ReturnSeries:
-    """Scaled differences of a path: y_i = (v_{i+1} - v_i)/sqrt(delta)."""
-    v = path.values
-    if v.size < 2:
-        raise ValueError("need at least two observations")
-    y = np.diff(v) / math.sqrt(path.delta)
-    return ReturnSeries(y, path.delta, v.size)
+def to_returns(levels, delta: float) -> np.ndarray:
+    """Scaled differences along the last axis of levels, one path or one
+    per row: y_i = (v_{i+1} - v_i)/sqrt(delta)."""
+    return np.diff(levels) / math.sqrt(delta)
 
 
-def levels_from_returns(rs: ReturnSeries, r0: float = 0.0) -> np.ndarray:
-    """Inverse of to_returns: rebuild the level path from scaled differences."""
-    steps = rs.y * math.sqrt(rs.delta)
-    return r0 + np.concatenate(([0.0], np.cumsum(steps)))
+def levels_from_returns(y, delta: float, r0: float = 0.0) -> np.ndarray:
+    """Inverse of to_returns along the last axis: the level path, or one per
+    row, that starts at r0 and has the scaled differences y."""
+    steps = np.multiply(y, math.sqrt(delta))
+    return r0 + np.cumsum(np.insert(steps, 0, 0.0, axis=-1), axis=-1)

@@ -111,13 +111,19 @@ def moving_average(y, t, n: int):
     return _per_origin(t, np.add.reduce(windows, axis=-1)[..., j] / n)
 
 
+def _powers(lam: float, k: np.ndarray) -> np.ndarray:
+    """lam ** k per int of k by Python float power: numpy picks its array
+    power kernel by CPU, and its AVX-512 kernel rounds some one ulp apart."""
+    return np.fromiter((lam**e for e in k.tolist()), float, k.size)
+
+
 def es_weights(lam: float, n: int) -> np.ndarray:
     """Smoothing weights on y[t-1], y[t-2], ..., y[t-n]; positive, sum to 1."""
     if not (0.0 < lam <= 1.0):
         raise ValueError("lam must lie in (0, 1]")
     if lam == 1.0:
         return np.full(n, 1.0 / n)
-    w = (1.0 - lam) * lam ** np.arange(n)
+    w = (1.0 - lam) * _powers(lam, np.arange(n))
     return w / w.sum()
 
 
@@ -212,7 +218,8 @@ def _c_coef(lam: float, n: int, kmax: int) -> tuple[float, np.ndarray]:
     else:
         scale = (1.0 - lam) ** 2 / ((1.0 - lam**n) ** 2 * (1.0 - lam * lam))
         c_iid = scale * (1.0 - lam ** (2 * n))
-        coef = 2.0 * scale * lam**k * (1.0 - lam ** (2 * (n - k)))
+        coef = (2.0 * scale * _powers(lam, k)
+                * (1.0 - _powers(lam, 2 * (n - k))))
     return c_iid, coef
 
 

@@ -73,9 +73,9 @@ def route_error_reps():
     skipped = 0
     for r in range(300):
         path = simulate_cir(p, delta, n_obs, RngStream(41, r))
-        y = to_returns(path).y
+        y = to_returns(path, delta)
         m = y.size - n
-        x = path.values[:m]
+        x = path[:m]
         if h is None:
             h = rule_of_thumb_bandwidth(x)
         try:
@@ -84,7 +84,7 @@ def route_error_reps():
             skipped += 1
             continue
         serr.append(s - p.sigma**2 * x0)
-        terr.append(exp_smooth(y, y.size, cfg) - p.sigma**2 * path.values[-1])
+        terr.append(exp_smooth(y, y.size, cfg) - p.sigma**2 * path[-1])
     return np.asarray(terr), np.asarray(serr), skipped
 
 
@@ -278,13 +278,13 @@ def test_criterion_08_gbm_trimmed_robustness(gbm_run):
 def test_criterion_09_no_lookahead_bytes():
     cfg = study_preset("cir", series_len=300, in_sample_len=260, n_reps=1,
                        seed=77)
-    [sim] = simulate_series(cfg, [0])
+    sim = simulate_series(cfg, [0])
     first = cfg.in_sample_len - 1
     m = cfg.series_len - cfg.in_sample_len
-    base, _ = _rolling(sim.levels, sim.returns.y, cfg, first, m)
+    base, _ = _rolling(sim.levels[0], sim.y[0], cfg, first, m)
     ok = True
     for k in (first + 1, first + 14, first + 33):
-        levels = sim.levels.copy()
+        levels = sim.levels[0].copy()
         levels[k] *= 1.02  # perturb one future observation
         y = np.diff(levels) / math.sqrt(cfg.delta)
         pert, _ = _rolling(levels, y, cfg, first, m)
@@ -319,14 +319,14 @@ def _prior_forecasts_unmoved(levels, delta, cfg, first, run):
 def test_no_lookahead_bytes_other_models(model):
     cfg = study_preset(model, series_len=300, in_sample_len=260, n_reps=1,
                        seed=77)
-    [sim] = simulate_series(cfg, [0])
+    sim = simulate_series(cfg, [0])
     first = cfg.in_sample_len - 1
     m = cfg.series_len - cfg.in_sample_len
 
     def run(levels, y):
         return _rolling(levels, y, cfg, first, m)[0]
 
-    assert _prior_forecasts_unmoved(sim.levels, cfg.delta, cfg, first, run)
+    assert _prior_forecasts_unmoved(sim.levels[0], cfg.delta, cfg, first, run)
 
 
 def test_no_lookahead_bytes_backtest(monkeypatch):
@@ -349,18 +349,18 @@ def test_no_lookahead_bytes_backtest(monkeypatch):
         run_backtest(data, cfg)
         return captured.pop()
 
-    assert _prior_forecasts_unmoved(path.values, 1.0 / 52.0, cfg, first, run)
+    assert _prior_forecasts_unmoved(path, 1.0 / 52.0, cfg, first, run)
 
 
 def test_state_fit_reads_only_the_pairs_history():
     cfg = study_preset("cir", series_len=300, in_sample_len=260, n_reps=1,
                        seed=77)
-    [sim] = simulate_series(cfg, [0])
+    sim = simulate_series(cfg, [0])
     origin = 270
     keep = origin - cfg.es.n
     counters = {"drift_fallback": 0}
-    fit = _fit_state(sim.levels, sim.returns.y, origin, cfg, None, counters)
-    levels, y = sim.levels.copy(), sim.returns.y.copy()
+    fit = _fit_state(sim.levels[0], sim.y[0], origin, cfg, None, counters)
+    levels, y = sim.levels[0].copy(), sim.y[0].copy()
     levels[keep:] = np.nan
     y[keep:] = np.nan
     again = _fit_state(levels, y, origin, cfg, None, counters)

@@ -355,7 +355,7 @@ def levels_csv(tmp_path_factory):
                         RngStream(7, 1))
     d0 = dt.date(2016, 1, 8)
     rows = ["date,value"]
-    for i, v in enumerate(path.values):
+    for i, v in enumerate(path):
         rows.append(f"{(d0 + dt.timedelta(days=7 * i)).isoformat()},{float(v)!r}")
     p = tmp_path_factory.mktemp("cli_bt") / "levels.csv"
     p.write_text("\n".join(rows) + "\n")

@@ -28,7 +28,8 @@ from dynvol.errors import (DegenerateSeriesError, DynvolError,
 from dynvol import _fanout, harness
 from dynvol.evaluation import exceedance_ratio, imade, made, pe, rade
 from dynvol.harness import (DEFAULT_SEMI_GRID, ESTIMATORS, MIN_STATE_PAIRS,
-                            SEMI_FALLBACK_LAM, BacktestDataset, StudyConfig,
+                            SEMI_FALLBACK_LAM, BacktestDataset,
+                            SimulatedGroup, StudyConfig,
                             _eval_state, _fit_state, _new_counters, _rolling,
                             _SemiSelector, _StateFit, run_backtest,
                             run_simulation_study, simulate_series,
@@ -48,11 +49,17 @@ SMALL = study_preset("cir", series_len=300, in_sample_len=260, n_reps=3,
                      seed=777)
 
 
+def one_series(cfg: StudyConfig, rep: int) -> SimulatedGroup:
+    """Replication rep simulated alone: its levels, y and truth as 1-d
+    arrays."""
+    return SimulatedGroup(*(a[0] for a in simulate_series(cfg, [rep])))
+
+
 def rolling_forecast(sim, cfg: StudyConfig, estimator_id: str) -> np.ndarray:
     """One estimator's forecasts over the out-of-sample stretch
     [in_sample_len - 1, series_len - 2], from the loop run with it alone."""
     first = cfg.in_sample_len - 1
-    tracks, _ = _rolling(sim.levels, sim.returns.y,
+    tracks, _ = _rolling(sim.levels, sim.y,
                          replace(cfg, estimators=(estimator_id,)), first,
                          cfg.series_len - cfg.in_sample_len)
     return tracks[estimator_id]
@@ -183,35 +190,49 @@ def test_a_config_has_one_form():
 
 def test_simulate_series_truth_definitions():
     cfg = study_preset("cir", series_len=200, in_sample_len=150)
-    [sim] = simulate_series(cfg, [0])
+    sim = one_series(cfg, 0)
     p = cfg.model_params
-    assert np.allclose(sim.true_var, p.sigma**2 * sim.levels[:-1], rtol=1e-14)
+    assert np.allclose(sim.truth, p.sigma**2 * sim.levels[:-1], rtol=1e-14)
     assert np.allclose(np.diff(sim.levels) / math.sqrt(cfg.delta),
-                       sim.returns.y, atol=1e-12)
+                       sim.y, atol=1e-12)
 
     gcfg = study_preset("gbm", series_len=200, in_sample_len=150)
-    [gsim] = simulate_series(gcfg, [0])
+    gsim = one_series(gcfg, 0)
     gp = gcfg.model_params
-    assert np.allclose(gsim.true_var, gp.sigma**2 * gsim.levels[:-1] ** 2,
+    assert np.allclose(gsim.truth, gp.sigma**2 * gsim.levels[:-1] ** 2,
                        rtol=1e-14)
 
     scfg = study_preset("sv", series_len=200, in_sample_len=150)
-    [ssim] = simulate_series(scfg, [0])
+    ssim = one_series(scfg, 0)
     # state variable for this model is the accumulated series, starting at 0
     assert ssim.levels[0] == 0.0
     assert np.allclose(np.diff(ssim.levels) / math.sqrt(scfg.delta),
-                       ssim.returns.y, atol=1e-12)
-    assert np.all(ssim.true_var > 0)
-    assert ssim.true_var.size == len(ssim.returns)
+                       ssim.y, atol=1e-12)
+    assert np.all(ssim.truth > 0)
+    assert ssim.truth.size == ssim.y.size
 
 
 def test_simulate_series_stream_determinism():
     cfg = study_preset("cir", series_len=120, in_sample_len=100)
-    [a] = simulate_series(cfg, [2])
-    [b] = simulate_series(cfg, [2])
-    [c] = simulate_series(cfg, [3])
+    a = one_series(cfg, 2)
+    b = one_series(cfg, 2)
+    c = one_series(cfg, 3)
     assert np.array_equal(a.levels, b.levels)
     assert not np.array_equal(a.levels, c.levels)
+
+
+def _rows_have_their_own_bytes(cfg: StudyConfig, lo: int, size: int) -> None:
+    """Row i of the group of replications lo .. lo + size - 1 has the
+    levels, y and truth of replication lo + i simulated alone, bit for
+    bit."""
+    group = simulate_series(cfg, range(lo, lo + size))
+    assert [a.shape for a in group] == [(size, cfg.series_len),
+                                        (size, cfg.series_len - 1),
+                                        (size, cfg.series_len - 1)]
+    for i, rep in enumerate(range(lo, lo + size)):
+        alone = simulate_series(cfg, [rep])
+        for got, want in zip(group, alone):
+            assert got[i].tobytes() == want[0].tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -229,14 +250,21 @@ def test_sv_group_gives_each_replication_its_own_bytes(lo, size, series_len,
     cfg = study_preset("sv", series_len=series_len, in_sample_len=2, seed=seed,
                        model_params=SvParams(3.0, 0.009, 4.0,
                                              substeps=substeps))
-    group = simulate_series(cfg, range(lo, lo + size))
-    assert len(group) == size
-    for rep, sim in zip(range(lo, lo + size), group):
-        [alone] = simulate_series(cfg, [rep])
-        for got, want in ((sim.levels, alone.levels),
-                          (sim.returns.y, alone.returns.y),
-                          (sim.true_var, alone.true_var)):
-            assert got.tobytes() == want.tobytes()
+    _rows_have_their_own_bytes(cfg, lo, size)
+
+
+@pytest.mark.parametrize("model", ["cir", "gbm"])
+@settings(max_examples=15, deadline=None)
+@given(lo=st.integers(0, 80), size=st.integers(1, 20),
+       series_len=st.integers(3, 400), seed=st.integers(0, 2**31))
+@example(lo=0, size=3, series_len=1200, seed=12345)
+def test_cir_and_gbm_groups_give_each_replication_its_own_bytes(
+        model, lo, size, series_len, seed):
+    # the group stacks the paths and takes the returns and the truth of
+    # the 2-d array at once; each row has the bits of its path alone
+    cfg = study_preset(model, series_len=series_len, in_sample_len=2,
+                       seed=seed)
+    _rows_have_their_own_bytes(cfg, lo, size)
 
 
 def test_semi_selector_matches_reference_loop():
@@ -412,10 +440,10 @@ def test_semi_proxy_fallback_is_riskm_at_the_fallback_decay(segments, n, grid,
 def test_tracks_do_not_depend_on_roster():
     # each estimator's forecasts are identical whether it runs alone or
     # alongside the others
-    [sim] = simulate_series(SMALL, [0])
+    sim = one_series(SMALL, 0)
     first = SMALL.in_sample_len - 1
     m = SMALL.series_len - SMALL.in_sample_len
-    tracks, _ = _rolling(sim.levels, sim.returns.y, SMALL, first, m)
+    tracks, _ = _rolling(sim.levels, sim.y, SMALL, first, m)
     for e in ESTIMATORS:
         solo = rolling_forecast(sim, SMALL, e)
         assert np.array_equal(tracks[e], solo, equal_nan=True)
@@ -445,8 +473,8 @@ def test_rolling_matches_direct_estimator_calls():
 
 def _walk_matches_rolling(every: int) -> None:
     cfg = replace(SMALL, state_refit_every=every)
-    [sim] = simulate_series(cfg, [1])
-    levels, y = sim.levels, sim.returns.y
+    sim = one_series(cfg, 1)
+    levels, y = sim.levels, sim.y
     first = cfg.in_sample_len - 1
     m = cfg.series_len - cfg.in_sample_len - 1
     tracks, counters = _rolling(levels, y, cfg, first, m)
@@ -653,11 +681,11 @@ def test_drift_refit_walk_forward_matches_a_fit_from_scratch(
 def test_no_lookahead_in_forecasts():
     # corrupting the series strictly after level index k must not change
     # forecasts at origins <= k
-    [sim] = simulate_series(SMALL, [2])
+    sim = one_series(SMALL, 2)
     first = SMALL.in_sample_len - 1
     m = SMALL.series_len - SMALL.in_sample_len
     k = first + 15
-    tracks, _ = _rolling(sim.levels, sim.returns.y, SMALL, first, m)
+    tracks, _ = _rolling(sim.levels, sim.y, SMALL, first, m)
 
     levels2 = sim.levels.copy()
     levels2[k + 1:] *= 1.5
@@ -711,7 +739,7 @@ def test_singular_state_design_falls_back_to_kernel_weighted_mean():
 def test_insufficient_history_is_rejected_up_front(monkeypatch):
     # 99 < 2n for SemiProxy
     cfg = study_preset("cir", series_len=120, in_sample_len=100)
-    [sim] = simulate_series(cfg, [0])
+    sim = one_series(cfg, 0)
     with pytest.raises(InsufficientHistoryError):
         rolling_forecast(sim, cfg, "SemiProxy")
     # the study stops before it simulates a single replication
@@ -746,17 +774,17 @@ def test_study_measures_recompute_from_tracks(small_result):
     # with no excluded steps the per-rep imade is a plain mean over the track
     rep, est = 1, "Integ"
     j = SMALL.estimators.index(est)
-    [sim] = simulate_series(SMALL, [rep])
+    sim = one_series(SMALL, rep)
     track = rolling_forecast(sim, SMALL, est)
     first = SMALL.in_sample_len - 1
     m = SMALL.series_len - SMALL.in_sample_len
-    truth = sim.true_var[first:first + m]
+    truth = sim.truth[first:first + m]
     got = small_result.per_rep["imade"][rep, j]
     assert got == pytest.approx(imade(truth, track), rel=1e-15)
     # curve for a single rep and step is |forecast - truth| averaged over reps
     other = [np.abs(rolling_forecast(s, SMALL, est)
-                    - s.true_var[first:first + m])
-             for s in simulate_series(SMALL, range(3))]
+                    - s.truth[first:first + m])
+             for s in (one_series(SMALL, r) for r in range(3))]
     assert np.allclose(small_result.curve[:, j],
                        np.mean(other, axis=0), rtol=1e-13)
 
@@ -767,8 +795,8 @@ def test_study_er_uses_the_normal_quantile(small_result):
     z = NormalDist().inv_cdf(SMALL.alpha)
     first = SMALL.in_sample_len - 1
     for rep in range(SMALL.n_reps):
-        [sim] = simulate_series(SMALL, [rep])
-        y_out = sim.returns.y[first:]
+        sim = one_series(SMALL, rep)
+        y_out = sim.y[first:]
         for j, e in enumerate(SMALL.estimators):
             track = rolling_forecast(sim, SMALL, e)
             assert small_result.per_rep["er"][rep, j] == float(
@@ -779,7 +807,7 @@ def patch_rolling(monkeypatch, cfg, edit):
     """Make the study's _rolling call edit(rep, tracks) after the real walk,
     rep being the id of the replication whose series it walks; edit may
     raise, as a replication's walk-forward can."""
-    series = [s.levels for s in simulate_series(cfg, range(cfg.n_reps))]
+    series = list(simulate_series(cfg, range(cfg.n_reps)).levels)
     real = harness._rolling
 
     def rolling(levels, *args, **kwargs):
@@ -874,10 +902,10 @@ def test_a_group_scores_each_replication_as_it_would_alone(monkeypatch,
     assert res.diagnostics["excluded_per_rep"] == (0, 5, 0, 0, 1)
     z = NormalDist().inv_cdf(cfg.alpha)
     for row, rep in enumerate((0, 1, 2, 5, 6)):
-        [sim] = simulate_series(cfg, [rep])
+        sim = one_series(cfg, rep)
         mask = np.all([np.isfinite(t) for t in walked[rep].values()], axis=0)
-        y = sim.returns.y[first:first + m][mask]
-        truth = sim.true_var[first:first + m][mask]
+        y = sim.y[first:first + m][mask]
+        truth = sim.truth[first:first + m][mask]
         for j, e in enumerate(cfg.estimators):
             t = walked[rep][e][mask]
             want = {"imade": imade(truth, t), "made": made(y, t),
@@ -1380,12 +1408,12 @@ def test_nan_step_exclusion_is_shared(monkeypatch):
     assert res.diagnostics["excluded_per_rep"] == (1,)
     monkeypatch.undo()
 
-    [sim] = simulate_series(cfg, [0])
+    sim = one_series(cfg, 0)
     track = rolling_forecast(sim, cfg, "RiskM")
     m = cfg.series_len - cfg.in_sample_len
     mask = np.ones(m, dtype=bool)
     mask[7] = False
-    truth = sim.true_var[first:first + m]
+    truth = sim.truth[first:first + m]
     expect = float(np.mean(np.abs(track[mask] - truth[mask])))
     j = cfg.estimators.index("RiskM")
     assert res.per_rep["imade"][0, j] == pytest.approx(expect, rel=1e-14)
@@ -1618,6 +1646,16 @@ def test_ingest_rejects_a_split_naming_in_sample_end(tmp_path, split, detail):
     assert str(info.value) == f"in_sample_end {shown} {detail}"
 
 
+def test_log_mode_levels_have_the_bits_of_math_log():
+    # numpy's log kernel is picked by CPU and rounds some levels one ulp
+    # apart under AVX-512; math.log is the same on every host
+    # about 4 in 1,000 such levels round apart there
+    values = np.random.default_rng(5).uniform(0.5, 2.0, 10_000)
+    d = BacktestDataset("x", values, None, 1 / 252, 6000)
+    want = np.array([math.log(v) for v in values.tolist()])
+    assert d.levels.tobytes() == want.tobytes()
+
+
 def test_dataset_rejects_a_zero_level_in_log_mode():
     # at construction, before any backtest runs
     values = np.array([1.0, 2.0, 0.0, 3.0, 4.0])
@@ -1661,7 +1699,7 @@ def gbm_csv(tmp_path_factory):
                                      RngStream(99, 0))
     d0 = dt.date(2015, 1, 2)
     rows = ["date,value"]
-    for i, v in enumerate(path.values):
+    for i, v in enumerate(path):
         rows.append(f"{(d0 + dt.timedelta(days=7 * i)).isoformat()},{float(v)!r}")
     p = tmp_path_factory.mktemp("bt") / "gbm.csv"
     p.write_text("\n".join(rows) + "\n")

@@ -15,9 +15,8 @@ from scipy import stats
 
 from dynvol import sde
 from dynvol.sde import (AFFINE_ROOM, POSITIVITY_FLOOR, CirParams, GbmParams,
-                        ReturnSeries, RngStream, SamplePath, SvParams,
-                        _sv_slopes, levels_from_returns, simulate_cir,
-                        simulate_gbm, simulate_sv, to_returns)
+                        RngStream, SvParams, _sv_slopes, levels_from_returns,
+                        simulate_cir, simulate_gbm, simulate_sv, to_returns)
 from oracles import UNIT_ROUNDOFF, sv_inner_path, sv_inner_path_scalar
 
 WEEKLY = 1.0 / 52.0
@@ -62,10 +61,7 @@ def test_a_model_parameter_must_be_finite(params, field, bad):
     pytest.param(lambda d: simulate_cir(CIR, d, 4, RngStream(1)),
                  id="simulate_cir"),
     pytest.param(lambda d: simulate_sv(SV, d, 4, [RngStream(1)]),
-                 id="simulate_sv"),
-    pytest.param(lambda d: SamplePath(np.ones(3), d), id="SamplePath"),
-    pytest.param(lambda d: ReturnSeries(np.zeros(2), d, 3),
-                 id="ReturnSeries")])
+                 id="simulate_sv")])
 def test_a_non_finite_delta_is_rejected_by_name(make, delta):
     # an infinite delta made NaN paths: simulate_gbm's was [1, 0, nan, nan]
     with pytest.raises(ValueError, match=rf"^delta must be positive and "
@@ -82,24 +78,37 @@ def test_a_cir_sigma_too_small_for_the_stationary_law_is_rejected(sigma):
 
 
 def test_to_returns_hand_value():
-    p = SamplePath(np.array([0.06, 0.08]), 0.04)
-    rs = to_returns(p)
+    y = to_returns(np.array([0.06, 0.08]), 0.04)
     # (0.08 - 0.06)/sqrt(0.04) = 0.1
-    assert rs.y == pytest.approx([0.1], abs=1e-15)
-    assert rs.source_len == 2
+    assert y == pytest.approx([0.1], abs=1e-15)
+    assert y.shape == (1,)
 
 
 def test_returns_round_trip():
     path = simulate_cir(CIR, WEEKLY, 300, RngStream(7, 0))
-    rs = to_returns(path)
-    back = levels_from_returns(rs, r0=path.values[0])
-    assert np.allclose(back, path.values, rtol=0, atol=1e-12)
+    y = to_returns(path, WEEKLY)
+    back = levels_from_returns(y, WEEKLY, r0=path[0])
+    assert np.allclose(back, path, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 64])
+def test_the_array_functions_give_each_row_its_1d_bits(rows):
+    # a group of paths is one 2-d call of each, one path per row
+    levels = np.stack([simulate_cir(CIR, WEEKLY, 300, RngStream(7, r))
+                       for r in range(rows)])
+    y = to_returns(levels, WEEKLY)
+    back = levels_from_returns(y, WEEKLY, r0=0.05)
+    assert y.shape == (rows, 299) and back.shape == (rows, 300)
+    for i in range(rows):
+        assert y[i].tobytes() == to_returns(levels[i], WEEKLY).tobytes()
+        assert back[i].tobytes() == levels_from_returns(
+            y[i], WEEKLY, r0=0.05).tobytes()
 
 
 def test_rng_stream_reproducible_and_independent():
-    a = simulate_cir(CIR, WEEKLY, 200, RngStream(42, 3)).values
-    b = simulate_cir(CIR, WEEKLY, 200, RngStream(42, 3)).values
-    c = simulate_cir(CIR, WEEKLY, 200, RngStream(42, 4)).values
+    a = simulate_cir(CIR, WEEKLY, 200, RngStream(42, 3))
+    b = simulate_cir(CIR, WEEKLY, 200, RngStream(42, 3))
+    c = simulate_cir(CIR, WEEKLY, 200, RngStream(42, 4))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -107,7 +116,7 @@ def test_rng_stream_reproducible_and_independent():
 def test_cir_positivity_and_length():
     path = simulate_cir(CIR, WEEKLY, 1200, RngStream(0, 0))
     assert len(path) == 1200
-    assert np.all(path.values > 0)
+    assert np.all(path > 0)
 
 
 def test_cir_near_zero_noise_converges_to_theta():
@@ -117,13 +126,13 @@ def test_cir_near_zero_noise_converges_to_theta():
     n, delta, r0 = 600, WEEKLY, 0.04
     path = simulate_cir(p, delta, n, RngStream(1, 0), r0=r0)
     expect = p.theta + (r0 - p.theta) * (1.0 - p.kappa * delta) ** (n - 1)
-    assert path.values[-1] == pytest.approx(expect, abs=1e-4)
+    assert path[-1] == pytest.approx(expect, abs=1e-4)
 
 
 def test_cir_stationary_mean_matches_theta():
     # stationary start; grand mean over independent paths within 3 SE of theta
     reps, n = 200, 600
-    means = np.array([simulate_cir(CIR, WEEKLY, n, RngStream(11, r)).values.mean()
+    means = np.array([simulate_cir(CIR, WEEKLY, n, RngStream(11, r)).mean()
                       for r in range(reps)])
     se = means.std(ddof=1) / math.sqrt(reps)
     assert abs(means.mean() - CIR.theta) < 3.0 * se
@@ -133,7 +142,7 @@ def test_gbm_increment_moments():
     # log increments are N((mu - sigma^2/2) delta, sigma^2 delta)
     n = 100_001
     path = simulate_gbm(GBM, WEEKLY, n, RngStream(5, 0))
-    inc = np.diff(np.log(path.values))
+    inc = np.diff(np.log(path))
     tvar = GBM.sigma**2 * WEEKLY
     tmean = (GBM.mu - 0.5 * GBM.sigma**2) * WEEKLY
     assert abs(inc.var(ddof=1) / tvar - 1.0) < 0.02
@@ -142,8 +151,8 @@ def test_gbm_increment_moments():
 
 def test_gbm_positive_and_starts_at_r0():
     path = simulate_gbm(GBM, WEEKLY, 50, RngStream(9, 2), r0=2.5)
-    assert path.values[0] == 2.5
-    assert np.all(path.values > 0)
+    assert path[0] == 2.5
+    assert np.all(path > 0)
 
 
 @pytest.mark.parametrize("params, delta", [
@@ -165,8 +174,9 @@ def test_simulate_gbm_rejects_a_drawn_log_path_past_the_float_range(
 def test_sv_variance_positive_and_mean_near_theta():
     reps = 200
     means = np.empty(reps)
-    sims = simulate_sv(SV, MONTHLY, 120, [RngStream(21, r) for r in range(reps)])
-    for r, (_, vbar) in enumerate(sims):
+    _, vbars = simulate_sv(SV, MONTHLY, 120,
+                           [RngStream(21, r) for r in range(reps)])
+    for r, vbar in enumerate(vbars):
         assert np.all(vbar > 0)
         means[r] = vbar.mean()
     se = means.std(ddof=1) / math.sqrt(reps)
@@ -175,8 +185,9 @@ def test_sv_variance_positive_and_mean_near_theta():
 
 def test_sv_standardized_returns_are_standard_normal():
     # y_i / sqrt(vbar_i) ~ N(0,1) by construction of the conditional law
-    sims = simulate_sv(SV, MONTHLY, 250, [RngStream(33, r) for r in range(40)])
-    z = np.concatenate([rs.y / np.sqrt(vbar) for rs, vbar in sims])
+    y, vbar = simulate_sv(SV, MONTHLY, 250,
+                          [RngStream(33, r) for r in range(40)])
+    z = (y / np.sqrt(vbar)).ravel()
     assert stats.kstest(z, "norm").pvalue > 0.01
 
 
@@ -205,14 +216,10 @@ def test_sv_scheme_strong_convergence():
 
 
 def test_simulate_sv_of_no_streams_is_empty():
-    assert simulate_sv(SV, MONTHLY, 10, []) == []
+    y, vbar = simulate_sv(SV, MONTHLY, 10, [])
+    assert y.shape == vbar.shape == (0, 10)
     with pytest.raises(ValueError, match="n_obs"):
         simulate_sv(SV, MONTHLY, 0, [])
-
-
-def test_return_series_length_contract():
-    with pytest.raises(ValueError):
-        ReturnSeries(np.array([1.0, 2.0]), WEEKLY, 2)
 
 
 # SHA-256 of the little-endian float64 bytes of each output. The CIR
@@ -239,24 +246,24 @@ def _digest(*arrays):
 
 
 def _sv(params, n_obs, rng):
-    [(rs, vbar)] = simulate_sv(params, MONTHLY, n_obs, [rng])
-    return _digest(rs.y, vbar)
+    [y], [vbar] = simulate_sv(params, MONTHLY, n_obs, [rng])
+    return _digest(y, vbar)
 
 
 def test_simulators_reproduce_their_golden_bits():
     # r0 below the floor: the first step starts from the unclamped level
     tiny = simulate_cir(CirParams(0.5, 0.01, 0.09), WEEKLY, 800,
-                        RngStream(3, 3), r0=1e-13).values
+                        RngStream(3, 3), r0=1e-13)
     assert tiny[0] == POSITIVITY_FLOOR
     got = {
         "sv_default": _sv(SV, 999, RngStream(2007, 0)),
         "sv_one_substep": _sv(SvParams(3.0, 0.009, 4.0, substeps=1), 500,
                               RngStream(5, 2)),
-        "cir": _digest(simulate_cir(CIR, WEEKLY, 1200, RngStream(3, 0)).values),
+        "cir": _digest(simulate_cir(CIR, WEEKLY, 1200, RngStream(3, 0))),
         "cir_r0": _digest(simulate_cir(CIR, WEEKLY, 1200, RngStream(3, 1),
-                                       r0=0.05).values),
+                                       r0=0.05)),
         "cir_floor": _digest(tiny),
-        "gbm": _digest(simulate_gbm(GBM, WEEKLY, 1000, RngStream(3, 2)).values),
+        "gbm": _digest(simulate_gbm(GBM, WEEKLY, 1000, RngStream(3, 2))),
     }
     assert got == GOLDEN
 
@@ -296,7 +303,7 @@ def test_sv_path_is_one_inner_path_over_all_substeps():
     v0 = 1.0 / float(gen.gamma(params.shape_a, 1.0 / params.rate_b))
     eps = gen.standard_normal((401, 7))
     path = sv_inner_path(params, v0, eps.ravel(), MONTHLY / 7)
-    [(_, vbar)] = simulate_sv(params, MONTHLY, 401, [RngStream(5, 1)])
+    _, [vbar] = simulate_sv(params, MONTHLY, 401, [RngStream(5, 1)])
     assert np.array_equal(vbar, path[:-1].reshape(401, 7).mean(axis=1))
 
 

@@ -371,8 +371,8 @@ def _assert_matches_oracle(x, resp, h, loo):
 def test_prefix_engine_matches_oracle_on_rate_paths(factor):
     cfg = study_preset("cir")
     for rep in range(2):
-        [sim] = simulate_series(cfg, [rep])
-        x, y = sim.levels[:1150 - 52], sim.returns.y[:1150 - 52]
+        sim = simulate_series(cfg, [rep])
+        x, y = sim.levels[0, :1150 - 52], sim.y[0, :1150 - 52]
         h = rule_of_thumb_bandwidth(x) * factor
         for loo in (True, False):
             _assert_matches_oracle(x, y, h, loo)

@@ -35,6 +35,26 @@ def test_es_weights_normalized_and_geometric():
     assert np.allclose(flat, 0.1, atol=1e-15)
 
 
+# numpy picks its array power kernel by CPU, and its AVX-512 kernel rounds
+# some powers one ulp apart from its others; Python float powers are the
+# same on every host, so the smoother tracks and Integ's variance are too
+@pytest.mark.parametrize("lam", [0.90, 0.94, 0.98])
+@pytest.mark.parametrize("n", [12, 52])
+def test_weights_and_c_t_have_the_bits_of_python_float_powers(lam, n):
+    w = np.array([(1.0 - lam) * lam**i for i in range(n)])
+    assert es_weights(lam, n).tobytes() == (w / w.sum()).tobytes()
+    kmax = n - 1
+    scale = (1.0 - lam) ** 2 / ((1.0 - lam**n) ** 2 * (1.0 - lam * lam))
+    c_iid = scale * (1.0 - lam ** (2 * n))
+    coef = np.array([2.0 * scale * lam**k * (1.0 - lam ** (2 * (n - k)))
+                     for k in range(1, kmax + 1)])
+    # non-negative autocorrelations keep c_t above its floor
+    rho = np.random.default_rng(n).uniform(0.0, 0.3, (5, kmax))
+    c_t = es_variance(np.full(5, 1e-4), EsConfig(lam, n), rho).c_t
+    assert c_t.tobytes() == (c_iid + np.add.reduce(rho * coef,
+                                                   axis=1)).tobytes()
+
+
 def test_exp_smooth_hand_value():
     # lam=0.5, n=2: weights (0.5/0.75, 0.25/0.75) on (y_{t-1}^2, y_{t-2}^2)
     y = np.array([0.3, 0.1, 0.2])
