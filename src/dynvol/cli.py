@@ -13,6 +13,7 @@ an error is one `error:` line on standard error.
 from __future__ import annotations
 
 import argparse
+import io
 import logging
 import os
 import sys
@@ -33,7 +34,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 from .harness import (_PRESETS, StudyConfig, run_backtest,  # noqa: E402
                       run_simulation_study, study_preset,
                       write_backtest_outputs, write_study_outputs)
-from .ingest import FREQUENCY_DELTA, RETURN_MODES, ingest_csv  # noqa: E402
+from .ingest import (FREQUENCY_DELTA, RETURN_MODES, _read_utf8,  # noqa: E402
+                     _row_list, ingest_csv)
 
 FULL_SCALE_REPS = 600
 
@@ -101,19 +103,21 @@ def _dump_config(cfg: StudyConfig) -> str:
 
 
 def _read_config_file(path: str) -> dict:
+    """The key = value settings of a UTF-8 config file, read as a backtest
+    CSV is: a leading byte order mark is skipped."""
     out, lines = {}, {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DynvolError(f"bad config line: {raw.rstrip()}")
-            key, value = (s.strip() for s in line.split("=", 1))
-            if key in lines:
-                raise DynvolError(f"config key {key} is set twice, on lines "
-                                  f"{lines[key]} and {lineno} of {path}")
-            out[key], lines[key] = value, lineno
+    text = io.StringIO(_read_utf8(path, "config line"), newline=None)
+    for lineno, raw in enumerate(text, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DynvolError(f"bad config line: {raw.rstrip()}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        if key in lines:
+            raise DynvolError(f"config key {key} is set twice, on lines "
+                              f"{lines[key]} and {lineno} of {path}")
+        out[key], lines[key] = value, lineno
     return out
 
 
@@ -233,6 +237,9 @@ def main(argv: list[str] | None = None) -> int:
                               in_sample_end=args.in_sample_end,
                               return_mode=args.return_mode,
                               forward_fill=args.forward_fill)
+            if data.filled_rows:
+                log.info("forward-filled rows: %s",
+                         _row_list(list(data.filled_rows)))
             result = run_backtest(data, cfg)
             write_backtest_outputs(result, args.out)
             log.info("backtest of %s: outputs in %s", data.name, args.out)

@@ -468,6 +468,7 @@ SIM_GROUP = 64
 
 # per-replication measures, in per_rep.csv column order
 _MEASURES = ("imade", "made", "pe", "rade", "er")
+_NO_STEPS = "no usable out-of-sample steps"
 
 
 @dataclass
@@ -482,35 +483,32 @@ class StudyResult:
     processes: int = 1
 
 
-def _score(tracks: np.ndarray, y_out: np.ndarray,
+def _score(block: np.ndarray, y_out: np.ndarray,
            quantile: float | np.ndarray, truth: np.ndarray | None = None
-           ) -> dict[str, np.ndarray]:
-    """Measure -> one value per estimator of each replication, one call per
-    measure: tracks is (replications x) estimators x steps, every forecast
-    finite and C-contiguous, y_out and truth (replications x) steps, and
-    quantile the exceedance quantile, or one per estimator as estimators x
-    1. imade is computed only when the true variance is given."""
-    y = y_out[..., None, :]
-    vals = {} if truth is None else {"imade": imade(truth[..., None, :],
-                                                    tracks)}
-    for k, measure in (("made", made), ("pe", pe), ("rade", rade)):
-        vals[k] = measure(y, tracks)
-    vals["er"] = exceedance_ratio(y, tracks, quantile)
-    return vals
-
-
-def _score_alone(tracks: np.ndarray, y_out: np.ndarray,
-                 quantile: float | np.ndarray, truth: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The step mask of one series' tracks (estimators x steps), the steps
-    where every forecast is finite, and _score over those steps."""
-    mask = np.isfinite(tracks).all(axis=0)
-    if not mask.any():
-        raise DynvolError("no usable out-of-sample steps")
-    # compress, not tracks[:, mask], which is F-ordered: its row means
-    # differ from the 1-d means in the last bit
-    return mask, _score(tracks.compress(mask, axis=-1), y_out[mask],
-                        quantile, None if truth is None else truth[mask])
+           ) -> list[tuple[np.ndarray, dict[str, np.ndarray]] | None]:
+    """Each series' step mask, where all its forecasts are finite, and
+    measure -> one value per estimator over those steps, or None where no
+    step is: block is series x estimators x steps, y_out and truth series x
+    steps, quantile the exceedance quantile or estimators x 1 of them; imade
+    needs truth. Each distinct mask makes one call per measure on the block
+    compressed to its steps, other masks' rows throwaway NaN, and gives each
+    series with the mask its row: compress keeps rows C-ordered, so each has
+    the bits of the 1-d call, which the F-ordered block[..., mask] misses."""
+    masks = np.isfinite(block).all(axis=1)
+    if not masks.all():  # NaN, unlike inf, makes no invalid-value warning
+        block = np.where(masks[:, None], block, np.nan)
+    out: list = [None] * len(block)
+    for mask in {k.tobytes(): k for k in masks[masks.any(axis=1)]}.values():
+        tracks = block.compress(mask, axis=-1)
+        y = y_out.compress(mask, axis=-1)[:, None]
+        vals = {} if truth is None else {
+            "imade": imade(truth.compress(mask, axis=-1)[:, None], tracks)}
+        for k, measure in (("made", made), ("pe", pe), ("rade", rade)):
+            vals[k] = measure(y, tracks)
+        vals["er"] = exceedance_ratio(y, tracks, quantile)
+        for i in np.flatnonzero((masks == mask).all(axis=1)):
+            out[i] = mask, {k: v[i] for k, v in vals.items()}
+    return out
 
 
 def _report(per_rep: dict[str, np.ndarray], ests: tuple[str, ...],
@@ -566,10 +564,8 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
 
     def walk(group: SimulatedGroup, times: list[_TimeTracks]):
         """Each replication's counters, step mask, measures and |forecast -
-        truth| per estimator and step, or why it failed. The group's tracks
-        are stacked as replications x estimators x steps; the replications
-        whose forecasts are all finite are scored in one _score call, and
-        any other alone, over its own step mask."""
+        truth| per estimator and step, or why it failed; one _score call
+        scores the group's tracks, one call per measure for each step mask."""
         outs: list = []
         block = np.full((len(times), len(ests), m), np.nan)
         for levels, y, time, row in zip(group.levels, group.y, times, block):
@@ -580,27 +576,13 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
                 continue
             row[:] = [tracks[e] for e in ests]
             outs.append(counters)
-        y_out = group.y[:, first:first + m]
         truth = group.truth[:, first:first + m]
         err = np.abs(block - truth[:, None])
-        walked = [i for i, out in enumerate(outs) if isinstance(out, dict)]
-        finite = np.isfinite(block).all(axis=(1, 2))
-        whole = [i for i in walked if finite[i]]
-        if whole:
-            vals = _score(block[whole], y_out[whole], z, truth[whole])
-            every = np.ones(m, dtype=bool)
-            for k, i in enumerate(whole):
-                outs[i] = (outs[i], every, {key: v[k] for key, v in
-                                            vals.items()}, err[i])
-        for i in walked:
-            if finite[i]:
-                continue
-            try:
-                mask, one = _score_alone(block[i], y_out[i], z, truth[i])
-            except DynvolError as exc:
-                outs[i] = f"{type(exc).__name__}: {exc}"
-                continue
-            outs[i] = (outs[i], mask, one, err[i])
+        scores = _score(block, group.y[:, first:first + m], z, truth)
+        for i, scored in enumerate(scores):
+            if isinstance(outs[i], dict):
+                outs[i] = (f"DynvolError: {_NO_STEPS}" if scored is None
+                           else (outs[i], *scored, err[i]))
         return outs
 
     # a roster without a state-domain estimator stays on this process: its
@@ -684,9 +666,12 @@ def run_backtest(data: BacktestDataset, cfg: StudyConfig) -> BacktestResult:
         quantiles[e] = empirical_quantile(res, cfg.alpha, qwin)
 
     # a backtest is scored as a group of one
-    mask, vals = _score_alone(
-        np.stack([tracks[e][qwin:] for e in ests]), y[in_len - 1:],
-        np.array([quantiles[e] for e in ests])[:, None])
+    [scored] = _score(np.stack([tracks[e][qwin:] for e in ests])[None],
+                      y[None, in_len - 1:],
+                      np.array([quantiles[e] for e in ests])[:, None])
+    if scored is None:
+        raise DynvolError(_NO_STEPS)
+    mask, vals = scored
     per_rep = {k: v[None] for k, v in vals.items()}
     report = _report(per_rep, ests, 0.0, int(m - mask.sum()), 0)
     return BacktestResult(cfg, data, report, per_rep, quantiles, counters)

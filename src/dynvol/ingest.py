@@ -76,18 +76,7 @@ def ingest_csv(path, frequency: str = "weekly",
     in sample; by default two thirds. delta is the frequency's."""
     if frequency not in FREQUENCY_DELTA:
         raise IngestionError(f"unknown frequency {frequency!r}")
-    with open(path, "rb") as fh:
-        raw = fh.read().removeprefix(codecs.BOM_UTF8)
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # lines end in \n, \r\n or \r, as the csv reader splits them
-        head = raw[:exc.start]
-        row = (head.count(b"\n") + head.count(b"\r")
-               - head.count(b"\r\n") + 1)
-        raise IngestionError(f"row {row} is not UTF-8: byte "
-                             f"0x{raw[exc.start]:02x}") from None
-    rowiter = list(csv.reader(io.StringIO(text, newline="")))
+    rowiter = list(csv.reader(io.StringIO(_read_utf8(path), newline="")))
     if not rowiter or [c.strip().lower() for c in rowiter[0][:2]] != ["date", "value"]:
         raise IngestionError("expected header 'date,value'")
     dates: list[_dt.date] = []
@@ -151,6 +140,24 @@ def ingest_csv(path, frequency: str = "weekly",
         delta=FREQUENCY_DELTA[frequency], in_sample_end=split,
         frequency=frequency, return_mode=return_mode,
         filled_rows=tuple(filled))
+
+
+def _read_utf8(path, unit: str = "row") -> str:
+    """The text of a UTF-8 file, a leading byte order mark, as spreadsheets
+    and Windows Notepad write, skipped. A byte that is not UTF-8 is rejected
+    with the number of its line, named unit."""
+    with open(path, "rb") as fh:
+        raw = fh.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines end in \n, \r\n or \r, as the csv reader and a text-mode
+        # file split them
+        head = raw[:exc.start]
+        line = (head.count(b"\n") + head.count(b"\r")
+                - head.count(b"\r\n") + 1)
+        raise IngestionError(f"{unit} {line} is not UTF-8: byte "
+                             f"0x{raw[exc.start]:02x}") from None
 
 
 def _row_list(rows: list[int]) -> str:

@@ -362,6 +362,27 @@ def levels_csv(tmp_path_factory):
     return p
 
 
+def test_a_forward_filled_backtest_logs_the_filled_rows(tmp_path, levels_csv,
+                                                       caplog):
+    # rows 5 and 9 of the file (the header is row 1) lose their values
+    lines = levels_csv.read_text().splitlines()
+    for row in (5, 9):
+        lines[row - 1] = lines[row - 1].split(",")[0] + ","
+    gaps = tmp_path / "gaps.csv"
+    gaps.write_text("\n".join(lines) + "\n")
+    f = tmp_path / "bt.cfg"
+    f.write_text("er_window = 60\n")
+    for data, quiet, want in [(gaps, [], ["forward-filled rows: [5, 9]"]),
+                              (gaps, ["--quiet"], []),
+                              (levels_csv, [], [])]:
+        caplog.clear()
+        assert main(["backtest", "--data", str(data), "--forward-fill",
+                     "--config", str(f), "--out", str(tmp_path / "out"),
+                     *quiet]) == 0
+        assert [m for m in caplog.messages
+                if m.startswith("forward-filled")] == want
+
+
 def test_backtest_end_to_end(tmp_path, levels_csv, capsys):
     f = tmp_path / "bt.cfg"
     f.write_text("er_window = 60\n")
@@ -488,6 +509,30 @@ def test_backtest_cli_names_the_row_that_is_not_utf8(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == "error: row 3 is not UTF-8: byte 0xe9\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_a_config_file_with_a_byte_order_mark_is_read(tmp_path, capsys):
+    # `config --dump` output as Windows Notepad saves it: a UTF-8 byte
+    # order mark in front and CRLF line ends
+    assert main(["config", "--dump"]) == 0
+    dump = capsys.readouterr().out
+    plain, bom = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text(dump)
+    bom.write_bytes(b"\xef\xbb\xbf" + dump.replace("\n", "\r\n").encode())
+    assert _read_config_file(bom) == _read_config_file(plain)
+    assert main(SIM_ARGS + ["--config", str(bom),
+                            "--out", str(tmp_path / "r")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_a_config_byte_that_is_not_utf8_names_its_line(tmp_path, capsys):
+    f = tmp_path / "latin1.cfg"
+    f.write_bytes(b"\xef\xbb\xbflambda = 0.97\r\n# caf\xe9\r\nwindow = 26\r\n")
+    rc = main(SIM_ARGS + ["--config", str(f), "--out", str(tmp_path / "r")])
+    assert rc == 1
+    assert (capsys.readouterr().err
+            == "error: config line 2 is not UTF-8: byte 0xe9\n")
+    assert not (tmp_path / "r").exists()
 
 
 def test_config_file_rejects_unknown_keys_by_name(tmp_path, capsys):

@@ -850,6 +850,19 @@ def test_failed_replications_keep_their_reason(monkeypatch):
     assert res.report.excluded_steps == 0
 
 
+def test_a_study_whose_every_replication_fails_names_the_first(monkeypatch):
+    cfg = study_preset("cir", series_len=300, in_sample_len=260, n_reps=3,
+                       seed=777, estimators=("Hist", "RiskM"))
+
+    def edit(rep, tracks):
+        raise DegenerateSeriesError(f"boom {rep}")
+
+    patch_rolling(monkeypatch, cfg, edit)
+    with pytest.raises(DynvolError, match=r"^every replication failed "
+                       r"\(rep 0: DegenerateSeriesError: boom 0\)$"):
+        run_simulation_study(cfg)
+
+
 def test_failed_sv_replication_is_charged_alone(monkeypatch):
     # SV replications are simulated as a group; when one of them fails in
     # its walk-forward, only that replication is skipped
@@ -870,12 +883,16 @@ def test_failed_sv_replication_is_charged_alone(monkeypatch):
 @pytest.mark.parametrize("group", [1, 3, 64])
 def test_a_group_scores_each_replication_as_it_would_alone(monkeypatch,
                                                            group):
-    # a group of 7 holding a replication with non-finite steps (rep 1), one
-    # whose walk raises (rep 3), one with no usable step (rep 4) and one
-    # whose Integ track is not finite at its last step (rep 6): each walked
-    # replication's per_rep row has the bits of the 1-d measures over its
-    # own step mask, and the failures keep their reasons
-    cfg = study_preset("cir", series_len=300, in_sample_len=260, n_reps=7,
+    # a group of 8 holding a replication with non-finite steps (rep 1), one
+    # whose walk raises (rep 3), one with no usable step (rep 4), one whose
+    # Integ track is not finite at its last step (rep 6) and one whose
+    # Integ track is -inf at the steps where rep 1's Hist is NaN (rep 7),
+    # which shares rep 1's step mask and, in a group of 64, its scoring
+    # call: each walked replication's per_rep row has the bits of the 1-d
+    # measures over its own step mask, and the failures keep their reasons.
+    # The rows of other masks, scored and thrown away with each mask's
+    # call, raise no warning: sqrt(-inf) would
+    cfg = study_preset("cir", series_len=300, in_sample_len=260, n_reps=8,
                        seed=777)
     first, m = cfg.in_sample_len - 1, cfg.series_len - cfg.in_sample_len
     walked = {}
@@ -889,19 +906,23 @@ def test_a_group_scores_each_replication_as_it_would_alone(monkeypatch,
             tracks["RiskM"][:] = np.inf
         if rep == 6:
             tracks["Integ"][-1] = np.nan
+        if rep == 7:
+            tracks["Integ"][2::9] = -np.inf
         walked[rep] = {e: t.copy() for e, t in tracks.items()}
 
     patch_rolling(monkeypatch, cfg, edit)
     monkeypatch.setattr(_fanout, "_cpus", lambda: 1)
     monkeypatch.setattr(harness, "SIM_GROUP", group)
-    res = run_simulation_study(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = run_simulation_study(cfg)
     assert res.failed_reps == (3, 4)
     assert res.diagnostics["failed_reasons"] == {
         3: "DegenerateSeriesError: boom",
         4: "DynvolError: no usable out-of-sample steps"}
-    assert res.diagnostics["excluded_per_rep"] == (0, 5, 0, 0, 1)
+    assert res.diagnostics["excluded_per_rep"] == (0, 5, 0, 0, 1, 5)
     z = NormalDist().inv_cdf(cfg.alpha)
-    for row, rep in enumerate((0, 1, 2, 5, 6)):
+    for row, rep in enumerate((0, 1, 2, 5, 6, 7)):
         sim = one_series(cfg, rep)
         mask = np.all([np.isfinite(t) for t in walked[rep].values()], axis=0)
         y = sim.y[first:first + m][mask]
@@ -1165,14 +1186,27 @@ def test_children_get_the_cpus_but_their_parents_round_robin(mask, parent, n,
 
 
 @pytest.mark.skipif(CPUS < 2, reason="one CPU")
-def test_a_forked_span_runs_on_another_cpu():
-    def work(span):
-        return [(os.getpid(), _fanout._parent_cpu()) for _ in span]
+def test_a_forked_span_runs_on_another_cpu(monkeypatch):
+    # the child runs on a CPU other than the one fan_out read before it
+    # forked, the CPU it places the child away from. The parent's mask is
+    # the full set, so the scheduler may move the parent itself onto the
+    # child's CPU after the fork: its later reads are not compared
+    read = _fanout._parent_cpu
+    reads = []
 
-    (pid, cpu), (child_pid, child_cpu) = _fanout.fan_out(work, 2, 2)
+    def recorded():
+        reads.append(read())
+        return reads[-1]
+
+    def work(span):
+        return [(os.getpid(), read()) for _ in span]
+
+    monkeypatch.setattr(_fanout, "_parent_cpu", recorded)
+    (pid, _), (child_pid, child_cpu) = _fanout.fan_out(work, 2, 2)
     assert pid == os.getpid() != child_pid
-    assert cpu != child_cpu
-    assert {cpu, child_cpu} <= os.sched_getaffinity(0)
+    [here] = reads
+    assert here != child_cpu
+    assert {here, child_cpu} <= os.sched_getaffinity(0)
     assert_no_child_left()
 
 
@@ -1763,6 +1797,36 @@ def test_backtest_outputs_and_lengths(tmp_path, gbm_csv):
     # imade column is empty in real-data mode
     assert per[1].split(",")[2] == ""
     assert (tmp_path / "report.txt").read_text().strip() != ""
+
+
+def test_backtest_rejects_constant_in_sample_squared_returns():
+    # diff-mode levels that step by +-0.5 in turn: every squared return is
+    # the same
+    values = 5.0 + 0.5 * (np.arange(300) % 2)
+    data = BacktestDataset("x", values, None, 1 / 52, 220, return_mode="diff")
+    with pytest.raises(DegenerateSeriesError,
+                       match="^constant in-sample squared returns$"):
+        run_backtest(data, study_preset("gbm", er_window=60))
+
+
+@pytest.mark.parametrize("steps, message", [
+    # one warmup step, and every out-of-sample step, of the er_window = 60
+    # warmup forecasts ahead of them
+    (slice(3, 4), "non-finite warmup forecasts for RiskM"),
+    (slice(60, None), "no usable out-of-sample steps")])
+def test_backtest_rejects_non_finite_forecasts_by_name(gbm_csv, monkeypatch,
+                                                       steps, message):
+    real = harness._rolling
+
+    def rolling(*args):
+        tracks, counters = real(*args)
+        tracks["RiskM"][steps] = np.nan
+        return tracks, counters
+
+    monkeypatch.setattr(harness, "_rolling", rolling)
+    data = ingest_csv(gbm_csv, frequency="weekly", in_sample_end=220)
+    with pytest.raises(DynvolError, match=f"^{message}$"):
+        run_backtest(data, study_preset("gbm", er_window=60))
 
 
 def test_backtest_needs_warmup_history(gbm_csv):
