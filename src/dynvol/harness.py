@@ -331,12 +331,10 @@ def _time_tracks(ys: np.ndarray, cfg: StudyConfig, origins: np.ndarray
 
 class _StateFit(NamedTuple):
     """The state-domain fit between refits: the h1 drift fit, whose sorted x
-    and resid2 the variance bandwidth h queries and the next refit extends,
-    and the floor eps_var of the state estimate."""
+    and resid2 the variance bandwidth h queries and the next refit extends."""
 
     pairs: DriftFit
     h: float
-    eps_var: float
 
 
 def _fit_state(levels, y, origin, cfg: StudyConfig, prev: _StateFit | None,
@@ -350,24 +348,22 @@ def _fit_state(levels, y, origin, cfg: StudyConfig, prev: _StateFit | None,
     if prev is None:
         drift, h = select_bandwidth(x, yy)
     else:
-        h = prev.h
-        done = prev.pairs.count
+        h, done = prev.h, prev.pairs.count
         drift = prev.pairs.extend(x[done:], yy[done:])
-    counters["drift_fallback"] += int(
-        np.count_nonzero(~np.isfinite(drift.drift)))
-    eps_var = 1e-12 * float(np.var(drift.resid2))
-    return _StateFit(drift, h, eps_var)
+    counters["drift_fallback"] += drift.unfit
+    return _StateFit(drift, h)
 
 
 def _eval_state(fit: _StateFit, x0: np.ndarray, counters):
     """State estimate and sum of squared equivalent weights at each query
     level of x0 (the origins of one refit block), NaN where there is no
     coverage. A singular design falls back to the locally constant fit, and
-    an estimate below the fit's floor eps_var takes the floor."""
+    an estimate below 1e-12 times the variance of resid2 takes that floor."""
     sig2, xi_sq, singular = _window_estimates(fit.pairs.x, fit.pairs.resid2,
                                               x0, fit.h)
-    floor = sig2 < fit.eps_var
-    sig2[floor] = fit.eps_var
+    eps_var = 1e-12 * float(np.var(fit.pairs.resid2))
+    floor = sig2 < eps_var
+    sig2[floor] = eps_var
     counters["state_nocov"] += int(np.isnan(sig2).sum())
     counters["state_singular"] += int(singular.sum())
     counters["state_floor"] += int(floor.sum())
@@ -465,6 +461,15 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
 # the first adds about an eighth of what one column alone costs, and CIR
 # and GBM path by path.
 SIM_GROUP = 64
+
+# least replications each process walks when the roster has neither NonBay
+# nor Integ, one whole group: a fork costs a fixed 35-65 ms of CPU time, and
+# forking the SV time-only study on 2 CPUs took (wall and CPU s, 1 -> 2
+# processes, medians of 20 alternating pairs, 2-vCPU Xeon VM)
+#   reps      40          64          128         200         600
+#   wall  .066->.062  .096->.073  .149->.110  .219->.166  .755->.432
+#   CPU   .066->.108  .095->.131  .148->.195  .218->.284  .743->.752
+TIME_ONLY_SPAN = SIM_GROUP
 
 # per-replication measures, in per_rep.csv column order
 _MEASURES = ("imade", "made", "pe", "rade", "er")
@@ -585,13 +590,10 @@ def run_simulation_study(cfg: StudyConfig) -> StudyResult:
                            else (outs[i], *scored, err[i]))
         return outs
 
-    # a roster without a state-domain estimator stays on this process: its
-    # walks only score tracks, and forking them, each process simulating
-    # and tracking its own span, cost the 40-rep SV time-only study 52% more
-    # CPU time per op on 2 CPUs for 17% less wall time (medians of 10
-    # alternating pairs, each group scored as one block)
-    processes = (min(_fanout._cpus(), cfg.n_reps) if _walks_state(ests)
-                 else 1)
+    # a time-only roster's walks only score tracks: each process takes a
+    # span of at least TIME_ONLY_SPAN replications
+    span = 1 if _walks_state(ests) else TIME_ONLY_SPAN
+    processes = max(1, min(_fanout._cpus(), cfg.n_reps // span))
     work = partial(_replications, cfg, np.arange(first, first + m), walk)
     with closing(_fanout.fan_out(work, cfg.n_reps, processes)) as outs:
         for rep, out in enumerate(outs):

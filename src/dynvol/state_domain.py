@@ -465,8 +465,8 @@ class DriftFit:
     of 0.75 h^k and other the exact count of points of other levels in it;
     drift is the intercept, NaN where the design has no fit, and resid2 the
     squared residual y - drift, with the drift taken as 0 where it is NaN.
-    All of them are rows of one float table (other holds integers, exact in
-    a float), so that extend splices them together; count is their length.
+    All are rows of one float table (other's integers are exact in it) that
+    extend splices; count is the number of pairs, unfit that of NaN drifts.
 
     from_design fits on a design of the prefix-sum engine (bandwidth
     CV's). extend adds the k pairs of a later origin, which arrive after
@@ -480,6 +480,7 @@ class DriftFit:
 
     h: float
     table: np.ndarray
+    unfit: int
 
     x = property(lambda self: self.table[0])
     y = property(lambda self: self.table[1])
@@ -495,7 +496,8 @@ class DriftFit:
         mom, flat, multi = _moments(d, ys, False)
         drift = _solve_intercepts(mom, flat, multi)
         return cls(d.h, np.vstack((d.lv.xs, ys, mom, drift,
-                                   _resid2(ys, drift), d.other)))
+                                   _resid2(ys, drift), d.other)),
+                   int(np.count_nonzero(~np.isfinite(drift))))
 
     def extend(self, x_new: np.ndarray, y_new: np.ndarray) -> DriftFit:
         """The fit with the pairs (x_new, y_new) added."""
@@ -509,7 +511,7 @@ class DriftFit:
         # after the tied pairs held, as a stable sort of all pairs puts them
         at = np.searchsorted(self.x, xn, "right")
         new = at + np.arange(xn.size)
-        fit = DriftFit(h, _spliced(self.table, at))
+        fit = DriftFit(h, _spliced(self.table, at), self.unfit)
         x, y, mom, other = fit.x, fit.y, fit.moments, fit.other
         x[new] = xn
         y[new] = yn
@@ -548,10 +550,12 @@ class DriftFit:
                         * np.array([1.0, -1.0, 1.0, 1.0, -1.0])).T
         other[new] += apart.sum(1)
 
-        span = other[a:b]
-        fit.drift[a:b] = _solve_intercepts(mom[:, a:b], span == 0, span > 0)
-        fit.resid2[a:b] = _resid2(yw, fit.drift[a:b])
-        return fit
+        span, drift = other[a:b], fit.drift[a:b]
+        unfit = self.unfit - int(np.count_nonzero(~np.isfinite(drift)))
+        drift[:] = _solve_intercepts(mom[:, a:b], span == 0, span > 0)
+        fit.resid2[a:b] = _resid2(yw, drift)
+        unfit += int(np.count_nonzero(~np.isfinite(drift)))
+        return DriftFit(h, fit.table, unfit)
 
 
 def _cv_design(designs: list[_Design], order: np.ndarray,

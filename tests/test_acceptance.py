@@ -364,10 +364,14 @@ def test_state_fit_reads_only_the_pairs_history():
     levels[keep:] = np.nan
     y[keep:] = np.nan
     again = _fit_state(levels, y, origin, cfg, None, counters)
+
+    def floor(fit):  # the state estimate's floor, as _eval_state takes it
+        return 1e-12 * float(np.var(fit.pairs.resid2))
+
     for a, b in ((fit.pairs.x, again.pairs.x),
                  (fit.pairs.resid2, again.pairs.resid2),
-                 (np.array([fit.pairs.h, fit.h, fit.eps_var]),
-                  np.array([again.pairs.h, again.h, again.eps_var]))):
+                 (np.array([fit.pairs.h, fit.h, floor(fit)]),
+                  np.array([again.pairs.h, again.h, floor(again)]))):
         assert a.tobytes() == b.tobytes()
 
 

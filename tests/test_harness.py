@@ -500,9 +500,10 @@ def _walk_matches_rolling(every: int) -> None:
         else:
             direct["state_singular"] += singular
             sig2 = float(xi @ fit.pairs.resid2)
-            if sig2 < fit.eps_var:
+            eps_var = 1e-12 * float(np.var(fit.pairs.resid2))
+            if sig2 < eps_var:
                 direct["state_floor"] += 1
-                sig2 = fit.eps_var
+                sig2 = eps_var
             var_state = 2.0 * sig2**2 * float(xi @ xi)
         if sig2 is None:
             assert tracks["NonBay"][step] == es_val
@@ -538,11 +539,12 @@ def _walk_matches_rolling(every: int) -> None:
 def _hand_fit(x, resp, h):
     # a fit whose squared residuals are resp: the rows of DriftFit's table
     # are x, y, five moments, drift, resid2 and other, and the query reads
-    # x and resid2 only
+    # x and resid2 only, its floor 1e-12 times the variance of resid2; every
+    # drift is 0, so no pair is unfit
     order = np.argsort(x, kind="stable")
     table = np.zeros((10, x.size))
     table[0], table[8] = x[order], resp[order]
-    return _StateFit(DriftFit(h, table), h, 0.0)
+    return _StateFit(DriftFit(h, table, 0), h)
 
 
 @settings(max_examples=150, deadline=None,
@@ -676,6 +678,70 @@ def test_drift_refit_walk_forward_matches_a_fit_from_scratch(
         move = np.where(bad, 0.0, (2.0 * np.abs(r) + tol) * tol)
         assert np.all(np.abs(fit.pairs.resid2 - r * r) <= move)
     assert fit is not None
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(steps=st.lists(st.integers(-1, 1), min_size=30, max_size=140),
+       stretches=st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(2, 12)),
+                          max_size=3),
+       outliers=st.lists(st.tuples(st.floats(0.0, 1.0),
+                                   st.sampled_from([-60, 60, 61, 300])),
+                         max_size=6),
+       spacing=st.sampled_from([1e-3, 0.3, 1.0]),
+       offset=st.sampled_from([0.0, -7.5, 1e4]),
+       hmul=st.sampled_from([None, 0.5, 1.0, 2.0]),
+       every=st.integers(1, 8))
+# refits that both add unfit pairs and fit pairs that were unfit
+@example(steps=[1, 1, -1, 1, -1, 0, 0, -1, -1, 1, 0, 1, -1, -1, 1, -1, 0, 1,
+                1, 1, -1, -1, 1, 1, 0, 1, -1, 0, 0, -1, 0, 0, -1, -1, 1, -1],
+         stretches=[], outliers=[(0.541, -60), (0.284, 300)], spacing=1e-3,
+         offset=-7.5, hmul=1.0, every=1)
+def test_drift_fit_counts_its_unfit_pairs(steps, stretches, outliers,
+                                          spacing, offset, hmul, every):
+    # the drift fit's unfit count is its number of non-finite drifts after
+    # the first fit and after every refit, and the refit adds it to the
+    # drift_fallback counter. Lattice levels give ties; runs of zero steps
+    # give constant stretches; single levels 60 or 300 steps away, or two
+    # a step apart, are isolated, with no other level or only each other in
+    # their windows; a bandwidth of one lattice step off the origin puts
+    # neighbours a few ulps inside the kernel's support, where the design
+    # has no fit
+    steps = list(steps)
+    for at, n in stretches:
+        i = int(at * len(steps))
+        steps[i:i] = [0] * n
+    k = np.cumsum(steps)
+    for at, jump in outliers:
+        k[int(at * (k.size - 1))] += jump
+    levels = offset + spacing * k.astype(float)
+    y = np.diff(levels)
+    cfg = StudyConfig(series_len=levels.size,
+                      in_sample_len=levels.size - 1, es=EsConfig(0.94, 4),
+                      state_refit_every=every)
+    first = cfg.es.n + MIN_STATE_PAIRS
+    if hmul is None:
+        assume(np.ptp(levels[:MIN_STATE_PAIRS]) > 0.0)
+        frozen = nullcontext()
+    else:
+        h = hmul * spacing
+        frozen = mock.patch.object(
+            harness, "select_bandwidth",
+            lambda x, yy: (_drift_fit(x, yy, h), h))
+    fit = None
+    counters = _new_counters()
+    seen = [0]
+    for origin in range(first, y.size + 1, cfg.state_refit_every):
+        before = counters["drift_fallback"]
+        with frozen:
+            fit = _fit_state(levels, y, origin, cfg, fit, counters=counters)
+        unfit = np.count_nonzero(~np.isfinite(fit.pairs.drift))
+        assert fit.pairs.unfit == unfit
+        assert counters["drift_fallback"] - before == unfit
+        seen.append(unfit)
+    event(f"some pair unfit: {max(seen) > 0}")
+    event(f"a refit fits a pair that was unfit: "
+          f"{any(b < a for a, b in zip(seen[1:], seen[2:]))}")
 
 
 def test_no_lookahead_in_forecasts():
@@ -941,12 +1007,13 @@ def _check_group_size(monkeypatch, tmp_path, group, model, **design):
     # groups of one, of 3 or of 64, and computes each group's time-domain
     # tracks in one call and scores it in one call per measure, against
     # one serial group. In groups of 3, one process simulates reps 0-2, 3-5
-    # and 6, and the child of two processes 3-5 and 6; a time-only roster
-    # walks on one process. The roster of design, the full one by default,
-    # with rep 1 failing or not, on the preset's window and on a window of
-    # one return, where every decay of the grid forecasts the same square,
-    # so that every SemiProxy origin ties and falls back: a failed
-    # replication's fallbacks are not counted
+    # and 6, and the child of two processes 3-5 and 6; with TIME_ONLY_SPAN
+    # patched to 2, a time-only roster walks spans of at least 2 reps. The
+    # roster of design, the full one by default, with rep 1 failing or not,
+    # on the preset's window and on a window of one return, where every
+    # decay of the grid forecasts the same square, so that every SemiProxy
+    # origin ties and falls back: a failed replication's fallbacks are not
+    # counted
     m = 20
     for tied, failing in itertools.product((False, True), (None, 1)):
         cfg = study_preset(model, series_len=design["in_sample_len"] + m,
@@ -961,12 +1028,12 @@ def _check_group_size(monkeypatch, tmp_path, group, model, **design):
             ref = run_simulation_study(cfg)
             write_study_outputs(ref, out / "ref")
             mp.setattr(harness, "SIM_GROUP", group)
+            mp.setattr(harness, "TIME_ONLY_SPAN", 2)
+            span = 1 if harness._walks_state(cfg.estimators) else 2
             for cpus in (1, 2, 3):
                 mp.setattr(_fanout, "_cpus", lambda: cpus)
                 got = run_simulation_study(cfg)
-                assert got.processes == (min(cpus, cfg.n_reps)
-                                         if harness._walks_state(
-                                             cfg.estimators) else 1)
+                assert got.processes == min(cpus, cfg.n_reps // span)
                 write_study_outputs(got, out / f"got{cpus}")
                 for name in ("report.csv", "per_rep.csv", "fig2_curve.csv"):
                     assert ((out / f"got{cpus}" / name).read_bytes()
@@ -1000,6 +1067,34 @@ def test_cir_and_gbm_study_bytes_do_not_depend_on_the_group_size(
         monkeypatch, tmp_path, model, group):
     # the roster's first origin needs es.n + MIN_STATE_PAIRS = 104 returns
     _check_group_size(monkeypatch, tmp_path, group, model, in_sample_len=105)
+
+
+@pytest.mark.parametrize("roster, processes", [
+    (("Hist", "RiskM", "SemiProxy"), {1: 1, 63: 1, 64: 1, 127: 1, 128: 2,
+                                      191: 2, 192: 3, 300: 3}),
+    (("RiskM", "NonBay"), {1: 1, 2: 2, 3: 3, 4: 3})])
+def test_a_study_forks_by_its_work(monkeypatch, roster, processes):
+    # on 3 CPUs a roster without NonBay or Integ walks spans of at least
+    # TIME_ONLY_SPAN (64) replications, on at most one process per CPU;
+    # any other roster walks on one process per replication up to the CPUs
+    assert harness.TIME_ONLY_SPAN == 64
+    monkeypatch.setattr(_fanout, "_cpus", lambda: 3)
+    asked = []
+    fan_out = _fanout.fan_out
+
+    def recorded(work, n, n_proc):
+        asked.append(n_proc)
+        return fan_out(work, n, n_proc)
+
+    monkeypatch.setattr(_fanout, "fan_out", recorded)
+    for n_reps, want in processes.items():
+        cfg = study_preset("sv", series_len=106, in_sample_len=105,
+                           n_reps=n_reps, seed=3, estimators=roster,
+                           model_params=SvParams(3.0, 0.009, 4.0,
+                                                 substeps=3))
+        assert run_simulation_study(cfg).processes == want, n_reps
+        assert asked.pop() == want
+    assert_no_child_left()
 
 
 def _walk_breaks_at(monkeypatch, failing, exc_or_status):
@@ -1190,23 +1285,37 @@ def test_a_forked_span_runs_on_another_cpu(monkeypatch):
     # the child runs on a CPU other than the one fan_out read before it
     # forked, the CPU it places the child away from. The parent's mask is
     # the full set, so the scheduler may move the parent itself onto the
-    # child's CPU after the fork: its later reads are not compared
+    # child's CPU after the fork: its later reads are not compared. The
+    # child, given back the full mask before it starts, may be moved too,
+    # and on a busy host it was, onto the parent's CPU once the parent's
+    # short span had left that CPU idle. So, as in a study, the parent
+    # keeps busy while the child reads its CPU, for up to a second, until
+    # one read is off the CPU fan_out read
     read = _fanout._parent_cpu
     reads = []
+    parent = os.getpid()
+    off = multiprocessing.RawValue("b", 0)  # shared with the forked child
 
     def recorded():
         reads.append(read())
         return reads[-1]
 
     def work(span):
-        return [(os.getpid(), read()) for _ in span]
+        cpus = [read()]
+        deadline = time.monotonic() + 1.0
+        while not off.value and time.monotonic() < deadline:
+            if os.getpid() != parent and cpus[-1] != reads[0]:
+                off.value = 1
+            else:
+                cpus.append(read())
+        return [(os.getpid(), cpus) for _ in span]
 
     monkeypatch.setattr(_fanout, "_parent_cpu", recorded)
-    (pid, _), (child_pid, child_cpu) = _fanout.fan_out(work, 2, 2)
-    assert pid == os.getpid() != child_pid
+    (pid, _), (child_pid, child_cpus) = _fanout.fan_out(work, 2, 2)
+    assert pid == parent != child_pid
     [here] = reads
-    assert here != child_cpu
-    assert {here, child_cpu} <= os.sched_getaffinity(0)
+    assert off.value and child_cpus[-1] != here
+    assert {here, *child_cpus} <= os.sched_getaffinity(0)
     assert_no_child_left()
 
 
