@@ -16,13 +16,14 @@ so the scheduler may still move it off a busy CPU. The child waits until
 the parent closes a pipe, once the moves are made or have failed, before
 it starts its span, so that no span starts unplaced. The parent's own
 affinity is never touched. When the parent reaps a child, it logs the
-child's CPU seconds at DEBUG.
+child's CPU seconds and minor page faults at DEBUG. multiprocessing and
+resource are imported only to fork, so a study that walks on one process,
+and a backtest, never load them.
 """
 
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import pickle
 import sys
@@ -40,13 +41,15 @@ def _cpus() -> int:
     run on, or 1 where the platform does not say (macOS and Windows have
     no sched_getaffinity), where the process runs more than one thread, or
     where it is a daemonic multiprocessing worker, which may not start
-    processes. A fork copies only the thread that calls it, so a lock
-    another thread holds stays held in the child for good, and Python 3.12
-    warns of it. numpy's OpenBLAS starts a thread per CPU unless
-    OPENBLAS_NUM_THREADS is 1."""
+    processes; a process that never imported multiprocessing is none of
+    its workers, and is not made to import it to say so. A fork copies
+    only the thread that calls it, so a lock another thread holds stays
+    held in the child for good, and Python 3.12 warns of it. numpy's
+    OpenBLAS starts a thread per CPU unless OPENBLAS_NUM_THREADS is 1."""
     affinity = getattr(os, "sched_getaffinity", None)
+    mp = sys.modules.get("multiprocessing")
     if (affinity is None or _threads() > 1
-            or multiprocessing.current_process().daemon):
+            or (mp is not None and mp.current_process().daemon)):
         return 1
     return len(affinity(0))
 
@@ -129,17 +132,22 @@ def _named(span: range) -> str:
 
 def _reap(child, span: range, kill: bool = True) -> None:
     """Wait for child, killed first unless kill is False, and log at DEBUG
-    the CPU seconds it used, which the OS adds to this process's children
-    fields of os.times() when it is reaped."""
+    the CPU seconds and minor page faults it used, which the OS adds to
+    this process's children fields of os.times() and of
+    getrusage(RUSAGE_CHILDREN) when it is reaped."""
+    import resource
+
     before = os.times()
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     if kill:
         child.kill()
     child.join()
     after = os.times()
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     cpu = (after.children_user - before.children_user
            + after.children_system - before.children_system)
-    log.debug("reaped the process that walked %s: %.3f s of CPU",
-              _named(span), cpu)
+    log.debug("reaped the process that walked %s: %.3f s of CPU, %d minor "
+              "page faults", _named(span), cpu, faults)
 
 
 def fan_out(work, n: int, n_proc: int):
@@ -151,10 +159,10 @@ def fan_out(work, n: int, n_proc: int):
     child is placed on a CPU other than this process's before it starts its
     span, as the module says, and one DEBUG line per child names its CPU,
     or why it has none; another, when the child is reaped, its CPU
-    seconds. An exception a child's work raises is raised here, its cause
-    the child's traceback; a child that ends without sending its results
-    raises DynvolError. No child outlives the generator, once it is
-    exhausted or closed.
+    seconds and minor page faults. An exception a child's work raises is
+    raised here, its cause the child's traceback; a child that ends
+    without sending its results raises DynvolError. No child outlives the
+    generator, once it is exhausted or closed.
 
     Fork, not spawn: the children inherit work and what it reads, where a
     spawned one would import dynvol afresh, 65 ms on a 2-core Xeon VM,
@@ -175,7 +183,9 @@ def fan_out(work, n: int, n_proc: int):
     reaped = set()
     try:
         for span, cpu in zip(spans, cpus):
-            # only here: Windows, where n_proc is 1, has no fork context
+            # only here: Windows, where n_proc is 1, has no fork context, and
+            # a walk on one process never loads multiprocessing
+            import multiprocessing
             fork = multiprocessing.get_context("fork")
             source, sink = fork.Pipe(duplex=False)
             wait, go = fork.Pipe(duplex=False)

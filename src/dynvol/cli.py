@@ -172,6 +172,25 @@ def _reject_unread(cfg: StudyConfig) -> None:
                               f"leave it at {_format(base[key])}")
 
 
+def _check_out(out: str) -> None:
+    """Raise DynvolError unless the outputs can go to out: it is a
+    directory, or the nearest of its ancestors that exists is a directory
+    this process may write in. Nothing is created, so a run that fails
+    after the check leaves no directory behind."""
+    if os.path.isdir(out):
+        return
+    near = out
+    while near and not os.path.lexists(near):
+        near = os.path.dirname(near)
+    if near == out:
+        raise DynvolError(f"--out {out!r} is not a directory")
+    near = near or os.curdir
+    if not os.path.isdir(near):
+        raise DynvolError(f"--out {out!r}: {near!r} is not a directory")
+    if not os.access(near, os.W_OK | os.X_OK):
+        raise DynvolError(f"--out {out!r}: {near!r} is not writable")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="dynvol",
                                 description="volatility estimation harness")
@@ -219,6 +238,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "config":
             sys.stdout.write(_dump_config(study_preset(args.model)))
             return 0
+        _check_out(args.out)
         if args.command == "simulate":
             cfg = _resolve(study_preset(args.model), args)
             t0 = time.perf_counter()

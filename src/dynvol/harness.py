@@ -220,8 +220,9 @@ def simulate_series(cfg: StudyConfig, reps: Sequence[int]) -> SimulatedGroup:
                            for rng in rngs])
         y = to_returns(levels, cfg.delta)
     with np.errstate(over="ignore"):
-        # sum y^4 as a dot of the squares: y ** 4 took 30 times as long
-        if not all(np.isfinite(np.dot(y2, y2)) for y2 in y * y):
+        # sum y^4 as a dot of the squares: y ** 4 took 30 times as long;
+        # one row squared at a time, not a copy of all of y
+        if not all(np.isfinite(np.dot(y2, y2)) for y2 in map(np.square, y)):
             named = ", ".join(f"{k} = {v!r}" for k, v in vars(p).items())
             raise ValueError(f"{named} and delta = {cfg.delta!r} drew "
                              f"returns whose fourth powers sum past the "
@@ -463,9 +464,12 @@ def _rolling(levels: np.ndarray, y: np.ndarray, cfg: StudyConfig,
 SIM_GROUP = 64
 
 # least replications each process walks when the roster has neither NonBay
-# nor Integ, one whole group: a fork costs a fixed 35-65 ms of CPU time, and
-# forking the SV time-only study on 2 CPUs took (wall and CPU s, 1 -> 2
-# processes, medians of 20 alternating pairs, 2-vCPU Xeon VM)
+# nor Integ, one whole group. The fork itself is cheap: a no-op
+# fan_out(work, 2, 2) takes 4-5 ms of wall time and about 5 ms of CPU, with
+# about 1,250 minor page faults over the two processes. But a forked study
+# spent 35-65 ms more CPU than one process up to 200 replications: forking
+# the SV time-only study on 2 CPUs took (wall and CPU s, 1 -> 2 processes,
+# medians of 20 alternating pairs, 2-vCPU Xeon VM)
 #   reps      40          64          128         200         600
 #   wall  .066->.062  .096->.073  .149->.110  .219->.166  .755->.432
 #   CPU   .066->.108  .095->.131  .148->.195  .218->.284  .743->.752

@@ -359,6 +359,15 @@ def to_returns(levels, delta: float) -> np.ndarray:
 
 def levels_from_returns(y, delta: float, r0: float = 0.0) -> np.ndarray:
     """Inverse of to_returns along the last axis: the level path, or one per
-    row, that starts at r0 and has the scaled differences y."""
-    steps = np.multiply(y, math.sqrt(delta))
-    return r0 + np.cumsum(np.insert(steps, 0, 0.0, axis=-1), axis=-1)
+    row, that starts at r0 and has the scaled differences y. The sums run
+    in place in one array, the bits of r0 + cumsum(insert(y * sqrt(delta),
+    0, 0.0, axis=-1), axis=-1) without its three temporaries."""
+    y = np.asarray(y)
+    scale = math.sqrt(delta)
+    out = np.empty(y.shape[:-1] + (y.shape[-1] + 1,),
+                   np.result_type(y, scale))
+    out[..., 0] = 0.0
+    np.multiply(y, scale, out=out[..., 1:])
+    np.cumsum(out, axis=-1, out=out)
+    out += r0
+    return out

@@ -486,6 +486,33 @@ def test_backtest_rejects_short_er_window_before_running(tmp_path, levels_csv,
     assert not (tmp_path / "res").exists()
 
 
+@pytest.mark.parametrize("where", ["under a file", "a file", "unwritable"])
+@pytest.mark.parametrize("command", ["simulate", "backtest"])
+def test_an_unusable_out_fails_before_the_run(tmp_path, levels_csv, capsys,
+                                              monkeypatch, command, where):
+    # a study or backtest walked to its end would only then fail to write;
+    # here the test fails if the CLI reads or simulates anything. Nothing
+    # is created, not even the missing parent of an unwritable --out
+    import dynvol.cli as cli
+    for name in ("run_simulation_study", "ingest_csv", "run_backtest"):
+        monkeypatch.setattr(cli, name,
+                            lambda *a, name=name, **k: pytest.fail(name))
+    (tmp_path / "file").write_text("")
+    out = {"under a file": tmp_path / "file" / "sub",
+           "a file": tmp_path / "file",
+           "unwritable": tmp_path / "new" / "sub"}[where]
+    if where == "unwritable":
+        monkeypatch.setattr(os, "access", lambda path, mode: False)
+    args = (SIM_ARGS if command == "simulate"
+            else ["backtest", "--data", str(levels_csv), "--quiet"])
+    assert main(args + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: --out {str(out)!r}")
+    assert err[0].endswith("is not writable" if where == "unwritable"
+                           else "is not a directory")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
 def test_backtest_cli_names_infinite_row(tmp_path, capsys):
     d0 = dt.date(2010, 1, 4)
     rng = np.random.default_rng(3)
@@ -671,6 +698,44 @@ def test_a_default_cli_study_walks_on_every_cpu(tmp_path):
     out = _python("-W", "error", "-m", "dynvol.cli", "simulate", "--model",
                   "cir", "--reps", "4", "--out", str(tmp_path / "s"))
     assert f"walked on {min(CPUS, 4)} processes in " in out
+
+
+# main's exit status and whether multiprocessing was loaded, printed last
+_MAIN_THEN_MP = ("import sys; from dynvol.cli import main; "
+                 "rc = main(sys.argv[1:]); "
+                 "print(rc, 'multiprocessing' in sys.modules)")
+
+
+def test_a_run_on_one_process_never_loads_multiprocessing(tmp_path):
+    # it is imported only to fork: the dump, a backtest, and a time-only
+    # study of fewer than 2 * harness.TIME_ONLY_SPAN replications
+    days = np.arange(np.datetime64("2000-01-03"), np.datetime64("2003-01-01"))
+    dates = days[np.is_busday(days)][:600]
+    levels = 0.05 * np.exp(np.cumsum(
+        np.random.default_rng(1).standard_normal(600) * 0.006))
+    data = tmp_path / "levels.csv"
+    data.write_text("date,value\n" + "".join(
+        f"{d},{v!r}\n" for d, v in zip(dates.astype(str), levels.tolist())))
+    for args in (["config", "--dump"],
+                 ["backtest", "--data", str(data), "--frequency", "daily",
+                  "--quiet", "--out", str(tmp_path / "bt")],
+                 ["simulate", "--model", "sv", "--estimators",
+                  "Hist,RiskM,SemiProxy", "--reps", "40", "--quiet",
+                  "--out", str(tmp_path / "sv")]):
+        out = _python("-W", "error", "-c", _MAIN_THEN_MP, *args)
+        assert out.splitlines()[-1] == "0 False", args
+
+
+@pytest.mark.skipif(CPUS < 2, reason="one CPU: a study walks alone")
+def test_a_study_that_forks_loads_multiprocessing(tmp_path):
+    # the study's own process, held to two CPUs
+    code = ("import os; "
+            "os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2]); "
+            + _MAIN_THEN_MP)
+    out = _python("-W", "error", "-c", code, "simulate", "--model", "cir",
+                  "--reps", "4", "--out", str(tmp_path / "s")).splitlines()
+    assert "walked on 2 processes in " in out[-2]
+    assert out[-1] == "0 True"
 
 
 def test_a_host_that_loaded_numpy_first_walks_alone(tmp_path):

@@ -1409,8 +1409,12 @@ def test_each_reaped_child_logs_its_cpu_seconds(monkeypatch, caplog, cpus):
     assert [m.split(": ")[0] for m in reaped] == [
         f"reaped the process that walked {span}" for span in spans[cpus]]
     for m in reaped:
-        seconds, unit = m.split(": ")[1].split(" ", 1)
+        cpu, faults = m.split(": ")[1].split(", ")
+        seconds, unit = cpu.split(" ", 1)
         assert unit == "s of CPU" and float(seconds) >= 0.0
+        count, unit = faults.split(" ", 1)
+        # a forked child faults in at least the pages it writes
+        assert unit == "minor page faults" and int(count) > 0
     assert_no_child_left()
 
 

@@ -105,6 +105,19 @@ def test_the_array_functions_give_each_row_its_1d_bits(rows):
             y[i], WEEKLY, r0=0.05).tobytes()
 
 
+@pytest.mark.parametrize("r0", [0.0, 0.3])
+@pytest.mark.parametrize("shape", [(299,), (5, 299)])
+def test_levels_are_the_bits_of_the_cumsum_of_the_scaled_steps(shape, r0):
+    # the levels are summed in place in one array, in the order and with
+    # the bits of the expression built from temporaries
+    y = np.random.default_rng(11).standard_normal(shape) * 0.1
+    want = r0 + np.cumsum(np.insert(y * math.sqrt(WEEKLY), 0, 0.0, axis=-1),
+                          axis=-1)
+    got = levels_from_returns(y, WEEKLY, r0=r0)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_rng_stream_reproducible_and_independent():
     a = simulate_cir(CIR, WEEKLY, 200, RngStream(42, 3))
     b = simulate_cir(CIR, WEEKLY, 200, RngStream(42, 3))
